@@ -263,9 +263,13 @@ def embed_sum_batch(dense: np.ndarray, spec: ChainSpec,
     for i, l in enumerate(bond_positions):
         left = spec.site_dim ** (l - 1)
         right = spec.m // (left * nloc)
-        emb = np.einsum("pq,tij,rs->tpirqjs",
-                        np.eye(left), dense[:, i], np.eye(right))
-        out += emb.reshape(count, spec.m, spec.m)
+        # I_left ⊗ H ⊗ I_right is nonzero only at row (p, i, r), column
+        # (p, j, r); add H into a writable view of exactly those entries
+        s = out.reshape(count, left, nloc, right, left, nloc, right).strides
+        blocks = np.lib.stride_tricks.as_strided(
+            out, (count, left, right, nloc, nloc),
+            (s[0], s[1] + s[4], s[3] + s[6], s[2], s[5]))
+        blocks += dense[:, i, None, None]
     return out
 
 
@@ -278,11 +282,8 @@ def assemble_chain(spec: ChainSpec, rng: Rng):
         vec_gen=rng.substream(STREAM_LOCAL_VECS), need_dense=True)
     terms = [LocalTerm(spec.local_dim, dense[0, i], eigenvalues=evals[0, i])
              for i in range(spec.n_bonds)]
-    h_odd = np.zeros((spec.m, spec.m), dtype=dense.dtype)
-    h_even = np.zeros_like(h_odd)
-    for l, term in enumerate(terms, start=1):
-        target = h_odd if l % 2 == 1 else h_even
-        target += embed_local(term, l, spec)
+    h_odd, h_even = (embed_sum_batch(dense[:, [l - 1 for l in bonds]], spec, bonds)[0]
+                     for bonds in (spec.odd_bonds, spec.even_bonds))
     return h_odd + h_even, h_odd, h_even, terms
 
 

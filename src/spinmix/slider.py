@@ -24,7 +24,8 @@ import numpy as np
 from . import matgen
 from .chain import STREAM_ISO, LocalEnsemble, dense_cap
 from .rng import Rng
-from .spectra import DensityEstimate, EmpiricalMeasure, MomentSummary, _chunk_trials
+from .spectra import (DensityEstimate, EmpiricalMeasure, MomentSummary,
+                      _chunk_trials, _rotate_dense)
 
 __all__ = [
     "SliderDims",
@@ -331,6 +332,8 @@ def ie_mixture(p: float, classical: DensityEstimate,
     if classical.bin_edges.shape != iso.bin_edges.shape or \
             not np.array_equal(classical.bin_edges, iso.bin_edges):
         raise ValueError("densities must share identical bin edges")
+    if p in (0.0, 1.0):  # renormalising 1·x + 0·y could move masses in the last bit
+        return classical if p else iso
     return DensityEstimate(classical.bin_edges,
                            p * classical.masses + (1.0 - p) * iso.masses)
 
@@ -482,11 +485,6 @@ def iso_multi(terms: Sequence[np.ndarray], beta: int, trials: int,
         gen = rng.substream(STREAM_ISO, lo)
         acc = np.zeros((c, m, m), dtype=complex if cplx else float)
         for t in mats:
-            q = matgen.haar_batch(m, beta, gen, c)
-            if m <= 64:
-                acc += np.einsum("tji,jl,tlk->tik", q.conj(), t, q)
-            else:
-                for i in range(c):
-                    acc[i] += q[i].conj().T @ t @ q[i]
+            acc += _rotate_dense(matgen.haar_batch(m, beta, gen, c), t)
         out[lo:hi] = np.linalg.eigvalsh(acc)
     return EmpiricalMeasure.from_samples(out)

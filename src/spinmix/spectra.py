@@ -262,14 +262,13 @@ def isotropic_convolve(a_diag, b_diag, beta: int, trials: int, rng: Rng) -> Empi
 
 
 def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched Q† diag(b) Q; einsum for small orders, BLAS loop for large."""
-    m = q.shape[-1]
-    if m <= 64:
-        return np.einsum("tji,tj,tjk->tik", q.conj(), b, q)
-    out = np.empty_like(q)
-    for i in range(q.shape[0]):
-        out[i] = (q[i].conj().T * b[i]) @ q[i]
-    return out
+    """Batched Q† diag(b) Q as one stacked matmul, for every order."""
+    return np.matmul(q.conj().swapaxes(-1, -2) * b[:, None, :], q)
+
+
+def _rotate_dense(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Batched Q† M Q; `mats` may be one matrix shared by the whole batch."""
+    return q.conj().swapaxes(-1, -2) @ mats @ q
 
 
 def quantum_spectrum(spec: ChainSpec, trials: int, rng: Rng) -> EmpiricalMeasure:
@@ -446,16 +445,6 @@ def ensemble_pools_multi(spec: ChainSpec, trials: int, rng: Rng,
     return pools
 
 
-def _rotate_dense(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    m = q.shape[-1]
-    if m <= 64:
-        return np.einsum("tji,tjl,tlk->tik", q.conj(), mats, q)
-    out = np.empty_like(mats)
-    for i in range(q.shape[0]):
-        out[i] = q[i].conj().T @ mats[i] @ q[i]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # mixed trace words
 
@@ -542,7 +531,7 @@ def _word_value_dense(word, a, b_power_fn, c, m):
             if pend is not None:
                 bp = pend[:, :, None] * bp
                 pend = None
-            mat = bp if mat is None else _bmm(mat, bp)
+            mat = bp if mat is None else mat @ bp
     if mat is None:
         return pend.mean(axis=1)
     if pend is not None:
@@ -555,20 +544,14 @@ def _word_value_two_dense(word, h_odd, h_even, c, m):
 
     def matpow(side, p):
         if (side, p) not in pow_cache:
-            pow_cache[(side, p)] = _bmm(pow_cache[(side, p - 1)], pow_cache[(side, 1)])
+            pow_cache[(side, p)] = pow_cache[(side, p - 1)] @ pow_cache[(side, 1)]
         return pow_cache[(side, p)]
 
     mat = None
     for s, p in word:
         term = matpow(s, p)
-        mat = term if mat is None else _bmm(mat, term)
+        mat = term if mat is None else mat @ term
     return np.einsum("tii->t", mat).real / m
-
-
-def _bmm(x, y):
-    if x.shape[-1] <= 64:
-        return np.einsum("tij,tjk->tik", x, y)
-    return np.matmul(x, y)
 
 
 # ---------------------------------------------------------------------------

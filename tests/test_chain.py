@@ -51,6 +51,35 @@ def test_assemble_sum_and_shapes(spec_n3):
     assert np.abs(h_even - sm.embed_local(terms[1], 2, spec_n3)).max() < 1e-12
 
 
+def _kron_sum(dense, spec, positions):
+    out = np.zeros((dense.shape[0], spec.m, spec.m), dtype=dense.dtype)
+    for i, l in enumerate(positions):
+        out += np.stack([sm.embed_local(h, l, spec) for h in dense[:, i]])
+    return out
+
+
+@pytest.mark.parametrize("parity", ["all", "odd", "even"])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n_sites", [3, 4, 5, 6, 7])
+def test_embed_sum_batch_equals_kron_sum(n_sites, beta, parity):
+    spec = wishart_chain(n_sites, beta=beta)
+    _, dense = draw_local_batch(spec, 3, sm.Rng(70 + n_sites).generator())
+    positions = {"all": tuple(range(1, spec.n_bonds + 1)),
+                 "odd": spec.odd_bonds, "even": spec.even_bonds}[parity]
+    picked = dense[:, [l - 1 for l in positions]]
+    out = embed_sum_batch(picked, spec, positions)
+    assert np.array_equal(out, _kron_sum(picked, spec, positions))
+
+
+def test_embed_sum_batch_equals_kron_sum_range3():
+    spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(8),
+                        coupling_range=3)
+    _, dense = draw_local_batch(spec, 2, sm.Rng(77).generator())
+    positions = range(1, spec.n_bonds + 1)
+    assert np.array_equal(embed_sum_batch(dense, spec),
+                          _kron_sum(dense, spec, positions))
+
+
 @pytest.mark.parametrize("n_sites", [3, 4, 5])
 def test_assemble_trace_identity(n_sites):
     spec = wishart_chain(n_sites)

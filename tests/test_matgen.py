@@ -20,12 +20,25 @@ def test_haar_dim1_is_random_sign():
     assert (entries > 0).any() and (entries < 0).any()
 
 
-@pytest.mark.parametrize("dim,beta", [(2, 1), (4, 2), (8, 1), (8, 2)])
+# from dim 128 up the queried workspace lets geqrf/orgqr take the blocked path
+@pytest.mark.parametrize("dim,beta", [(2, 1), (4, 2), (8, 1), (8, 2),
+                                      (128, 1), (128, 2), (512, 1), (512, 2)])
 def test_haar_orthogonality_and_column_norms(dim, beta):
     q = sm.haar_orthogonal(dim, beta, sm.Rng(1, dim + beta))
     assert q.orthogonality_defect() < 1e-12
     norms = np.linalg.norm(q.entries, axis=0)
     assert np.abs(norms - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim,beta", [(4, 1), (32, 2), (128, 1), (512, 2)])
+def test_haar_is_sign_fixed_qr_of_its_gaussian_draw(dim, beta):
+    # Q with R's diagonal made positive is unique, so any QR route agrees
+    q = haar_batch(dim, beta, sm.Rng(4, dim).generator(), 2)
+    g = gaussian_batch((2, dim, dim), beta, sm.Rng(4, dim).generator())
+    ref, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    ref = ref * (d / np.abs(d))[:, None, :]
+    assert np.abs(q - ref).max() < 1e-10
 
 
 @pytest.mark.parametrize("dim,beta", [(2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (8, 2)])

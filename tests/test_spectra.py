@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import spinmix as sm
-from spinmix.spectra import EmpiricalMeasure, freedman_diaconis_edges
+from spinmix.matgen import gaussian_batch, haar_batch
+from spinmix.spectra import (EmpiricalMeasure, _rotate_dense, _rotate_diag,
+                             freedman_diaconis_edges)
 
 from conftest import wishart_chain
 
@@ -115,6 +117,23 @@ def test_isotropic_matches_classical_three_moments():
     assert abs(si.mu - sc.mu) < 1e-8          # exact per trial by trace invariance
     for stat, tol in (("sigma2", 0.05), ("m3", 1.0)):
         assert abs(getattr(si, stat) - getattr(sc, stat)) < tol
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("m", [4, 32, 64, 65, 128])
+def test_rotation_kernels_match_explicit_products(m, beta):
+    gen = sm.Rng(50, m).generator()
+    q = haar_batch(m, beta, gen, 3)
+    b = gen.standard_normal((3, m))
+    dense = gaussian_batch((3, m, m), beta, gen)
+    got_diag = _rotate_diag(q, b)
+    got_dense = _rotate_dense(q, dense)
+    for t in range(3):
+        qh = q[t].conj().T
+        assert np.abs(got_diag[t] - qh @ np.diag(b[t]) @ q[t]).max() < 1e-12
+        assert np.abs(got_dense[t] - qh @ dense[t] @ q[t]).max() < 1e-12 * m
+    shared = _rotate_dense(q, dense[0])
+    assert np.abs(shared[2] - q[2].conj().T @ dense[0] @ q[2]).max() < 1e-12 * m
 
 
 def test_isotropic_validation():
