@@ -1,21 +1,18 @@
 """Spectral densities of random spin chains via classical/isotropic mixtures."""
 
 from .rng import Rng
-from .matgen import (HaarMatrix, LocalTerm, haar_orthogonal, wishart_local,
-                     goe_local, fixed_spectrum_local)
-from .chain import (ChainSpec, LocalEnsemble, OddEvenDiagonals, QuantumRotation,
-                    embed_local, assemble_chain, odd_even_diagonals,
+from .chain import (ChainSpec, LocalEnsemble, embed_local, assemble_chain,
                     build_quantum_rotation, exact_spectrum)
 from .spectra import (EmpiricalMeasure, MomentSummary, DensityEstimate, TrialPool,
                       summarize, classical_convolve, isotropic_convolve,
-                      quantum_spectrum, ensemble_pools, ensemble_pools_multi,
-                      mixed_trace_mc, gram_charlier_density, ks_distance, histogram)
+                      ensemble_pools, jackknife_stderr, mixed_trace_mc,
+                      gram_charlier_density, ks_distance, histogram)
 from .slider import (SliderDims, LocalMoments, SliderResult, TermCounts,
                      haar_q4, chain_m2, chain_m11, chain_moment_gap, iso_gap,
                      quantum_gap, frob_uv_classical, frob_uv_quantum,
                      p_universal, slider_p, p_from_kurtoses, ensemble_slider,
                      ie_mixture, term_counts, wishart_moments, goe_moments,
                      pm1_moments, fixed_spectrum_moments, local_moments,
-                     wishart_chain_stats, appendix_iso_expectation, iso_multi)
+                     wishart_chain_stats, appendix_iso_expectation)
 
 __version__ = "0.1.0"

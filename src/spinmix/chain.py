@@ -17,18 +17,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matgen
-from .matgen import HaarMatrix, LocalTerm
 from .rng import Rng
 
 __all__ = [
     "DEFAULT_MAX_DIM",
     "LocalEnsemble",
     "ChainSpec",
-    "OddEvenDiagonals",
-    "QuantumRotation",
     "embed_local",
     "assemble_chain",
-    "odd_even_diagonals",
     "build_quantum_rotation",
     "exact_spectrum",
 ]
@@ -42,7 +38,6 @@ STREAM_LOCAL_EIGS = 0
 STREAM_CLASSICAL = 1
 STREAM_ISO = 2
 STREAM_LOCAL_VECS = 3
-STREAM_EXTRA = 4
 
 
 def dense_cap(override: Optional[int] = None) -> int:
@@ -120,10 +115,6 @@ class ChainSpec:
 
     # -- derived sizes ------------------------------------------------------
     @property
-    def d(self) -> int:
-        return self.site_dim
-
-    @property
     def n(self) -> int:
         return self.site_dim ** 2
 
@@ -162,25 +153,6 @@ class ChainSpec:
                 f"raise max_dim or the {_MAX_DIM_ENV} environment variable")
 
 
-@dataclass(frozen=True)
-class OddEvenDiagonals:
-    """Diagonals of the jointly diagonalized odd (a) and even (b) parts."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
-class QuantumRotation:
-    """The structured rotation aligning the even eigenbasis with the odd one."""
-
-    matrix: np.ndarray
-
-    def orthogonality_defect(self) -> float:
-        q = self.matrix
-        return float(np.abs(q.conj().T @ q - np.eye(q.shape[0])).max())
-
-
 # ---------------------------------------------------------------------------
 # local term drawing
 
@@ -196,14 +168,13 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None,
     an identical eigenvalue stream.
     """
     ens, nb, nloc, beta = spec.ensemble, spec.n_bonds, spec.local_dim, spec.beta
-    if ens.kind == "wishart":
-        w = matgen.gaussian_batch((count * nb, ens.rank, nloc), beta, gen)
-        dense = np.einsum("tri,trj->tij", w.conj(), w)
-        dense = ((dense + dense.conj().swapaxes(-1, -2)) / 2.0).reshape(count, nb, nloc, nloc)
-        return np.linalg.eigvalsh(dense), (dense if need_dense else None)
-    if ens.kind == "goe":
-        g = matgen.gaussian_batch((count, nb, nloc, nloc), beta, gen)
-        dense = (g + g.conj().swapaxes(-1, -2)) / 2.0
+    if ens.kind in ("wishart", "goe"):
+        if ens.kind == "wishart":
+            w = matgen.gaussian_batch((count * nb, ens.rank, nloc), beta, gen)
+            h = np.einsum("tri,trj->tij", w.conj(), w).reshape(count, nb, nloc, nloc)
+        else:
+            h = matgen.gaussian_batch((count, nb, nloc, nloc), beta, gen)
+        dense = (h + h.conj().swapaxes(-1, -2)) / 2.0
         return np.linalg.eigvalsh(dense), (dense if need_dense else None)
     if ens.kind in ("pm1", "pm1_balanced", "fixed"):
         if ens.kind == "pm1":
@@ -232,8 +203,11 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None,
 
 
 def embed_local(term, bond_index: int, spec: ChainSpec) -> np.ndarray:
-    """I_{d^(l-1)} ⊗ H ⊗ I on the full chain space, for bond l (1-based)."""
-    h = term.matrix if isinstance(term, LocalTerm) else np.asarray(term)
+    """I_{d^(l-1)} ⊗ H ⊗ I on the full chain space, for bond l (1-based).
+
+    The Kronecker reference that :func:`embed_sum_batch` must reproduce.
+    """
+    h = np.asarray(term)
     nloc = spec.local_dim
     if h.shape != (nloc, nloc):
         raise ValueError(f"local term must be {nloc}x{nloc}")
@@ -274,17 +248,19 @@ def embed_sum_batch(dense: np.ndarray, spec: ChainSpec,
 
 
 def assemble_chain(spec: ChainSpec, rng: Rng):
-    """Draw all bond terms and return (H, H_odd, H_even, local_terms)."""
+    """Draw one chain: (H, H_odd, H_even, terms), terms of shape (n_bonds, d², d²).
+
+    The draw uses the local streams of the pool samplers, so it is the chain
+    of trial 0 of :func:`spinmix.spectra.ensemble_pools` with the same rng.
+    """
     spec._require_nearest_neighbor()
     spec.check_dense_cap()
-    evals, dense = draw_local_batch(
-        spec, 1, rng.substream(STREAM_LOCAL_EIGS),
-        vec_gen=rng.substream(STREAM_LOCAL_VECS), need_dense=True)
-    terms = [LocalTerm(spec.local_dim, dense[0, i], eigenvalues=evals[0, i])
-             for i in range(spec.n_bonds)]
+    _, dense = draw_local_batch(
+        spec, 1, rng.substream(STREAM_LOCAL_EIGS, 0),
+        vec_gen=rng.substream(STREAM_LOCAL_VECS, 0), need_dense=True)
     h_odd, h_even = (embed_sum_batch(dense[:, [l - 1 for l in bonds]], spec, bonds)[0]
                      for bonds in (spec.odd_bonds, spec.even_bonds))
-    return h_odd + h_even, h_odd, h_even, terms
+    return h_odd + h_even, h_odd, h_even, dense[0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +293,11 @@ def diagonals_from_eigs(evals: np.ndarray, spec: ChainSpec):
     return a, b
 
 
-def odd_even_diagonals(local_terms: Sequence[LocalTerm], spec: ChainSpec) -> OddEvenDiagonals:
-    """Diagonals of A and B from the bond terms' eigenvalues."""
-    if len(local_terms) != spec.n_bonds:
-        raise ValueError(f"expected {spec.n_bonds} local terms")
-    evals = np.stack([t.spectrum() for t in local_terms])[None, :, :]
-    a, b = diagonals_from_eigs(evals, spec)
-    return OddEvenDiagonals(a[0], b[0])
-
-
 # ---------------------------------------------------------------------------
 # structured rotation
 
 
-def _kron_chain(mats) -> np.ndarray:
-    return reduce(np.kron, mats)
-
-
-def build_quantum_rotation(odd_factors, even_factors, spec: ChainSpec) -> QuantumRotation:
+def build_quantum_rotation(odd_factors, even_factors, spec: ChainSpec) -> np.ndarray:
     """Assemble the bond-factor rotation from per-bond Haar matrices.
 
     `odd_factors` / `even_factors` are the eigenvector matrices (columns are
@@ -346,8 +309,8 @@ def build_quantum_rotation(odd_factors, even_factors, spec: ChainSpec) -> Quantu
     spec._require_nearest_neighbor()
     if spec.n_sites < 3:
         raise ValueError("need at least 3 sites for a two-parity chain")
-    odd = [f.entries if isinstance(f, HaarMatrix) else np.asarray(f) for f in odd_factors]
-    even = [f.entries if isinstance(f, HaarMatrix) else np.asarray(f) for f in even_factors]
+    odd = [np.asarray(f) for f in odd_factors]
+    even = [np.asarray(f) for f in even_factors]
     if len(odd) != len(spec.odd_bonds) or len(even) != len(spec.even_bonds):
         raise ValueError(
             f"need {len(spec.odd_bonds)} odd and {len(spec.even_bonds)} even factors; "
@@ -358,12 +321,12 @@ def build_quantum_rotation(odd_factors, even_factors, spec: ChainSpec) -> Quantu
             raise ValueError(f"every factor must be {n}x{n}")
     eye_d = np.eye(spec.site_dim)
     if spec.n_sites % 2 == 1:
-        qa = np.kron(_kron_chain(odd), eye_d)
-        qb = np.kron(eye_d, _kron_chain(even))
+        qa = np.kron(reduce(np.kron, odd), eye_d)
+        qb = np.kron(eye_d, reduce(np.kron, even))
     else:
-        qa = _kron_chain(odd)
-        qb = np.kron(np.kron(eye_d, _kron_chain(even)), eye_d)
-    return QuantumRotation(qa.conj().T @ qb)
+        qa = reduce(np.kron, odd)
+        qb = np.kron(np.kron(eye_d, reduce(np.kron, even)), eye_d)
+    return qa.conj().T @ qb
 
 
 # ---------------------------------------------------------------------------

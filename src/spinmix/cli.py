@@ -69,7 +69,10 @@ def _ensemble_from_args(args) -> LocalEnsemble:
     if args.ensemble == "fixed":
         if args.spectrum_file is None:
             raise ValueError("fixed ensemble needs --spectrum-file")
-        values = np.loadtxt(args.spectrum_file, ndmin=1)
+        try:
+            values = np.loadtxt(args.spectrum_file, ndmin=1)
+        except OSError as exc:
+            raise ValueError(f"cannot read --spectrum-file: {exc}") from exc
         return LocalEnsemble.fixed_spectrum(values)
     raise ValueError(f"unknown ensemble {args.ensemble!r}")
 
@@ -110,6 +113,12 @@ def _stat_row(source, summary, pool):
     return cells
 
 
+def _p_empirical(summaries):
+    """Slider weight from the (quantum, classical, iso) kurtoses, if defined."""
+    g2 = [s.gamma2 for s in summaries]
+    return None if None in g2 else slider_mod.p_from_kurtoses(*g2)
+
+
 def cmd_run(args) -> int:
     t_start = time.time()
     try:
@@ -124,8 +133,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     nearest = spec.coupling_range == 2
-    sampler = spectra.ensemble_pools if nearest else spectra.ensemble_pools_multi
-    pools = sampler(spec, args.trials, rng, keep_samples=True)
+    pools = spectra.ensemble_pools(spec, args.trials, rng, keep_samples=True)
 
     if nearest:
         p_analytic = slider_mod.slider_p(spec.n_sites, spec.site_dim, spec.beta).p
@@ -178,16 +186,13 @@ def cmd_run(args) -> int:
         "seed": args.seed,
         "wall_time_s": None,
     }
-    g2 = {k: summaries[k].gamma2 for k in pools}
-    if all(v is not None for v in g2.values()):
-        try:
-            summary["p_empirical"] = slider_mod.p_from_kurtoses(
-                g2["quantum"], g2["classical"], g2["iso"])
-            blocks = {k: pools[k].block_values("gamma2") for k in pools}
-            pb = (blocks["quantum"] - blocks["iso"]) / (blocks["classical"] - blocks["iso"])
-            summary["p_empirical_se"] = float(pb.std(ddof=1) / np.sqrt(pb.size))
-        except (ZeroDivisionError, ValueError):
-            pass
+    kinds = [pools[k] for k in ("quantum", "classical", "iso")]
+    try:
+        summary["p_empirical"] = _p_empirical([p.summary() for p in kinds])
+        if summary["p_empirical"] is not None:
+            summary["p_empirical_se"] = spectra.jackknife_stderr(kinds, _p_empirical)
+    except (ZeroDivisionError, ValueError):
+        pass
     summary["wall_time_s"] = time.time() - t_start
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

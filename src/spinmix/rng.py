@@ -8,7 +8,7 @@ streams; identical ones reproduce bit-identical draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +34,14 @@ class Rng:
                                     spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.PCG64(ss))
 
-    def stream(self, index: int) -> "Rng":
-        """A sibling Rng with a different stream index."""
-        return replace(self, stream_index=index)
-
     def substream(self, *key: int) -> np.random.Generator:
         """Generator for a child stream keyed by extra 32-bit integers.
 
-        Used by batched Monte Carlo loops: one child per (chunk, purpose), so
-        a sampler's output never depends on which other samplers ran.
+        Used by batched Monte Carlo loops: one child per (purpose, component),
+        where the component is 0 or a bond index.  A sampler opens each child
+        once per call and draws from it in trial-major order, so its output
+        depends neither on which other samplers ran nor on how the trials are
+        split into memory chunks.
         """
         for k in key:
             if not 0 <= k < _MAX_KEY:

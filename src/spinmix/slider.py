@@ -17,15 +17,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from . import matgen
-from .chain import STREAM_ISO, LocalEnsemble, dense_cap
-from .rng import Rng
-from .spectra import (DensityEstimate, EmpiricalMeasure, MomentSummary,
-                      _chunk_trials, _rotate_dense)
+from .chain import LocalEnsemble
+from .spectra import DensityEstimate, MomentSummary
 
 __all__ = [
     "SliderDims",
@@ -53,7 +50,6 @@ __all__ = [
     "local_moments",
     "wishart_chain_stats",
     "appendix_iso_expectation",
-    "iso_multi",
 ]
 
 
@@ -133,6 +129,9 @@ class SliderResult:
     gamma2_iso: Optional[float] = None
     gamma2_quantum: Optional[float] = None
 
+
+# bond moments with m2 − m11 = 1: the local factor of both gaps is then 1
+_UNIT = LocalMoments(m1=0.0, m2=1.0, m11=0.0)
 
 TermCounts = namedtuple("TermCounts",
                         ["four", "three", "two_not_entangled", "two_entangled"])
@@ -270,15 +269,11 @@ def _clamped_result(one_minus_p, n_sites, d, beta) -> SliderResult:
         if one_minus_p > 1.0 + 1e-12:
             raise ValueError(f"1-p = {one_minus_p} escaped [0, 1]")
         one_minus_p = 1.0
+    # the gaps at unit local moments, m2 − m11 = 1, which cancel from p
     dims = SliderDims.odd_side(n_sites, d, beta)
-    other = dims.partner()
-    ca = dims.t * dims.k * (dims.n - 1) * dims.n ** (dims.k - 1) / (dims.m - 1)
-    cb = other.t * other.k * (other.n - 1) * other.n ** (other.k - 1) / (other.m - 1)
-    g_iso = ca * cb * (1.0 - dims.m * haar_q4(dims.m, beta))
-    g_q = d * _entangled_pairs(n_sites) \
-        * (frob_uv_classical(d, beta) - frob_uv_quantum(d, beta))
     return SliderResult(p=1.0 - one_minus_p, one_minus_p=one_minus_p,
-                        gap_iso=g_iso, gap_quantum=g_q)
+                        gap_iso=iso_gap(_UNIT, _UNIT, dims),
+                        gap_quantum=quantum_gap(_UNIT, _UNIT, dims))
 
 
 def slider_p(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
@@ -290,9 +285,8 @@ def slider_p(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
     """
     if n_sites % 2:
         return p_universal(n_sites, d, beta)
-    unit = LocalMoments(m1=0.0, m2=1.0, m11=0.0)
     dims = SliderDims.odd_side(n_sites, d, beta)
-    one_minus_p = quantum_gap(unit, unit, dims) / iso_gap(unit, unit, dims)
+    one_minus_p = quantum_gap(_UNIT, _UNIT, dims) / iso_gap(_UNIT, _UNIT, dims)
     return _clamped_result(one_minus_p, n_sites, d, beta)
 
 
@@ -470,35 +464,3 @@ def appendix_iso_expectation(chain_a, chain_b, m: int, beta: float) -> float:
     return ((beta + 2.0) / (m * beta + 2.0) * m2a * m2b
             + w * (m2b * m11a + m2a * m11b)
             - w * m11a * m11b)
-
-
-# ---------------------------------------------------------------------------
-# all-isotropic sum for fixed summands
-
-
-def iso_multi(terms: Sequence[np.ndarray], beta: int, trials: int,
-              rng: Rng) -> EmpiricalMeasure:
-    """Pooled spectra of Σ_l Q_l† M_l Q_l with independent Haar Q_l per trial."""
-    mats = [np.asarray(t) for t in terms]
-    if not mats:
-        raise ValueError("need at least one term")
-    m = mats[0].shape[0]
-    for t in mats:
-        if t.shape != (m, m):
-            raise ValueError("all terms must share one dimension")
-    if m > dense_cap():
-        raise ValueError(f"dimension {m} exceeds the dense cap")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    out = np.empty((trials, m))
-    step = _chunk_trials(m, trials)
-    cplx = any(np.iscomplexobj(t) for t in mats) or beta == 2
-    for lo in range(0, trials, step):
-        hi = min(trials, lo + step)
-        c = hi - lo
-        gen = rng.substream(STREAM_ISO, lo)
-        acc = np.zeros((c, m, m), dtype=complex if cplx else float)
-        for t in mats:
-            acc += _rotate_dense(matgen.haar_batch(m, beta, gen, c), t)
-        out[lo:hi] = np.linalg.eigvalsh(acc)
-    return EmpiricalMeasure.from_samples(out)

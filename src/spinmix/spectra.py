@@ -5,6 +5,13 @@ Monte Carlo pipelines over freshly drawn chains.  All three share the local
 eigenvalue stream (common random numbers), so differences between ensembles
 are rotation-driven rather than draw noise; each purpose uses its own child
 stream, so requesting fewer ensembles never changes the others' output.
+
+Trials run in memory chunks of ``_chunk_trials`` trials, but a sampler opens
+each child stream once per call, as ``rng.substream(purpose, j)`` with j = 0
+or a bond index, and draws from it in trial-major order.  A run's numbers
+therefore depend on its seed and trial count alone: not on
+``_CHUNK_BUDGET``, and the first t trials of a longer run equal a t-trial
+run.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import matgen
-from .chain import (STREAM_CLASSICAL, STREAM_EXTRA, STREAM_ISO,
-                    STREAM_LOCAL_EIGS, STREAM_LOCAL_VECS, ChainSpec)
+from .chain import (STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS,
+                    STREAM_LOCAL_VECS, ChainSpec)
 from .rng import Rng
 
 __all__ = [
@@ -29,9 +36,8 @@ __all__ = [
     "summarize",
     "classical_convolve",
     "isotropic_convolve",
-    "quantum_spectrum",
     "ensemble_pools",
-    "ensemble_pools_multi",
+    "jackknife_stderr",
     "mixed_trace_mc",
     "gram_charlier_density",
     "ks_distance",
@@ -86,9 +92,6 @@ class EmpiricalMeasure:
         mu = self.mean()
         return float(((self.values - mu) ** 2) @ self.weights)
 
-    def moment(self, j: int) -> float:
-        return float((self.values ** j) @ self.weights)
-
     def cdf(self, x) -> np.ndarray:
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
@@ -133,7 +136,6 @@ class MomentSummary:
         sigma2 = max(k2, 0.0)
         if k2 <= _UNDEFINED_TOL * max(1.0, abs(m2)):
             g1 = g2 = None
-            sigma2 = max(sigma2, 0.0)
         else:
             g1 = k3 / sigma2 ** 1.5
             g2 = k4 / sigma2 ** 2
@@ -147,24 +149,14 @@ class MomentSummary:
         m4 = k4 + 4 * k3 * k1 + 3 * k2 ** 2 + 6 * k2 * k1 ** 2 + k1 ** 4
         return cls.from_raw_moments(m1, m2, m3, m4)
 
-    @classmethod
-    def from_values(cls, values, weights=None) -> "MomentSummary":
-        v = np.asarray(values, dtype=float).ravel()
-        if weights is None:
-            raw = [float((v ** j).mean()) for j in (1, 2, 3, 4)]
-        else:
-            w = np.asarray(weights, dtype=float).ravel()
-            w = w / w.sum()
-            raw = [float((v ** j) @ w) for j in (1, 2, 3, 4)]
-        return cls.from_raw_moments(*raw)
-
     def stat(self, name: str) -> Optional[float]:
         return getattr(self, name)
 
 
 def summarize(measure: EmpiricalMeasure) -> MomentSummary:
     """Population moments of a weighted measure (no bias correction)."""
-    return MomentSummary.from_values(measure.values, measure.weights)
+    v, w = measure.values, measure.weights
+    return MomentSummary.from_raw_moments(*(float((v ** j) @ w) for j in (1, 2, 3, 4)))
 
 
 @dataclass(frozen=True)
@@ -203,39 +195,17 @@ class DensityEstimate:
 # measure-level convolutions
 
 
-def classical_convolve(a: EmpiricalMeasure, b: EmpiricalMeasure,
-                       mode: str = "exact_cross", trials: int = 0,
-                       rng: Optional[Rng] = None) -> EmpiricalMeasure:
+def classical_convolve(a: EmpiricalMeasure, b: EmpiricalMeasure) -> EmpiricalMeasure:
     """Distribution of independent eigenvalue sums of two fixed measures.
 
-    `exact_cross` forms all pairwise sums with product weights (duplicate
-    atoms merged).  `mc` pools `trials` rounds of a_i + b_{π(i)} with a fresh
-    uniform permutation π per round, which estimates the same measure.
+    Forms all pairwise sums with product weights (duplicate atoms merged).
     """
-    if mode == "exact_cross":
-        if a.values.size * b.values.size > _EXACT_CROSS_LIMIT:
-            raise ValueError("support too large for exact_cross; use mode='mc'")
-        sums = (a.values[:, None] + b.values[None, :]).ravel()
-        wts = (a.weights[:, None] * b.weights[None, :]).ravel()
-        uniq, inverse = np.unique(sums, return_inverse=True)
-        return EmpiricalMeasure(uniq, np.bincount(inverse, weights=wts))
-    if mode == "mc":
-        if trials < 1 or rng is None:
-            raise ValueError("mc mode needs trials >= 1 and an rng")
-        if a.values.size != b.values.size:
-            raise ValueError("mc mode needs equal support sizes")
-        if not (np.allclose(a.weights, a.weights[0]) and np.allclose(b.weights, b.weights[0])):
-            raise ValueError("mc mode assumes uniformly weighted atoms")
-        gen = rng.substream(STREAM_CLASSICAL)
-        m = a.values.size
-        out = np.empty((trials, m))
-        step = max(1, _CHUNK_BUDGET // m)
-        for lo in range(0, trials, step):
-            hi = min(trials, lo + step)
-            perm = np.argsort(gen.random((hi - lo, m)), axis=1)
-            out[lo:hi] = a.values[None, :] + b.values[perm]
-        return EmpiricalMeasure.from_samples(out)
-    raise ValueError(f"unknown mode {mode!r}")
+    if a.values.size * b.values.size > _EXACT_CROSS_LIMIT:
+        raise ValueError("support too large for the exact cross convolution")
+    sums = (a.values[:, None] + b.values[None, :]).ravel()
+    wts = (a.weights[:, None] * b.weights[None, :]).ravel()
+    uniq, inverse = np.unique(sums, return_inverse=True)
+    return EmpiricalMeasure(uniq, np.bincount(inverse, weights=wts))
 
 
 def isotropic_convolve(a_diag, b_diag, beta: int, trials: int, rng: Rng) -> EmpiricalMeasure:
@@ -247,18 +217,11 @@ def isotropic_convolve(a_diag, b_diag, beta: int, trials: int, rng: Rng) -> Empi
     m = a.size
     if m > chain_mod.dense_cap():
         raise ValueError(f"dimension {m} exceeds the dense cap")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    out = np.empty((trials, m))
-    step = _chunk_trials(m, trials)
-    for lo in range(0, trials, step):
-        hi = min(trials, lo + step)
-        gen = rng.substream(STREAM_ISO, lo)
-        q = matgen.haar_batch(m, beta, gen, hi - lo)
-        mats = _rotate_diag(q, np.broadcast_to(b, (hi - lo, m)))
-        mats[:, np.arange(m), np.arange(m)] += a
-        out[lo:hi] = np.linalg.eigvalsh(mats)
-    return EmpiricalMeasure.from_samples(out)
+    gen = rng.substream(STREAM_ISO, 0)
+    out = [_iso_eigs(matgen.haar_batch(m, beta, gen, hi - lo), a,
+                     np.broadcast_to(b, (hi - lo, m)))
+           for lo, hi in _chunks(m, trials)]
+    return EmpiricalMeasure.from_samples(np.concatenate(out))
 
 
 def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,10 +234,44 @@ def _rotate_dense(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return q.conj().swapaxes(-1, -2) @ mats @ q
 
 
-def quantum_spectrum(spec: ChainSpec, trials: int, rng: Rng) -> EmpiricalMeasure:
-    """Pooled exact spectra of freshly drawn chains."""
-    pools = ensemble_pools(spec, trials, rng, kinds=("quantum",), keep_samples=True)
-    return pools["quantum"].measure()
+def _iso_eigs(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The isotropic kernel: eigenvalues of diag(a) + Q† diag(b) Q per trial."""
+    mats = _rotate_diag(q, b)
+    diag = np.arange(mats.shape[-1])
+    mats[:, diag, diag] += a
+    return np.linalg.eigvalsh(mats)
+
+
+def _permuted(x: np.ndarray, gen) -> np.ndarray:
+    """Every row of `x` under its own uniform random permutation."""
+    return np.take_along_axis(x, np.argsort(gen.random(x.shape), axis=1), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the trial loop
+
+
+def _chunks(m: int, trials: int):
+    """(lo, hi) trial ranges of the memory chunks; the only chunk loop."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    step = _chunk_trials(m, trials)
+    for lo in range(0, trials, step):
+        yield lo, min(trials, lo + step)
+
+
+def _local_draws(spec: ChainSpec, trials: int, rng: Rng, need_dense: bool):
+    """Yield (lo, evals, dense) of the bond draws, one memory chunk at a time.
+
+    Both local streams are opened once and drawn trial-major, so the draws
+    do not depend on where the chunk boundaries fall.
+    """
+    eig_gen = rng.substream(STREAM_LOCAL_EIGS, 0)
+    vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
+    for lo, hi in _chunks(spec.m, trials):
+        evals, dense = chain_mod.draw_local_batch(spec, hi - lo, eig_gen, vec_gen=vec_gen,
+                                                  need_dense=need_dense)
+        yield lo, evals, dense
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +303,32 @@ class TrialPool:
             raise ValueError("pool was accumulated without sample retention")
         return EmpiricalMeasure.from_samples(self.samples)
 
-    def block_summaries(self):
-        out = []
-        for sums, cnt in zip(self.block_sums, self.block_counts):
-            if cnt > 0:
-                out.append(MomentSummary.from_raw_moments(*(sums / cnt)))
-        return out
-
-    def block_values(self, stat: str) -> np.ndarray:
-        vals = [s.stat(stat) for s in self.block_summaries()]
-        if any(v is None for v in vals):
-            raise ValueError(f"{stat} undefined in at least one block")
-        return np.array(vals, dtype=float)
-
     def stderr(self, stat: str) -> float:
-        vals = self.block_values(stat)
-        if vals.size < 2:
-            return float("nan")
-        return float(vals.std(ddof=1) / math.sqrt(vals.size))
+        """Jackknife s.e. of the pooled `stat` (a MomentSummary field)."""
+        return jackknife_stderr([self], lambda s: s[0].stat(stat))
+
+
+def jackknife_stderr(pools, fn) -> float:
+    """Delete-one-block jackknife s.e. of fn(summaries), one MomentSummary per pool.
+
+    The pools must come from one sampler call, so that they share their
+    blocks; each replicate leaves the same trials out of every pool.  Unlike
+    the spread of per-block statistics, this is the s.e. of the pooled
+    estimate even when a block holds a single trial.
+    """
+    counts = pools[0].block_counts
+    blocks = np.flatnonzero(counts)
+    if blocks.size < 2:
+        return float("nan")
+    loo = []
+    for i in blocks:
+        value = fn([MomentSummary.from_raw_moments(
+            *((p.moment_sums - p.block_sums[i]) / (p.count - counts[i]))) for p in pools])
+        if value is None:
+            raise ValueError("statistic undefined with a block left out")
+        loo.append(value)
+    loo, g = np.array(loo), blocks.size
+    return float(math.sqrt((g - 1) / g * ((loo - loo.mean()) ** 2).sum()))
 
 
 def _new_pool(kind, m, trials, n_blocks, keep_samples):
@@ -360,85 +365,49 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
     Returns {kind: TrialPool}.  Within a trial all ensembles share one draw
     of the local eigenvalues, so cross-ensemble differences (kurtosis gaps,
     mixture weights) are estimated with strongly reduced variance.
+
+    For range L = 2 the classical and isotropic spectra are those of
+    a + Π b and diag(a) + Q† diag(b) Q over the odd/even diagonals.  For
+    L > 2 every embedded bond term is its own summand: classical sums
+    independently permuted embedded spectra, isotropic sums independently
+    Haar-rotated embedded terms (the all-isotropic approximation used in
+    place of a mixture), each bond with its own stream.
     """
-    spec._require_nearest_neighbor()
     spec.check_dense_cap()
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     for k in kinds:
         if k not in ("classical", "iso", "quantum"):
             raise ValueError(f"unknown ensemble kind {k!r}")
-    m = spec.m
+    m, nearest = spec.m, spec.coupling_range == 2
     n_blocks = min(n_blocks, trials)
-    need_dense = "quantum" in kinds
     pools = {k: _new_pool(k, m, trials, n_blocks, keep_samples) for k in kinds}
-    step = _chunk_trials(m, trials)
-    diag_idx = np.arange(m)
-    for lo in range(0, trials, step):
-        hi = min(trials, lo + step)
-        c = hi - lo
-        evals, dense = chain_mod.draw_local_batch(
-            spec, c, rng.substream(STREAM_LOCAL_EIGS, lo),
-            vec_gen=rng.substream(STREAM_LOCAL_VECS, lo), need_dense=need_dense)
-        a = b = None
-        if "classical" in kinds or "iso" in kinds:
+    # one stream per independently rotated summand
+    n_streams = 1 if nearest else spec.n_bonds
+    perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in range(n_streams)] \
+        if "classical" in kinds else []
+    haar_gens = [rng.substream(STREAM_ISO, j) for j in range(n_streams)] \
+        if "iso" in kinds else []
+    need_dense = "quantum" in kinds or (bool(haar_gens) and not nearest)
+    for lo, evals, dense in _local_draws(spec, trials, rng, need_dense):
+        c = evals.shape[0]
+        if nearest and (perm_gens or haar_gens):
             a, b = chain_mod.diagonals_from_eigs(evals, spec)
-        if "classical" in kinds:
-            perm = np.argsort(rng.substream(STREAM_CLASSICAL, lo).random((c, m)), axis=1)
-            vals = a + np.take_along_axis(b, perm, axis=1)
+        if perm_gens:
+            if nearest:
+                vals = a + _permuted(b, perm_gens[0])
+            else:
+                # the embedded spectra as multisets; the permutations set the order
+                emb = np.repeat(evals, m // spec.local_dim, axis=2)
+                vals = sum(_permuted(emb[:, i], g) for i, g in enumerate(perm_gens))
             _accumulate(pools["classical"], vals, lo, n_blocks)
-        if "iso" in kinds:
-            q = matgen.haar_batch(m, spec.beta, rng.substream(STREAM_ISO, lo), c)
-            mats = _rotate_diag(q, b)
-            mats[:, diag_idx, diag_idx] += a
-            _accumulate(pools["iso"], np.linalg.eigvalsh(mats), lo, n_blocks)
-        if "quantum" in kinds:
-            h = chain_mod.embed_sum_batch(dense, spec)
-            _accumulate(pools["quantum"], np.linalg.eigvalsh(h), lo, n_blocks)
-    return pools
-
-
-def ensemble_pools_multi(spec: ChainSpec, trials: int, rng: Rng,
-                         kinds: Sequence[str] = ("classical", "iso", "quantum"),
-                         keep_samples: bool = False, n_blocks: int = 50):
-    """Range-L variant: every embedded summand treated independently.
-
-    classical: sum of independently permuted embedded spectra; iso: sum of
-    independently Haar-rotated embedded terms (the all-isotropic
-    approximation used in place of a mixture when L > 2); quantum: the chain.
-    """
-    spec.check_dense_cap()
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    m, nb, nloc = spec.m, spec.n_bonds, spec.local_dim
-    n_blocks = min(n_blocks, trials)
-    copies = m // nloc
-    pools = {k: _new_pool(k, m, trials, n_blocks, keep_samples) for k in kinds}
-    step = _chunk_trials(m, trials)
-    diag_idx = np.arange(m)
-    for lo in range(0, trials, step):
-        hi = min(trials, lo + step)
-        c = hi - lo
-        evals, dense = chain_mod.draw_local_batch(
-            spec, c, rng.substream(STREAM_LOCAL_EIGS, lo),
-            vec_gen=rng.substream(STREAM_LOCAL_VECS, lo),
-            need_dense=("quantum" in kinds) or ("iso" in kinds))
-        if "classical" in kinds:
-            gen = rng.substream(STREAM_CLASSICAL, lo)
-            vals = np.zeros((c, m))
-            embedded = np.repeat(evals, copies, axis=2)  # multiset only; order randomized next
-            for i in range(nb):
-                perm = np.argsort(gen.random((c, m)), axis=1)
-                vals += np.take_along_axis(embedded[:, i], perm, axis=1)
-            _accumulate(pools["classical"], vals, lo, n_blocks)
-        if "iso" in kinds:
-            gen = rng.substream(STREAM_ISO, lo)
-            mats = np.zeros((c, m, m), dtype=dense.dtype)
-            for i in range(nb):
-                q = matgen.haar_batch(m, spec.beta, gen, c)
-                emb = chain_mod.embed_sum_batch(dense[:, i:i + 1], spec, [i + 1])
-                mats += _rotate_dense(q, emb)
-            _accumulate(pools["iso"], np.linalg.eigvalsh(mats), lo, n_blocks)
+        if haar_gens:
+            if nearest:
+                vals = _iso_eigs(matgen.haar_batch(m, spec.beta, haar_gens[0], c), a, b)
+            else:
+                vals = np.linalg.eigvalsh(sum(
+                    _rotate_dense(matgen.haar_batch(m, spec.beta, g, c),
+                                  chain_mod.embed_sum_batch(dense[:, i:i + 1], spec, [i + 1]))
+                    for i, g in enumerate(haar_gens)))
+            _accumulate(pools["iso"], vals, lo, n_blocks)
         if "quantum" in kinds:
             h = chain_mod.embed_sum_batch(dense, spec)
             _accumulate(pools["quantum"], np.linalg.eigvalsh(h), lo, n_blocks)
@@ -472,51 +441,39 @@ def mixed_trace_mc(word, rotation: str, spec: ChainSpec, trials: int, rng: Rng,
     spec.check_dense_cap()
     m = spec.m
     n_blocks = min(50, trials)
-    block_sums = np.zeros(n_blocks)
-    block_cnt = np.zeros(n_blocks, dtype=np.int64)
-    step = _chunk_trials(m, trials)
-    pure_diag = all(s == "a" for s, _ in word) or rotation == "permutation"
-    for lo in range(0, trials, step):
-        hi = min(trials, lo + step)
-        c = hi - lo
-        need_dense = rotation == "quantum"
-        evals, dense = chain_mod.draw_local_batch(
-            spec, c, rng.substream(STREAM_LOCAL_EIGS, lo),
-            vec_gen=rng.substream(STREAM_LOCAL_VECS, lo), need_dense=need_dense)
+    pool = _new_pool("word", 1, trials, n_blocks, False)  # one value per trial
+    # an A-only word never sees the rotation
+    rotated = rotation if any(s == "b" for s, _ in word) else None
+    if rotated == "permutation":
+        perm_gen = rng.substream(STREAM_CLASSICAL, 0)
+    elif rotated == "haar":
+        haar_gen = rng.substream(STREAM_ISO, 0)
+    for lo, evals, dense in _local_draws(spec, trials, rng, rotated == "quantum"):
         a, b = chain_mod.diagonals_from_eigs(evals, spec)
-        if pure_diag:
-            if rotation == "permutation" and any(s == "b" for s, _ in word):
-                perm = np.argsort(rng.substream(STREAM_CLASSICAL, lo).random((c, m)), axis=1)
-                b_eff = np.take_along_axis(b, perm, axis=1)
-            else:
-                b_eff = b
-            prod = np.ones((c, m))
-            for s, p in word:
-                prod *= (a if s == "a" else b_eff) ** p
-            vals = prod.mean(axis=1)
-        elif rotation == "haar":
-            q = matgen.haar_batch(m, spec.beta, rng.substream(STREAM_ISO, lo), c)
-            vals = _word_value_dense(word, a, lambda p: _rotate_diag(q, b ** p), c, m)
-        else:
-            h_odd = chain_mod.embed_sum_batch(
-                dense[:, [l - 1 for l in spec.odd_bonds]], spec, spec.odd_bonds)
-            h_even = chain_mod.embed_sum_batch(
-                dense[:, [l - 1 for l in spec.even_bonds]], spec, spec.even_bonds)
+        c = a.shape[0]
+        if rotated == "haar":
+            q = matgen.haar_batch(m, spec.beta, haar_gen, c)
+            vals = _word_value_dense(word, a, lambda p: _rotate_diag(q, b ** p), m)
+        elif rotated == "quantum":
+            h_odd, h_even = (chain_mod.embed_sum_batch(dense[:, [l - 1 for l in bonds]],
+                                                       spec, bonds)
+                             for bonds in (spec.odd_bonds, spec.even_bonds))
             # by cyclicity the structured-rotation word equals the same word
             # in the dense odd/even matrices in the computational basis
-            vals = _word_value_two_dense(word, h_odd, h_even, c, m)
-        ids = (np.arange(lo, hi) * n_blocks) // trials
-        block_sums += np.bincount(ids, weights=vals, minlength=n_blocks)
-        block_cnt += np.bincount(ids, minlength=n_blocks)
-    mean = float(block_sums.sum() / trials)
-    if not with_stderr:
-        return mean
-    bv = block_sums[block_cnt > 0] / block_cnt[block_cnt > 0]
-    se = float(bv.std(ddof=1) / math.sqrt(bv.size)) if bv.size > 1 else float("nan")
-    return mean, se
+            vals = _word_value_two_dense(word, h_odd, h_even, m)
+        else:
+            if rotated == "permutation":
+                b = _permuted(b, perm_gen)
+            prod = np.ones((c, m))
+            for s, p in word:
+                prod *= (a if s == "a" else b) ** p
+            vals = prod.mean(axis=1)
+        _accumulate(pool, vals[:, None], lo, n_blocks)
+    mean = pool.summary().mu
+    return (mean, pool.stderr("mu")) if with_stderr else mean
 
 
-def _word_value_dense(word, a, b_power_fn, c, m):
+def _word_value_dense(word, a, b_power_fn, m):
     cache = {}
     mat = None
     pend = None
@@ -539,7 +496,7 @@ def _word_value_dense(word, a, b_power_fn, c, m):
     return np.einsum("tii->t", mat).real / m
 
 
-def _word_value_two_dense(word, h_odd, h_even, c, m):
+def _word_value_two_dense(word, h_odd, h_even, m):
     pow_cache = {("a", 1): h_odd, ("b", 1): h_even}
 
     def matpow(side, p):

@@ -1,32 +1,22 @@
-"""Shared fixtures and the acceptance-criterion terminal report."""
+"""Shared fixtures and helpers."""
 
 import numpy as np
 import pytest
 
 import spinmix as sm
-
-# registry of (criterion id, passed, detail) filled by tests/test_acceptance.py
-CRITERION_RESULTS = []
-
-
-def record_criterion(cid: str, ok: bool, detail: str):
-    CRITERION_RESULTS.append((cid, bool(ok), detail))
-    line = f"[{'PASS' if ok else 'FAIL'}] {cid}: {detail}"
-    print(line)
-    assert ok, line
-
-
-def pytest_terminal_summary(terminalreporter):
-    if not CRITERION_RESULTS:
-        return
-    terminalreporter.section("acceptance criteria")
-    for cid, ok, detail in sorted(CRITERION_RESULTS):
-        terminalreporter.write_line(f"[{'PASS' if ok else 'FAIL'}] {cid}: {detail}")
+from spinmix.chain import draw_local_batch
 
 
 def wishart_chain(n_sites, rank=4, d=2, beta=1):
     return sm.ChainSpec(n_sites=n_sites, site_dim=d,
                         ensemble=sm.LocalEnsemble.wishart(rank), beta=beta)
+
+
+def local_term(ensemble, rng, d=2, beta=1):
+    """One d²×d² bond term: the one-bond chain's draw from rng's generator."""
+    spec = sm.ChainSpec(n_sites=2, site_dim=d, ensemble=ensemble, beta=beta)
+    gen = rng.generator()
+    return draw_local_batch(spec, 1, gen, vec_gen=gen)[1][0, 0]
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,9 @@ import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
 from spinmix.matgen import haar_batch
 
-from conftest import three_sigma_gap, wishart_chain
+from conftest import local_term, three_sigma_gap, wishart_chain
+
+W4 = sm.LocalEnsemble.wishart(4)
 
 
 def test_embed_identity_is_identity(spec_n3):
@@ -16,16 +18,16 @@ def test_embed_identity_is_identity(spec_n3):
 
 
 def test_embed_spectrum_multiplicity(spec_n3):
-    term = sm.wishart_local(2, 4, 1, sm.Rng(1))
+    term = local_term(W4, sm.Rng(1))
     emb = sm.embed_local(term, 1, spec_n3)
-    expected = np.repeat(np.sort(np.linalg.eigvalsh(term.matrix)), 2)
+    expected = np.repeat(np.sort(np.linalg.eigvalsh(term)), 2)
     assert np.abs(np.linalg.eigvalsh(emb) - expected).max() < 1e-8
 
 
 def test_embed_disjoint_bonds_commute():
     spec = wishart_chain(4)
-    h1 = sm.embed_local(sm.wishart_local(2, 4, 1, sm.Rng(2)), 1, spec)
-    h3 = sm.embed_local(sm.wishart_local(2, 4, 1, sm.Rng(3)), 3, spec)
+    h1 = sm.embed_local(local_term(W4, sm.Rng(2)), 1, spec)
+    h3 = sm.embed_local(local_term(W4, sm.Rng(3)), 3, spec)
     assert np.abs(h1 @ h3 - h3 @ h1).max() < 1e-10
 
 
@@ -49,6 +51,12 @@ def test_assemble_sum_and_shapes(spec_n3):
     assert np.array_equal(h, h_odd + h_even)
     assert np.abs(h_odd - sm.embed_local(terms[0], 1, spec_n3)).max() < 1e-12
     assert np.abs(h_even - sm.embed_local(terms[1], 2, spec_n3)).max() < 1e-12
+
+
+def test_assemble_chain_is_pool_trial_zero(spec_n3):
+    h, _, _, _ = sm.assemble_chain(spec_n3, sm.Rng(5))
+    pool = sm.ensemble_pools(spec_n3, 3, sm.Rng(5), kinds=("quantum",), keep_samples=True)
+    assert np.array_equal(np.linalg.eigvalsh(h[None]), pool["quantum"].samples[:1])
 
 
 def _kron_sum(dense, spec, positions):
@@ -85,7 +93,7 @@ def test_assemble_trace_identity(n_sites):
     spec = wishart_chain(n_sites)
     h, _, _, terms = sm.assemble_chain(spec, sm.Rng(6 + n_sites))
     lhs = np.trace(h)
-    rhs = spec.site_dim ** (n_sites - 2) * sum(np.trace(t.matrix) for t in terms)
+    rhs = spec.site_dim ** (n_sites - 2) * sum(np.trace(t) for t in terms)
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
@@ -101,13 +109,19 @@ def test_dense_cap_env_override(monkeypatch, spec_n3):
         sm.assemble_chain(spec_n3, sm.Rng(0))
 
 
+def _diagonals(terms, spec):
+    """(a, b) of one chain from its bond terms' spectra."""
+    a, b = diagonals_from_eigs(np.linalg.eigvalsh(terms)[None], spec)
+    return a[0], b[0]
+
+
 @pytest.mark.parametrize("n_sites", [3, 4, 5])
 def test_diagonals_match_parity_spectra(n_sites):
     spec = wishart_chain(n_sites)
     _, h_odd, h_even, terms = sm.assemble_chain(spec, sm.Rng(7 + n_sites))
-    diag = sm.odd_even_diagonals(terms, spec)
-    assert np.abs(np.sort(diag.a) - np.linalg.eigvalsh(h_odd)).max() < 1e-8
-    assert np.abs(np.sort(diag.b) - np.linalg.eigvalsh(h_even)).max() < 1e-8
+    a, b = _diagonals(terms, spec)
+    assert np.abs(np.sort(a) - np.linalg.eigvalsh(h_odd)).max() < 1e-8
+    assert np.abs(np.sort(b) - np.linalg.eigvalsh(h_even)).max() < 1e-8
 
 
 def test_diagonal_multiplicities():
@@ -115,16 +129,16 @@ def test_diagonal_multiplicities():
     # give multiplicity 1 for the odd part and d^2 for the even part
     spec3 = wishart_chain(3)
     _, _, _, terms = sm.assemble_chain(spec3, sm.Rng(11))
-    diag = sm.odd_even_diagonals(terms, spec3)
-    for lam in terms[0].spectrum():
-        assert np.isclose(diag.a, lam, atol=1e-12).sum() == 2
-    assert abs(diag.a.sum() - 2 * np.trace(terms[0].matrix)) < 1e-8
+    a, _ = _diagonals(terms, spec3)
+    for lam in np.linalg.eigvalsh(terms[0]):
+        assert np.isclose(a, lam, atol=1e-12).sum() == 2
+    assert abs(a.sum() - 2 * np.trace(terms[0])) < 1e-8
 
     spec4 = wishart_chain(4)
     _, _, _, terms4 = sm.assemble_chain(spec4, sm.Rng(12))
-    diag4 = sm.odd_even_diagonals(terms4, spec4)
-    _, counts_a = np.unique(np.round(diag4.a, 9), return_counts=True)
-    _, counts_b = np.unique(np.round(diag4.b, 9), return_counts=True)
+    a4, b4 = _diagonals(terms4, spec4)
+    _, counts_a = np.unique(np.round(a4, 9), return_counts=True)
+    _, counts_b = np.unique(np.round(b4, 9), return_counts=True)
     assert counts_a.max() == 1
     assert set(counts_b) == {4}
 
@@ -144,9 +158,9 @@ def test_quantum_rotation_structure(spec_n3):
     q2 = haar_batch(4, 1, sm.Rng(15).generator(), 1)[0]
     rot = sm.build_quantum_rotation([q1], [q2], spec_n3)
     manual = np.kron(q1, np.eye(2)).T @ np.kron(np.eye(2), q2)
-    assert np.abs(rot.matrix - manual).max() < 1e-12
+    assert np.abs(rot - manual).max() < 1e-12
     ident = sm.build_quantum_rotation([np.eye(4)], [np.eye(4)], spec_n3)
-    assert np.array_equal(ident.matrix, np.eye(8))
+    assert np.array_equal(ident, np.eye(8))
 
 
 def test_quantum_rotation_factor_count(spec_n3):
@@ -164,8 +178,8 @@ def test_quantum_rotation_orthogonality_and_variance(n_sites, draws):
     for t in range(draws):
         factors = haar_batch(4, 1, gen, n_odd + n_even)
         rot = sm.build_quantum_rotation(factors[:n_odd], factors[n_odd:], spec)
-        worst = max(worst, rot.orthogonality_defect())
-        sq_means[t] = (rot.matrix ** 2).mean()
+        worst = max(worst, np.abs(rot.conj().T @ rot - np.eye(spec.m)).max())
+        sq_means[t] = (rot ** 2).mean()
     assert worst < 1e-10
     se = sq_means.std(ddof=1) / np.sqrt(draws)
     assert abs(sq_means.mean() - spec.site_dim ** -n_sites) <= 3 * se

@@ -68,6 +68,7 @@ def test_run_writes_artifacts(tmp_path):
     assert summary["p_analytic"] == pytest.approx(41 / 216, rel=1e-12)
     assert set(summary["ks"]) == {"classical_vs_quantum", "iso_vs_quantum",
                                   "ie_vs_quantum", "gram_charlier_vs_quantum"}
+    assert summary["p_empirical_se"] > 0
 
 
 def test_run_matches_slider_exactly(tmp_path):
@@ -88,12 +89,18 @@ def test_run_deterministic_csv(tmp_path):
     assert (out1 / "densities.csv").read_bytes() != (out3 / "densities.csv").read_bytes()
 
 
-def test_run_usage_errors(tmp_path):
+def test_run_usage_errors(tmp_path, capsys):
     args = _run_args(tmp_path / "x")
     args[2] = "wishart"  # wishart without --rank
     assert main(args) == 2
     assert main(["run", "--ensemble", "pm1", "--n-sites", "13", "--d", "2",
                  "--trials", "10", "--out", str(tmp_path / "y")]) == 2  # cap
+    capsys.readouterr()
+    assert main(["run", "--ensemble", "fixed", "--spectrum-file", str(tmp_path / "none.txt"),
+                 "--n-sites", "3", "--d", "2", "--trials", "10",
+                 "--out", str(tmp_path / "z")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read --spectrum-file") and err.count("\n") == 1
 
 
 def test_run_beyond_nearest_neighbor(tmp_path):
@@ -126,4 +133,11 @@ def test_reproduce_theory_only_n9():
 
 def test_reproduce_small_run_passes():
     code, out, _ = run_cli("reproduce", "N3", "--trials", "8000", "--seed", "2")
+    assert code == 0, out
+
+
+def test_reproduce_short_run_passes():
+    # below 50 trials each s.e. block holds one trial; the jackknife s.e. is
+    # still the error of the pooled statistic, not the spread of trial shapes
+    code, out, _ = run_cli("reproduce", "N9", "--trials", "30", "--seed", "0")
     assert code == 0, out

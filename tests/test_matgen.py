@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import spinmix as sm
+from spinmix.chain import draw_local_batch
 from spinmix.matgen import gaussian_batch, haar_batch
+
+from conftest import local_term, wishart_chain
+
+
+def _haar(dim, beta, rng):
+    """One Haar matrix from rng's generator."""
+    return haar_batch(dim, beta, rng.generator(), 1)[0]
 
 
 def _entry_q4_stats(dim, beta, count, seed):
@@ -14,8 +22,7 @@ def _entry_q4_stats(dim, beta, count, seed):
 
 
 def test_haar_dim1_is_random_sign():
-    entries = np.array([sm.haar_orthogonal(1, 1, sm.Rng(0, i)).entries[0, 0]
-                        for i in range(400)])
+    entries = np.array([_haar(1, 1, sm.Rng(0, i))[0, 0] for i in range(400)])
     assert np.all(np.abs(np.abs(entries) - 1.0) < 1e-12)
     assert (entries > 0).any() and (entries < 0).any()
 
@@ -24,9 +31,9 @@ def test_haar_dim1_is_random_sign():
 @pytest.mark.parametrize("dim,beta", [(2, 1), (4, 2), (8, 1), (8, 2),
                                       (128, 1), (128, 2), (512, 1), (512, 2)])
 def test_haar_orthogonality_and_column_norms(dim, beta):
-    q = sm.haar_orthogonal(dim, beta, sm.Rng(1, dim + beta))
-    assert q.orthogonality_defect() < 1e-12
-    norms = np.linalg.norm(q.entries, axis=0)
+    q = _haar(dim, beta, sm.Rng(1, dim + beta))
+    assert np.abs(q.conj().T @ q - np.eye(dim)).max() < 1e-12
+    norms = np.linalg.norm(q, axis=0)
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
@@ -59,16 +66,16 @@ def test_haar_left_invariance_statistical():
 
 
 def test_haar_reproducible():
-    a = sm.haar_orthogonal(6, 2, sm.Rng(123, 4)).entries
-    b = sm.haar_orthogonal(6, 2, sm.Rng(123, 4)).entries
+    a = _haar(6, 2, sm.Rng(123, 4))
+    b = _haar(6, 2, sm.Rng(123, 4))
     assert np.array_equal(a, b)
-    c = sm.haar_orthogonal(6, 2, sm.Rng(123, 5)).entries
+    c = _haar(6, 2, sm.Rng(123, 5))
     assert not np.array_equal(a, c)
 
 
 def test_haar_rejects_unsupported_beta():
     with pytest.raises(ValueError):
-        sm.haar_orthogonal(4, 4, sm.Rng(0))
+        _haar(4, 4, sm.Rng(0))
 
 
 def test_wishart_mean_eigenvalue_is_rank():
@@ -100,21 +107,21 @@ def test_wishart_beta2_first_moment_convention():
 
 def test_wishart_rank_deficiency():
     for i in range(200):
-        term = sm.wishart_local(2, 2, 1, sm.Rng(3, i))
-        ev = np.linalg.eigvalsh(term.matrix)
+        term = local_term(sm.LocalEnsemble.wishart(2), sm.Rng(3, i))
+        ev = np.linalg.eigvalsh(term)
         scale = max(1.0, ev.max())
         assert ev.min() > -1e-10 * scale
         assert (np.abs(ev) < 1e-10 * scale).sum() == 2
 
 
 def test_wishart_rank_validation():
-    with pytest.raises(ValueError):
-        sm.wishart_local(2, 5, 1, sm.Rng(0))
+    with pytest.raises(ValueError, match="rank"):
+        local_term(sm.LocalEnsemble.wishart(5), sm.Rng(0))
 
 
 def test_goe_exactly_hermitian():
-    term = sm.goe_local(3, 2, sm.Rng(8))
-    assert np.array_equal(term.matrix, term.matrix.conj().T)
+    term = local_term(sm.LocalEnsemble.goe(), sm.Rng(8), d=3, beta=2)
+    assert np.array_equal(term, term.conj().T)
 
 
 def test_goe_trace_moments():
@@ -130,30 +137,28 @@ def test_goe_trace_moments():
 
 def test_fixed_spectrum_involution():
     lam = np.array([1.0, -1.0, -1.0, 1.0])
-    term = sm.fixed_spectrum_local(2, lam, 1, sm.Rng(4))
-    assert np.abs(term.matrix @ term.matrix - np.eye(4)).max() < 1e-10
-
-
-def test_fixed_spectrum_degenerate_is_identity():
-    term = sm.fixed_spectrum_local(2, np.ones(4), 1, sm.Rng(4))
-    assert np.array_equal(term.matrix, np.eye(4))
+    term = local_term(sm.LocalEnsemble.fixed_spectrum(lam), sm.Rng(4))
+    assert np.abs(term @ term - np.eye(4)).max() < 1e-10
 
 
 def test_fixed_spectrum_trace_and_eigenvalues():
     lam = np.array([-2.0, 0.5, 1.0, 7.0])
-    term = sm.fixed_spectrum_local(2, lam, 2, sm.Rng(6))
-    assert abs(np.trace(term.matrix).real - lam.sum()) < 1e-10
-    assert np.abs(np.sort(np.linalg.eigvalsh(term.matrix)) - np.sort(lam)).max() < 1e-10
+    term = local_term(sm.LocalEnsemble.fixed_spectrum(lam), sm.Rng(6), beta=2)
+    assert abs(np.trace(term).real - lam.sum()) < 1e-10
+    assert np.abs(np.sort(np.linalg.eigvalsh(term)) - np.sort(lam)).max() < 1e-10
 
 
 def test_fixed_spectrum_wrong_length():
     with pytest.raises(ValueError):
-        sm.fixed_spectrum_local(2, np.ones(3), 1, sm.Rng(0))
+        local_term(sm.LocalEnsemble.fixed_spectrum(np.ones(3)), sm.Rng(0))
 
 
 def test_local_term_eigendecomposition_roundtrip():
-    term = sm.wishart_local(2, 4, 1, sm.Rng(9)).with_eigendecomposition()
-    q, lam = term.eigenvectors.entries, term.eigenvalues
-    err = np.abs((q * lam) @ q.conj().T - term.matrix).max()
+    # the eigenvalues draw_local_batch returns belong to the terms it returns
+    gen = sm.Rng(9).generator()
+    evals, dense = draw_local_batch(wishart_chain(2), 1, gen)
+    h = dense[0, 0]
+    _, q = np.linalg.eigh(h)
+    err = np.abs((q * evals[0, 0]) @ q.conj().T - h).max()
     assert err <= 1e-10
-    assert np.abs(term.matrix - term.matrix.conj().T).max() <= 1e-12
+    assert np.abs(h - h.conj().T).max() <= 1e-12

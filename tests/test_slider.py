@@ -384,31 +384,28 @@ def test_appendix_equals_classical_minus_gap(beta, n_sites):
 
 
 # ---------------------------------------------------------------------------
-# all-isotropic sum
+# all-isotropic sum (range L > 2: every embedded bond term rotated on its own)
+
+
+def _range3(n_sites, ensemble, trials, seed):
+    spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, coupling_range=3)
+    pools = sm.ensemble_pools(spec, trials, sm.Rng(seed), kinds=("iso", "quantum"),
+                              keep_samples=True)
+    return pools["iso"].samples, pools["quantum"].samples
 
 
 def test_iso_multi_single_term_is_invariant():
-    term = sm.wishart_local(2, 4, 1, sm.Rng(67)).matrix
-    out = sm.iso_multi([term], 1, trials=25, rng=sm.Rng(68))
-    expect = np.tile(np.linalg.eigvalsh(term), 25)
-    assert np.abs(np.sort(out.values) - np.sort(expect)).max() < 1e-8
+    # one bond spanning the whole chain: rotating it keeps its spectrum
+    iso, quantum = _range3(3, sm.LocalEnsemble.wishart(8), trials=25, seed=68)
+    assert np.abs(iso - quantum).max() < 1e-8
 
 
 def test_iso_multi_zero_terms():
-    out = sm.iso_multi([np.zeros((4, 4))] * 3, 1, trials=5, rng=sm.Rng(69))
-    assert np.abs(out.values).max() < 1e-12
+    iso, _ = _range3(5, sm.LocalEnsemble.fixed_spectrum(np.zeros(8)), trials=5, seed=69)
+    assert np.abs(iso).max() < 1e-12
 
 
 def test_iso_multi_mean_additivity():
-    terms = [sm.goe_local(2, 1, sm.Rng(70, i)).matrix for i in range(3)]
-    out = sm.iso_multi(terms, 1, trials=4000, rng=sm.Rng(71))
-    expect = sum(np.linalg.eigvalsh(t).mean() for t in terms)
-    rows = out.values.reshape(-1)  # mean is exact per trial by trace linearity
-    assert abs(rows.mean() - expect) < 1e-10
-
-
-def test_iso_multi_validation():
-    with pytest.raises(ValueError):
-        sm.iso_multi([], 1, 1, sm.Rng(0))
-    with pytest.raises(ValueError):
-        sm.iso_multi([np.zeros((4, 4)), np.zeros((3, 3))], 1, 1, sm.Rng(0))
+    # each trial's mean is Σ_l tr(H_l)/d^L by trace linearity, as for the chain
+    iso, quantum = _range3(5, sm.LocalEnsemble.goe(), trials=4000, seed=71)
+    assert np.abs(iso.mean(axis=1) - quantum.mean(axis=1)).max() < 1e-10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spinmix as sm
+from spinmix.chain import diagonals_from_eigs
 from spinmix.matgen import gaussian_batch, haar_batch
 from spinmix.spectra import (EmpiricalMeasure, _rotate_dense, _rotate_diag,
                              freedman_diaconis_edges)
@@ -55,7 +56,7 @@ def test_summary_weighted_equals_repeated():
 
 def test_classical_exact_cross_binary():
     u = EmpiricalMeasure([0.0, 1.0], [0.5, 0.5])
-    out = sm.classical_convolve(u, u, mode="exact_cross")
+    out = sm.classical_convolve(u, u)
     assert np.array_equal(out.values, [0.0, 1.0, 2.0])
     assert np.abs(out.weights - [0.25, 0.5, 0.25]).max() < 1e-15
 
@@ -64,16 +65,22 @@ def test_classical_exact_cross_mean_additivity():
     gen = sm.Rng(43).generator()
     a = EmpiricalMeasure(gen.standard_normal(40), gen.random(40))
     b = EmpiricalMeasure(gen.standard_normal(25) + 2, gen.random(25))
-    out = sm.classical_convolve(a, b, mode="exact_cross")
+    out = sm.classical_convolve(a, b)
     assert abs(out.mean() - (a.mean() + b.mean())) < 1e-12
 
 
 def test_classical_mc_matches_exact():
+    # with a fixed bond spectrum the diagonals a, b of a 5-site chain are the
+    # same multisets in every trial, so the classical pool is a Monte Carlo
+    # estimate of their exact cross convolution
     gen = sm.Rng(44).generator()
-    a = EmpiricalMeasure.from_samples(gen.standard_normal(32))
-    b = EmpiricalMeasure.from_samples(gen.standard_normal(32) * 2)
-    exact = sm.classical_convolve(a, b, mode="exact_cross")
-    mc = sm.classical_convolve(a, b, mode="mc", trials=4000, rng=sm.Rng(45))
+    spec = sm.ChainSpec(n_sites=5, site_dim=2,
+                        ensemble=sm.LocalEnsemble.fixed_spectrum(gen.standard_normal(4)))
+    evals = np.broadcast_to(np.sort(spec.ensemble.values), (1, spec.n_bonds, 4))
+    a, b = (EmpiricalMeasure.from_samples(x) for x in diagonals_from_eigs(evals, spec))
+    exact = sm.classical_convolve(a, b)
+    pool = sm.ensemble_pools(spec, 4000, sm.Rng(45), kinds=("classical",), keep_samples=True)
+    mc = pool["classical"].measure()
     se = np.sqrt(exact.variance() / mc.values.size)
     assert abs(mc.mean() - exact.mean()) <= 4 * se
     assert sm.ks_distance(mc, exact) < 0.02
@@ -82,10 +89,7 @@ def test_classical_mc_matches_exact():
 def test_classical_mode_validation():
     big = EmpiricalMeasure.from_samples(np.arange(4000.0))
     with pytest.raises(ValueError, match="support too large"):
-        sm.classical_convolve(big, big, mode="exact_cross")
-    uneven = EmpiricalMeasure([0.0, 1.0], [0.9, 0.1])
-    with pytest.raises(ValueError, match="uniformly"):
-        sm.classical_convolve(uneven, uneven, mode="mc", trials=2, rng=sm.Rng(0))
+        sm.classical_convolve(big, big)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +116,7 @@ def test_isotropic_matches_classical_three_moments():
     a, b = gen.standard_normal(8), gen.standard_normal(8)
     iso = sm.isotropic_convolve(a, b, 1, trials=30_000, rng=sm.Rng(49))
     cls = sm.classical_convolve(EmpiricalMeasure.from_samples(a),
-                                EmpiricalMeasure.from_samples(b), "exact_cross")
+                                EmpiricalMeasure.from_samples(b))
     si, sc = sm.summarize(iso), sm.summarize(cls)
     assert abs(si.mu - sc.mu) < 1e-8          # exact per trial by trace invariance
     for stat, tol in (("sigma2", 0.05), ("m3", 1.0)):
@@ -148,8 +152,8 @@ def test_isotropic_validation():
 def test_quantum_identity_locals_single_atom():
     spec = sm.ChainSpec(n_sites=4, site_dim=2,
                         ensemble=sm.LocalEnsemble.fixed_spectrum(np.ones(4)))
-    measure = sm.quantum_spectrum(spec, trials=5, rng=sm.Rng(50))
-    assert np.abs(measure.values - 3.0).max() < 1e-8  # N-1 copies of the identity
+    pools = sm.ensemble_pools(spec, 5, sm.Rng(50), kinds=("quantum",), keep_samples=True)
+    assert np.abs(pools["quantum"].samples - 3.0).max() < 1e-8  # N-1 copies of the identity
 
 
 def test_pools_deterministic_and_subset_invariant(spec_n3):
@@ -163,11 +167,22 @@ def test_pools_deterministic_and_subset_invariant(spec_n3):
 
 def test_pool_block_statistics(spec_n3):
     pool = sm.ensemble_pools(spec_n3, 5000, sm.Rng(52), kinds=("classical",))["classical"]
-    assert pool.block_values("gamma2").size == 50
+    assert (pool.block_counts > 0).sum() == 50
+    assert np.isfinite(pool.stderr("gamma2"))
     assert pool.stderr("mu") > 0
     # block sums partition the pooled sums
     assert np.abs(pool.block_sums.sum(axis=0) - pool.moment_sums).max() < 1e-6
     assert pool.block_counts.sum() == pool.count
+
+
+def test_jackknife_mu_equals_block_mean_se(spec_n3):
+    # μ is linear in the sums, so with equal blocks the delete-one-block
+    # jackknife reduces to the s.e. of the block means
+    pool = sm.ensemble_pools(spec_n3, 5000, sm.Rng(52), kinds=("classical",))["classical"]
+    assert np.all(pool.block_counts == pool.block_counts[0])
+    means = pool.block_sums[:, 0] / pool.block_counts
+    assert pool.stderr("mu") == pytest.approx(means.std(ddof=1) / np.sqrt(means.size),
+                                              rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +196,8 @@ def test_word_validation(spec_n3):
         sm.mixed_trace_mc([("a", 0)], "haar", spec_n3, 10, sm.Rng(0))
     with pytest.raises(ValueError):
         sm.mixed_trace_mc([("a", 1)], "twist", spec_n3, 10, sm.Rng(0))
+    with pytest.raises(ValueError, match="trials"):
+        sm.mixed_trace_mc([("a", 1), ("b", 1)], "haar", spec_n3, 0, sm.Rng(0))
 
 
 def test_word_pure_a_power_rotation_independent(spec_n3):
