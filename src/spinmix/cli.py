@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import _workers
 from . import slider as slider_mod
 from . import spectra
 from .chain import ChainSpec, LocalEnsemble
@@ -77,17 +80,34 @@ def _ensemble_from_args(args) -> LocalEnsemble:
     raise ValueError(f"unknown ensemble {args.ensemble!r}")
 
 
-def _matched_edges(pools, args):
-    if args.edges:
+def _check_run_args(args):
+    """Check --trials and --bins and parse --edges (None if absent), before any work."""
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if args.bins is not None and args.bins < 1:
+        raise ValueError("--bins must be >= 1")
+    if not args.edges:
+        return None
+    try:
         edges = np.array([float(v) for v in args.edges.split(",")])
-        if edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("--edges must be ascending with >= 2 entries")
-        return edges
+    except ValueError as exc:
+        raise ValueError(f"--edges: {exc}") from exc
+    if edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("--edges must be ascending with >= 2 entries")
+    return edges
+
+
+def _matched_edges(pools, bins):
     pooled = spectra.EmpiricalMeasure.from_samples(
         np.concatenate([p.samples.ravel() for p in pools.values()]))
-    if args.bins:
-        return spectra.histogram(pooled, args.bins).bin_edges
+    if bins is not None:
+        return spectra.histogram(pooled, bins).bin_edges
     return spectra.freedman_diaconis_edges(pooled)
+
+
+def _finite_or_none(x):
+    """Strict JSON has no NaN: an undefined number is written as null."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _write_csv(path: Path, header, rows):
@@ -103,13 +123,12 @@ def _stat_row(source, summary, pool):
         v = summary.stat(stat)
         cells.append("" if v is None else _fmt(v))
     for stat in ("mu", "sigma2", "gamma1", "gamma2"):
-        if pool is None:
-            cells.append("")
-        else:
-            try:
-                cells.append(_fmt(pool.stderr(stat)))
-            except ValueError:
-                cells.append("")
+        try:
+            se = None if pool is None else pool.stderr(stat)
+        except ValueError:  # the statistic is undefined with a block left out
+            se = None
+        se = _finite_or_none(se)  # NaN below two trials
+        cells.append("" if se is None else _fmt(se))
     return cells
 
 
@@ -126,6 +145,7 @@ def cmd_run(args) -> int:
         spec = ChainSpec(n_sites=args.n_sites, site_dim=args.d, ensemble=ensemble,
                          beta=args.beta, coupling_range=args.coupling_range)
         spec.check_dense_cap()
+        edges = _check_run_args(args)
     except ValueError as exc:
         return _fail_usage(str(exc))
     rng = Rng(args.seed)
@@ -140,7 +160,8 @@ def cmd_run(args) -> int:
     else:
         p_analytic = None  # beyond nearest neighbors the sum is treated all-isotropic
 
-    edges = _matched_edges(pools, args)
+    if edges is None:
+        edges = _matched_edges(pools, args.bins)
     hists = {k: spectra.histogram(p.measure(), edges) for k, p in pools.items()}
     summaries = {k: p.summary() for k, p in pools.items()}
     if nearest:
@@ -185,17 +206,27 @@ def cmd_run(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "wall_time_s": None,
+        "provenance": {
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            **_workers.describe(),
+            "chunk_trials": spectra._chunk_trials(spec.m, args.trials),
+            # histogram() clips values outside the edges into the end bins
+            "mass_outside_edges": {
+                k: float(np.mean((p.samples < edges[0]) | (p.samples > edges[-1])))
+                for k, p in pools.items()},
+        },
     }
     kinds = [pools[k] for k in ("quantum", "classical", "iso")]
     try:
         summary["p_empirical"] = _p_empirical([p.summary() for p in kinds])
         if summary["p_empirical"] is not None:
-            summary["p_empirical_se"] = spectra.jackknife_stderr(kinds, _p_empirical)
+            summary["p_empirical_se"] = _finite_or_none(
+                spectra.jackknife_stderr(kinds, _p_empirical))
     except (ZeroDivisionError, ValueError):
         pass
     summary["wall_time_s"] = time.time() - t_start
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return 0
 
@@ -217,6 +248,9 @@ _PRESETS = {
 def cmd_reproduce(args) -> int:
     n_sites, default_trials = _PRESETS[args.table]
     trials = default_trials if args.trials is None else args.trials
+    if trials < 0 or trials == 1:
+        return _fail_usage("--trials must be 0 (theory only) or >= 2: "
+                           "a standard error needs two trials")
     d, r, beta = 2, 4, 1
     theory = slider_mod.wishart_chain_stats(n_sites, d, r)
     dims = slider_mod.SliderDims.odd_side(n_sites, d, beta)

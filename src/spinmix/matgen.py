@@ -21,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
+from ._workers import map_trials
+
 __all__ = ["gaussian_batch", "haar_batch"]
 
 
@@ -46,10 +48,15 @@ def gaussian_batch(shape, beta, gen) -> np.ndarray:
 def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     """Stack of `count` Haar matrices, shape (count, dim, dim).
 
-    Loops LAPACK geqrf/orgqr with a workspace queried once (lwork=-1): the
-    wrappers' default lwork is too small for the blocked algorithm and forces
-    the unblocked one, about 3x slower at dim 512.  lwork goes by position
-    because keyword parsing costs more than a 4x4 QR.
+    The whole Gaussian batch is drawn first, on the calling thread and in
+    the same order for any worker count.  The QR loop then fans out: each
+    worker of ``_workers.map_trials`` runs LAPACK geqrf/orgqr and the sign
+    fix on its own contiguous slice of the batch, with OpenBLAS at one
+    thread, so the output does not depend on the number of workers.  The
+    workspace is queried once (lwork=-1): the wrappers' default lwork is too
+    small for the blocked algorithm and forces the unblocked one, about 3x
+    slower at dim 512.  lwork goes by position because keyword parsing costs
+    more than a 4x4 QR.
     """
     _check_beta(beta)
     g = gaussian_batch((count, dim, dim), beta, gen)
@@ -61,21 +68,25 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     probe = np.zeros((dim, dim), dtype=g.dtype)
     lwork_qr = int(geqrf(probe, -1)[2][0].real)
     lwork_q = int(orgqr(probe, probe[0], -1)[1][0].real)
-    for i in range(count):
-        qr, tau, _, info = geqrf(g[i], lwork_qr)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"geqrf failed (info={info})")
-        d = np.diagonal(qr)
-        if beta == 1:
-            s = np.sign(d)
-            s[s == 0] = 1.0
-        else:
-            s = d / np.abs(d)
-        # orgqr overwrites qr in place, so the phases are taken first
-        q, _, info = orgqr(qr, tau, lwork_q, 1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"orgqr failed (info={info})")
-        # scaling column j by the phase of R_jj makes R's diagonal positive,
-        # which is what turns QR output into exact Haar measure
-        out[i] = q * s
+
+    def qr_slice(lo, hi):
+        for i in range(lo, hi):
+            qr, tau, _, info = geqrf(g[i], lwork_qr)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"geqrf failed (info={info})")
+            d = np.diagonal(qr)
+            if beta == 1:
+                s = np.sign(d)
+                s[s == 0] = 1.0
+            else:
+                s = d / np.abs(d)
+            # orgqr overwrites qr in place, so the phases are taken first
+            q, _, info = orgqr(qr, tau, lwork_q, 1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"orgqr failed (info={info})")
+            # scaling column j by the phase of R_jj makes R's diagonal positive,
+            # which is what turns QR output into exact Haar measure
+            out[i] = q * s
+
+    map_trials(qr_slice, count)
     return out

@@ -12,6 +12,15 @@ or a bond index, and draws from it in trial-major order.  A run's numbers
 therefore depend on its seed and trial count alone: not on
 ``_CHUNK_BUDGET``, and the first t trials of a longer run equal a t-trial
 run.
+
+Within a chunk the O(m³) per-trial kernels fan out over worker threads
+(``_workers.map_trials``), each worker taking a contiguous slice of the
+chunk's trials with OpenBLAS at one thread: the Haar QR loop inside
+``matgen.haar_batch``, the rotation matmul in ``_rotate_diag``, and every
+``eigvalsh`` of an m×m batch (``_eigvalsh``: isotropic, quantum and
+range-L isotropic).  All random draws stay serial on the calling thread, in
+trial-major order, and each trial is computed by the same kernel in any
+slice, so the output does not depend on the worker count either.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import matgen
+from ._workers import map_trials
 from .chain import (STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS,
                     STREAM_LOCAL_VECS, ChainSpec)
 from .rng import Rng
@@ -225,8 +235,15 @@ def isotropic_convolve(a_diag, b_diag, beta: int, trials: int, rng: Rng) -> Empi
 
 
 def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched Q† diag(b) Q as one stacked matmul, for every order."""
-    return np.matmul(q.conj().swapaxes(-1, -2) * b[:, None, :], q)
+    """Batched Q† diag(b) Q as stacked matmuls, one per worker's trial slice."""
+    out = np.empty(q.shape, dtype=np.result_type(q, b))
+
+    def rotate(lo, hi):
+        np.matmul(q[lo:hi].conj().swapaxes(-1, -2) * b[lo:hi, None, :], q[lo:hi],
+                  out=out[lo:hi])
+
+    map_trials(rotate, q.shape[0])
+    return out
 
 
 def _rotate_dense(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -239,7 +256,18 @@ def _iso_eigs(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     mats = _rotate_diag(q, b)
     diag = np.arange(mats.shape[-1])
     mats[:, diag, diag] += a
-    return np.linalg.eigvalsh(mats)
+    return _eigvalsh(mats)
+
+
+def _eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of Hermitian matrices, split by trial slice."""
+    out = np.empty(mats.shape[:-1])
+
+    def eig(lo, hi):
+        out[lo:hi] = np.linalg.eigvalsh(mats[lo:hi])
+
+    map_trials(eig, mats.shape[0])
+    return out
 
 
 def _permuted(x: np.ndarray, gen) -> np.ndarray:
@@ -403,14 +431,14 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
             if nearest:
                 vals = _iso_eigs(matgen.haar_batch(m, spec.beta, haar_gens[0], c), a, b)
             else:
-                vals = np.linalg.eigvalsh(sum(
+                vals = _eigvalsh(sum(
                     _rotate_dense(matgen.haar_batch(m, spec.beta, g, c),
                                   chain_mod.embed_sum_batch(dense[:, i:i + 1], spec, [i + 1]))
                     for i, g in enumerate(haar_gens)))
             _accumulate(pools["iso"], vals, lo, n_blocks)
         if "quantum" in kinds:
             h = chain_mod.embed_sum_batch(dense, spec)
-            _accumulate(pools["quantum"], np.linalg.eigvalsh(h), lo, n_blocks)
+            _accumulate(pools["quantum"], _eigvalsh(h), lo, n_blocks)
     return pools
 
 

@@ -6,9 +6,21 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import spinmix as sm
+from spinmix import spectra
 from spinmix.cli import main
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def read_summary(out_dir):
+    """summary.json parsed strictly: NaN and Infinity are not JSON."""
+    return json.loads((out_dir / "summary.json").read_text(),
+                      parse_constant=_reject_constant)
 
 
 def run_cli(*argv):
@@ -64,11 +76,47 @@ def test_run_writes_artifacts(tmp_path):
     cls = [float(row[3]) for row in body if row[0] == "classical"]
     assert sum(m > 0 for m in cls) == 3
 
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["p_analytic"] == pytest.approx(41 / 216, rel=1e-12)
     assert set(summary["ks"]) == {"classical_vs_quantum", "iso_vs_quantum",
                                   "ie_vs_quantum", "gram_charlier_vs_quantum"}
     assert summary["p_empirical_se"] > 0
+
+    prov = summary["provenance"]
+    assert prov["numpy"] == np.__version__
+    assert prov["scipy"] == scipy.__version__
+    assert prov["workers"] >= 1
+    assert isinstance(prov["openblas_one_thread_per_worker"], bool)
+    assert prov["chunk_trials"] == spectra._chunk_trials(8, 2500)
+    # |λ| <= 2 on a two-bond ±1 chain, inside the edges ±2.5
+    assert prov["mass_outside_edges"] == {"classical": 0.0, "iso": 0.0, "quantum": 0.0}
+
+
+def test_run_reports_mass_outside_edges(tmp_path):
+    out = tmp_path / "narrow"
+    args = _run_args(out, trials=300)
+    args[args.index("--edges") + 1] = "-1,0,1"
+    assert main(args) == 0
+    pools = sm.ensemble_pools(sm.ChainSpec(n_sites=3, site_dim=2,
+                                           ensemble=sm.LocalEnsemble.pm1()),
+                              300, sm.Rng(9), keep_samples=True)
+    clipped = read_summary(out)["provenance"]["mass_outside_edges"]
+    for kind, pool in pools.items():
+        assert clipped[kind] == np.mean(np.abs(pool.samples) > 1), kind
+    assert clipped["quantum"] > 0
+
+
+def test_run_single_trial_writes_strict_json(tmp_path):
+    out = tmp_path / "one"
+    assert main(_run_args(out, trials=1)) == 0
+    summary = read_summary(out)  # p_empirical_se was written as NaN
+    assert summary["p_empirical_se"] is None
+    rows = (out / "moments.csv").read_text().strip().splitlines()
+    header = rows[0].split(",")
+    for row in rows[1:]:
+        cells = dict(zip(header, row.split(",")))
+        assert "nan" not in row
+        assert all(cells[f"{stat}_se"] == "" for stat in ("mu", "sigma2", "gamma1", "gamma2"))
 
 
 def test_run_matches_slider_exactly(tmp_path):
@@ -102,6 +150,23 @@ def test_run_usage_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read --spectrum-file") and err.count("\n") == 1
 
+    # rejected before the output directory is made
+    for flag, value, message in (("--trials", "0", "--trials must be >= 1"),
+                                 ("--trials", "-3", "--trials must be >= 1"),
+                                 ("--bins", "0", "--bins must be >= 1"),
+                                 ("--edges", "0,x", "--edges:"),
+                                 ("--edges", "1,0", "--edges must be ascending")):
+        out = tmp_path / f"bad{flag}{value}"
+        args = _run_args(out)
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args[-2:-2] = [flag, value]
+        assert main(args) == 2, (flag, value)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert not out.exists(), (flag, value)
+
 
 def test_run_beyond_nearest_neighbor(tmp_path):
     out = tmp_path / "L3"
@@ -129,6 +194,14 @@ def test_reproduce_theory_only_n9():
     assert code == 0
     for value in ("-0.164", "0.108", "0.240000"):
         assert value in out
+
+
+def test_reproduce_usage_errors():
+    for trials in ("1", "-1"):
+        code, out, err = run_cli("reproduce", "N9", "--trials", trials)
+        assert code == 2, trials
+        assert out == "" and err.startswith("error: --trials must be 0") and \
+            err.count("\n") == 1, err
 
 
 def test_reproduce_small_run_passes():
