@@ -9,6 +9,7 @@ classical / isotropic / quantum convolutions in :mod:`spinmix.spectra`.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import reduce
@@ -73,7 +74,10 @@ class LocalEnsemble:
 
     @classmethod
     def fixed_spectrum(cls, values) -> "LocalEnsemble":
-        return cls("fixed", values=tuple(float(v) for v in values))
+        values = tuple(float(v) for v in values)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("fixed spectrum values must be finite")
+        return cls("fixed", values=values)
 
     def describe(self) -> str:
         if self.kind == "wishart":

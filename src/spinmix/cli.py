@@ -52,7 +52,7 @@ def cmd_slider(args) -> int:
     dims = slider_mod.SliderDims.odd_side(args.n_sites, args.d, args.beta)
     out = {"p": res.p, "one_minus_p": res.one_minus_p,
            "k": dims.k, "n": dims.n, "m": dims.m}
-    print(json.dumps(out))
+    print(json.dumps(out, allow_nan=False))
     return 0
 
 
@@ -76,7 +76,12 @@ def _ensemble_from_args(args) -> LocalEnsemble:
             values = np.loadtxt(args.spectrum_file, ndmin=1)
         except OSError as exc:
             raise ValueError(f"cannot read --spectrum-file: {exc}") from exc
-        return LocalEnsemble.fixed_spectrum(values)
+        ensemble = LocalEnsemble.fixed_spectrum(values)
+        if values.size and values.min() == values.max():
+            raise ValueError("--spectrum-file holds a constant spectrum: every chain "
+                             "spectrum is then a point mass, whose gamma and "
+                             "Gram-Charlier density are undefined")
+        return ensemble
     raise ValueError(f"unknown ensemble {args.ensemble!r}")
 
 

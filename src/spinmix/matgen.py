@@ -11,9 +11,9 @@ Conventions
   x, y ~ N(0,1) independently (variance 1 per real component).  All mixture
   weights downstream are scale-invariant, so this convention only sets the
   overall scale of GOE/Wishart spectra.
-* Haar matrices come from QR of a Gaussian matrix with the triangular
-  factor's diagonal made positive real.  Without that correction QR is not
-  Haar-distributed.
+* Haar matrices are sign-fixed products of Householder reflectors built
+  from independent Gaussian vectors (Stewart 1980; see :func:`haar_batch`),
+  which have the law of the sign-fixed QR of a Gaussian matrix.
 """
 
 from __future__ import annotations
@@ -48,45 +48,70 @@ def gaussian_batch(shape, beta, gen) -> np.ndarray:
 def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     """Stack of `count` Haar matrices, shape (count, dim, dim).
 
-    The whole Gaussian batch is drawn first, on the calling thread and in
-    the same order for any worker count.  The QR loop then fans out: each
-    worker of ``_workers.map_trials`` runs LAPACK geqrf/orgqr and the sign
-    fix on its own contiguous slice of the batch, with OpenBLAS at one
-    thread, so the output does not depend on the number of workers.  The
-    workspace is queried once (lwork=-1): the wrappers' default lwork is too
-    small for the blocked algorithm and forces the unblocked one, about 3x
-    slower at dim 512.  lwork goes by position because keyword parsing costs
-    more than a 4x4 QR.
+    Each matrix is H_0 H_1 ... H_{dim-1}, H_k = I - tau_k v_k v_k^H, built
+    from independent Gaussian vectors of lengths dim, dim-1, ..., 1, with
+    column k scaled by the sign of R_kk (Stewart, SIAM J. Numer. Anal. 17
+    (1980) 403-409).  This is exactly Haar: Householder QR of a Gaussian
+    matrix extracts such vectors, since each reflection leaves an iid
+    Gaussian trailing block independent of it, and the sign-fixed QR of a
+    Gaussian matrix is Haar.  No matrix is factorised, and a trial takes
+    dim(dim+1)/2 draws instead of dim².
+
+    The draws are made first, trial-major, on the calling thread, so the
+    output depends neither on how callers chunk the trials nor on the
+    worker count.  The reflector scalars follow LAPACK's larfg convention,
+    computed for the whole batch at once, and vector k goes below the
+    diagonal of column k of a Fortran-ordered array, where orgqr reads the
+    reflectors of a QR factorisation.  orgqr and the sign fix fan out: each
+    worker of ``_workers.map_trials`` runs them in place on its own
+    contiguous slice, with OpenBLAS at one thread.  The workspace is queried
+    once (lwork=-1): the wrappers' default lwork forces the unblocked
+    algorithm, about 3x slower at dim 512.  lwork goes by position because
+    keyword parsing costs more than a 4x4 orgqr.
     """
     _check_beta(beta)
-    g = gaussian_batch((count, dim, dim), beta, gen)
-    out = np.empty_like(g)
-    if beta == 1:
-        geqrf, orgqr = _lapack.dgeqrf, _lapack.dorgqr
-    else:
-        geqrf, orgqr = _lapack.zgeqrf, _lapack.zungqr
-    probe = np.zeros((dim, dim), dtype=g.dtype)
-    lwork_qr = int(geqrf(probe, -1)[2][0].real)
-    lwork_q = int(orgqr(probe, probe[0], -1)[1][0].real)
+    g = gaussian_batch((count, dim * (dim + 1) // 2), beta, gen)
+    # row k of v[t] is column k of the Fortran-ordered array v[t].T that orgqr
+    # reads; vector k fills it from the diagonal on
+    v = np.zeros((count, dim, dim), dtype=g.dtype)
+    start = 0
+    for k in range(dim):
+        v[:, k, k:] = g[:, start:start + dim - k]
+        start += dim - k
+    del g
+    # larfg: R_kk = -sign(Re alpha) |vector k|, tau = (R_kk - alpha) / R_kk and
+    # v = x / (alpha - R_kk).  The (count, dim) arrays are updated in place:
+    # each temporary the allocator keeps adds to the peak resident memory.
+    alpha = np.diagonal(v, axis1=1, axis2=2).copy()
+    flat = v.view(np.float64)
+    r_diag = np.einsum("tkj,tkj->tk", flat, flat)
+    np.sqrt(r_diag, out=r_diag)
+    np.copysign(r_diag, alpha.real, out=r_diag)
+    r_diag *= -1.0
+    tau = r_diag - alpha
+    tau /= r_diag
+    if beta == 1:   # larfg leaves a real 1-vector alone: tau = 0, R_kk = alpha
+        r_diag[:, -1], tau[:, -1] = alpha[:, -1], 0.0
+    scale = alpha[:, :-1]
+    scale -= r_diag[:, :-1]
+    np.reciprocal(scale, out=scale)
+    v[:, :-1] *= scale[:, :, None]
+    # scaling column k by the sign of R_kk makes R's diagonal positive, which
+    # is what turns the reflector product into exact Haar measure
+    sign = np.sign(r_diag, out=r_diag)
+    sign[sign == 0] = 1.0
+    orgqr = _lapack.dorgqr if beta == 1 else _lapack.zungqr
+    probe = np.zeros((dim, dim), dtype=v.dtype)
+    lwork = int(orgqr(probe, probe[0], -1)[1][0].real)
 
-    def qr_slice(lo, hi):
+    def orgqr_slice(lo, hi):
         for i in range(lo, hi):
-            qr, tau, _, info = geqrf(g[i], lwork_qr)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"geqrf failed (info={info})")
-            d = np.diagonal(qr)
-            if beta == 1:
-                s = np.sign(d)
-                s[s == 0] = 1.0
-            else:
-                s = d / np.abs(d)
-            # orgqr overwrites qr in place, so the phases are taken first
-            q, _, info = orgqr(qr, tau, lwork_q, 1)
+            # v[i].T is Fortran-ordered, so orgqr overwrites it in place with
+            # Q; v[i] then takes Q itself, row-major, from a temporary
+            q, _, info = orgqr(v[i].T, tau[i], lwork, 1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"orgqr failed (info={info})")
-            # scaling column j by the phase of R_jj makes R's diagonal positive,
-            # which is what turns QR output into exact Haar measure
-            out[i] = q * s
+            v[i] = q * sign[i]
 
-    map_trials(qr_slice, count)
-    return out
+    map_trials(orgqr_slice, count)
+    return v

@@ -143,8 +143,8 @@ TermCounts = namedtuple("TermCounts",
 
 def haar_q4(m: int, beta: float) -> float:
     """E|q_ij|⁴ for an m×m beta-Haar matrix: (β+2)/(m(mβ+2))."""
-    if m < 1 or beta < 1:
-        raise ValueError("need m >= 1 and beta >= 1")
+    if m < 1 or not 1 <= beta < math.inf:
+        raise ValueError("need m >= 1 and a finite beta >= 1")
     return (beta + 2.0) / (m * (m * beta + 2.0))
 
 
@@ -157,8 +157,8 @@ def frob_uv_classical(d: int, beta: float = 1.0) -> float:
 
 def frob_uv_quantum(d: int, beta: float = 1.0) -> float:
     """E‖uv(uv)†‖_F² for the same pair; the structured-rotation analogue."""
-    if d < 1 or beta < 1:
-        raise ValueError("need d >= 1 and beta >= 1")
+    if d < 1 or not 1 <= beta < math.inf:
+        raise ValueError("need d >= 1 and a finite beta >= 1")
     num = beta ** 2 * (3 * d * (d - 1) + 1) + 2 * beta * (3 * d - 1) + 4
     return num / (d * (beta * d * d + 2.0) ** 2)
 
@@ -245,8 +245,8 @@ def p_universal(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
     if n_sites % 2 == 0:
         raise ValueError("closed form is stated for odd N; "
                          "use slider_p for the even-N gap route")
-    if n_sites < 3 or d < 2 or beta < 1:
-        raise ValueError("need odd N >= 3, d >= 2, beta >= 1")
+    if n_sites < 3 or d < 2 or not 1 <= beta < math.inf:
+        raise ValueError("need odd N >= 3, d >= 2 and a finite beta >= 1")
     k = (n_sites - 1) // 2
     one_minus_p = (
         (1.0 - float(d) ** (-2 * k - 1))

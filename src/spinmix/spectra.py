@@ -15,12 +15,13 @@ run.
 
 Within a chunk the O(m³) per-trial kernels fan out over worker threads
 (``_workers.map_trials``), each worker taking a contiguous slice of the
-chunk's trials with OpenBLAS at one thread: the Haar QR loop inside
-``matgen.haar_batch``, the rotation matmul in ``_rotate_diag``, and every
-``eigvalsh`` of an m×m batch (``_eigvalsh``: isotropic, quantum and
-range-L isotropic).  All random draws stay serial on the calling thread, in
-trial-major order, and each trial is computed by the same kernel in any
-slice, so the output does not depend on the worker count either.
+chunk's trials with OpenBLAS at one thread: the orgqr that forms each Haar
+matrix from its reflectors in ``matgen.haar_batch``, the rotation matmul in
+``_rotate_diag``, and every ``eigvalsh`` of an m×m batch (``_eigvalsh``:
+isotropic, quantum and range-L isotropic).  All random draws stay serial
+on the calling thread, in trial-major order, and each trial is computed by
+the same kernel in any slice, so the output does not depend on the worker
+count either.
 """
 
 from __future__ import annotations

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import spinmix as sm
 from spinmix.chain import draw_local_batch
+
+# the same examples on every run and no example database, so tier-1 is
+# deterministic; each test keeps its own example count
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def wishart_chain(n_sites, rank=4, d=2, beta=1):

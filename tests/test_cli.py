@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ def test_slider_usage_errors():
     assert run_cli("slider", "--n-sites", "2", "--d", "2")[0] == 2
     assert run_cli("slider", "--d", "2")[0] == 2
     assert run_cli("nonsense")[0] == 2
+
+
+@pytest.mark.parametrize("n_sites", ["4", "5"])
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_slider_rejects_non_finite_beta(n_sites, beta, capsys):
+    assert main(["slider", "--n-sites", n_sites, "--d", "2", "--beta", beta]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def _run_args(out_dir, seed=9, trials=2500):
@@ -149,6 +158,20 @@ def test_run_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "z")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read --spectrum-file") and err.count("\n") == 1
+    for text, message in (("nan 0 1 2", "fixed spectrum values must be finite"),
+                          ("1 inf 0 2", "fixed spectrum values must be finite"),
+                          ("1 1 1 1", "--spectrum-file holds a constant spectrum")):
+        spectrum = tmp_path / "spectrum.txt"
+        spectrum.write_text(text + "\n")
+        out = tmp_path / "fixed"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--ensemble", "fixed", "--spectrum-file", str(spectrum),
+                         "--n-sites", "3", "--d", "2", "--trials", "10",
+                         "--out", str(out)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert not out.exists(), text
 
     # rejected before the output directory is made
     for flag, value, message in (("--trials", "0", "--trials must be >= 1"),

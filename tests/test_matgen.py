@@ -27,7 +27,7 @@ def test_haar_dim1_is_random_sign():
     assert (entries > 0).any() and (entries < 0).any()
 
 
-# from dim 128 up the queried workspace lets geqrf/orgqr take the blocked path
+# above dim 128 the queried workspace lets orgqr take the blocked path
 @pytest.mark.parametrize("dim,beta", [(2, 1), (4, 2), (8, 1), (8, 2),
                                       (128, 1), (128, 2), (512, 1), (512, 2)])
 def test_haar_orthogonality_and_column_norms(dim, beta):
@@ -37,15 +37,41 @@ def test_haar_orthogonality_and_column_norms(dim, beta):
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
+def _reflector_product(vectors, beta):
+    """Q = H_0 H_1 ... with H_k = I − τ u uᴴ from the vectors (α, x), sign-fixed.
+
+    Multiplies in one reflector at a time, in LAPACK's larfg convention, and
+    checks that H_kᴴ maps vector k to (R_kk, 0, …, 0).
+    """
+    dim = len(vectors)
+    q = np.eye(dim, dtype=complex if beta == 2 else float)
+    signs = np.empty(dim)
+    for k, vec in enumerate(vectors):
+        alpha, x = vec[0], vec[1:]
+        r_kk = -np.copysign(np.linalg.norm(vec), alpha.real)
+        tau = (r_kk - alpha) / r_kk
+        if beta == 1 and k == dim - 1:
+            r_kk, tau = alpha, 0.0
+        u = np.zeros(dim, dtype=q.dtype)
+        u[k] = 1.0
+        u[k + 1:] = x / (alpha - r_kk)
+        image = vec - np.conj(tau) * u[k:] * (u[k:].conj() @ vec)
+        assert abs(image[0] - r_kk) < 1e-10 * abs(r_kk)
+        assert np.abs(image[1:]).max(initial=0.0) < 1e-10 * abs(r_kk)
+        q[:, k:] -= tau * np.outer(q[:, k:] @ u[k:], u[k:].conj())
+        signs[k] = np.sign(r_kk)
+    return q * signs
+
+
 @pytest.mark.parametrize("dim,beta", [(4, 1), (32, 2), (128, 1), (512, 2)])
-def test_haar_is_sign_fixed_qr_of_its_gaussian_draw(dim, beta):
-    # Q with R's diagonal made positive is unique, so any QR route agrees
+def test_haar_is_sign_fixed_product_of_its_reflectors(dim, beta):
+    # vector k of a trial is its next dim − k Gaussians, trial-major
     q = haar_batch(dim, beta, sm.Rng(4, dim).generator(), 2)
-    g = gaussian_batch((2, dim, dim), beta, sm.Rng(4, dim).generator())
-    ref, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    ref = ref * (d / np.abs(d))[:, None, :]
-    assert np.abs(q - ref).max() < 1e-10
+    flat = gaussian_batch((2, dim * (dim + 1) // 2), beta, sm.Rng(4, dim).generator())
+    cuts = np.cumsum(np.arange(dim, 1, -1))
+    for t in range(2):
+        ref = _reflector_product(np.split(flat[t], cuts), beta)
+        assert np.abs(q[t] - ref).max() < 1e-10
 
 
 @pytest.mark.parametrize("dim,beta", [(2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (8, 2)])
@@ -53,6 +79,20 @@ def test_haar_fourth_moment_law(dim, beta):
     mean, se = _entry_q4_stats(dim, beta, 100_000, seed=dim * 10 + beta)
     law = sm.haar_q4(dim, beta)
     assert abs(mean - law) <= 3 * se
+
+
+# above dim 128 orgqr, given the queried workspace, takes the blocked path
+@pytest.mark.parametrize("dim,beta,count", [(129, 2, 1_000), (256, 1, 500)])
+def test_haar_fourth_moment_law_blocked(dim, beta, count):
+    mean, se = _entry_q4_stats(dim, beta, count, seed=dim * 10 + beta)
+    assert abs(mean - sm.haar_q4(dim, beta)) <= 3 * se
+
+
+@pytest.mark.parametrize("dim,beta", [(4, 1), (4, 2), (128, 1)])
+def test_haar_longer_draw_starts_with_shorter_draw(dim, beta):
+    short = haar_batch(dim, beta, sm.Rng(7, dim).generator(), 3)
+    longer = haar_batch(dim, beta, sm.Rng(7, dim).generator(), 5)
+    assert np.array_equal(longer[:3], short)
 
 
 def test_haar_left_invariance_statistical():
