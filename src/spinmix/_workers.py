@@ -144,6 +144,8 @@ def map_trials(fn, count: int):
 
 
 def describe() -> dict:
-    """Worker count and whether the workers run OpenBLAS at one thread each."""
+    """Worker count, whether the workers run OpenBLAS at one thread each, and
+    the OpenBLAS thread counts outside a fan-out (one per library, read only)."""
     pool = _pool()
-    return {"workers": pool.workers, "openblas_one_thread_per_worker": pool.one_blas_thread}
+    return {"workers": pool.workers, "openblas_one_thread_per_worker": pool.one_blas_thread,
+            "openblas_threads": [get() for get, _ in pool._blas]}

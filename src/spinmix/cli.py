@@ -143,6 +143,18 @@ def _p_empirical(summaries):
     return None if None in g2 else slider_mod.p_from_kurtoses(*g2)
 
 
+def _blas_builds() -> dict:
+    """The BLAS that numpy and scipy were built against, as "name version"."""
+    builds = {}
+    for mod in (np, scipy):
+        try:
+            blas = mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            builds[mod.__name__] = f"{blas['name']} {blas['version']}"
+        except (TypeError, KeyError):    # releases without a dict-valued config
+            builds[mod.__name__] = None
+    return builds
+
+
 def cmd_run(args) -> int:
     t_start = time.time()
     try:
@@ -212,7 +224,7 @@ def cmd_run(args) -> int:
         "seed": args.seed,
         "wall_time_s": None,
         "provenance": {
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_builds(),
             **_workers.describe(),
             "chunk_trials": spectra._chunk_trials(spec.m, args.trials),
             # histogram() clips values outside the edges into the end bins

@@ -17,11 +17,20 @@ Within a chunk the O(m³) per-trial kernels fan out over worker threads
 (``_workers.map_trials``), each worker taking a contiguous slice of the
 chunk's trials with OpenBLAS at one thread: the orgqr that forms each Haar
 matrix from its reflectors in ``matgen.haar_batch``, the rotation matmul in
-``_rotate_diag``, and every ``eigvalsh`` of an m×m batch (``_eigvalsh``:
-isotropic, quantum and range-L isotropic).  All random draws stay serial
-on the calling thread, in trial-major order, and each trial is computed by
-the same kernel in any slice, so the output does not depend on the worker
-count either.
+``_rotate_diag``, and the spectral kernel of every m×m isotropic, quantum
+and range-L isotropic matrix.  That kernel is ``eigvalsh`` (``_eigvalsh``)
+only where eigenvalues are kept: ``isotropic_convolve`` and pools with
+``keep_samples=True``, as ``spinmix run`` makes.  Moments-only pools need
+just each trial's Σλ¹…Σλ⁴, which for Hermitian M are tr M, ⟨M, M⟩,
+⟨M², M⟩ and ⟨M², M²⟩: ``_power_sums`` forms them from one product M·M, a
+level-3 gemm, in place of the mostly level-2 tridiagonalisation inside
+``eigvalsh``.  Both kernels give
+the same per-trial sums of the same matrices, so the two routes' pools
+agree to rounding.  Workers walk their slices in sub-blocks of at most
+``_SUB_BLOCK`` matrix elements, which bounds their temporaries.  All random
+draws stay serial on the calling thread, in trial-major order, and each
+trial is computed by the same kernel in any slice, so the output does not
+depend on the worker count either.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ __all__ = [
 ]
 
 _CHUNK_BUDGET = 1 << 23          # f8 elements per chunk-sized scratch array
+_SUB_BLOCK = 1 << 18             # matrix elements per worker-side temporary
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
 _EXACT_CROSS_LIMIT = 10**7
 
@@ -229,10 +239,17 @@ def isotropic_convolve(a_diag, b_diag, beta: int, trials: int, rng: Rng) -> Empi
     if m > chain_mod.dense_cap():
         raise ValueError(f"dimension {m} exceeds the dense cap")
     gen = rng.substream(STREAM_ISO, 0)
-    out = [_iso_eigs(matgen.haar_batch(m, beta, gen, hi - lo), a,
-                     np.broadcast_to(b, (hi - lo, m)))
+    out = [_eigvalsh(_iso_mats(matgen.haar_batch(m, beta, gen, hi - lo), a,
+                               np.broadcast_to(b, (hi - lo, m))))
            for lo, hi in _chunks(m, trials)]
     return EmpiricalMeasure.from_samples(np.concatenate(out))
+
+
+def _sub_blocks(lo: int, hi: int, m: int):
+    """(s, e) ranges of at most _SUB_BLOCK matrix elements covering lo..hi."""
+    step = max(1, _SUB_BLOCK // (m * m))
+    for s in range(lo, hi, step):
+        yield s, min(hi, s + step)
 
 
 def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,8 +257,9 @@ def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(q.shape, dtype=np.result_type(q, b))
 
     def rotate(lo, hi):
-        np.matmul(q[lo:hi].conj().swapaxes(-1, -2) * b[lo:hi, None, :], q[lo:hi],
-                  out=out[lo:hi])
+        for s, e in _sub_blocks(lo, hi, q.shape[-1]):
+            np.matmul(q[s:e].conj().swapaxes(-1, -2) * b[s:e, None, :], q[s:e],
+                      out=out[s:e])
 
     map_trials(rotate, q.shape[0])
     return out
@@ -252,12 +270,12 @@ def _rotate_dense(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return q.conj().swapaxes(-1, -2) @ mats @ q
 
 
-def _iso_eigs(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The isotropic kernel: eigenvalues of diag(a) + Q† diag(b) Q per trial."""
+def _iso_mats(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The isotropic matrices diag(a) + Q† diag(b) Q, one per trial."""
     mats = _rotate_diag(q, b)
     diag = np.arange(mats.shape[-1])
     mats[:, diag, diag] += a
-    return _eigvalsh(mats)
+    return mats
 
 
 def _eigvalsh(mats: np.ndarray) -> np.ndarray:
@@ -268,6 +286,33 @@ def _eigvalsh(mats: np.ndarray) -> np.ndarray:
         out[lo:hi] = np.linalg.eigvalsh(mats[lo:hi])
 
     map_trials(eig, mats.shape[0])
+    return out
+
+
+def _power_sums(mats: np.ndarray) -> np.ndarray:
+    """Σλ¹…Σλ⁴ of each Hermitian matrix in a stack, as a (count, 4) array.
+
+    They are tr M, ⟨M, M⟩, ⟨M², M⟩ and ⟨M², M²⟩ with the real part of the
+    conjugated inner product, so one M² per matrix replaces an eigvalsh.
+    """
+    count, m = mats.shape[0], mats.shape[-1]
+    out = np.empty((count, 4))
+
+    def inner(x, y):
+        # a complex array viewed as float pairs gives Re Σ conj(x)·y
+        return np.einsum("ij,ij->i", x.reshape(len(x), -1).view(np.float64),
+                         y.reshape(len(y), -1).view(np.float64))
+
+    def sums(lo, hi):
+        for s, e in _sub_blocks(lo, hi, m):
+            x = mats[s:e]
+            sq = x @ x
+            out[s:e, 0] = np.trace(x, axis1=1, axis2=2).real
+            out[s:e, 1] = inner(x, x)
+            out[s:e, 2] = inner(sq, x)
+            out[s:e, 3] = inner(sq, sq)
+
+    map_trials(sums, count)
     return out
 
 
@@ -371,19 +416,35 @@ def _new_pool(kind, m, trials, n_blocks, keep_samples):
                      np.zeros(n_blocks, dtype=np.int64), samples)
 
 
-def _accumulate(pool: TrialPool, vals: np.ndarray, lo: int, n_blocks: int):
-    c, m = vals.shape
+def _accumulate(pool: TrialPool, sums: np.ndarray, lo: int, n_blocks: int):
+    """Add the (count, 4) per-trial Σλ¹…Σλ⁴ of the trials from `lo` on."""
+    c = sums.shape[0]
     ids = (np.arange(lo, lo + c) * n_blocks) // pool.trials
+    for j in range(4):
+        pool.moment_sums[j] += sums[:, j].sum()
+        pool.block_sums[:, j] += np.bincount(ids, weights=sums[:, j], minlength=n_blocks)
+    pool.block_counts += np.bincount(ids, minlength=n_blocks) * pool.matrix_dim
+
+
+def _add_values(pool: TrialPool, vals: np.ndarray, lo: int, n_blocks: int):
+    """Accumulate (count, m) rows of values, keeping them if the pool keeps samples."""
+    sums = np.empty((vals.shape[0], 4))
     powers = vals
     for j in range(4):
         if j:
             powers = powers * vals
-        row = powers.sum(axis=1)
-        pool.moment_sums[j] += row.sum()
-        pool.block_sums[:, j] += np.bincount(ids, weights=row, minlength=n_blocks)
-    pool.block_counts += np.bincount(ids, minlength=n_blocks) * m
+        sums[:, j] = powers.sum(axis=1)
+    _accumulate(pool, sums, lo, n_blocks)
     if pool.samples is not None:
-        pool.samples[lo:lo + c] = vals
+        pool.samples[lo:lo + vals.shape[0]] = vals
+
+
+def _add_spectra(pool: TrialPool, mats: np.ndarray, lo: int, n_blocks: int):
+    """Accumulate the spectra of Hermitian `mats`: eigenvalues only if kept."""
+    if pool.samples is None:
+        _accumulate(pool, _power_sums(mats), lo, n_blocks)
+    else:
+        _add_values(pool, _eigvalsh(mats), lo, n_blocks)
 
 
 def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
@@ -401,6 +462,13 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
     independently permuted embedded spectra, isotropic sums independently
     Haar-rotated embedded terms (the all-isotropic approximation used in
     place of a mixture), each bond with its own stream.
+
+    With `keep_samples` the isotropic and quantum spectra come from an
+    m×m ``eigvalsh`` per trial, and the pools keep them.  Without it they
+    come from ``_power_sums``: the traces of M and M² give each trial's
+    Σλ¹…Σλ⁴ exactly, from one matrix product.  The draws, blocks and
+    estimator are the same, so the two routes agree to rounding.  The
+    classical spectra are explicit values on both routes.
     """
     spec.check_dense_cap()
     for k in kinds:
@@ -427,19 +495,19 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
                 # the embedded spectra as multisets; the permutations set the order
                 emb = np.repeat(evals, m // spec.local_dim, axis=2)
                 vals = sum(_permuted(emb[:, i], g) for i, g in enumerate(perm_gens))
-            _accumulate(pools["classical"], vals, lo, n_blocks)
+            _add_values(pools["classical"], vals, lo, n_blocks)
         if haar_gens:
             if nearest:
-                vals = _iso_eigs(matgen.haar_batch(m, spec.beta, haar_gens[0], c), a, b)
+                mats = _iso_mats(matgen.haar_batch(m, spec.beta, haar_gens[0], c), a, b)
             else:
-                vals = _eigvalsh(sum(
+                mats = sum(
                     _rotate_dense(matgen.haar_batch(m, spec.beta, g, c),
                                   chain_mod.embed_sum_batch(dense[:, i:i + 1], spec, [i + 1]))
-                    for i, g in enumerate(haar_gens)))
-            _accumulate(pools["iso"], vals, lo, n_blocks)
+                    for i, g in enumerate(haar_gens))
+            _add_spectra(pools["iso"], mats, lo, n_blocks)
+            del mats                # before the quantum embedding allocates
         if "quantum" in kinds:
-            h = chain_mod.embed_sum_batch(dense, spec)
-            _accumulate(pools["quantum"], _eigvalsh(h), lo, n_blocks)
+            _add_spectra(pools["quantum"], chain_mod.embed_sum_batch(dense, spec), lo, n_blocks)
     return pools
 
 
@@ -497,7 +565,7 @@ def mixed_trace_mc(word, rotation: str, spec: ChainSpec, trials: int, rng: Rng,
             for s, p in word:
                 prod *= (a if s == "a" else b) ** p
             vals = prod.mean(axis=1)
-        _accumulate(pool, vals[:, None], lo, n_blocks)
+        _add_values(pool, vals[:, None], lo, n_blocks)
     mean = pool.summary().mu
     return (mean, pool.stderr("mu")) if with_stderr else mean
 

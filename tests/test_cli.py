@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import spinmix as sm
-from spinmix import spectra
+from spinmix import _workers, spectra
 from spinmix.cli import main
 
 
@@ -96,6 +96,12 @@ def test_run_writes_artifacts(tmp_path):
     assert prov["scipy"] == scipy.__version__
     assert prov["workers"] >= 1
     assert isinstance(prov["openblas_one_thread_per_worker"], bool)
+    for mod in (np, scipy):
+        blas = mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert prov["blas"][mod.__name__] == f"{blas['name']} {blas['version']}"
+    # the counts outside a fan-out, read back unchanged by the run
+    assert prov["openblas_threads"] == [get() for get, _ in _workers._openblas_controls()]
+    assert all(k >= 1 for k in prov["openblas_threads"])
     assert prov["chunk_trials"] == spectra._chunk_trials(8, 2500)
     # |λ| <= 2 on a two-bond ±1 chain, inside the edges ±2.5
     assert prov["mass_outside_edges"] == {"classical": 0.0, "iso": 0.0, "quantum": 0.0}

@@ -6,7 +6,8 @@ import pytest
 import spinmix as sm
 from spinmix.chain import diagonals_from_eigs
 from spinmix.matgen import gaussian_batch, haar_batch
-from spinmix.spectra import (EmpiricalMeasure, _rotate_dense, _rotate_diag,
+from spinmix import spectra
+from spinmix.spectra import (EmpiricalMeasure, _power_sums, _rotate_dense, _rotate_diag,
                              freedman_diaconis_edges)
 
 from conftest import wishart_chain
@@ -138,6 +139,52 @@ def test_rotation_kernels_match_explicit_products(m, beta):
         assert np.abs(got_dense[t] - qh @ dense[t] @ q[t]).max() < 1e-12 * m
     shared = _rotate_dense(q, dense[0])
     assert np.abs(shared[2] - q[2].conj().T @ dense[0] @ q[2]).max() < 1e-12 * m
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("m", [1, 4, 32, 128])
+def test_power_sums_match_eigenvalues(m, beta, shift):
+    gen = sm.Rng(53, m).generator()
+    x = gaussian_batch((5, m, m), beta, gen)
+    mats = x + x.conj().swapaxes(-1, -2) + shift * np.eye(m)
+    lam = np.linalg.eigvalsh(mats)
+    got = _power_sums(mats)
+    for j in (1, 2, 3, 4):
+        scale = (np.abs(lam) ** j).sum(axis=1)
+        assert np.all(np.abs(got[:, j - 1] - (lam ** j).sum(axis=1)) <= 1e-12 * scale), j
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
+    gen = sm.Rng(54, beta).generator()
+    q = haar_batch(16, beta, gen, 40)
+    b = gen.standard_normal((40, 16))
+    ref = _rotate_diag(q, b), _power_sums(_rotate_diag(q, b))
+    monkeypatch.setattr(spectra, "_SUB_BLOCK", 1)      # one matrix per sub-block
+    got = _rotate_diag(q, b), _power_sums(_rotate_diag(q, b))
+    for r, g in zip(ref, got):
+        assert np.array_equal(r, g)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("coupling_range", [2, 3])
+@pytest.mark.parametrize("ensemble", [sm.LocalEnsemble.wishart(4), sm.LocalEnsemble.goe(),
+                                      sm.LocalEnsemble.pm1()], ids=["wishart", "goe", "pm1"])
+def test_moments_only_pools_match_eigenvalue_pools(ensemble, coupling_range, beta):
+    spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=ensemble, beta=beta,
+                        coupling_range=coupling_range)
+    sums = sm.ensemble_pools(spec, 60, sm.Rng(55), n_blocks=7)
+    eigs = sm.ensemble_pools(spec, 60, sm.Rng(55), n_blocks=7, keep_samples=True)
+    ids = np.arange(60) * 7 // 60
+    for kind, pool in eigs.items():
+        assert np.array_equal(sums[kind].block_counts, pool.block_counts), kind
+        for j in (1, 2, 3, 4):
+            per_trial = (np.abs(pool.samples) ** j).sum(axis=1)
+            assert abs(sums[kind].moment_sums[j - 1] - pool.moment_sums[j - 1]) \
+                <= 1e-12 * per_trial.sum(), (kind, j)
+            assert np.all(np.abs(sums[kind].block_sums[:, j - 1] - pool.block_sums[:, j - 1])
+                          <= 1e-12 * np.bincount(ids, weights=per_trial)), (kind, j)
 
 
 def test_isotropic_validation():

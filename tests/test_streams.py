@@ -23,28 +23,38 @@ def _with_budget(budget, fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+@pytest.mark.parametrize("keep_samples", [True, False])
 @settings(max_examples=30, deadline=None)
 @given(n_sites=st.integers(3, 5), coupling_range=st.integers(2, 3), beta=st.integers(1, 2),
        ensemble=st.sampled_from(sorted(ENSEMBLES)), trials=st.integers(1, 12),
        extra=st.integers(1, 6), budgets=budget_pairs, seed=seeds)
-def test_pools_do_not_depend_on_chunking(n_sites, coupling_range, beta, ensemble, trials,
-                                         extra, budgets, seed):
+def test_pools_do_not_depend_on_chunking(keep_samples, n_sites, coupling_range, beta,
+                                         ensemble, trials, extra, budgets, seed):
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ENSEMBLES[ensemble],
                         beta=beta, coupling_range=coupling_range)
 
-    def pools(budget, t):
+    def pools(budget, t, keep=keep_samples):
         return _with_budget(budget, sm.ensemble_pools, spec, t, sm.Rng(seed),
-                            keep_samples=True)
+                            keep_samples=keep)
 
     ref, other, longer = pools(budgets[0], trials), pools(budgets[1], trials), \
         pools(budgets[1], trials + extra)
+    values = ref if keep_samples else pools(budgets[0], trials, keep=True)
     for kind, pool in ref.items():
         assert np.array_equal(other[kind].samples, pool.samples), kind
         # only the summation order differs, so compare against Σ|λ|^j
-        scale = [(np.abs(pool.samples) ** j).sum() for j in (1, 2, 3, 4)]
+        scale = [(np.abs(values[kind].samples) ** j).sum() for j in (1, 2, 3, 4)]
         assert np.all(np.abs(other[kind].moment_sums - pool.moment_sums)
                       <= 1e-12 * np.array(scale)), kind
-        assert np.array_equal(longer[kind].samples[:trials], pool.samples), kind
+        # at most 18 trials, so every block holds one trial: its sums are the
+        # trial's own, whatever the chunks
+        for field in ("block_sums", "block_counts"):
+            assert np.array_equal(getattr(other[kind], field), getattr(pool, field)), \
+                (kind, field)
+            assert np.array_equal(getattr(longer[kind], field)[:trials],
+                                  getattr(pool, field)), (kind, field)
+        if keep_samples:
+            assert np.array_equal(longer[kind].samples[:trials], pool.samples), kind
 
 
 @settings(max_examples=20, deadline=None)
@@ -87,15 +97,16 @@ def _assert_pools_equal(ref, other):
                 (kind, field)
 
 
+@pytest.mark.parametrize("keep_samples", [True, False])
 @settings(max_examples=25, deadline=None)
 @given(n_sites=st.integers(3, 5), coupling_range=st.integers(2, 3), beta=st.integers(1, 2),
        ensemble=st.sampled_from(sorted(ENSEMBLES)), trials=st.integers(1, 12), seed=seeds)
-def test_pools_do_not_depend_on_workers(worker_pools, n_sites, coupling_range, beta,
-                                        ensemble, trials, seed):
+def test_pools_do_not_depend_on_workers(worker_pools, keep_samples, n_sites, coupling_range,
+                                        beta, ensemble, trials, seed):
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ENSEMBLES[ensemble],
                         beta=beta, coupling_range=coupling_range)
     runs = {name: _with_pool(pool, sm.ensemble_pools, spec, trials, sm.Rng(seed),
-                             keep_samples=True)
+                             keep_samples=keep_samples)
             for name, pool in worker_pools.items()}
     for pools in runs.values():
         _assert_pools_equal(runs["serial"], pools)
@@ -106,19 +117,22 @@ def test_pools_do_not_depend_on_workers(worker_pools, n_sites, coupling_range, b
         assert len(values) == 1
 
 
-def test_pools_do_not_depend_on_workers_n9(worker_pools):
+@pytest.mark.parametrize("keep_samples", [True, False])
+def test_pools_do_not_depend_on_workers_n9(worker_pools, keep_samples):
     # the serial fallback runs on the calling thread at its own OpenBLAS thread
     # count, which at m=512 sums in another order: only the worker pools agree
     # bit for bit
     spec = sm.ChainSpec(n_sites=9, site_dim=2, ensemble=ENSEMBLES["wishart"])
     runs = {name: _with_pool(pool, sm.ensemble_pools, spec, 2, sm.Rng(5),
-                             keep_samples=True)
+                             keep_samples=keep_samples)
             for name, pool in worker_pools.items()}
     for k in (2, 3):
         _assert_pools_equal(runs[1], runs[k])
     for kind, pool in runs[1].items():
         serial = runs["serial"][kind]
-        assert np.abs(serial.samples - pool.samples).max() <= \
-            1e-12 * np.abs(pool.samples).max(), kind
+        if keep_samples:
+            assert np.abs(serial.samples - pool.samples).max() <= \
+                1e-12 * np.abs(pool.samples).max(), kind
+        # a Wishart chain's sums are positive, so |Σλ^j| bounds their rounding
         assert np.all(np.abs(serial.moment_sums - pool.moment_sums)
                       <= 1e-12 * np.abs(pool.moment_sums)), kind

@@ -146,6 +146,7 @@ def test_describe_reports_affinity_workers():
     one_thread = bool(_workers._openblas_controls())
     assert info["openblas_one_thread_per_worker"] is one_thread
     assert info["workers"] == (len(os.sched_getaffinity(0)) if one_thread else 1)
+    assert info["openblas_threads"] == [get() for get, _ in _workers._openblas_controls()]
 
 
 def _child_maps():
