@@ -6,7 +6,9 @@ Each ``fn`` writes its slice of an output its caller preallocated, and every
 trial is computed by the same single-threaded kernel whichever slice holds
 it, so results do not depend on the worker count.  Random draws never happen
 here: callers draw on their own thread first.  ``fn`` must not itself call
-``map_trials``.
+``map_trials``.  Callers walk each slice in sub-blocks of at most
+``_SUB_BLOCK`` matrix elements (``_sub_blocks``), which bounds the
+temporaries each worker holds.
 
 The workers are threads, one per CPU in the process's affinity mask; the
 LAPACK, BLAS and ufunc loops they run release the interpreter lock.  At
@@ -33,6 +35,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 __all__ = ["map_trials", "describe"]
+
+_SUB_BLOCK = 1 << 18             # matrix elements per worker-side temporary
 
 
 def _cpu_count() -> int:
@@ -141,6 +145,13 @@ if hasattr(os, "register_at_fork"):
 def map_trials(fn, count: int):
     """Run fn(lo, hi) over contiguous slices covering range(count); re-raise errors."""
     _pool().map(fn, count)
+
+
+def _sub_blocks(lo: int, hi: int, m: int):
+    """(s, e) ranges of at most _SUB_BLOCK m×m matrix elements covering lo..hi."""
+    step = max(1, _SUB_BLOCK // (m * m))
+    for s in range(lo, hi, step):
+        yield s, min(hi, s + step)
 
 
 def describe() -> dict:

@@ -163,19 +163,17 @@ def cmd_run(args) -> int:
                          beta=args.beta, coupling_range=args.coupling_range)
         spec.check_dense_cap()
         edges = _check_run_args(args)
+        nearest = spec.coupling_range == 2
+        # beyond nearest neighbors the sum is treated all-isotropic
+        p_analytic = slider_mod.slider_p(spec.n_sites, spec.site_dim, spec.beta).p \
+            if nearest else None
     except ValueError as exc:
         return _fail_usage(str(exc))
     rng = Rng(args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    nearest = spec.coupling_range == 2
     pools = spectra.ensemble_pools(spec, args.trials, rng, keep_samples=True)
-
-    if nearest:
-        p_analytic = slider_mod.slider_p(spec.n_sites, spec.site_dim, spec.beta).p
-    else:
-        p_analytic = None  # beyond nearest neighbors the sum is treated all-isotropic
 
     if edges is None:
         edges = _matched_edges(pools, args.bins)

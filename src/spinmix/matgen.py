@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
-from ._workers import map_trials
+from ._workers import _sub_blocks, map_trials
 
 __all__ = ["gaussian_batch", "haar_batch"]
 
@@ -59,29 +59,46 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
 
     The draws are made first, trial-major, on the calling thread, so the
     output depends neither on how callers chunk the trials nor on the
-    worker count.  The reflector scalars follow LAPACK's larfg convention,
-    computed for the whole batch at once, and vector k goes below the
-    diagonal of column k of a Fortran-ordered array, where orgqr reads the
-    reflectors of a QR factorisation.  orgqr and the sign fix fan out: each
-    worker of ``_workers.map_trials`` runs them in place on its own
-    contiguous slice, with OpenBLAS at one thread.  The workspace is queried
-    once (lwork=-1): the wrappers' default lwork forces the unblocked
-    algorithm, about 3x slower at dim 512.  lwork goes by position because
-    keyword parsing costs more than a 4x4 orgqr.
+    worker count.  Everything after the draw fans out: each worker of
+    ``_workers.map_trials`` places the vectors of its own contiguous slice,
+    vector k below the diagonal of column k of a Fortran-ordered array
+    (where orgqr reads the reflectors of a QR factorisation).  It then walks
+    the slice in sub-blocks, computing the reflector scalars in LAPACK's
+    larfg convention and running orgqr and the sign fix in place, with
+    OpenBLAS at one thread.  Every step is per matrix, so the output does
+    not depend on the slices or sub-blocks either.  The workspace is queried once
+    (lwork=-1): the wrappers' default lwork forces the unblocked algorithm,
+    about 3x slower at dim 512.  lwork goes by position because keyword
+    parsing costs more than a 4x4 orgqr.
     """
     _check_beta(beta)
     g = gaussian_batch((count, dim * (dim + 1) // 2), beta, gen)
-    # row k of v[t] is column k of the Fortran-ordered array v[t].T that orgqr
-    # reads; vector k fills it from the diagonal on
     v = np.zeros((count, dim, dim), dtype=g.dtype)
-    start = 0
-    for k in range(dim):
-        v[:, k, k:] = g[:, start:start + dim - k]
-        start += dim - k
-    del g
+    orgqr = _lapack.dorgqr if beta == 1 else _lapack.zungqr
+    probe = np.zeros((dim, dim), dtype=v.dtype)
+    lwork = int(orgqr(probe, probe[0], -1)[1][0].real)
+
+    def reflect(lo, hi):
+        # row k of v[t] is column k of the Fortran-ordered array v[t].T that
+        # orgqr reads; vector k fills it from the diagonal on.  The copy holds
+        # no temporary, so it takes the whole slice: in sub-blocks, which are
+        # one matrix at dim 512, it would cost dim slice copies per matrix
+        start = 0
+        for k in range(dim):
+            v[lo:hi, k, k:] = g[lo:hi, start:start + dim - k]
+            start += dim - k
+        for s, e in _sub_blocks(lo, hi, dim):
+            _reflectors_to_haar(v[s:e], orgqr, lwork)
+
+    map_trials(reflect, count)
+    return v
+
+
+def _reflectors_to_haar(v, orgqr, lwork):
+    """Overwrite a stack of raw Gaussian reflector vectors with their Haar matrices."""
+    dim = v.shape[-1]
     # larfg: R_kk = -sign(Re alpha) |vector k|, tau = (R_kk - alpha) / R_kk and
-    # v = x / (alpha - R_kk).  The (count, dim) arrays are updated in place:
-    # each temporary the allocator keeps adds to the peak resident memory.
+    # v = x / (alpha - R_kk), with the (count, dim) arrays updated in place
     alpha = np.diagonal(v, axis1=1, axis2=2).copy()
     flat = v.view(np.float64)
     r_diag = np.einsum("tkj,tkj->tk", flat, flat)
@@ -90,7 +107,7 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     r_diag *= -1.0
     tau = r_diag - alpha
     tau /= r_diag
-    if beta == 1:   # larfg leaves a real 1-vector alone: tau = 0, R_kk = alpha
+    if not np.iscomplexobj(v):  # larfg leaves a real 1-vector alone: tau = 0, R_kk = alpha
         r_diag[:, -1], tau[:, -1] = alpha[:, -1], 0.0
     scale = alpha[:, :-1]
     scale -= r_diag[:, :-1]
@@ -100,18 +117,10 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     # is what turns the reflector product into exact Haar measure
     sign = np.sign(r_diag, out=r_diag)
     sign[sign == 0] = 1.0
-    orgqr = _lapack.dorgqr if beta == 1 else _lapack.zungqr
-    probe = np.zeros((dim, dim), dtype=v.dtype)
-    lwork = int(orgqr(probe, probe[0], -1)[1][0].real)
-
-    def orgqr_slice(lo, hi):
-        for i in range(lo, hi):
-            # v[i].T is Fortran-ordered, so orgqr overwrites it in place with
-            # Q; v[i] then takes Q itself, row-major, from a temporary
-            q, _, info = orgqr(v[i].T, tau[i], lwork, 1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"orgqr failed (info={info})")
-            v[i] = q * sign[i]
-
-    map_trials(orgqr_slice, count)
-    return v
+    for i in range(len(v)):
+        # v[i].T is Fortran-ordered, so orgqr overwrites it in place with Q;
+        # v[i] then takes Q itself, row-major, from a temporary
+        q, _, info = orgqr(v[i].T, tau[i], lwork, 1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"orgqr failed (info={info})")
+        v[i] = q * sign[i]

@@ -13,28 +13,38 @@ therefore depend on its seed and trial count alone: not on
 ``_CHUNK_BUDGET``, and the first t trials of a longer run equal a t-trial
 run.
 
+Each chunk's sums are folded into the pools in trial order, so the pooled
+and block sums do not depend on the chunks either, bit for bit.
+
 Within a chunk the O(m³) per-trial kernels fan out over worker threads
 (``_workers.map_trials``), each worker taking a contiguous slice of the
-chunk's trials with OpenBLAS at one thread: the orgqr that forms each Haar
-matrix from its reflectors in ``matgen.haar_batch``, the rotation matmul in
-``_rotate_diag``, and the spectral kernel of every m×m isotropic, quantum
-and range-L isotropic matrix.  That kernel is ``eigvalsh`` (``_eigvalsh``)
-only where eigenvalues are kept: ``isotropic_convolve`` and pools with
-``keep_samples=True``, as ``spinmix run`` makes.  Moments-only pools need
-just each trial's Σλ¹…Σλ⁴, which for Hermitian M are tr M, ⟨M, M⟩,
-⟨M², M⟩ and ⟨M², M²⟩: ``_power_sums`` forms them from one product M·M, a
-level-3 gemm, in place of the mostly level-2 tridiagonalisation inside
-``eigvalsh``.  Both kernels give
-the same per-trial sums of the same matrices, so the two routes' pools
-agree to rounding.  Workers walk their slices in sub-blocks of at most
-``_SUB_BLOCK`` matrix elements, which bounds their temporaries.  All random
-draws stay serial on the calling thread, in trial-major order, and each
-trial is computed by the same kernel in any slice, so the output does not
-depend on the worker count either.
+chunk's trials with OpenBLAS at one thread and walking it in sub-blocks of
+at most ``_workers._SUB_BLOCK`` matrix elements, which bounds its
+temporaries.  All random draws stay serial on the calling thread, in
+trial-major order, and each trial is computed by the same kernel in any
+slice or sub-block, so the output does not depend on the worker count
+either.  Which kernels run depends on the route:
+
+* Where eigenvalues are kept (``isotropic_convolve`` and pools with
+  ``keep_samples=True``, as ``spinmix run`` makes), every m×m isotropic,
+  quantum and range-L isotropic matrix is formed (``_rotate_diag``,
+  ``chain.embed_sum_batch``) and diagonalised (``_eigvalsh``).
+* Moments-only pools need just each trial's Σλ¹…Σλ⁴.  For range L = 2
+  ``_iso_power_sums`` reduces each rotated sub-block Q† diag(b) Q at once
+  to the traces of diag(a) + Q† diag(b) Q and its powers, so the rotation
+  matmul is the only O(m³) step after the Haar draw.  ``_quantum_power_sums``
+  takes the chain's cumulants from windows of at most 3(L−1)+1 bonds,
+  which never form the chain's m×m matrix once it has more bonds than a
+  window.  The range-L > 2 isotropic sums still form the matrices, and
+  ``_power_sums`` reads tr M … tr M⁴ from one product M·M each.
+
+Both routes give the same per-trial sums of the same draws in exact
+arithmetic, so their pools agree to rounding.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,7 +53,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import matgen
-from ._workers import map_trials
+from ._workers import _sub_blocks, map_trials
 from .chain import (STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS,
                     STREAM_LOCAL_VECS, ChainSpec)
 from .rng import Rng
@@ -65,7 +75,6 @@ __all__ = [
 ]
 
 _CHUNK_BUDGET = 1 << 23          # f8 elements per chunk-sized scratch array
-_SUB_BLOCK = 1 << 18             # matrix elements per worker-side temporary
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
 _EXACT_CROSS_LIMIT = 10**7
 
@@ -127,6 +136,14 @@ class EmpiricalMeasure:
 _UNDEFINED_TOL = 1e-14
 
 
+def _raw_moments(k1, k2, k3, k4):
+    """Raw moments m1…m4 from cumulants κ1…κ4, of numbers or of arrays."""
+    return (k1,
+            k2 + k1 ** 2,
+            k3 + 3 * k2 * k1 + k1 ** 3,
+            k4 + 4 * k3 * k1 + 3 * k2 ** 2 + 6 * k2 * k1 ** 2 + k1 ** 4)
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Raw moments, cumulants and the derived (mean, variance, skew, kurtosis).
@@ -164,11 +181,7 @@ class MomentSummary:
 
     @classmethod
     def from_cumulants(cls, k1, k2, k3, k4) -> "MomentSummary":
-        m1 = k1
-        m2 = k2 + k1 ** 2
-        m3 = k3 + 3 * k2 * k1 + k1 ** 3
-        m4 = k4 + 4 * k3 * k1 + 3 * k2 ** 2 + 6 * k2 * k1 ** 2 + k1 ** 4
-        return cls.from_raw_moments(m1, m2, m3, m4)
+        return cls.from_raw_moments(*_raw_moments(k1, k2, k3, k4))
 
     def stat(self, name: str) -> Optional[float]:
         return getattr(self, name)
@@ -245,21 +258,22 @@ def isotropic_convolve(a_diag, b_diag, beta: int, trials: int, rng: Rng) -> Empi
     return EmpiricalMeasure.from_samples(np.concatenate(out))
 
 
-def _sub_blocks(lo: int, hi: int, m: int):
-    """(s, e) ranges of at most _SUB_BLOCK matrix elements covering lo..hi."""
-    step = max(1, _SUB_BLOCK // (m * m))
-    for s in range(lo, hi, step):
-        yield s, min(hi, s + step)
+def _rotate_block(q: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Q† diag(b) Q for a block of trials, as one stacked matmul.
+
+    The one rotation kernel: ``_rotate_diag`` stores its output and
+    ``_iso_power_sums`` reduces it, a sub-block at a time.
+    """
+    return np.matmul(q.conj().swapaxes(-1, -2) * b[:, None, :], q, out=out)
 
 
 def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched Q† diag(b) Q as stacked matmuls, one per worker's trial slice."""
+    """Batched Q† diag(b) Q, fanned out over the workers' trial slices."""
     out = np.empty(q.shape, dtype=np.result_type(q, b))
 
     def rotate(lo, hi):
         for s, e in _sub_blocks(lo, hi, q.shape[-1]):
-            np.matmul(q[s:e].conj().swapaxes(-1, -2) * b[s:e, None, :], q[s:e],
-                      out=out[s:e])
+            _rotate_block(q[s:e], b[s:e], out=out[s:e])
 
     map_trials(rotate, q.shape[0])
     return out
@@ -314,6 +328,87 @@ def _power_sums(mats: np.ndarray) -> np.ndarray:
 
     map_trials(sums, count)
     return out
+
+
+def _iso_power_sums(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σλ¹…Σλ⁴ of each diag(a) + B′, B′ = Q† diag(b) Q, as a (count, 4) array.
+
+    With A = diag(a), tr(A + B′)ʲ expands into traces of words in A and B′.
+    A word whose A factors stand together, tr(AʳB′ᵖ), is Σ_i a_iʳ d_p,i with
+    d_p,i = (B′ᵖ)_ii = Σ_k b_kᵖ |Q_ki|², which takes O(m²).  The only other
+    word up to degree 4 gives tr(AB′AB′) = Σ_ij a_i a_j |B′_ij|².  So the
+    rotation is the only O(m³) step, and each worker reduces its rotated
+    sub-block at once instead of storing it.
+    """
+    count, m = q.shape[0], q.shape[-1]
+    out = np.empty((count, 4))
+
+    # a complex array viewed as float pairs squares to |x|² as (re², im²) pairs
+    pairs = 2 if np.iscomplexobj(q) else 1
+
+    def sums(lo, hi):
+        for s, e in _sub_blocks(lo, hi, m):
+            qs, ak, bk = q[s:e].view(np.float64), a[s:e], b[s:e]
+            a_pow = ak[:, None, :] ** np.arange(1, 5)[:, None]       # (c, 4, m)
+            b_pow = bk[:, None, :] ** np.arange(1, 5)[:, None]
+            # d[:, p-1, i] = Σ_k b_kᵖ |Q_ki|², summing the pairs after the product
+            d = (b_pow[:, :3] @ (qs * qs)).reshape(e - s, 3, m, pairs).sum(axis=-1)
+            # Σ_ij a_i a_j |B′_ij|², with each a_j repeated against its pair
+            rot = _rotate_block(q[s:e], bk).view(np.float64)
+            rot *= rot
+            w = np.einsum("ti,ti->t", ak,
+                          (rot @ np.repeat(ak, pairs, axis=1)[:, :, None])[..., 0])
+            ad = a_pow[:, :3] @ d.swapaxes(-1, -2)                   # ad[:, i, p-1] = Σ aⁱ d_p
+            sa, sb = a_pow.sum(axis=-1), b_pow.sum(axis=-1)
+            out[s:e, 0] = sa[:, 0] + sb[:, 0]
+            out[s:e, 1] = sa[:, 1] + 2 * ad[:, 0, 0] + sb[:, 1]
+            out[s:e, 2] = sa[:, 2] + 3 * ad[:, 1, 0] + 3 * ad[:, 0, 1] + sb[:, 2]
+            out[s:e, 3] = (sa[:, 3] + 4 * ad[:, 2, 0] + 4 * ad[:, 1, 1] + 4 * ad[:, 0, 2]
+                           + 2 * w + sb[:, 3])
+
+    map_trials(sums, count)
+    return out
+
+
+def _window_cumulants(bonds: np.ndarray, spec: ChainSpec, width: int) -> np.ndarray:
+    """κ₂, κ₃, κ₄ summed over the windows of `width` consecutive centred bonds.
+
+    `bonds` is (count, nb, d^L, d^L); returns (count, 3).  Each window is
+    the Hamiltonian of a chain of width + L − 1 sites; the normalised trace
+    of an embedded product is the same on any chain that holds it, and a
+    centred window has mean 0, so κ₂ = μ₂, κ₃ = μ₃ and κ₄ = μ₄ − 3μ₂².
+    """
+    count, nb = bonds.shape[:2]
+    n_win = nb - width + 1
+    sub = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 1)
+    idx = np.arange(n_win)[:, None] + np.arange(width)
+    windows = bonds[:, idx].reshape(count * n_win, width, *bonds.shape[2:])
+    mu = (_power_sums(chain_mod.embed_sum_batch(windows, sub)) / sub.m).reshape(count, n_win, 4)
+    return np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1).sum(1)
+
+
+def _quantum_power_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """Σλ¹…Σλ⁴ of each trial's chain Hamiltonian Σ_l h_l, as a (count, 4) array.
+
+    Centre every bond term, h_l − τ(h_l)·I with τ the normalised trace, and
+    expand the cumulants κ₂…κ₄ multilinearly in the terms.  A tuple of
+    terms that splits into two groups with disjoint supports contributes
+    nothing: the groups commute, τ factorises over them and the centred
+    terms have τ = 0.  So only tuples of at most four bonds whose supports
+    form a chain contribute, and those span at most s = 3(L−1)+1 consecutive
+    bonds.  Every such tuple lies in a run of consecutive s-bond windows,
+    and in the overlaps (s − 1 bonds) of each neighbouring pair of them, so
+    the chain's cumulants are the windows' cumulants summed, less the
+    overlaps'.  With n_bonds ≤ s the one window is the chain itself.
+    """
+    nb, nloc = dense.shape[1], dense.shape[-1]
+    shift = np.trace(dense, axis1=-2, axis2=-1).real / nloc          # τ(h_l)
+    centred = dense - shift[..., None, None] * np.eye(nloc)
+    width = min(nb, 3 * (spec.coupling_range - 1) + 1)
+    kappa = _window_cumulants(centred, spec, width)
+    if width < nb:
+        kappa -= _window_cumulants(centred[:, 1:-1], spec, width - 1)
+    return spec.m * np.stack(_raw_moments(shift.sum(axis=1), *kappa.T), axis=-1)
 
 
 def _permuted(x: np.ndarray, gen) -> np.ndarray:
@@ -420,9 +515,9 @@ def _accumulate(pool: TrialPool, sums: np.ndarray, lo: int, n_blocks: int):
     """Add the (count, 4) per-trial Σλ¹…Σλ⁴ of the trials from `lo` on."""
     c = sums.shape[0]
     ids = (np.arange(lo, lo + c) * n_blocks) // pool.trials
-    for j in range(4):
-        pool.moment_sums[j] += sums[:, j].sum()
-        pool.block_sums[:, j] += np.bincount(ids, weights=sums[:, j], minlength=n_blocks)
+    # a left fold in trial order, so the sums do not depend on the chunks
+    pool.moment_sums[:] = np.cumsum(np.vstack([pool.moment_sums, sums]), axis=0)[-1]
+    np.add.at(pool.block_sums, ids, sums)
     pool.block_counts += np.bincount(ids, minlength=n_blocks) * pool.matrix_dim
 
 
@@ -439,12 +534,13 @@ def _add_values(pool: TrialPool, vals: np.ndarray, lo: int, n_blocks: int):
         pool.samples[lo:lo + vals.shape[0]] = vals
 
 
-def _add_spectra(pool: TrialPool, mats: np.ndarray, lo: int, n_blocks: int):
-    """Accumulate the spectra of Hermitian `mats`: eigenvalues only if kept."""
+def _add_spectra(pool: TrialPool, lo: int, n_blocks: int, mats, power_sums):
+    """Accumulate one chunk's spectra: the eigenvalues of the Hermitian
+    matrices ``mats()`` if the pool keeps them, else ``power_sums()``."""
     if pool.samples is None:
-        _accumulate(pool, _power_sums(mats), lo, n_blocks)
+        _accumulate(pool, power_sums(), lo, n_blocks)
     else:
-        _add_values(pool, _eigvalsh(mats), lo, n_blocks)
+        _add_values(pool, _eigvalsh(mats()), lo, n_blocks)
 
 
 def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
@@ -463,12 +559,15 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
     Haar-rotated embedded terms (the all-isotropic approximation used in
     place of a mixture), each bond with its own stream.
 
-    With `keep_samples` the isotropic and quantum spectra come from an
-    m×m ``eigvalsh`` per trial, and the pools keep them.  Without it they
-    come from ``_power_sums``: the traces of M and M² give each trial's
-    Σλ¹…Σλ⁴ exactly, from one matrix product.  The draws, blocks and
-    estimator are the same, so the two routes agree to rounding.  The
-    classical spectra are explicit values on both routes.
+    With `keep_samples` the isotropic and quantum spectra are the
+    eigenvalues of each trial's m×m matrices, and the pools keep them.
+    Without it only each trial's Σλ¹…Σλ⁴ are accumulated, each by an exact
+    identity: for L = 2 the isotropic sums come from the rotation alone
+    (``_iso_power_sums``), for L > 2 from tr M … tr M⁴ (``_power_sums``),
+    and the quantum sums from cumulants of bond windows
+    (``_quantum_power_sums``).  The draws, blocks and estimator are the
+    same, so the two routes agree to rounding.  The classical spectra are
+    explicit values on both routes.
     """
     spec.check_dense_cap()
     for k in kinds:
@@ -496,18 +595,23 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
                 emb = np.repeat(evals, m // spec.local_dim, axis=2)
                 vals = sum(_permuted(emb[:, i], g) for i, g in enumerate(perm_gens))
             _add_values(pools["classical"], vals, lo, n_blocks)
-        if haar_gens:
-            if nearest:
-                mats = _iso_mats(matgen.haar_batch(m, spec.beta, haar_gens[0], c), a, b)
-            else:
-                mats = sum(
+        if haar_gens and nearest:
+            q = matgen.haar_batch(m, spec.beta, haar_gens[0], c)
+            _add_spectra(pools["iso"], lo, n_blocks, lambda: _iso_mats(q, a, b),
+                         lambda: _iso_power_sums(q, a, b))
+            del q                   # before the quantum embedding allocates
+        elif haar_gens:
+            def iso_mats():
+                return sum(
                     _rotate_dense(matgen.haar_batch(m, spec.beta, g, c),
                                   chain_mod.embed_sum_batch(dense[:, i:i + 1], spec, [i + 1]))
                     for i, g in enumerate(haar_gens))
-            _add_spectra(pools["iso"], mats, lo, n_blocks)
-            del mats                # before the quantum embedding allocates
+
+            _add_spectra(pools["iso"], lo, n_blocks, iso_mats, lambda: _power_sums(iso_mats()))
         if "quantum" in kinds:
-            _add_spectra(pools["quantum"], chain_mod.embed_sum_batch(dense, spec), lo, n_blocks)
+            _add_spectra(pools["quantum"], lo, n_blocks,
+                         lambda: chain_mod.embed_sum_batch(dense, spec),
+                         lambda: _quantum_power_sums(dense, spec))
     return pools
 
 

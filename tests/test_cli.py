@@ -184,7 +184,9 @@ def test_run_usage_errors(tmp_path, capsys):
                                  ("--trials", "-3", "--trials must be >= 1"),
                                  ("--bins", "0", "--bins must be >= 1"),
                                  ("--edges", "0,x", "--edges:"),
-                                 ("--edges", "1,0", "--edges must be ascending")):
+                                 ("--edges", "1,0", "--edges must be ascending"),
+                                 # a two-site chain has no analytic weight
+                                 ("--n-sites", "2", "need at least 3 sites")):
         out = tmp_path / f"bad{flag}{value}"
         args = _run_args(out)
         if flag in args:

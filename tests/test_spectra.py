@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import spinmix as sm
-from spinmix.chain import diagonals_from_eigs
+from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
 from spinmix.matgen import gaussian_batch, haar_batch
-from spinmix import spectra
-from spinmix.spectra import (EmpiricalMeasure, _power_sums, _rotate_dense, _rotate_diag,
+from spinmix import _workers, spectra
+from spinmix.spectra import (EmpiricalMeasure, _iso_mats, _iso_power_sums, _power_sums,
+                             _quantum_power_sums, _rotate_dense, _rotate_diag,
                              freedman_diaconis_edges)
 
 from conftest import wishart_chain
@@ -141,6 +142,13 @@ def test_rotation_kernels_match_explicit_products(m, beta):
     assert np.abs(shared[2] - q[2].conj().T @ dense[0] @ q[2]).max() < 1e-12 * m
 
 
+def _assert_power_sums_match(got, lam):
+    """(count, 4) power sums against eigenvalue rows, to 1e-12·Σ|λ|ʲ per row."""
+    for j in (1, 2, 3, 4):
+        scale = (np.abs(lam) ** j).sum(axis=1)
+        assert np.all(np.abs(got[:, j - 1] - (lam ** j).sum(axis=1)) <= 1e-12 * scale), j
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e3])
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("m", [1, 4, 32, 128])
@@ -148,31 +156,70 @@ def test_power_sums_match_eigenvalues(m, beta, shift):
     gen = sm.Rng(53, m).generator()
     x = gaussian_batch((5, m, m), beta, gen)
     mats = x + x.conj().swapaxes(-1, -2) + shift * np.eye(m)
-    lam = np.linalg.eigvalsh(mats)
-    got = _power_sums(mats)
-    for j in (1, 2, 3, 4):
-        scale = (np.abs(lam) ** j).sum(axis=1)
-        assert np.all(np.abs(got[:, j - 1] - (lam ** j).sum(axis=1)) <= 1e-12 * scale), j
+    _assert_power_sums_match(_power_sums(mats), np.linalg.eigvalsh(mats))
 
 
 @pytest.mark.parametrize("beta", [1, 2])
 def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
-    gen = sm.Rng(54, beta).generator()
-    q = haar_batch(16, beta, gen, 40)
-    b = gen.standard_normal((40, 16))
-    ref = _rotate_diag(q, b), _power_sums(_rotate_diag(q, b))
-    monkeypatch.setattr(spectra, "_SUB_BLOCK", 1)      # one matrix per sub-block
-    got = _rotate_diag(q, b), _power_sums(_rotate_diag(q, b))
-    for r, g in zip(ref, got):
+    def kernels():
+        gen = sm.Rng(54, beta).generator()
+        q = haar_batch(16, beta, gen, 40)
+        a, b = gen.standard_normal((2, 40, 16))
+        return q, _rotate_diag(q, b), _power_sums(_rotate_diag(q, b)), _iso_power_sums(q, a, b)
+
+    ref = kernels()
+    monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)      # one matrix per sub-block
+    for r, g in zip(ref, kernels()):
         assert np.array_equal(r, g)
 
 
 @pytest.mark.parametrize("beta", [1, 2])
-@pytest.mark.parametrize("coupling_range", [2, 3])
-@pytest.mark.parametrize("ensemble", [sm.LocalEnsemble.wishart(4), sm.LocalEnsemble.goe(),
-                                      sm.LocalEnsemble.pm1()], ids=["wishart", "goe", "pm1"])
-def test_moments_only_pools_match_eigenvalue_pools(ensemble, coupling_range, beta):
-    spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=ensemble, beta=beta,
+@pytest.mark.parametrize("m", [4, 32, 128])
+def test_iso_power_sums_match_matrix_power_sums(m, beta):
+    gen = sm.Rng(56, m).generator()
+    q = haar_batch(m, beta, gen, 5)
+    a, b = gen.standard_normal((2, 5, m))
+    b[1] += 1e3                                   # a shifted spectrum
+    mats = _iso_mats(q, a, b)
+    want, lam = _power_sums(mats), np.linalg.eigvalsh(mats)
+    got = _iso_power_sums(q, a, b)
+    for j in (1, 2, 3, 4):
+        scale = (np.abs(lam) ** j).sum(axis=1)
+        assert np.all(np.abs(got[:, j - 1] - want[:, j - 1]) <= 1e-12 * scale), j
+
+
+def _quantum_oracle_cases():
+    wishart = sm.LocalEnsemble.wishart(4)
+    for n_sites in range(3, 10):
+        for beta in (1, 2):
+            yield pytest.param(sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=wishart,
+                                            beta=beta), id=f"N{n_sites}-beta{beta}")
+    yield pytest.param(sm.ChainSpec(n_sites=6, site_dim=3, ensemble=sm.LocalEnsemble.goe()),
+                       id="d3-N6")
+    # two windows of seven bonds and their overlap
+    yield pytest.param(sm.ChainSpec(n_sites=10, site_dim=2, ensemble=wishart,
+                                    coupling_range=3), id="L3-N10")
+    shifted = sm.LocalEnsemble.fixed_spectrum(np.array([-1.5, -0.5, 0.5, 1.5]) + 1e3)
+    yield pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=shifted, beta=2),
+                       id="fixed-shifted")
+
+
+@pytest.mark.parametrize("spec", _quantum_oracle_cases())
+def test_quantum_power_sums_match_eigenvalues(spec):
+    gen = sm.Rng(57, spec.n_sites).generator()
+    count = 2 if spec.m > 512 else 4
+    _, dense = draw_local_batch(spec, count, gen, vec_gen=gen)
+    lam = np.linalg.eigvalsh(embed_sum_batch(dense, spec))
+    _assert_power_sums_match(_quantum_power_sums(dense, spec), lam)
+
+
+POOL_ENSEMBLES = pytest.mark.parametrize(
+    "ensemble", [sm.LocalEnsemble.wishart(4), sm.LocalEnsemble.goe(), sm.LocalEnsemble.pm1()],
+    ids=["wishart", "goe", "pm1"])
+
+
+def _assert_moments_only_pools_match(n_sites, ensemble, coupling_range, beta):
+    spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
                         coupling_range=coupling_range)
     sums = sm.ensemble_pools(spec, 60, sm.Rng(55), n_blocks=7)
     eigs = sm.ensemble_pools(spec, 60, sm.Rng(55), n_blocks=7, keep_samples=True)
@@ -185,6 +232,42 @@ def test_moments_only_pools_match_eigenvalue_pools(ensemble, coupling_range, bet
                 <= 1e-12 * per_trial.sum(), (kind, j)
             assert np.all(np.abs(sums[kind].block_sums[:, j - 1] - pool.block_sums[:, j - 1])
                           <= 1e-12 * np.bincount(ids, weights=per_trial)), (kind, j)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("coupling_range", [2, 3])
+@POOL_ENSEMBLES
+def test_moments_only_pools_match_eigenvalue_pools(ensemble, coupling_range, beta):
+    _assert_moments_only_pools_match(5, ensemble, coupling_range, beta)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("coupling_range", [2, 3])
+@POOL_ENSEMBLES
+def test_moments_only_pools_match_eigenvalue_pools_n7(ensemble, coupling_range, beta):
+    # at N=5 the one window is the whole chain; at N=7 and L=2 the quantum
+    # sums come from three windows less two overlaps
+    _assert_moments_only_pools_match(7, ensemble, coupling_range, beta)
+
+
+def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
+    # at N=7 and L=2 the quantum sums embed 32×32 windows only, and the
+    # rotated isotropic matrices are reduced per sub-block, never stored
+    spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
+    widths = []
+    embed = spectra.chain_mod.embed_sum_batch
+
+    def recording_embed(dense, sub, *args):
+        widths.append(sub.m)
+        return embed(dense, sub, *args)
+
+    def no_rotated_stack(q, b):
+        raise AssertionError("the moments-only route stored a rotated stack")
+
+    monkeypatch.setattr(spectra.chain_mod, "embed_sum_batch", recording_embed)
+    monkeypatch.setattr(spectra, "_rotate_diag", no_rotated_stack)
+    sm.ensemble_pools(spec, 5, sm.Rng(58))
+    assert widths and max(widths) == 32
 
 
 def test_isotropic_validation():

@@ -39,15 +39,13 @@ def test_pools_do_not_depend_on_chunking(keep_samples, n_sites, coupling_range, 
 
     ref, other, longer = pools(budgets[0], trials), pools(budgets[1], trials), \
         pools(budgets[1], trials + extra)
-    values = ref if keep_samples else pools(budgets[0], trials, keep=True)
     for kind, pool in ref.items():
-        assert np.array_equal(other[kind].samples, pool.samples), kind
-        # only the summation order differs, so compare against Σ|λ|^j
-        scale = [(np.abs(values[kind].samples) ** j).sum() for j in (1, 2, 3, 4)]
-        assert np.all(np.abs(other[kind].moment_sums - pool.moment_sums)
-                      <= 1e-12 * np.array(scale)), kind
+        # the sums are folded in trial order, whatever the chunks
+        for field in ("samples", "moment_sums"):
+            assert np.array_equal(getattr(other[kind], field), getattr(pool, field)), \
+                (kind, field)
         # at most 18 trials, so every block holds one trial: its sums are the
-        # trial's own, whatever the chunks
+        # trial's own
         for field in ("block_sums", "block_counts"):
             assert np.array_equal(getattr(other[kind], field), getattr(pool, field)), \
                 (kind, field)
@@ -136,3 +134,16 @@ def test_pools_do_not_depend_on_workers_n9(worker_pools, keep_samples):
         # a Wishart chain's sums are positive, so |Σλ^j| bounds their rounding
         assert np.all(np.abs(serial.moment_sums - pool.moment_sums)
                       <= 1e-12 * np.abs(pool.moment_sums)), kind
+
+
+def test_windowed_pools_do_not_depend_on_workers_or_chunking(worker_pools):
+    # the hypothesis tests draw N <= 5, where the quantum sums come from one
+    # window; at N=7 they sum three windows less two overlaps
+    spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=ENSEMBLES["wishart"], beta=2)
+    runs = {name: _with_pool(pool, sm.ensemble_pools, spec, 20, sm.Rng(6), n_blocks=6)
+            for name, pool in worker_pools.items() if name != "serial"}
+    for budget in (1, 7 * spec.m ** 2):        # chunks of one and of seven trials
+        runs[budget] = _with_pool(worker_pools[2], _with_budget, budget, sm.ensemble_pools,
+                                  spec, 20, sm.Rng(6), n_blocks=6)
+    for pools in runs.values():
+        _assert_pools_equal(runs[1], pools)
