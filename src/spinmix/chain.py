@@ -1,10 +1,13 @@
 """Chain Hamiltonians: Kronecker embedding, odd/even split, structured rotation.
 
-A chain of N qudits of dimension d carries one random bond term per pair of
-adjacent sites (range L=2 unless stated).  Bonds at odd positions mutually
-commute, as do bonds at even positions, so each parity class is jointly
-diagonalizable; the diagonals a and b built here are the raw material for the
-classical / isotropic / quantum convolutions in :mod:`spinmix.spectra`.
+A chain of N qudits of dimension d carries one random bond term per run of L
+adjacent sites, n_bonds = N − L + 1 of them.  At range L = 2, bonds at odd
+positions mutually commute, as do bonds at even positions, so each parity
+class is jointly diagonalizable; the diagonals a and b built here are the
+raw material for the classical / isotropic / quantum convolutions in
+:mod:`spinmix.spectra`.  At L > 2 there is no such split, and each bond's
+embedded term I ⊗ h ⊗ I is its own summand, with the spectrum of h repeated
+d^(N−L) times.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +29,6 @@ __all__ = [
     "embed_local",
     "assemble_chain",
     "build_quantum_rotation",
-    "exact_spectrum",
 ]
 
 DEFAULT_MAX_DIM = 4096
@@ -41,9 +42,7 @@ STREAM_ISO = 2
 STREAM_LOCAL_VECS = 3
 
 
-def dense_cap(override: Optional[int] = None) -> int:
-    if override is not None:
-        return int(override)
+def dense_cap() -> int:
     return int(os.environ.get(_MAX_DIM_ENV, DEFAULT_MAX_DIM))
 
 
@@ -97,7 +96,6 @@ class ChainSpec:
     beta: int = 1
     coupling_range: int = 2
     boundary: str = "open"
-    max_dim: Optional[int] = None
 
     def __post_init__(self):
         if self.n_sites < 2:
@@ -150,11 +148,11 @@ class ChainSpec:
             raise ValueError("odd/even split is defined for L=2 only")
 
     def check_dense_cap(self):
-        cap = dense_cap(self.max_dim)
+        cap = dense_cap()
         if self.m > cap:
             raise ValueError(
                 f"dense dimension d^N = {self.m} exceeds the cap {cap}; "
-                f"raise max_dim or the {_MAX_DIM_ENV} environment variable")
+                f"raise the {_MAX_DIM_ENV} environment variable")
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +220,17 @@ def embed_local(term, bond_index: int, spec: ChainSpec) -> np.ndarray:
     return np.kron(np.kron(np.eye(left), h), np.eye(right))
 
 
-def embed_sum_batch(dense: np.ndarray, spec: ChainSpec,
-                    bond_positions: Optional[Sequence[int]] = None) -> np.ndarray:
+def embed_sum_batch(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
     """Sum of embedded bond terms for a batch: (count, m, m).
 
-    `bond_positions` gives the 1-based position of each slice of `dense`;
-    by default the slices are all bonds 1..n_bonds in order.
+    `dense` is (count, n_bonds, d^L, d^L), slice i holding bond i + 1.
     """
     count, nb, nloc = dense.shape[0], dense.shape[1], dense.shape[2]
-    if bond_positions is None:
-        bond_positions = range(1, nb + 1)
-        if nb != spec.n_bonds:
-            raise ValueError("batch holds a different number of bonds than the spec")
-    bond_positions = list(bond_positions)
-    if len(bond_positions) != nb or nloc != spec.local_dim:
+    if nb != spec.n_bonds or nloc != spec.local_dim:
         raise ValueError("batch shape does not match the chain spec")
     out = np.zeros((count, spec.m, spec.m), dtype=dense.dtype)
-    for i, l in enumerate(bond_positions):
-        left = spec.site_dim ** (l - 1)
+    for i in range(nb):
+        left = spec.site_dim ** i
         right = spec.m // (left * nloc)
         # I_left ⊗ H ⊗ I_right is nonzero only at row (p, i, r), column
         # (p, j, r); add H into a writable view of exactly those entries
@@ -262,8 +253,11 @@ def assemble_chain(spec: ChainSpec, rng: Rng):
     _, dense = draw_local_batch(
         spec, 1, rng.substream(STREAM_LOCAL_EIGS, 0),
         vec_gen=rng.substream(STREAM_LOCAL_VECS, 0), need_dense=True)
-    h_odd, h_even = (embed_sum_batch(dense[:, [l - 1 for l in bonds]], spec, bonds)[0]
-                     for bonds in (spec.odd_bonds, spec.even_bonds))
+    # each parity from the full bond stack with the other parity's terms
+    # zeroed; adding zeros leaves its sum bit for bit as it was
+    odd = (np.arange(spec.n_bonds) % 2 == 0)[:, None, None]      # bonds 1, 3, …
+    h_odd, h_even = (embed_sum_batch(np.where(keep, dense, 0), spec)[0]
+                     for keep in (odd, ~odd))
     return h_odd + h_even, h_odd, h_even, dense[0]
 
 
@@ -331,19 +325,3 @@ def build_quantum_rotation(odd_factors, even_factors, spec: ChainSpec) -> np.nda
         qa = reduce(np.kron, odd)
         qb = np.kron(np.kron(eye_d, reduce(np.kron, even)), eye_d)
     return qa.conj().T @ qb
-
-
-# ---------------------------------------------------------------------------
-# diagonalization
-
-
-def exact_spectrum(matrix: np.ndarray, hermiticity_tol: float = 1e-10) -> np.ndarray:
-    """Ascending eigenvalues of a dense Hermitian matrix."""
-    h = np.asarray(matrix)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(h).max()))
-    defect = float(np.abs(h - h.conj().T).max())
-    if defect > hermiticity_tol * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return np.linalg.eigvalsh(h)

@@ -97,6 +97,8 @@ def _check_run_args(args):
         edges = np.array([float(v) for v in args.edges.split(",")])
     except ValueError as exc:
         raise ValueError(f"--edges: {exc}") from exc
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("--edges must be finite")
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("--edges must be ascending with >= 2 entries")
     return edges

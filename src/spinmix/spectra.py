@@ -8,7 +8,7 @@ stream, so requesting fewer ensembles never changes the others' output.
 
 Trials run in memory chunks of ``_chunk_trials`` trials, but a sampler opens
 each child stream once per call, as ``rng.substream(purpose, j)`` with j = 0
-or a bond index, and draws from it in trial-major order.  A run's numbers
+or a summand index, and draws from it in trial-major order.  A run's numbers
 therefore depend on its seed and trial count alone: not on
 ``_CHUNK_BUDGET``, and the first t trials of a longer run equal a t-trial
 run.
@@ -23,20 +23,26 @@ at most ``_workers._SUB_BLOCK`` matrix elements, which bounds its
 temporaries.  All random draws stay serial on the calling thread, in
 trial-major order, and each trial is computed by the same kernel in any
 slice or sub-block, so the output does not depend on the worker count
-either.  Which kernels run depends on the route:
+either.
+
+Each trial's spectrum is a list of diagonal summands s₀ … s_k: the
+odd/even diagonals (a, b) at range L = 2, each bond's embedded spectrum at
+L > 2.  The classical pool permutes, and the isotropic pool Haar-rotates,
+every summand after the first, summand i on the child stream
+``(purpose, i − 1)``.  Which kernels run depends on the route:
 
 * Where eigenvalues are kept (``isotropic_convolve`` and pools with
-  ``keep_samples=True``, as ``spinmix run`` makes), every m×m isotropic,
-  quantum and range-L isotropic matrix is formed (``_rotate_diag``,
-  ``chain.embed_sum_batch``) and diagonalised (``_eigvalsh``).
-* Moments-only pools need just each trial's Σλ¹…Σλ⁴.  For range L = 2
-  ``_iso_power_sums`` reduces each rotated sub-block Q† diag(b) Q at once
-  to the traces of diag(a) + Q† diag(b) Q and its powers, so the rotation
-  matmul is the only O(m³) step after the Haar draw.  ``_quantum_power_sums``
-  takes the chain's cumulants from windows of at most 3(L−1)+1 bonds,
-  which never form the chain's m×m matrix once it has more bonds than a
-  window.  The range-L > 2 isotropic sums still form the matrices, and
-  ``_power_sums`` reads tr M … tr M⁴ from one product M·M each.
+  ``keep_samples=True``, as ``spinmix run`` makes), every m×m isotropic and
+  quantum matrix is formed (``_iso_mats``, ``chain.embed_sum_batch``) and
+  diagonalised (``_eigvalsh``).
+* Moments-only pools need just each trial's Σλ¹…Σλ⁴.  With one rotated
+  summand (every L = 2 chain) ``_iso_power_sums`` reduces each rotated
+  sub-block Q† diag(s₁) Q at once to the traces of diag(s₀) + Q† diag(s₁) Q
+  and its powers, so the rotation matmul is the only O(m³) step after the
+  Haar draw; with more, ``_power_sums`` reads tr M … tr M⁴ of the summed
+  matrices from one product M·M each.  ``_quantum_power_sums`` takes the
+  chain's cumulants from windows of at most 3(L−1)+1 bonds, which never
+  form the chain's m×m matrix once it has more bonds than a window.
 
 Both routes give the same per-trial sums of the same draws in exact
 arithmetic, so their pools agree to rounding.
@@ -68,7 +74,6 @@ __all__ = [
     "isotropic_convolve",
     "ensemble_pools",
     "jackknife_stderr",
-    "mixed_trace_mc",
     "gram_charlier_density",
     "ks_distance",
     "histogram",
@@ -252,8 +257,8 @@ def isotropic_convolve(a_diag, b_diag, beta: int, trials: int, rng: Rng) -> Empi
     if m > chain_mod.dense_cap():
         raise ValueError(f"dimension {m} exceeds the dense cap")
     gen = rng.substream(STREAM_ISO, 0)
-    out = [_eigvalsh(_iso_mats(matgen.haar_batch(m, beta, gen, hi - lo), a,
-                               np.broadcast_to(b, (hi - lo, m))))
+    out = [_eigvalsh(_iso_mats([a, np.broadcast_to(b, (hi - lo, m))],
+                               [matgen.haar_batch(m, beta, gen, hi - lo)]))
            for lo, hi in _chunks(m, trials)]
     return EmpiricalMeasure.from_samples(np.concatenate(out))
 
@@ -279,16 +284,21 @@ def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotate_dense(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Batched Q† M Q; `mats` may be one matrix shared by the whole batch."""
-    return q.conj().swapaxes(-1, -2) @ mats @ q
+def _iso_mats(summands, rotations) -> np.ndarray:
+    """The isotropic matrices diag(s₀) + Σ_{i≥1} Q_i† diag(s_i) Q_i, one per trial.
 
-
-def _iso_mats(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The isotropic matrices diag(a) + Q† diag(b) Q, one per trial."""
-    mats = _rotate_diag(q, b)
+    `summands` holds at least two diagonals s₀, s₁, …; `rotations` yields
+    the Haar batches Q₁, Q₂, … in turn.  Each further rotation is added in
+    place into the first one's output; when `rotations` draws lazily no Q
+    outlives its rotation, so the sum, one Q and one rotated stack are the
+    most held at once.
+    """
+    qs = iter(rotations)
+    mats = _rotate_diag(next(qs), summands[1])
+    for s in summands[2:]:
+        mats += _rotate_diag(next(qs), s)
     diag = np.arange(mats.shape[-1])
-    mats[:, diag, diag] += a
+    mats[:, diag, diag] += summands[0]
     return mats
 
 
@@ -429,20 +439,6 @@ def _chunks(m: int, trials: int):
         yield lo, min(trials, lo + step)
 
 
-def _local_draws(spec: ChainSpec, trials: int, rng: Rng, need_dense: bool):
-    """Yield (lo, evals, dense) of the bond draws, one memory chunk at a time.
-
-    Both local streams are opened once and drawn trial-major, so the draws
-    do not depend on where the chunk boundaries fall.
-    """
-    eig_gen = rng.substream(STREAM_LOCAL_EIGS, 0)
-    vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
-    for lo, hi in _chunks(spec.m, trials):
-        evals, dense = chain_mod.draw_local_batch(spec, hi - lo, eig_gen, vec_gen=vec_gen,
-                                                  need_dense=need_dense)
-        yield lo, evals, dense
-
-
 # ---------------------------------------------------------------------------
 # ensemble pipelines
 
@@ -534,13 +530,13 @@ def _add_values(pool: TrialPool, vals: np.ndarray, lo: int, n_blocks: int):
         pool.samples[lo:lo + vals.shape[0]] = vals
 
 
-def _add_spectra(pool: TrialPool, lo: int, n_blocks: int, mats, power_sums):
-    """Accumulate one chunk's spectra: the eigenvalues of the Hermitian
-    matrices ``mats()`` if the pool keeps them, else ``power_sums()``."""
+def _add_matrices(pool: TrialPool, mats: np.ndarray, lo: int, n_blocks: int):
+    """Accumulate the spectra of one chunk's Hermitian matrices: their
+    eigenvalues if the pool keeps them, else tr M … tr M⁴."""
     if pool.samples is None:
-        _accumulate(pool, power_sums(), lo, n_blocks)
+        _accumulate(pool, _power_sums(mats), lo, n_blocks)
     else:
-        _add_values(pool, _eigvalsh(mats()), lo, n_blocks)
+        _add_values(pool, _eigvalsh(mats), lo, n_blocks)
 
 
 def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
@@ -552,19 +548,23 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
     of the local eigenvalues, so cross-ensemble differences (kurtosis gaps,
     mixture weights) are estimated with strongly reduced variance.
 
-    For range L = 2 the classical and isotropic spectra are those of
-    a + Π b and diag(a) + Q† diag(b) Q over the odd/even diagonals.  For
-    L > 2 every embedded bond term is its own summand: classical sums
-    independently permuted embedded spectra, isotropic sums independently
-    Haar-rotated embedded terms (the all-isotropic approximation used in
-    place of a mixture), each bond with its own stream.
+    Each trial's spectrum is split into diagonal summands s₀ … s_k: the
+    odd/even diagonals (a, b) for range L = 2, and each bond's embedded
+    spectrum for L > 2.  The classical spectrum is s₀ + Σ_{i≥1} Π_i s_i and
+    the isotropic one that of diag(s₀) + Σ_{i≥1} Q_i† diag(s_i) Q_i, with
+    summand i permuted or rotated on stream ``(purpose, i − 1)``.  A bond
+    term I ⊗ h ⊗ I is U diag(s) U† for some unitary U, and U†Q is Haar when
+    Q is, so rotating its diagonal draws the same law as rotating the
+    dense term; conjugating the whole sum leaves its spectrum unchanged, so
+    s₀ needs no rotation.  For L > 2 this is the all-isotropic
+    approximation, used in place of a mixture.
 
     With `keep_samples` the isotropic and quantum spectra are the
     eigenvalues of each trial's m×m matrices, and the pools keep them.
     Without it only each trial's Σλ¹…Σλ⁴ are accumulated, each by an exact
-    identity: for L = 2 the isotropic sums come from the rotation alone
-    (``_iso_power_sums``), for L > 2 from tr M … tr M⁴ (``_power_sums``),
-    and the quantum sums from cumulants of bond windows
+    identity: with one rotated summand the isotropic sums come from the
+    rotation alone (``_iso_power_sums``), with more from tr M … tr M⁴
+    (``_power_sums``), and the quantum sums from cumulants of bond windows
     (``_quantum_power_sums``).  The draws, blocks and estimator are the
     same, so the two routes agree to rounding.  The classical spectra are
     explicit values on both routes.
@@ -573,143 +573,45 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
     for k in kinds:
         if k not in ("classical", "iso", "quantum"):
             raise ValueError(f"unknown ensemble kind {k!r}")
-    m, nearest = spec.m, spec.coupling_range == 2
+    m = spec.m
     n_blocks = min(n_blocks, trials)
     pools = {k: _new_pool(k, m, trials, n_blocks, keep_samples) for k in kinds}
-    # one stream per independently rotated summand
-    n_streams = 1 if nearest else spec.n_bonds
-    perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in range(n_streams)] \
-        if "classical" in kinds else []
-    haar_gens = [rng.substream(STREAM_ISO, j) for j in range(n_streams)] \
-        if "iso" in kinds else []
-    need_dense = "quantum" in kinds or (bool(haar_gens) and not nearest)
-    for lo, evals, dense in _local_draws(spec, trials, rng, need_dense):
-        c = evals.shape[0]
-        if nearest and (perm_gens or haar_gens):
-            a, b = chain_mod.diagonals_from_eigs(evals, spec)
-        if perm_gens:
-            if nearest:
-                vals = a + _permuted(b, perm_gens[0])
-            else:
-                # the embedded spectra as multisets; the permutations set the order
-                emb = np.repeat(evals, m // spec.local_dim, axis=2)
-                vals = sum(_permuted(emb[:, i], g) for i, g in enumerate(perm_gens))
+    # one stream per permuted or rotated summand s₁ … s_k: b at L = 2, and
+    # every bond after the first at L > 2
+    n_rotated = 1 if spec.coupling_range == 2 else spec.n_bonds - 1
+    perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in range(n_rotated)]
+    haar_gens = [rng.substream(STREAM_ISO, j) for j in range(n_rotated)]
+    # both local streams are opened once and drawn trial-major, so the draws
+    # do not depend on where the chunk boundaries fall
+    eig_gen = rng.substream(STREAM_LOCAL_EIGS, 0)
+    vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
+    for lo, hi in _chunks(m, trials):
+        c = hi - lo
+        evals, dense = chain_mod.draw_local_batch(spec, c, eig_gen, vec_gen=vec_gen,
+                                                  need_dense="quantum" in kinds)
+        if spec.coupling_range == 2:
+            summands = chain_mod.diagonals_from_eigs(evals, spec)
+        else:
+            emb = np.repeat(evals, m // spec.local_dim, axis=2)
+            summands = [emb[:, i] for i in range(spec.n_bonds)]
+        if "classical" in kinds:
+            vals = summands[0]
+            for s, g in zip(summands[1:], perm_gens):
+                vals = vals + _permuted(s, g)
             _add_values(pools["classical"], vals, lo, n_blocks)
-        if haar_gens and nearest:
-            q = matgen.haar_batch(m, spec.beta, haar_gens[0], c)
-            _add_spectra(pools["iso"], lo, n_blocks, lambda: _iso_mats(q, a, b),
-                         lambda: _iso_power_sums(q, a, b))
-            del q                   # before the quantum embedding allocates
-        elif haar_gens:
-            def iso_mats():
-                return sum(
-                    _rotate_dense(matgen.haar_batch(m, spec.beta, g, c),
-                                  chain_mod.embed_sum_batch(dense[:, i:i + 1], spec, [i + 1]))
-                    for i, g in enumerate(haar_gens))
-
-            _add_spectra(pools["iso"], lo, n_blocks, iso_mats, lambda: _power_sums(iso_mats()))
-        if "quantum" in kinds:
-            _add_spectra(pools["quantum"], lo, n_blocks,
-                         lambda: chain_mod.embed_sum_batch(dense, spec),
-                         lambda: _quantum_power_sums(dense, spec))
+        if "iso" in kinds and len(summands) == 1:   # N = L: nothing to rotate
+            _add_values(pools["iso"], summands[0], lo, n_blocks)
+        elif "iso" in kinds:
+            qs = (matgen.haar_batch(m, spec.beta, g, c) for g in haar_gens)
+            if len(summands) == 2 and not keep_samples:
+                _accumulate(pools["iso"], _iso_power_sums(next(qs), *summands), lo, n_blocks)
+            else:
+                _add_matrices(pools["iso"], _iso_mats(summands, qs), lo, n_blocks)
+        if "quantum" in kinds and keep_samples:
+            _add_matrices(pools["quantum"], chain_mod.embed_sum_batch(dense, spec), lo, n_blocks)
+        elif "quantum" in kinds:
+            _accumulate(pools["quantum"], _quantum_power_sums(dense, spec), lo, n_blocks)
     return pools
-
-
-# ---------------------------------------------------------------------------
-# mixed trace words
-
-
-def mixed_trace_mc(word, rotation: str, spec: ChainSpec, trials: int, rng: Rng,
-                   with_stderr: bool = False):
-    """Monte Carlo value of (1/m) E Tr of an alternating word in A and B.
-
-    `word` is a sequence of (side, power) with side in {"a", "b"}; the "b"
-    matrix is conjugated by the chosen rotation ensemble: an independent
-    uniform permutation, a full Haar rotation, or the chain's structured
-    bond-factor rotation.  Calls with the same rng share local draws across
-    rotations, so ensemble differences can be estimated with common random
-    numbers.
-    """
-    word = [(str(s), int(p)) for s, p in word]
-    if not word:
-        raise ValueError("word must be nonempty")
-    for s, p in word:
-        if s not in ("a", "b") or p < 1:
-            raise ValueError("word entries must be ('a'|'b', power >= 1)")
-    if rotation not in ("permutation", "haar", "quantum"):
-        raise ValueError(f"unknown rotation {rotation!r}")
-    spec._require_nearest_neighbor()
-    spec.check_dense_cap()
-    m = spec.m
-    n_blocks = min(50, trials)
-    pool = _new_pool("word", 1, trials, n_blocks, False)  # one value per trial
-    # an A-only word never sees the rotation
-    rotated = rotation if any(s == "b" for s, _ in word) else None
-    if rotated == "permutation":
-        perm_gen = rng.substream(STREAM_CLASSICAL, 0)
-    elif rotated == "haar":
-        haar_gen = rng.substream(STREAM_ISO, 0)
-    for lo, evals, dense in _local_draws(spec, trials, rng, rotated == "quantum"):
-        a, b = chain_mod.diagonals_from_eigs(evals, spec)
-        c = a.shape[0]
-        if rotated == "haar":
-            q = matgen.haar_batch(m, spec.beta, haar_gen, c)
-            vals = _word_value_dense(word, a, lambda p: _rotate_diag(q, b ** p), m)
-        elif rotated == "quantum":
-            h_odd, h_even = (chain_mod.embed_sum_batch(dense[:, [l - 1 for l in bonds]],
-                                                       spec, bonds)
-                             for bonds in (spec.odd_bonds, spec.even_bonds))
-            # by cyclicity the structured-rotation word equals the same word
-            # in the dense odd/even matrices in the computational basis
-            vals = _word_value_two_dense(word, h_odd, h_even, m)
-        else:
-            if rotated == "permutation":
-                b = _permuted(b, perm_gen)
-            prod = np.ones((c, m))
-            for s, p in word:
-                prod *= (a if s == "a" else b) ** p
-            vals = prod.mean(axis=1)
-        _add_values(pool, vals[:, None], lo, n_blocks)
-    mean = pool.summary().mu
-    return (mean, pool.stderr("mu")) if with_stderr else mean
-
-
-def _word_value_dense(word, a, b_power_fn, m):
-    cache = {}
-    mat = None
-    pend = None
-    for s, p in word:
-        if s == "a":
-            v = a ** p
-            pend = v if pend is None else pend * v
-        else:
-            if p not in cache:
-                cache[p] = b_power_fn(p)
-            bp = cache[p]
-            if pend is not None:
-                bp = pend[:, :, None] * bp
-                pend = None
-            mat = bp if mat is None else mat @ bp
-    if mat is None:
-        return pend.mean(axis=1)
-    if pend is not None:
-        return np.einsum("tii,ti->t", mat, pend).real / m
-    return np.einsum("tii->t", mat).real / m
-
-
-def _word_value_two_dense(word, h_odd, h_even, m):
-    pow_cache = {("a", 1): h_odd, ("b", 1): h_even}
-
-    def matpow(side, p):
-        if (side, p) not in pow_cache:
-            pow_cache[(side, p)] = pow_cache[(side, p - 1)] @ pow_cache[(side, 1)]
-        return pow_cache[(side, p)]
-
-    mat = None
-    for s, p in word:
-        term = matpow(s, p)
-        mat = term if mat is None else mat @ term
-    return np.einsum("tii->t", mat).real / m
 
 
 # ---------------------------------------------------------------------------

@@ -185,15 +185,18 @@ def test_run_usage_errors(tmp_path, capsys):
                                  ("--bins", "0", "--bins must be >= 1"),
                                  ("--edges", "0,x", "--edges:"),
                                  ("--edges", "1,0", "--edges must be ascending"),
+                                 ("--edges", "0,nan,40", "--edges must be finite"),
+                                 ("--edges", "-inf,0,inf", "--edges must be finite"),
                                  # a two-site chain has no analytic weight
                                  ("--n-sites", "2", "need at least 3 sites")):
         out = tmp_path / f"bad{flag}{value}"
         args = _run_args(out)
         if flag in args:
-            args[args.index(flag) + 1] = value
-        else:
-            args[-2:-2] = [flag, value]
-        assert main(args) == 2, (flag, value)
+            del args[args.index(flag):args.index(flag) + 2]
+        args[-2:-2] = [f"{flag}={value}"]           # "=" lets a value start with "-"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2, (flag, value)
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not out.exists(), (flag, value)

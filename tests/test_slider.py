@@ -8,6 +8,7 @@ import pytest
 import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch
 from spinmix.matgen import haar_batch
+from spinmix.cli import _p_empirical
 from spinmix.slider import SliderDims
 
 from conftest import wishart_chain
@@ -191,17 +192,30 @@ def test_slider_p_even_sites():
     assert sm.slider_p(5, 2, 1).p == sm.p_universal(5, 2, 1).p
 
 
+def _p_empirical_z(spec, trials, rng):
+    """(p_empirical − slider_p) over the jackknife s.e., as `spinmix run` reports them."""
+    pools = sm.ensemble_pools(spec, trials, rng)
+    kinds = [pools[k] for k in ("quantum", "classical", "iso")]
+    p = _p_empirical([k.summary() for k in kinds])
+    se = sm.jackknife_stderr(kinds, _p_empirical)
+    return (p - sm.slider_p(spec.n_sites, spec.site_dim, spec.beta).p) / se
+
+
 def test_slider_p_even_sites_monte_carlo():
-    # gap-ratio estimate with shared local draws across the three rotations
-    spec = wishart_chain(4)
-    word = [("a", 1), ("b", 1), ("a", 1), ("b", 1)]
-    out = {rot: sm.mixed_trace_mc(word, rot, spec, 30_000, sm.Rng(63), with_stderr=True)
-           for rot in ("permutation", "haar", "quantum")}
-    (vc, sc), (vi, si), (vq, sq) = out["permutation"], out["haar"], out["quantum"]
-    ratio = (vc - vq) / (vc - vi)
-    se = abs(ratio) * np.sqrt((sc ** 2 + sq ** 2) / (vc - vq) ** 2
-                              + (sc ** 2 + si ** 2) / (vc - vi) ** 2)
-    assert abs(ratio - 25 / 32) <= 3 * se + 0.01
+    # the pools share each trial's local draw, so their kurtosis gaps are the
+    # gaps of the departing word τ(AB′AB′) between the three rotations
+    assert abs(_p_empirical_z(wishart_chain(4), 30_000, sm.Rng(63))) <= 3
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n_sites", [4, 5])
+@pytest.mark.parametrize("ensemble", [
+    sm.LocalEnsemble.goe(), sm.LocalEnsemble.pm1(),
+    sm.LocalEnsemble.fixed_spectrum([-1.5, -0.5, 0.5, 1.5])], ids=["goe", "pm1", "fixed"])
+def test_p_empirical_is_universal(ensemble, n_sites, beta):
+    # the abstract's universality: p depends on N, d and β, not on the bond law
+    spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta)
+    assert abs(_p_empirical_z(spec, 4000, sm.Rng(68))) <= 3
 
 
 def test_p_from_kurtoses():

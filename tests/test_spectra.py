@@ -8,8 +8,7 @@ from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
 from spinmix.matgen import gaussian_batch, haar_batch
 from spinmix import _workers, spectra
 from spinmix.spectra import (EmpiricalMeasure, _iso_mats, _iso_power_sums, _power_sums,
-                             _quantum_power_sums, _rotate_dense, _rotate_diag,
-                             freedman_diaconis_edges)
+                             _quantum_power_sums, _rotate_diag, freedman_diaconis_edges)
 
 from conftest import wishart_chain
 
@@ -131,15 +130,10 @@ def test_rotation_kernels_match_explicit_products(m, beta):
     gen = sm.Rng(50, m).generator()
     q = haar_batch(m, beta, gen, 3)
     b = gen.standard_normal((3, m))
-    dense = gaussian_batch((3, m, m), beta, gen)
     got_diag = _rotate_diag(q, b)
-    got_dense = _rotate_dense(q, dense)
     for t in range(3):
         qh = q[t].conj().T
         assert np.abs(got_diag[t] - qh @ np.diag(b[t]) @ q[t]).max() < 1e-12
-        assert np.abs(got_dense[t] - qh @ dense[t] @ q[t]).max() < 1e-12 * m
-    shared = _rotate_dense(q, dense[0])
-    assert np.abs(shared[2] - q[2].conj().T @ dense[0] @ q[2]).max() < 1e-12 * m
 
 
 def _assert_power_sums_match(got, lam):
@@ -180,7 +174,7 @@ def test_iso_power_sums_match_matrix_power_sums(m, beta):
     q = haar_batch(m, beta, gen, 5)
     a, b = gen.standard_normal((2, 5, m))
     b[1] += 1e3                                   # a shifted spectrum
-    mats = _iso_mats(q, a, b)
+    mats = _iso_mats([a, b], [q])
     want, lam = _power_sums(mats), np.linalg.eigvalsh(mats)
     got = _iso_power_sums(q, a, b)
     for j in (1, 2, 3, 4):
@@ -316,34 +310,38 @@ def test_jackknife_mu_equals_block_mean_se(spec_n3):
 
 
 # ---------------------------------------------------------------------------
-# mixed trace words
+# gaps between the pools
 
 
-def test_word_validation(spec_n3):
-    with pytest.raises(ValueError):
-        sm.mixed_trace_mc([], "haar", spec_n3, 10, sm.Rng(0))
-    with pytest.raises(ValueError):
-        sm.mixed_trace_mc([("a", 0)], "haar", spec_n3, 10, sm.Rng(0))
-    with pytest.raises(ValueError):
-        sm.mixed_trace_mc([("a", 1)], "twist", spec_n3, 10, sm.Rng(0))
-    with pytest.raises(ValueError, match="trials"):
-        sm.mixed_trace_mc([("a", 1), ("b", 1)], "haar", spec_n3, 0, sm.Rng(0))
+def _gap_z(pools, hi, lo, stat):
+    """(stat of pool `hi` − stat of pool `lo`) over its jackknife s.e."""
+    pair = [pools[hi], pools[lo]]
 
+    def gap(summaries):
+        return summaries[0].stat(stat) - summaries[1].stat(stat)
 
-def test_word_pure_a_power_rotation_independent(spec_n3):
-    # A-only words never see the rotation; shared local draws make them equal
-    vals = [sm.mixed_trace_mc([("a", 4)], rot, spec_n3, 4000, sm.Rng(53))
-            for rot in ("permutation", "haar", "quantum")]
-    assert vals[0] == vals[1] == vals[2]
+    return gap([p.summary() for p in pair]) / sm.jackknife_stderr(pair, gap)
 
 
 def test_word_departing_term_ordering(spec_n5):
-    word = [("a", 1), ("b", 1), ("a", 1), ("b", 1)]
-    out = {rot: sm.mixed_trace_mc(word, rot, spec_n5, 8000, sm.Rng(54), with_stderr=True)
-           for rot in ("permutation", "haar", "quantum")}
-    (vc, sc), (vi, si), (vq, sq) = out["permutation"], out["haar"], out["quantum"]
-    assert vc - vq >= -3 * np.hypot(sc, sq)
-    assert vq - vi >= -3 * np.hypot(sq, si)
+    # the pools share each trial's local draw, so their fourth moments differ
+    # only through the departing word τ(AB′AB′), largest for the classical
+    # pool and smallest for the isotropic one
+    pools = sm.ensemble_pools(spec_n5, 8000, sm.Rng(54))
+    assert _gap_z(pools, "classical", "quantum", "gamma2") >= -3
+    assert _gap_z(pools, "quantum", "iso", "gamma2") >= -3
+
+
+@pytest.mark.parametrize("ensemble", [sm.LocalEnsemble.wishart(8), sm.LocalEnsemble.goe()],
+                         ids=["wishart", "goe"])
+def test_range3_pools_match_three_moments(ensemble):
+    # Matching Three Moments at L = 3, where every bond after the first is a
+    # rotated diagonal summand of its own
+    spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=ensemble, coupling_range=3)
+    pools = sm.ensemble_pools(spec, 4000, sm.Rng(67))
+    for kind in ("classical", "iso"):
+        for stat in ("sigma2", "gamma1"):
+            assert abs(_gap_z(pools, kind, "quantum", stat)) <= 3, (kind, stat)
 
 
 # ---------------------------------------------------------------------------

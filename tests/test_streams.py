@@ -55,20 +55,6 @@ def test_pools_do_not_depend_on_chunking(keep_samples, n_sites, coupling_range, 
             assert np.array_equal(longer[kind].samples[:trials], pool.samples), kind
 
 
-@settings(max_examples=20, deadline=None)
-@given(n_sites=st.integers(3, 5), beta=st.integers(1, 2),
-       rotation=st.sampled_from(["permutation", "haar", "quantum"]),
-       trials=st.integers(1, 12), budgets=budget_pairs, seed=seeds)
-def test_mixed_trace_does_not_depend_on_chunking(n_sites, beta, rotation, trials, budgets,
-                                                 seed):
-    spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ENSEMBLES["wishart"],
-                        beta=beta)
-    word = [("a", 1), ("b", 2), ("a", 1), ("b", 1)]
-    ref, other = (_with_budget(b, sm.mixed_trace_mc, word, rotation, spec, trials,
-                               sm.Rng(seed)) for b in budgets)
-    assert other == pytest.approx(ref, rel=1e-12, abs=0)
-
-
 @pytest.fixture(scope="module")
 def worker_pools():
     """Pools of 1, 2 and 3 workers running OpenBLAS at one thread, and the serial fallback."""
@@ -108,11 +94,6 @@ def test_pools_do_not_depend_on_workers(worker_pools, keep_samples, n_sites, cou
             for name, pool in worker_pools.items()}
     for pools in runs.values():
         _assert_pools_equal(runs["serial"], pools)
-    if coupling_range == 2:
-        word = [("a", 1), ("b", 2), ("a", 1), ("b", 1)]
-        values = {_with_pool(pool, sm.mixed_trace_mc, word, "haar", spec, trials,
-                             sm.Rng(seed)) for pool in worker_pools.values()}
-        assert len(values) == 1
 
 
 @pytest.mark.parametrize("keep_samples", [True, False])
