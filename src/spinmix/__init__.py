@@ -4,8 +4,7 @@ from .rng import Rng
 from .chain import (ChainSpec, LocalEnsemble, embed_local, assemble_chain,
                     build_quantum_rotation)
 from .spectra import (EmpiricalMeasure, MomentSummary, DensityEstimate, TrialPool,
-                      summarize, classical_convolve, isotropic_convolve,
-                      ensemble_pools, jackknife_stderr,
+                      summarize, classical_convolve, ensemble_pools, jackknife_stderr,
                       gram_charlier_density, ks_distance, histogram)
 from .slider import (SliderDims, LocalMoments, SliderResult, TermCounts,
                      haar_q4, chain_m2, chain_m11, chain_moment_gap, iso_gap,

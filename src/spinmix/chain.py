@@ -43,7 +43,12 @@ STREAM_LOCAL_VECS = 3
 
 
 def dense_cap() -> int:
-    return int(os.environ.get(_MAX_DIM_ENV, DEFAULT_MAX_DIM))
+    raw = os.environ.get(_MAX_DIM_ENV, str(DEFAULT_MAX_DIM))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"the {_MAX_DIM_ENV} environment variable must be an integer, "
+                         f"got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -159,15 +164,14 @@ class ChainSpec:
 # local term drawing
 
 
-def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None,
-                     need_dense: bool = True):
+def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
     """Batched bond draws for Monte Carlo loops.
 
     Returns (evals, dense) with evals of shape (count, n_bonds, d^L), sorted
-    ascending per bond, and dense of shape (count, n_bonds, d^L, d^L) or
-    None.  Eigenvalue draws and Haar eigenvector draws use separate
-    generators so that samplers which skip the dense matrices still consume
-    an identical eigenvalue stream.
+    ascending per bond, and dense of shape (count, n_bonds, d^L, d^L).  The
+    eigenvalues come from `gen`; the Haar eigenvectors of the spectral
+    ensembles (pm1, balanced pm1, fixed) from `vec_gen`, which only those
+    need, so the eigenvalue stream does not depend on the eigenvectors.
     """
     ens, nb, nloc, beta = spec.ensemble, spec.n_bonds, spec.local_dim, spec.beta
     if ens.kind in ("wishart", "goe"):
@@ -177,7 +181,7 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None,
         else:
             h = matgen.gaussian_batch((count, nb, nloc, nloc), beta, gen)
         dense = (h + h.conj().swapaxes(-1, -2)) / 2.0
-        return np.linalg.eigvalsh(dense), (dense if need_dense else None)
+        return np.linalg.eigvalsh(dense), dense
     if ens.kind in ("pm1", "pm1_balanced", "fixed"):
         if ens.kind == "pm1":
             evals = np.where(gen.random((count, nb, nloc)) < 0.5, -1.0, 1.0)
@@ -189,14 +193,11 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None,
             else:
                 base = np.sort(np.asarray(ens.values, dtype=float))
             evals = np.broadcast_to(base, (count, nb, nloc)).copy()
-        dense = None
-        if need_dense:
-            if vec_gen is None:
-                raise ValueError("need a vec_gen to draw Haar eigenvectors")
-            q = matgen.haar_batch(nloc, beta, vec_gen, count * nb).reshape(count, nb, nloc, nloc)
-            dense = np.einsum("tbij,tbj,tbkj->tbik", q, evals, q.conj())
-            dense = (dense + dense.conj().swapaxes(-1, -2)) / 2.0
-        return evals, dense
+        if vec_gen is None:
+            raise ValueError("need a vec_gen to draw Haar eigenvectors")
+        q = matgen.haar_batch(nloc, beta, vec_gen, count * nb).reshape(count, nb, nloc, nloc)
+        dense = np.einsum("tbij,tbj,tbkj->tbik", q, evals, q.conj())
+        return evals, (dense + dense.conj().swapaxes(-1, -2)) / 2.0
     raise ValueError(f"unknown ensemble kind {ens.kind!r}")
 
 
@@ -252,7 +253,7 @@ def assemble_chain(spec: ChainSpec, rng: Rng):
     spec.check_dense_cap()
     _, dense = draw_local_batch(
         spec, 1, rng.substream(STREAM_LOCAL_EIGS, 0),
-        vec_gen=rng.substream(STREAM_LOCAL_VECS, 0), need_dense=True)
+        vec_gen=rng.substream(STREAM_LOCAL_VECS, 0))
     # each parity from the full bond stack with the other parity's terms
     # zeroed; adding zeros leaves its sum bit for bit as it was
     odd = (np.arange(spec.n_bonds) % 2 == 0)[:, None, None]      # bonds 1, 3, …

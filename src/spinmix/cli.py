@@ -85,10 +85,18 @@ def _ensemble_from_args(args) -> LocalEnsemble:
     raise ValueError(f"unknown ensemble {args.ensemble!r}")
 
 
-def _check_run_args(args):
-    """Check --trials and --bins and parse --edges (None if absent), before any work."""
+def _check_run_args(args, m):
+    """Check --trials and --bins and parse --edges (None if absent), before any work.
+
+    `m` = d^N is the number of eigenvalues each trial adds to every pool.
+    """
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.trials * m > spectra._MAX_KEPT_VALUES:
+        raise ValueError(f"--trials {args.trials} keeps {args.trials * m} eigenvalues per "
+                         f"spectrum (d^N = {m} per trial), beyond the limit of "
+                         f"{spectra._MAX_KEPT_VALUES}; use at most "
+                         f"{spectra._MAX_KEPT_VALUES // m} trials")
     if args.bins is not None and args.bins < 1:
         raise ValueError("--bins must be >= 1")
     if not args.edges:
@@ -164,7 +172,7 @@ def cmd_run(args) -> int:
         spec = ChainSpec(n_sites=args.n_sites, site_dim=args.d, ensemble=ensemble,
                          beta=args.beta, coupling_range=args.coupling_range)
         spec.check_dense_cap()
-        edges = _check_run_args(args)
+        edges = _check_run_args(args, spec.m)
         nearest = spec.coupling_range == 2
         # beyond nearest neighbors the sum is treated all-isotropic
         p_analytic = slider_mod.slider_p(spec.n_sites, spec.site_dim, spec.beta).p \

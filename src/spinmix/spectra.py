@@ -3,8 +3,9 @@
 The classical, isotropic and quantum convolutions are implemented as seeded
 Monte Carlo pipelines over freshly drawn chains.  All three share the local
 eigenvalue stream (common random numbers), so differences between ensembles
-are rotation-driven rather than draw noise; each purpose uses its own child
-stream, so requesting fewer ensembles never changes the others' output.
+are rotation-driven rather than draw noise.  Each purpose draws from its own
+child stream, so no pool's numbers depend on how many draws another pool
+took.
 
 Trials run in memory chunks of ``_chunk_trials`` trials, but a sampler opens
 each child stream once per call, as ``rng.substream(purpose, j)`` with j = 0
@@ -31,10 +32,9 @@ L > 2.  The classical pool permutes, and the isotropic pool Haar-rotates,
 every summand after the first, summand i on the child stream
 ``(purpose, i − 1)``.  Which kernels run depends on the route:
 
-* Where eigenvalues are kept (``isotropic_convolve`` and pools with
-  ``keep_samples=True``, as ``spinmix run`` makes), every m×m isotropic and
-  quantum matrix is formed (``_iso_mats``, ``chain.embed_sum_batch``) and
-  diagonalised (``_eigvalsh``).
+* Where eigenvalues are kept (``keep_samples=True``, as ``spinmix run``
+  makes), every m×m isotropic and quantum matrix is formed (``_iso_mats``,
+  ``chain.embed_sum_batch``) and diagonalised (``_eigvalsh``).
 * Moments-only pools need just each trial's Σλ¹…Σλ⁴.  With one rotated
   summand (every L = 2 chain) ``_iso_power_sums`` reduces each rotated
   sub-block Q† diag(s₁) Q at once to the traces of diag(s₀) + Q† diag(s₁) Q
@@ -53,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -71,7 +71,6 @@ __all__ = [
     "TrialPool",
     "summarize",
     "classical_convolve",
-    "isotropic_convolve",
     "ensemble_pools",
     "jackknife_stderr",
     "gram_charlier_density",
@@ -81,6 +80,7 @@ __all__ = [
 
 _CHUNK_BUDGET = 1 << 23          # f8 elements per chunk-sized scratch array
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
+_N_BLOCKS = 50                   # jackknife blocks (fewer when trials < 50)
 _EXACT_CROSS_LIMIT = 10**7
 
 
@@ -245,22 +245,6 @@ def classical_convolve(a: EmpiricalMeasure, b: EmpiricalMeasure) -> EmpiricalMea
     wts = (a.weights[:, None] * b.weights[None, :]).ravel()
     uniq, inverse = np.unique(sums, return_inverse=True)
     return EmpiricalMeasure(uniq, np.bincount(inverse, weights=wts))
-
-
-def isotropic_convolve(a_diag, b_diag, beta: int, trials: int, rng: Rng) -> EmpiricalMeasure:
-    """Pooled spectra of diag(a) + Q† diag(b) Q over Haar rotations Q."""
-    a = np.asarray(a_diag, dtype=float).ravel()
-    b = np.asarray(b_diag, dtype=float).ravel()
-    if a.size != b.size:
-        raise ValueError("diagonals must have equal length")
-    m = a.size
-    if m > chain_mod.dense_cap():
-        raise ValueError(f"dimension {m} exceeds the dense cap")
-    gen = rng.substream(STREAM_ISO, 0)
-    out = [_eigvalsh(_iso_mats([a, np.broadcast_to(b, (hi - lo, m))],
-                               [matgen.haar_batch(m, beta, gen, hi - lo)]))
-           for lo, hi in _chunks(m, trials)]
-    return EmpiricalMeasure.from_samples(np.concatenate(out))
 
 
 def _rotate_block(q: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -447,7 +431,6 @@ def _chunks(m: int, trials: int):
 class TrialPool:
     """Accumulated spectra of one convolution ensemble across trials."""
 
-    kind: str
     matrix_dim: int
     trials: int
     moment_sums: np.ndarray          # pooled sums of lambda^1..4
@@ -496,20 +479,21 @@ def jackknife_stderr(pools, fn) -> float:
     return float(math.sqrt((g - 1) / g * ((loo - loo.mean()) ** 2).sum()))
 
 
-def _new_pool(kind, m, trials, n_blocks, keep_samples):
+def _new_pool(m, trials, keep_samples):
     samples = None
     if keep_samples:
         if trials * m > _MAX_KEPT_VALUES:
             raise ValueError("sample retention would exceed the memory guard; "
                              "use keep_samples=False")
         samples = np.empty((trials, m))
-    return TrialPool(kind, m, trials, np.zeros(4), np.zeros((n_blocks, 4)),
+    n_blocks = min(_N_BLOCKS, trials)
+    return TrialPool(m, trials, np.zeros(4), np.zeros((n_blocks, 4)),
                      np.zeros(n_blocks, dtype=np.int64), samples)
 
 
-def _accumulate(pool: TrialPool, sums: np.ndarray, lo: int, n_blocks: int):
+def _accumulate(pool: TrialPool, sums: np.ndarray, lo: int):
     """Add the (count, 4) per-trial Σλ¹…Σλ⁴ of the trials from `lo` on."""
-    c = sums.shape[0]
+    c, n_blocks = sums.shape[0], pool.block_counts.size
     ids = (np.arange(lo, lo + c) * n_blocks) // pool.trials
     # a left fold in trial order, so the sums do not depend on the chunks
     pool.moment_sums[:] = np.cumsum(np.vstack([pool.moment_sums, sums]), axis=0)[-1]
@@ -517,7 +501,7 @@ def _accumulate(pool: TrialPool, sums: np.ndarray, lo: int, n_blocks: int):
     pool.block_counts += np.bincount(ids, minlength=n_blocks) * pool.matrix_dim
 
 
-def _add_values(pool: TrialPool, vals: np.ndarray, lo: int, n_blocks: int):
+def _add_values(pool: TrialPool, vals: np.ndarray, lo: int):
     """Accumulate (count, m) rows of values, keeping them if the pool keeps samples."""
     sums = np.empty((vals.shape[0], 4))
     powers = vals
@@ -525,28 +509,28 @@ def _add_values(pool: TrialPool, vals: np.ndarray, lo: int, n_blocks: int):
         if j:
             powers = powers * vals
         sums[:, j] = powers.sum(axis=1)
-    _accumulate(pool, sums, lo, n_blocks)
+    _accumulate(pool, sums, lo)
     if pool.samples is not None:
         pool.samples[lo:lo + vals.shape[0]] = vals
 
 
-def _add_matrices(pool: TrialPool, mats: np.ndarray, lo: int, n_blocks: int):
+def _add_matrices(pool: TrialPool, mats: np.ndarray, lo: int):
     """Accumulate the spectra of one chunk's Hermitian matrices: their
     eigenvalues if the pool keeps them, else tr M … tr M⁴."""
     if pool.samples is None:
-        _accumulate(pool, _power_sums(mats), lo, n_blocks)
+        _accumulate(pool, _power_sums(mats), lo)
     else:
-        _add_values(pool, _eigvalsh(mats), lo, n_blocks)
+        _add_values(pool, _eigvalsh(mats), lo)
 
 
-def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
-                   kinds: Sequence[str] = ("classical", "iso", "quantum"),
-                   keep_samples: bool = False, n_blocks: int = 50):
-    """Sample the classical/isotropic/quantum spectra of a chain ensemble.
+def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = False):
+    """Sample the classical, isotropic and quantum spectra of a chain ensemble.
 
-    Returns {kind: TrialPool}.  Within a trial all ensembles share one draw
-    of the local eigenvalues, so cross-ensemble differences (kurtosis gaps,
-    mixture weights) are estimated with strongly reduced variance.
+    Returns {"classical", "iso", "quantum": TrialPool}, each with
+    ``_N_BLOCKS`` jackknife blocks (one per trial below that).  Within a
+    trial the three pools share one draw of the local eigenvalues, so
+    cross-ensemble differences (kurtosis gaps, mixture weights) are
+    estimated with strongly reduced variance.
 
     Each trial's spectrum is split into diagonal summands s₀ … s_k: the
     odd/even diagonals (a, b) for range L = 2, and each bond's embedded
@@ -560,22 +544,19 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
     approximation, used in place of a mixture.
 
     With `keep_samples` the isotropic and quantum spectra are the
-    eigenvalues of each trial's m×m matrices, and the pools keep them.
-    Without it only each trial's Σλ¹…Σλ⁴ are accumulated, each by an exact
-    identity: with one rotated summand the isotropic sums come from the
-    rotation alone (``_iso_power_sums``), with more from tr M … tr M⁴
-    (``_power_sums``), and the quantum sums from cumulants of bond windows
+    eigenvalues of each trial's m×m matrices, and the pools keep them
+    (``spinmix run``).  Without it only each trial's Σλ¹…Σλ⁴ are
+    accumulated (``spinmix reproduce``), each by an exact identity: with
+    one rotated summand the isotropic sums come from the rotation alone
+    (``_iso_power_sums``), with more from tr M … tr M⁴ (``_power_sums``),
+    and the quantum sums from cumulants of bond windows
     (``_quantum_power_sums``).  The draws, blocks and estimator are the
     same, so the two routes agree to rounding.  The classical spectra are
     explicit values on both routes.
     """
     spec.check_dense_cap()
-    for k in kinds:
-        if k not in ("classical", "iso", "quantum"):
-            raise ValueError(f"unknown ensemble kind {k!r}")
     m = spec.m
-    n_blocks = min(n_blocks, trials)
-    pools = {k: _new_pool(k, m, trials, n_blocks, keep_samples) for k in kinds}
+    pools = {k: _new_pool(m, trials, keep_samples) for k in ("classical", "iso", "quantum")}
     # one stream per permuted or rotated summand s₁ … s_k: b at L = 2, and
     # every bond after the first at L > 2
     n_rotated = 1 if spec.coupling_range == 2 else spec.n_bonds - 1
@@ -587,30 +568,29 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng,
     vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
     for lo, hi in _chunks(m, trials):
         c = hi - lo
-        evals, dense = chain_mod.draw_local_batch(spec, c, eig_gen, vec_gen=vec_gen,
-                                                  need_dense="quantum" in kinds)
+        evals, dense = chain_mod.draw_local_batch(spec, c, eig_gen, vec_gen=vec_gen)
         if spec.coupling_range == 2:
             summands = chain_mod.diagonals_from_eigs(evals, spec)
         else:
             emb = np.repeat(evals, m // spec.local_dim, axis=2)
             summands = [emb[:, i] for i in range(spec.n_bonds)]
-        if "classical" in kinds:
-            vals = summands[0]
-            for s, g in zip(summands[1:], perm_gens):
-                vals = vals + _permuted(s, g)
-            _add_values(pools["classical"], vals, lo, n_blocks)
-        if "iso" in kinds and len(summands) == 1:   # N = L: nothing to rotate
-            _add_values(pools["iso"], summands[0], lo, n_blocks)
-        elif "iso" in kinds:
+        vals = summands[0]
+        for s, g in zip(summands[1:], perm_gens):
+            vals = vals + _permuted(s, g)
+        _add_values(pools["classical"], vals, lo)
+        if len(summands) == 1:                      # N = L: nothing to rotate
+            _add_values(pools["iso"], summands[0], lo)
+        else:
+            # drawn lazily, so no Q outlives its rotation
             qs = (matgen.haar_batch(m, spec.beta, g, c) for g in haar_gens)
             if len(summands) == 2 and not keep_samples:
-                _accumulate(pools["iso"], _iso_power_sums(next(qs), *summands), lo, n_blocks)
+                _accumulate(pools["iso"], _iso_power_sums(next(qs), *summands), lo)
             else:
-                _add_matrices(pools["iso"], _iso_mats(summands, qs), lo, n_blocks)
-        if "quantum" in kinds and keep_samples:
-            _add_matrices(pools["quantum"], chain_mod.embed_sum_batch(dense, spec), lo, n_blocks)
-        elif "quantum" in kinds:
-            _accumulate(pools["quantum"], _quantum_power_sums(dense, spec), lo, n_blocks)
+                _add_matrices(pools["iso"], _iso_mats(summands, qs), lo)
+        if keep_samples:
+            _add_matrices(pools["quantum"], chain_mod.embed_sum_batch(dense, spec), lo)
+        else:
+            _accumulate(pools["quantum"], _quantum_power_sums(dense, spec), lo)
     return pools
 
 

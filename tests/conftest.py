@@ -1,6 +1,5 @@
 """Shared fixtures and helpers."""
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -33,8 +32,3 @@ def spec_n3():
 @pytest.fixture(scope="session")
 def spec_n5():
     return wishart_chain(5)
-
-
-def three_sigma_gap(x, y, se_x, se_y):
-    """|x − y| measured in units of the (conservative) combined 3 s.e."""
-    return abs(x - y) <= 3.0 * np.hypot(se_x, se_y) + 1e-12

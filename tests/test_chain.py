@@ -7,7 +7,7 @@ import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
 from spinmix.matgen import haar_batch
 
-from conftest import local_term, three_sigma_gap, wishart_chain
+from conftest import local_term, wishart_chain
 
 W4 = sm.LocalEnsemble.wishart(4)
 
@@ -55,7 +55,7 @@ def test_assemble_sum_and_shapes(spec_n3):
 
 def test_assemble_chain_is_pool_trial_zero(spec_n3):
     h, _, _, _ = sm.assemble_chain(spec_n3, sm.Rng(5))
-    pool = sm.ensemble_pools(spec_n3, 3, sm.Rng(5), kinds=("quantum",), keep_samples=True)
+    pool = sm.ensemble_pools(spec_n3, 3, sm.Rng(5), keep_samples=True)
     assert np.array_equal(np.linalg.eigvalsh(h[None]), pool["quantum"].samples[:1])
 
 
@@ -113,6 +113,12 @@ def test_dense_cap_env_override(monkeypatch, spec_n3):
         sm.assemble_chain(spec_n3, sm.Rng(0))
 
 
+def test_dense_cap_env_must_be_an_integer(monkeypatch, spec_n3):
+    monkeypatch.setenv("IE_MAX_DIM", "abc")
+    with pytest.raises(ValueError, match="IE_MAX_DIM environment variable must be an integer"):
+        sm.assemble_chain(spec_n3, sm.Rng(0))
+
+
 def _diagonals(terms, spec):
     """(a, b) of one chain from its bond terms' spectra."""
     a, b = diagonals_from_eigs(np.linalg.eigvalsh(terms)[None], spec)
@@ -149,8 +155,7 @@ def test_diagonal_multiplicities():
 
 def test_chain_second_moment_mc(spec_n3):
     # (1/m) E sum a_i^2 -> k m2 = 36 for d=2, r=4, N=3
-    evals, _ = draw_local_batch(spec_n3, 40_000, sm.Rng(13).generator(),
-                                need_dense=False)
+    evals, _ = draw_local_batch(spec_n3, 40_000, sm.Rng(13).generator())
     a, _ = diagonals_from_eigs(evals, spec_n3)
     per_trial = (a ** 2).mean(axis=1)
     se = per_trial.std(ddof=1) / np.sqrt(per_trial.size)
@@ -190,6 +195,6 @@ def test_quantum_rotation_orthogonality_and_variance(n_sites, draws):
 
 
 def test_quantum_pool_grand_mean(spec_n3):
-    pools = sm.ensemble_pools(spec_n3, 20_000, sm.Rng(19), kinds=("quantum",))
+    pools = sm.ensemble_pools(spec_n3, 20_000, sm.Rng(19))
     pool = pools["quantum"]
     assert abs(pool.summary().mu - 8.0) <= 3 * pool.stderr("mu")

@@ -201,6 +201,15 @@ def test_run_usage_errors(tmp_path, capsys):
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not out.exists(), (flag, value)
 
+    # trials · d^N beyond what sample retention may hold: 140,000 · 2^10 > 2^27
+    out = tmp_path / "too_many"
+    assert main(["run", "--ensemble", "pm1", "--n-sites", "10", "--d", "2",
+                 "--trials", "140000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trials 140000 keeps") and err.count("\n") == 1, err
+    assert "use at most 131072 trials" in err
+    assert not out.exists()
+
 
 def test_run_beyond_nearest_neighbor(tmp_path):
     out = tmp_path / "L3"

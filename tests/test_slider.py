@@ -94,8 +94,7 @@ def test_chain_gap_identity(n_sites):
 
 def test_chain_moments_monte_carlo_oracle(spec_n5):
     # brute-force averages over the sampled diagonal of A, N=5, r=4
-    evals, _ = draw_local_batch(spec_n5, 150_000, sm.Rng(62).generator(),
-                                need_dense=False)
+    evals, _ = draw_local_batch(spec_n5, 150_000, sm.Rng(62).generator())
     a, _ = diagonals_from_eigs(evals, spec_n5)
     m = a.shape[1]
     m2_t = (a ** 2).mean(axis=1)
@@ -403,8 +402,7 @@ def test_appendix_equals_classical_minus_gap(beta, n_sites):
 
 def _range3(n_sites, ensemble, trials, seed):
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, coupling_range=3)
-    pools = sm.ensemble_pools(spec, trials, sm.Rng(seed), kinds=("iso", "quantum"),
-                              keep_samples=True)
+    pools = sm.ensemble_pools(spec, trials, sm.Rng(seed), keep_samples=True)
     return pools["iso"].samples, pools["quantum"].samples
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
@@ -9,8 +11,6 @@ from spinmix.matgen import gaussian_batch, haar_batch
 from spinmix import _workers, spectra
 from spinmix.spectra import (EmpiricalMeasure, _iso_mats, _iso_power_sums, _power_sums,
                              _quantum_power_sums, _rotate_diag, freedman_diaconis_edges)
-
-from conftest import wishart_chain
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_classical_mc_matches_exact():
     evals = np.broadcast_to(np.sort(spec.ensemble.values), (1, spec.n_bonds, 4))
     a, b = (EmpiricalMeasure.from_samples(x) for x in diagonals_from_eigs(evals, spec))
     exact = sm.classical_convolve(a, b)
-    pool = sm.ensemble_pools(spec, 4000, sm.Rng(45), kinds=("classical",), keep_samples=True)
+    pool = sm.ensemble_pools(spec, 4000, sm.Rng(45), keep_samples=True)
     mc = pool["classical"].measure()
     se = np.sqrt(exact.variance() / mc.values.size)
     assert abs(mc.mean() - exact.mean()) <= 4 * se
@@ -97,31 +97,27 @@ def test_classical_mode_validation():
 # isotropic convolution
 
 
-def test_isotropic_zero_b_returns_a():
+def test_iso_mats_zero_b_returns_a():
     a = np.array([-1.0, 0.5, 2.0, 7.0])
-    out = sm.isotropic_convolve(a, np.zeros(4), 1, trials=20, rng=sm.Rng(46))
-    rows = out.values.reshape(20, 4)  # sorted pool == repeated sorted a
-    assert np.abs(np.sort(a) - np.unique(np.round(rows, 8))).max() < 1e-8
+    q = haar_batch(4, 1, sm.Rng(46).generator(), 20)
+    mats = _iso_mats([np.broadcast_to(a, (20, 4)), np.zeros((20, 4))], [q])
+    assert np.abs(np.linalg.eigvalsh(mats) - np.sort(a)).max() < 1e-12
 
 
-def test_isotropic_scaling_linearity():
-    a = np.array([0.0, 1.0, 3.0, -2.0])
-    b = np.array([1.0, 1.0, -1.0, 0.5])
-    base = sm.isotropic_convolve(a, b, 1, trials=50, rng=sm.Rng(47))
-    scaled = sm.isotropic_convolve(2.5 * a, 2.5 * b, 1, trials=50, rng=sm.Rng(47))
-    assert np.abs(scaled.values - 2.5 * base.values).max() < 1e-10
-
-
-def test_isotropic_matches_classical_three_moments():
+def test_isotropic_pool_matches_classical_three_moments():
+    # with a fixed bond spectrum the diagonals a, b of a 3-site chain are the
+    # same multisets in every trial, and averaged over Q the isotropic
+    # spectrum has the first three moments of their classical convolution
     gen = sm.Rng(48).generator()
-    a, b = gen.standard_normal(8), gen.standard_normal(8)
-    iso = sm.isotropic_convolve(a, b, 1, trials=30_000, rng=sm.Rng(49))
-    cls = sm.classical_convolve(EmpiricalMeasure.from_samples(a),
-                                EmpiricalMeasure.from_samples(b))
-    si, sc = sm.summarize(iso), sm.summarize(cls)
-    assert abs(si.mu - sc.mu) < 1e-8          # exact per trial by trace invariance
-    for stat, tol in (("sigma2", 0.05), ("m3", 1.0)):
-        assert abs(getattr(si, stat) - getattr(sc, stat)) < tol
+    spec = sm.ChainSpec(n_sites=3, site_dim=2,
+                        ensemble=sm.LocalEnsemble.fixed_spectrum(gen.standard_normal(4)))
+    evals = np.broadcast_to(np.sort(spec.ensemble.values), (1, spec.n_bonds, 4))
+    a, b = (EmpiricalMeasure.from_samples(x) for x in diagonals_from_eigs(evals, spec))
+    exact = sm.summarize(sm.classical_convolve(a, b))
+    iso = sm.ensemble_pools(spec, 30_000, sm.Rng(49))["iso"]
+    assert abs(iso.summary().mu - exact.mu) < 1e-8    # exact per trial by trace invariance
+    for stat in ("sigma2", "m3"):
+        assert abs(iso.summary().stat(stat) - exact.stat(stat)) <= 3 * iso.stderr(stat), stat
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -215,8 +211,10 @@ POOL_ENSEMBLES = pytest.mark.parametrize(
 def _assert_moments_only_pools_match(n_sites, ensemble, coupling_range, beta):
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
                         coupling_range=coupling_range)
-    sums = sm.ensemble_pools(spec, 60, sm.Rng(55), n_blocks=7)
-    eigs = sm.ensemble_pools(spec, 60, sm.Rng(55), n_blocks=7, keep_samples=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_N_BLOCKS", 7)
+        sums = sm.ensemble_pools(spec, 60, sm.Rng(55))
+        eigs = sm.ensemble_pools(spec, 60, sm.Rng(55), keep_samples=True)
     ids = np.arange(60) * 7 // 60
     for kind, pool in eigs.items():
         assert np.array_equal(sums[kind].block_counts, pool.block_counts), kind
@@ -264,11 +262,6 @@ def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
     assert widths and max(widths) == 32
 
 
-def test_isotropic_validation():
-    with pytest.raises(ValueError, match="equal length"):
-        sm.isotropic_convolve(np.ones(3), np.ones(4), 1, 1, sm.Rng(0))
-
-
 # ---------------------------------------------------------------------------
 # quantum spectra
 
@@ -276,21 +269,19 @@ def test_isotropic_validation():
 def test_quantum_identity_locals_single_atom():
     spec = sm.ChainSpec(n_sites=4, site_dim=2,
                         ensemble=sm.LocalEnsemble.fixed_spectrum(np.ones(4)))
-    pools = sm.ensemble_pools(spec, 5, sm.Rng(50), kinds=("quantum",), keep_samples=True)
+    pools = sm.ensemble_pools(spec, 5, sm.Rng(50), keep_samples=True)
     assert np.abs(pools["quantum"].samples - 3.0).max() < 1e-8  # N-1 copies of the identity
 
 
-def test_pools_deterministic_and_subset_invariant(spec_n3):
+def test_pools_deterministic(spec_n3):
     p1 = sm.ensemble_pools(spec_n3, 2000, sm.Rng(51), keep_samples=True)
     p2 = sm.ensemble_pools(spec_n3, 2000, sm.Rng(51), keep_samples=True)
-    p3 = sm.ensemble_pools(spec_n3, 2000, sm.Rng(51), kinds=("iso",), keep_samples=True)
     for kind in ("classical", "iso", "quantum"):
         assert np.array_equal(p1[kind].samples, p2[kind].samples)
-    assert np.array_equal(p1["iso"].samples, p3["iso"].samples)
 
 
 def test_pool_block_statistics(spec_n3):
-    pool = sm.ensemble_pools(spec_n3, 5000, sm.Rng(52), kinds=("classical",))["classical"]
+    pool = sm.ensemble_pools(spec_n3, 5000, sm.Rng(52))["classical"]
     assert (pool.block_counts > 0).sum() == 50
     assert np.isfinite(pool.stderr("gamma2"))
     assert pool.stderr("mu") > 0
@@ -302,7 +293,7 @@ def test_pool_block_statistics(spec_n3):
 def test_jackknife_mu_equals_block_mean_se(spec_n3):
     # μ is linear in the sums, so with equal blocks the delete-one-block
     # jackknife reduces to the s.e. of the block means
-    pool = sm.ensemble_pools(spec_n3, 5000, sm.Rng(52), kinds=("classical",))["classical"]
+    pool = sm.ensemble_pools(spec_n3, 5000, sm.Rng(52))["classical"]
     assert np.all(pool.block_counts == pool.block_counts[0])
     means = pool.block_sums[:, 0] / pool.block_counts
     assert pool.stderr("mu") == pytest.approx(means.std(ddof=1) / np.sqrt(means.size),
@@ -342,6 +333,40 @@ def test_range3_pools_match_three_moments(ensemble):
     for kind in ("classical", "iso"):
         for stat in ("sigma2", "gamma1"):
             assert abs(_gap_z(pools, kind, "quantum", stat)) <= 3, (kind, stat)
+
+
+# ---------------------------------------------------------------------------
+# invariances
+
+
+def _shape_stats(pools):
+    """γ₁ and γ₂ of every pool, and p from the three kurtoses where it is defined."""
+    g = {k: pools[k].summary() for k in ("quantum", "classical", "iso")}
+    stats = [s.stat(name) for s in g.values() for name in ("gamma1", "gamma2")]
+    if g["classical"].gamma2 != g["iso"].gamma2:     # N = L: one summand, p undefined
+        stats.append(sm.p_from_kurtoses(*(s.gamma2 for s in g.values())))
+    return stats
+
+
+@pytest.mark.parametrize("keep_samples", [True, False])
+@settings(max_examples=30, deadline=None)
+@given(scale=st.floats(1e-3, 1e3), n_sites=st.integers(3, 6),
+       coupling_range=st.integers(2, 3), beta=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_shape_statistics_do_not_depend_on_scale(keep_samples, scale, n_sites,
+                                                 coupling_range, beta, seed):
+    # the draws do not depend on the bond spectrum's values, so scaling it
+    # scales every trial's spectrum and leaves the standardised moments
+    base = np.arange(2 ** coupling_range) ** 2.0           # a skewed spectrum
+
+    def stats(values):
+        spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, beta=beta,
+                            ensemble=sm.LocalEnsemble.fixed_spectrum(values),
+                            coupling_range=coupling_range)
+        return _shape_stats(sm.ensemble_pools(spec, 20, sm.Rng(seed),
+                                              keep_samples=keep_samples))
+
+    assert stats(scale * base) == pytest.approx(stats(base), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +439,7 @@ def test_histogram_default_fd():
 
 def test_pm1_classical_three_atoms():
     spec = sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
-    pool = sm.ensemble_pools(spec, 20_000, sm.Rng(58), kinds=("classical",),
-                             keep_samples=True)["classical"]
+    pool = sm.ensemble_pools(spec, 20_000, sm.Rng(58), keep_samples=True)["classical"]
     edges = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
     dens = sm.histogram(pool.measure(), edges)
     assert (dens.masses > 0).sum() == 3

@@ -121,10 +121,12 @@ def test_windowed_pools_do_not_depend_on_workers_or_chunking(worker_pools):
     # the hypothesis tests draw N <= 5, where the quantum sums come from one
     # window; at N=7 they sum three windows less two overlaps
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=ENSEMBLES["wishart"], beta=2)
-    runs = {name: _with_pool(pool, sm.ensemble_pools, spec, 20, sm.Rng(6), n_blocks=6)
-            for name, pool in worker_pools.items() if name != "serial"}
-    for budget in (1, 7 * spec.m ** 2):        # chunks of one and of seven trials
-        runs[budget] = _with_pool(worker_pools[2], _with_budget, budget, sm.ensemble_pools,
-                                  spec, 20, sm.Rng(6), n_blocks=6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_N_BLOCKS", 6)
+        runs = {name: _with_pool(pool, sm.ensemble_pools, spec, 20, sm.Rng(6))
+                for name, pool in worker_pools.items() if name != "serial"}
+        for budget in (1, 7 * spec.m ** 2):        # chunks of one and of seven trials
+            runs[budget] = _with_pool(worker_pools[2], _with_budget, budget,
+                                      sm.ensemble_pools, spec, 20, sm.Rng(6))
     for pools in runs.values():
         _assert_pools_equal(runs[1], pools)
