@@ -1,8 +1,7 @@
 """Spectral densities of random spin chains via classical/isotropic mixtures."""
 
 from .rng import Rng
-from .chain import (ChainSpec, LocalEnsemble, embed_local, assemble_chain,
-                    build_quantum_rotation)
+from .chain import ChainSpec, LocalEnsemble, embed_local, assemble_chain
 from .spectra import (EmpiricalMeasure, MomentSummary, DensityEstimate, TrialPool,
                       summarize, classical_convolve, ensemble_pools, jackknife_stderr,
                       gram_charlier_density, ks_distance, histogram)

@@ -1,4 +1,4 @@
-"""Chain Hamiltonians: Kronecker embedding, odd/even split, structured rotation.
+"""Chain Hamiltonians: bond draws, Kronecker embedding, odd/even split.
 
 A chain of N qudits of dimension d carries one random bond term per run of L
 adjacent sites, n_bonds = N − L + 1 of them.  At range L = 2, bonds at odd
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "ChainSpec",
     "embed_local",
     "assemble_chain",
-    "build_quantum_rotation",
 ]
 
 DEFAULT_MAX_DIM = 4096
@@ -290,39 +288,3 @@ def diagonals_from_eigs(evals: np.ndarray, spec: ChainSpec):
         a = build(odd_idx, 1, 1)     # odds cover every site
         b = build(even_idx, d, d)    # I_d ⊗ (⊕ evens) ⊗ I_d
     return a, b
-
-
-# ---------------------------------------------------------------------------
-# structured rotation
-
-
-def build_quantum_rotation(odd_factors, even_factors, spec: ChainSpec) -> np.ndarray:
-    """Assemble the bond-factor rotation from per-bond Haar matrices.
-
-    `odd_factors` / `even_factors` are the eigenvector matrices (columns are
-    eigenvectors) of the odd and even bond terms, each of size d².  The
-    returned matrix is the relative rotation between the two parity
-    eigenbases; conjugating diag(b) with it expresses the even part in the
-    odd eigenbasis.
-    """
-    spec._require_nearest_neighbor()
-    if spec.n_sites < 3:
-        raise ValueError("need at least 3 sites for a two-parity chain")
-    odd = [np.asarray(f) for f in odd_factors]
-    even = [np.asarray(f) for f in even_factors]
-    if len(odd) != len(spec.odd_bonds) or len(even) != len(spec.even_bonds):
-        raise ValueError(
-            f"need {len(spec.odd_bonds)} odd and {len(spec.even_bonds)} even factors; "
-            f"got {len(odd)} and {len(even)}")
-    n = spec.n
-    for f in odd + even:
-        if f.shape != (n, n):
-            raise ValueError(f"every factor must be {n}x{n}")
-    eye_d = np.eye(spec.site_dim)
-    if spec.n_sites % 2 == 1:
-        qa = np.kron(reduce(np.kron, odd), eye_d)
-        qb = np.kron(eye_d, reduce(np.kron, even))
-    else:
-        qa = reduce(np.kron, odd)
-        qb = np.kron(np.kron(eye_d, reduce(np.kron, even)), eye_d)
-    return qa.conj().T @ qb

@@ -1,9 +1,9 @@
 """Empirical spectral measures, moment statistics, and the three convolutions.
 
-The classical, isotropic and quantum convolutions are implemented as seeded
-Monte Carlo pipelines over freshly drawn chains.  All three share the local
-eigenvalue stream (common random numbers), so differences between ensembles
-are rotation-driven rather than draw noise.  Each purpose draws from its own
+The classical, isotropic and quantum convolutions are sampled over freshly
+drawn chains from a seed.  All three share the local eigenvalue stream
+(common random numbers), so differences between ensembles are
+rotation-driven rather than draw noise.  Each purpose draws from its own
 child stream, so no pool's numbers depend on how many draws another pool
 took.
 
@@ -28,24 +28,25 @@ either.
 
 Each trial's spectrum is a list of diagonal summands s₀ … s_k: the
 odd/even diagonals (a, b) at range L = 2, each bond's embedded spectrum at
-L > 2.  The classical pool permutes, and the isotropic pool Haar-rotates,
-every summand after the first, summand i on the child stream
-``(purpose, i − 1)``.  Which kernels run depends on the route:
+L > 2.  The classical spectrum permutes, and the isotropic one Haar-rotates,
+every summand after the first.  One estimator gives every pool's moments:
+each trial adds its Σλ¹…Σλ⁴ given its local draw.
 
-* Where eigenvalues are kept (``keep_samples=True``, as ``spinmix run``
-  makes), every m×m isotropic and quantum matrix is formed (``_iso_mats``,
-  ``chain.embed_sum_batch``) and diagonalised (``_eigvalsh``).
-* Moments-only pools need just each trial's Σλ¹…Σλ⁴.  With one rotated
-  summand (every L = 2 chain) ``_iso_power_sums`` reduces each rotated
-  sub-block Q† diag(s₁) Q at once to the traces of diag(s₀) + Q† diag(s₁) Q
-  and its powers, so the rotation matmul is the only O(m³) step after the
-  Haar draw; with more, ``_power_sums`` reads tr M … tr M⁴ of the summed
-  matrices from one product M·M each.  ``_quantum_power_sums`` takes the
-  chain's cumulants from windows of at most 3(L−1)+1 bonds, which never
-  form the chain's m×m matrix once it has more bonds than a window.
+* The classical and isotropic sums are their exact means over the
+  permutations and rotations, closed forms in the bonds' cumulants
+  (``_conditional_power_sums``), so they draw nothing and cost
+  O(n_bonds · d^L) per trial.
+* The quantum sums are exact: the chain's cumulants from windows of at most
+  3(L−1)+1 bonds (``_quantum_power_sums``), which never form the chain's
+  m×m matrix once it has more bonds than a window.
 
-Both routes give the same per-trial sums of the same draws in exact
-arithmetic, so their pools agree to rounding.
+Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
+Monte Carlo: summand i is permuted on the child stream
+``(STREAM_CLASSICAL, i − 1)`` and rotated on ``(STREAM_ISO, i − 1)``, and
+every m×m isotropic and quantum matrix is formed (``_iso_mats``,
+``chain.embed_sum_batch``) and diagonalised (``_eigvalsh``).  The moment
+sums never read the samples, so both routes give the same moment and block
+sums, bit for bit.
 """
 
 from __future__ import annotations
@@ -247,22 +248,13 @@ def classical_convolve(a: EmpiricalMeasure, b: EmpiricalMeasure) -> EmpiricalMea
     return EmpiricalMeasure(uniq, np.bincount(inverse, weights=wts))
 
 
-def _rotate_block(q: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """Q† diag(b) Q for a block of trials, as one stacked matmul.
-
-    The one rotation kernel: ``_rotate_diag`` stores its output and
-    ``_iso_power_sums`` reduces it, a sub-block at a time.
-    """
-    return np.matmul(q.conj().swapaxes(-1, -2) * b[:, None, :], q, out=out)
-
-
 def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched Q† diag(b) Q, fanned out over the workers' trial slices."""
     out = np.empty(q.shape, dtype=np.result_type(q, b))
 
     def rotate(lo, hi):
         for s, e in _sub_blocks(lo, hi, q.shape[-1]):
-            _rotate_block(q[s:e], b[s:e], out=out[s:e])
+            np.matmul(q[s:e].conj().swapaxes(-1, -2) * b[s:e, None, :], q[s:e], out=out[s:e])
 
     map_trials(rotate, q.shape[0])
     return out
@@ -324,46 +316,6 @@ def _power_sums(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iso_power_sums(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Σλ¹…Σλ⁴ of each diag(a) + B′, B′ = Q† diag(b) Q, as a (count, 4) array.
-
-    With A = diag(a), tr(A + B′)ʲ expands into traces of words in A and B′.
-    A word whose A factors stand together, tr(AʳB′ᵖ), is Σ_i a_iʳ d_p,i with
-    d_p,i = (B′ᵖ)_ii = Σ_k b_kᵖ |Q_ki|², which takes O(m²).  The only other
-    word up to degree 4 gives tr(AB′AB′) = Σ_ij a_i a_j |B′_ij|².  So the
-    rotation is the only O(m³) step, and each worker reduces its rotated
-    sub-block at once instead of storing it.
-    """
-    count, m = q.shape[0], q.shape[-1]
-    out = np.empty((count, 4))
-
-    # a complex array viewed as float pairs squares to |x|² as (re², im²) pairs
-    pairs = 2 if np.iscomplexobj(q) else 1
-
-    def sums(lo, hi):
-        for s, e in _sub_blocks(lo, hi, m):
-            qs, ak, bk = q[s:e].view(np.float64), a[s:e], b[s:e]
-            a_pow = ak[:, None, :] ** np.arange(1, 5)[:, None]       # (c, 4, m)
-            b_pow = bk[:, None, :] ** np.arange(1, 5)[:, None]
-            # d[:, p-1, i] = Σ_k b_kᵖ |Q_ki|², summing the pairs after the product
-            d = (b_pow[:, :3] @ (qs * qs)).reshape(e - s, 3, m, pairs).sum(axis=-1)
-            # Σ_ij a_i a_j |B′_ij|², with each a_j repeated against its pair
-            rot = _rotate_block(q[s:e], bk).view(np.float64)
-            rot *= rot
-            w = np.einsum("ti,ti->t", ak,
-                          (rot @ np.repeat(ak, pairs, axis=1)[:, :, None])[..., 0])
-            ad = a_pow[:, :3] @ d.swapaxes(-1, -2)                   # ad[:, i, p-1] = Σ aⁱ d_p
-            sa, sb = a_pow.sum(axis=-1), b_pow.sum(axis=-1)
-            out[s:e, 0] = sa[:, 0] + sb[:, 0]
-            out[s:e, 1] = sa[:, 1] + 2 * ad[:, 0, 0] + sb[:, 1]
-            out[s:e, 2] = sa[:, 2] + 3 * ad[:, 1, 0] + 3 * ad[:, 0, 1] + sb[:, 2]
-            out[s:e, 3] = (sa[:, 3] + 4 * ad[:, 2, 0] + 4 * ad[:, 1, 1] + 4 * ad[:, 0, 2]
-                           + 2 * w + sb[:, 3])
-
-    map_trials(sums, count)
-    return out
-
-
 def _window_cumulants(bonds: np.ndarray, spec: ChainSpec, width: int) -> np.ndarray:
     """κ₂, κ₃, κ₄ summed over the windows of `width` consecutive centred bonds.
 
@@ -372,13 +324,12 @@ def _window_cumulants(bonds: np.ndarray, spec: ChainSpec, width: int) -> np.ndar
     of an embedded product is the same on any chain that holds it, and a
     centred window has mean 0, so κ₂ = μ₂, κ₃ = μ₃ and κ₄ = μ₄ − 3μ₂².
     """
-    count, nb = bonds.shape[:2]
-    n_win = nb - width + 1
     sub = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 1)
-    idx = np.arange(n_win)[:, None] + np.arange(width)
-    windows = bonds[:, idx].reshape(count * n_win, width, *bonds.shape[2:])
-    mu = (_power_sums(chain_mod.embed_sum_batch(windows, sub)) / sub.m).reshape(count, n_win, 4)
-    return np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1).sum(1)
+    kappa = 0.0
+    for i in range(bonds.shape[1] - width + 1):
+        mu = _power_sums(chain_mod.embed_sum_batch(bonds[:, i:i + width], sub)) / sub.m
+        kappa = kappa + np.stack([mu[:, 1], mu[:, 2], mu[:, 3] - 3 * mu[:, 1] ** 2], axis=-1)
+    return kappa
 
 
 def _quantum_power_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
@@ -403,6 +354,35 @@ def _quantum_power_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
     if width < nb:
         kappa -= _window_cumulants(centred[:, 1:-1], spec, width - 1)
     return spec.m * np.stack(_raw_moments(shift.sum(axis=1), *kappa.T), axis=-1)
+
+
+def _conditional_power_sums(evals: np.ndarray, spec: ChainSpec):
+    """Each trial's classical and isotropic Σλ¹…Σλ⁴, averaged over Π_i or Q_i.
+
+    `evals` is (count, n_bonds, d^L); returns two (count, 4) arrays.  A
+    classical eigenvalue is a sum of independent uniform draws, one from
+    each bond's spectrum, so its cumulants κ₁…κ₄ are the bonds' summed.  The
+    isotropic spectrum has the same κ₁…κ₃ (Matching Three Moments): E Q†SQ =
+    τ(S)·I, so in a word of degree at most 4 a summand that appears once
+    factors out, as it does classically.  Only the alternating words differ:
+    E τ(S_i S_j S_i S_j) = τ(S_i²)τ(S_j²) − w·v_i·v_j with S_i = diag(s_i)
+    rotated, w = β(m−1)/(mβ+2) and v_i = m/(m−1)·var(s_i)
+    (``slider.appendix_iso_expectation``), and τ(M⁴) holds two per pair.
+    """
+    m, beta = spec.m, spec.beta
+    mu = evals.mean(axis=-1)                                        # (count, nb)
+    c = evals - mu[..., None]
+    c2, c3, c4 = ((c ** j).mean(axis=-1) for j in (2, 3, 4))
+    kappa = [mu.sum(1), c2.sum(1), c3.sum(1), (c4 - 3 * c2 ** 2).sum(1)]
+    # var(s_i): a parity's bonds summed at L = 2, each bond's at L > 2
+    var = np.stack([c2[:, 0::2].sum(1), c2[:, 1::2].sum(1)], axis=1) \
+        if spec.coupling_range == 2 else c2
+    v = m / (m - 1) * var
+    pairs = (v[:, 1:] * np.cumsum(v, axis=1)[:, :-1]).sum(1)       # Σ_{i<j} v_i v_j
+    w = beta * (m - 1) / (m * beta + 2)
+    iso_k4 = kappa[3] - 2 * w * pairs
+    return (m * np.stack(_raw_moments(*kappa), axis=-1),
+            m * np.stack(_raw_moments(*kappa[:3], iso_k4), axis=-1))
 
 
 def _permuted(x: np.ndarray, gen) -> np.ndarray:
@@ -501,28 +481,6 @@ def _accumulate(pool: TrialPool, sums: np.ndarray, lo: int):
     pool.block_counts += np.bincount(ids, minlength=n_blocks) * pool.matrix_dim
 
 
-def _add_values(pool: TrialPool, vals: np.ndarray, lo: int):
-    """Accumulate (count, m) rows of values, keeping them if the pool keeps samples."""
-    sums = np.empty((vals.shape[0], 4))
-    powers = vals
-    for j in range(4):
-        if j:
-            powers = powers * vals
-        sums[:, j] = powers.sum(axis=1)
-    _accumulate(pool, sums, lo)
-    if pool.samples is not None:
-        pool.samples[lo:lo + vals.shape[0]] = vals
-
-
-def _add_matrices(pool: TrialPool, mats: np.ndarray, lo: int):
-    """Accumulate the spectra of one chunk's Hermitian matrices: their
-    eigenvalues if the pool keeps them, else tr M … tr M⁴."""
-    if pool.samples is None:
-        _accumulate(pool, _power_sums(mats), lo)
-    else:
-        _add_values(pool, _eigvalsh(mats), lo)
-
-
 def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = False):
     """Sample the classical, isotropic and quantum spectra of a chain ensemble.
 
@@ -535,40 +493,46 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     Each trial's spectrum is split into diagonal summands s₀ … s_k: the
     odd/even diagonals (a, b) for range L = 2, and each bond's embedded
     spectrum for L > 2.  The classical spectrum is s₀ + Σ_{i≥1} Π_i s_i and
-    the isotropic one that of diag(s₀) + Σ_{i≥1} Q_i† diag(s_i) Q_i, with
-    summand i permuted or rotated on stream ``(purpose, i − 1)``.  A bond
+    the isotropic one that of diag(s₀) + Σ_{i≥1} Q_i† diag(s_i) Q_i.  A bond
     term I ⊗ h ⊗ I is U diag(s) U† for some unitary U, and U†Q is Haar when
     Q is, so rotating its diagonal draws the same law as rotating the
     dense term; conjugating the whole sum leaves its spectrum unchanged, so
     s₀ needs no rotation.  For L > 2 this is the all-isotropic
     approximation, used in place of a mixture.
 
-    With `keep_samples` the isotropic and quantum spectra are the
-    eigenvalues of each trial's m×m matrices, and the pools keep them
-    (``spinmix run``).  Without it only each trial's Σλ¹…Σλ⁴ are
-    accumulated (``spinmix reproduce``), each by an exact identity: with
-    one rotated summand the isotropic sums come from the rotation alone
-    (``_iso_power_sums``), with more from tr M … tr M⁴ (``_power_sums``),
-    and the quantum sums from cumulants of bond windows
-    (``_quantum_power_sums``).  The draws, blocks and estimator are the
-    same, so the two routes agree to rounding.  The classical spectra are
-    explicit values on both routes.
+    The pools' moment sums are each trial's Σλ¹…Σλ⁴ given its local draw:
+    the classical and isotropic ones averaged exactly over Π_i and Q_i
+    (``_conditional_power_sums``), the quantum ones exact from cumulants of
+    bond windows (``_quantum_power_sums``).  They need no m×m matrix.
+    `keep_samples` (``spinmix run``) also draws Π_i on stream
+    ``(STREAM_CLASSICAL, i − 1)`` and Q_i on ``(STREAM_ISO, i − 1)``,
+    diagonalises the isotropic and quantum matrices, and keeps every
+    trial's eigenvalues as a row of each pool's ``samples``; the moment
+    sums are the same on both routes, bit for bit.
     """
     spec.check_dense_cap()
     m = spec.m
     pools = {k: _new_pool(m, trials, keep_samples) for k in ("classical", "iso", "quantum")}
-    # one stream per permuted or rotated summand s₁ … s_k: b at L = 2, and
-    # every bond after the first at L > 2
-    n_rotated = 1 if spec.coupling_range == 2 else spec.n_bonds - 1
-    perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in range(n_rotated)]
-    haar_gens = [rng.substream(STREAM_ISO, j) for j in range(n_rotated)]
     # both local streams are opened once and drawn trial-major, so the draws
     # do not depend on where the chunk boundaries fall
     eig_gen = rng.substream(STREAM_LOCAL_EIGS, 0)
     vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
-    for lo, hi in _chunks(m, trials):
-        c = hi - lo
-        evals, dense = chain_mod.draw_local_batch(spec, c, eig_gen, vec_gen=vec_gen)
+    if keep_samples:
+        # one stream per permuted or rotated summand s₁ … s_k: b at L = 2,
+        # and every bond after the first at L > 2
+        n_rotated = 1 if spec.coupling_range == 2 else spec.n_bonds - 1
+        perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in range(n_rotated)]
+        haar_gens = [rng.substream(STREAM_ISO, j) for j in range(n_rotated)]
+    # without samples the largest matrices are the quantum windows, of at
+    # most 3(L−1)+1 bonds on 4L−3 sites
+    dim = m if keep_samples else min(m, spec.site_dim ** (4 * spec.coupling_range - 3))
+    for lo, hi in _chunks(dim, trials):
+        evals, dense = chain_mod.draw_local_batch(spec, hi - lo, eig_gen, vec_gen=vec_gen)
+        for kind, sums in zip(("classical", "iso"), _conditional_power_sums(evals, spec)):
+            _accumulate(pools[kind], sums, lo)
+        _accumulate(pools["quantum"], _quantum_power_sums(dense, spec), lo)
+        if not keep_samples:
+            continue
         if spec.coupling_range == 2:
             summands = chain_mod.diagonals_from_eigs(evals, spec)
         else:
@@ -577,20 +541,14 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
         vals = summands[0]
         for s, g in zip(summands[1:], perm_gens):
             vals = vals + _permuted(s, g)
-        _add_values(pools["classical"], vals, lo)
+        pools["classical"].samples[lo:hi] = vals
         if len(summands) == 1:                      # N = L: nothing to rotate
-            _add_values(pools["iso"], summands[0], lo)
+            pools["iso"].samples[lo:hi] = summands[0]
         else:
             # drawn lazily, so no Q outlives its rotation
-            qs = (matgen.haar_batch(m, spec.beta, g, c) for g in haar_gens)
-            if len(summands) == 2 and not keep_samples:
-                _accumulate(pools["iso"], _iso_power_sums(next(qs), *summands), lo)
-            else:
-                _add_matrices(pools["iso"], _iso_mats(summands, qs), lo)
-        if keep_samples:
-            _add_matrices(pools["quantum"], chain_mod.embed_sum_batch(dense, spec), lo)
-        else:
-            _accumulate(pools["quantum"], _quantum_power_sums(dense, spec), lo)
+            qs = (matgen.haar_batch(m, spec.beta, g, hi - lo) for g in haar_gens)
+            pools["iso"].samples[lo:hi] = _eigvalsh(_iso_mats(summands, qs))
+        pools["quantum"].samples[lo:hi] = _eigvalsh(chain_mod.embed_sum_batch(dense, spec))
     return pools
 
 

@@ -1,11 +1,10 @@
-"""Embedding, odd/even structure, the bond-factor rotation, diagonalization."""
+"""Bond draws, embedding, odd/even structure, the dense cap, the quantum pool."""
 
 import numpy as np
 import pytest
 
 import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
-from spinmix.matgen import haar_batch
 
 from conftest import local_term, wishart_chain
 
@@ -160,38 +159,6 @@ def test_chain_second_moment_mc(spec_n3):
     per_trial = (a ** 2).mean(axis=1)
     se = per_trial.std(ddof=1) / np.sqrt(per_trial.size)
     assert abs(per_trial.mean() - 36.0) <= 3 * se
-
-
-def test_quantum_rotation_structure(spec_n3):
-    q1 = haar_batch(4, 1, sm.Rng(14).generator(), 1)[0]
-    q2 = haar_batch(4, 1, sm.Rng(15).generator(), 1)[0]
-    rot = sm.build_quantum_rotation([q1], [q2], spec_n3)
-    manual = np.kron(q1, np.eye(2)).T @ np.kron(np.eye(2), q2)
-    assert np.abs(rot - manual).max() < 1e-12
-    ident = sm.build_quantum_rotation([np.eye(4)], [np.eye(4)], spec_n3)
-    assert np.array_equal(ident, np.eye(8))
-
-
-def test_quantum_rotation_factor_count(spec_n3):
-    with pytest.raises(ValueError):
-        sm.build_quantum_rotation([np.eye(4), np.eye(4)], [np.eye(4)], spec_n3)
-
-
-@pytest.mark.parametrize("n_sites,draws", [(3, 10_000), (4, 3_000), (5, 2_000)])
-def test_quantum_rotation_orthogonality_and_variance(n_sites, draws):
-    spec = wishart_chain(n_sites)
-    n_odd, n_even = len(spec.odd_bonds), len(spec.even_bonds)
-    gen = sm.Rng(16, n_sites).generator()
-    sq_means = np.empty(draws)
-    worst = 0.0
-    for t in range(draws):
-        factors = haar_batch(4, 1, gen, n_odd + n_even)
-        rot = sm.build_quantum_rotation(factors[:n_odd], factors[n_odd:], spec)
-        worst = max(worst, np.abs(rot.conj().T @ rot - np.eye(spec.m)).max())
-        sq_means[t] = (rot ** 2).mean()
-    assert worst < 1e-10
-    se = sq_means.std(ddof=1) / np.sqrt(draws)
-    assert abs(sq_means.mean() - spec.site_dim ** -n_sites) <= 3 * se
 
 
 def test_quantum_pool_grand_mean(spec_n3):

@@ -187,6 +187,7 @@ def test_run_usage_errors(tmp_path, capsys):
                                  ("--edges", "1,0", "--edges must be ascending"),
                                  ("--edges", "0,nan,40", "--edges must be finite"),
                                  ("--edges", "-inf,0,inf", "--edges must be finite"),
+                                 ("--seed", "-1", "--seed must be >= 0"),
                                  # a two-site chain has no analytic weight
                                  ("--n-sites", "2", "need at least 3 sites")):
         out = tmp_path / f"bad{flag}{value}"
@@ -200,6 +201,21 @@ def test_run_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not out.exists(), (flag, value)
+
+    # a flag of another ensemble is an error, not ignored
+    for ensemble, extra, message in (
+            ("goe", ["--rank", "3"], "--rank applies only to --ensemble wishart"),
+            ("wishart", ["--rank", "4", "--balanced"], "--balanced applies only to --ensemble pm1"),
+            ("pm1", ["--spectrum-file", str(spectrum)],
+             "--spectrum-file applies only to --ensemble fixed")):
+        out = tmp_path / f"wrong_flag_{ensemble}"
+        args = _run_args(out)
+        args[2] = ensemble
+        args[-2:-2] = extra
+        assert main(args) == 2, extra
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+        assert not out.exists(), extra
 
     # trials · d^N beyond what sample retention may hold: 140,000 · 2^10 > 2^27
     out = tmp_path / "too_many"
@@ -245,6 +261,13 @@ def test_reproduce_usage_errors():
         assert code == 2, trials
         assert out == "" and err.startswith("error: --trials must be 0") and \
             err.count("\n") == 1, err
+
+
+def test_reproduce_rejects_negative_seed(capsys):
+    # checked before the table header is printed
+    assert main(["reproduce", "N3", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --seed must be >= 0\n", (out, err)
 
 
 def test_reproduce_small_run_passes():

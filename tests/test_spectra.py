@@ -9,8 +9,8 @@ import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
 from spinmix.matgen import gaussian_batch, haar_batch
 from spinmix import _workers, spectra
-from spinmix.spectra import (EmpiricalMeasure, _iso_mats, _iso_power_sums, _power_sums,
-                             _quantum_power_sums, _rotate_diag, freedman_diaconis_edges)
+from spinmix.spectra import (EmpiricalMeasure, _iso_mats, _power_sums, _quantum_power_sums,
+                             _rotate_diag, freedman_diaconis_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +106,18 @@ def test_iso_mats_zero_b_returns_a():
 
 def test_isotropic_pool_matches_classical_three_moments():
     # with a fixed bond spectrum the diagonals a, b of a 3-site chain are the
-    # same multisets in every trial, and averaged over Q the isotropic
-    # spectrum has the first three moments of their classical convolution
+    # same multisets in every trial, and averaged over Q each trial's
+    # isotropic spectrum has the first three moments of their classical
+    # convolution, so the pool has them to rounding
     gen = sm.Rng(48).generator()
     spec = sm.ChainSpec(n_sites=3, site_dim=2,
                         ensemble=sm.LocalEnsemble.fixed_spectrum(gen.standard_normal(4)))
     evals = np.broadcast_to(np.sort(spec.ensemble.values), (1, spec.n_bonds, 4))
     a, b = (EmpiricalMeasure.from_samples(x) for x in diagonals_from_eigs(evals, spec))
     exact = sm.summarize(sm.classical_convolve(a, b))
-    iso = sm.ensemble_pools(spec, 30_000, sm.Rng(49))["iso"]
-    assert abs(iso.summary().mu - exact.mu) < 1e-8    # exact per trial by trace invariance
-    for stat in ("sigma2", "m3"):
-        assert abs(iso.summary().stat(stat) - exact.stat(stat)) <= 3 * iso.stderr(stat), stat
+    iso = sm.ensemble_pools(spec, 300, sm.Rng(49))["iso"].summary()
+    for stat in ("mu", "sigma2", "m3"):
+        assert iso.stat(stat) == pytest.approx(exact.stat(stat), rel=1e-12), stat
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -154,28 +154,13 @@ def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
     def kernels():
         gen = sm.Rng(54, beta).generator()
         q = haar_batch(16, beta, gen, 40)
-        a, b = gen.standard_normal((2, 40, 16))
-        return q, _rotate_diag(q, b), _power_sums(_rotate_diag(q, b)), _iso_power_sums(q, a, b)
+        b = gen.standard_normal((40, 16))
+        return q, _rotate_diag(q, b), _power_sums(_rotate_diag(q, b))
 
     ref = kernels()
     monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)      # one matrix per sub-block
     for r, g in zip(ref, kernels()):
         assert np.array_equal(r, g)
-
-
-@pytest.mark.parametrize("beta", [1, 2])
-@pytest.mark.parametrize("m", [4, 32, 128])
-def test_iso_power_sums_match_matrix_power_sums(m, beta):
-    gen = sm.Rng(56, m).generator()
-    q = haar_batch(m, beta, gen, 5)
-    a, b = gen.standard_normal((2, 5, m))
-    b[1] += 1e3                                   # a shifted spectrum
-    mats = _iso_mats([a, b], [q])
-    want, lam = _power_sums(mats), np.linalg.eigvalsh(mats)
-    got = _iso_power_sums(q, a, b)
-    for j in (1, 2, 3, 4):
-        scale = (np.abs(lam) ** j).sum(axis=1)
-        assert np.all(np.abs(got[:, j - 1] - want[:, j - 1]) <= 1e-12 * scale), j
 
 
 def _quantum_oracle_cases():
@@ -209,21 +194,19 @@ POOL_ENSEMBLES = pytest.mark.parametrize(
 
 
 def _assert_moments_only_pools_match(n_sites, ensemble, coupling_range, beta):
+    # both routes take the moment sums from the same local draws by the same
+    # kernels; keeping samples only adds the eigenvalue rows
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
                         coupling_range=coupling_range)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_N_BLOCKS", 7)
         sums = sm.ensemble_pools(spec, 60, sm.Rng(55))
         eigs = sm.ensemble_pools(spec, 60, sm.Rng(55), keep_samples=True)
-    ids = np.arange(60) * 7 // 60
     for kind, pool in eigs.items():
-        assert np.array_equal(sums[kind].block_counts, pool.block_counts), kind
-        for j in (1, 2, 3, 4):
-            per_trial = (np.abs(pool.samples) ** j).sum(axis=1)
-            assert abs(sums[kind].moment_sums[j - 1] - pool.moment_sums[j - 1]) \
-                <= 1e-12 * per_trial.sum(), (kind, j)
-            assert np.all(np.abs(sums[kind].block_sums[:, j - 1] - pool.block_sums[:, j - 1])
-                          <= 1e-12 * np.bincount(ids, weights=per_trial)), (kind, j)
+        assert sums[kind].samples is None and pool.samples.shape == (60, spec.m), kind
+        for field in ("moment_sums", "block_sums", "block_counts"):
+            assert np.array_equal(getattr(sums[kind], field), getattr(pool, field)), \
+                (kind, field)
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -244,7 +227,8 @@ def test_moments_only_pools_match_eigenvalue_pools_n7(ensemble, coupling_range, 
 
 def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
     # at N=7 and L=2 the quantum sums embed 32×32 windows only, and the
-    # rotated isotropic matrices are reduced per sub-block, never stored
+    # classical and isotropic sums are closed forms in the bond spectra:
+    # no permutation, Haar draw or rotation is made
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
     widths = []
     embed = spectra.chain_mod.embed_sum_batch
@@ -253,13 +237,35 @@ def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
         widths.append(sub.m)
         return embed(dense, sub, *args)
 
-    def no_rotated_stack(q, b):
-        raise AssertionError("the moments-only route stored a rotated stack")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the moments-only route sampled a permutation or a rotation")
 
     monkeypatch.setattr(spectra.chain_mod, "embed_sum_batch", recording_embed)
-    monkeypatch.setattr(spectra, "_rotate_diag", no_rotated_stack)
+    for owner, name in ((spectra.matgen, "haar_batch"), (spectra, "_rotate_diag"),
+                        (spectra, "_permuted")):
+        monkeypatch.setattr(owner, name, refuse)
     sm.ensemble_pools(spec, 5, sm.Rng(58))
     assert widths and max(widths) == 32
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("coupling_range", [2, 3])
+@POOL_ENSEMBLES
+def test_conditional_sums_are_the_monte_carlo_mean(ensemble, coupling_range, beta):
+    # each trial's classical and isotropic sums are the mean over the
+    # permutations and Haar rotations that its kept samples draw one of, so
+    # the samples' Σλʲ less the sums average to 0
+    spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=ensemble, beta=beta,
+                        coupling_range=coupling_range)
+    trials = 2000
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_N_BLOCKS", trials)            # one block per trial
+        pools = sm.ensemble_pools(spec, trials, sm.Rng(71), keep_samples=True)
+    for kind in ("classical", "iso"):
+        pool = pools[kind]
+        for j in (2, 3, 4):
+            gap = (pool.samples ** j).sum(axis=1) - pool.block_sums[:, j - 1]
+            assert abs(gap.mean()) <= 3 * gap.std(ddof=1) / np.sqrt(trials), (kind, j)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +343,27 @@ def test_range3_pools_match_three_moments(ensemble):
 
 # ---------------------------------------------------------------------------
 # invariances
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["wishart", "goe", "pm1", "fixed"]),
+       values=st.lists(st.floats(-10, 10), min_size=8, max_size=8),
+       n_sites=st.integers(3, 12), coupling_range=st.integers(2, 3), beta=st.integers(1, 2),
+       trials=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_matching_three_moments_is_exact_per_trial(kind, values, n_sites, coupling_range,
+                                                   beta, trials, seed):
+    # the isotropic sums share κ₁…κ₃ with the classical ones in every trial,
+    # and the alternating words only lower Σλ⁴
+    ensemble = {"wishart": sm.LocalEnsemble.wishart(4), "goe": sm.LocalEnsemble.goe(),
+                "pm1": sm.LocalEnsemble.pm1(),
+                "fixed": sm.LocalEnsemble.fixed_spectrum(values[:2 ** coupling_range])}[kind]
+    spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
+                        coupling_range=coupling_range)
+    pools = sm.ensemble_pools(spec, trials, sm.Rng(seed))
+    for field in ("moment_sums", "block_sums"):
+        classical, iso = getattr(pools["classical"], field), getattr(pools["iso"], field)
+        assert np.allclose(iso[..., :3], classical[..., :3], rtol=1e-12, atol=0), field
+        assert np.all(iso[..., 3] <= classical[..., 3]), field
 
 
 def _shape_stats(pools):

@@ -125,7 +125,9 @@ def test_windowed_pools_do_not_depend_on_workers_or_chunking(worker_pools):
         mp.setattr(spectra, "_N_BLOCKS", 6)
         runs = {name: _with_pool(pool, sm.ensemble_pools, spec, 20, sm.Rng(6))
                 for name, pool in worker_pools.items() if name != "serial"}
-        for budget in (1, 7 * spec.m ** 2):        # chunks of one and of seven trials
+        # chunks of one and of seven trials: without samples a chunk is sized
+        # by the 32×32 windows, not by the chain's m×m matrices
+        for budget in (1, 7 * 32 ** 2):
             runs[budget] = _with_pool(worker_pools[2], _with_budget, budget,
                                       sm.ensemble_pools, spec, 20, sm.Rng(6))
     for pools in runs.values():
