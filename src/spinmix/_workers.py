@@ -7,7 +7,7 @@ trial is computed by the same single-threaded kernel whichever slice holds
 it, so results do not depend on the worker count.  Random draws never happen
 here: callers draw on their own thread first.  ``fn`` must not itself call
 ``map_trials``.  Callers walk each slice in sub-blocks of at most
-``_SUB_BLOCK`` matrix elements (``_sub_blocks``), which bounds the
+``_SUB_BLOCK`` array elements (``_sub_blocks``), which bounds the
 temporaries each worker holds.
 
 The workers are threads, one per CPU in the process's affinity mask; the
@@ -36,7 +36,7 @@ from pathlib import Path
 
 __all__ = ["map_trials", "describe"]
 
-_SUB_BLOCK = 1 << 18             # matrix elements per worker-side temporary
+_SUB_BLOCK = 1 << 18             # array elements per worker-side temporary
 
 
 def _cpu_count() -> int:
@@ -147,9 +147,9 @@ def map_trials(fn, count: int):
     _pool().map(fn, count)
 
 
-def _sub_blocks(lo: int, hi: int, m: int):
-    """(s, e) ranges of at most _SUB_BLOCK m×m matrix elements covering lo..hi."""
-    step = max(1, _SUB_BLOCK // (m * m))
+def _sub_blocks(lo: int, hi: int, size: int):
+    """(s, e) ranges covering lo..hi, of at most _SUB_BLOCK elements at `size` a trial."""
+    step = max(1, _SUB_BLOCK // size)
     for s in range(lo, hi, step):
         yield s, min(hi, s + step)
 

@@ -40,15 +40,6 @@ STREAM_ISO = 2
 STREAM_LOCAL_VECS = 3
 
 
-def dense_cap() -> int:
-    raw = os.environ.get(_MAX_DIM_ENV, str(DEFAULT_MAX_DIM))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"the {_MAX_DIM_ENV} environment variable must be an integer, "
-                         f"got {raw!r}") from None
-
-
 @dataclass(frozen=True)
 class LocalEnsemble:
     """Law of one bond term.  Use the constructors, not the raw fields."""
@@ -151,7 +142,12 @@ class ChainSpec:
             raise ValueError("odd/even split is defined for L=2 only")
 
     def check_dense_cap(self):
-        cap = dense_cap()
+        raw = os.environ.get(_MAX_DIM_ENV, str(DEFAULT_MAX_DIM))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"the {_MAX_DIM_ENV} environment variable must be an integer, "
+                             f"got {raw!r}") from None
         if self.m > cap:
             raise ValueError(
                 f"dense dimension d^N = {self.m} exceeds the cap {cap}; "
@@ -165,11 +161,12 @@ class ChainSpec:
 def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
     """Batched bond draws for Monte Carlo loops.
 
-    Returns (evals, dense) with evals of shape (count, n_bonds, d^L), sorted
-    ascending per bond, and dense of shape (count, n_bonds, d^L, d^L).  The
-    eigenvalues come from `gen`; the Haar eigenvectors of the spectral
-    ensembles (pm1, balanced pm1, fixed) from `vec_gen`, which only those
-    need, so the eigenvalue stream does not depend on the eigenvectors.
+    Returns (evals, dense), dense of shape (count, n_bonds, d^L, d^L).  The
+    spectral ensembles (pm1, balanced pm1, fixed) draw evals, (count,
+    n_bonds, d^L) sorted ascending per bond, from `gen` and Haar
+    eigenvectors from `vec_gen`, which only they need, so the eigenvalue
+    stream does not depend on the eigenvectors.  Wishart and GOE terms are
+    drawn whole from `gen` and returned undiagonalised, with evals None.
     """
     ens, nb, nloc, beta = spec.ensemble, spec.n_bonds, spec.local_dim, spec.beta
     if ens.kind in ("wishart", "goe"):
@@ -178,8 +175,7 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
             h = np.einsum("tri,trj->tij", w.conj(), w).reshape(count, nb, nloc, nloc)
         else:
             h = matgen.gaussian_batch((count, nb, nloc, nloc), beta, gen)
-        dense = (h + h.conj().swapaxes(-1, -2)) / 2.0
-        return np.linalg.eigvalsh(dense), dense
+        return None, (h + h.conj().swapaxes(-1, -2)) / 2.0
     if ens.kind in ("pm1", "pm1_balanced", "fixed"):
         if ens.kind == "pm1":
             evals = np.where(gen.random((count, nb, nloc)) < 0.5, -1.0, 1.0)

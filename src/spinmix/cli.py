@@ -297,8 +297,6 @@ def cmd_reproduce(args) -> int:
     _check_seed(args.seed)
     d, r, beta = 2, 4, 1
     spec = ChainSpec(n_sites=n_sites, site_dim=d, ensemble=LocalEnsemble.wishart(r), beta=beta)
-    if trials:
-        spec.check_dense_cap()
     theory = slider_mod.wishart_chain_stats(n_sites, d, r)
     dims = slider_mod.SliderDims.odd_side(n_sites, d, beta)
     slid = slider_mod.ensemble_slider(slider_mod.wishart_moments(r, d * d, beta), dims)

@@ -87,7 +87,7 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
         for k in range(dim):
             v[lo:hi, k, k:] = g[lo:hi, start:start + dim - k]
             start += dim - k
-        for s, e in _sub_blocks(lo, hi, dim):
+        for s, e in _sub_blocks(lo, hi, dim * dim):
             _reflectors_to_haar(v[s:e], orgqr, lwork)
 
     map_trials(reflect, count)

@@ -17,14 +17,15 @@ run.
 Each chunk's sums are folded into the pools in trial order, so the pooled
 and block sums do not depend on the chunks either, bit for bit.
 
-Within a chunk the O(m³) per-trial kernels fan out over worker threads
+Within a chunk the per-trial kernels fan out over worker threads
 (``_workers.map_trials``), each worker taking a contiguous slice of the
 chunk's trials with OpenBLAS at one thread and walking it in sub-blocks of
-at most ``_workers._SUB_BLOCK`` matrix elements, which bounds its
-temporaries.  All random draws stay serial on the calling thread, in
-trial-major order, and each trial is computed by the same kernel in any
-slice or sub-block, so the output does not depend on the worker count
-either.
+at most ``_workers._SUB_BLOCK`` array elements, which bounds its
+temporaries: the moment sums in one fan-out per chunk (``_trace_sums``),
+the kept samples' m×m rotations and eigensolves in their own.  All random
+draws stay serial on the calling thread, in trial-major order, and each
+trial is computed by the same kernel in any slice or sub-block, so the
+output does not depend on the worker count either.
 
 Each trial's spectrum is a list of diagonal summands s₀ … s_k: the
 odd/even diagonals (a, b) at range L = 2, each bond's embedded spectrum at
@@ -34,11 +35,11 @@ each trial adds its Σλ¹…Σλ⁴ given its local draw.
 
 * The classical and isotropic sums are their exact means over the
   permutations and rotations, closed forms in the bonds' cumulants
-  (``_conditional_power_sums``), so they draw nothing and cost
-  O(n_bonds · d^L) per trial.
+  (``_conditional_power_sums``): traces of powers of each centred bond
+  term, O(n_bonds · d^(3L)) per trial, with no draw and no eigensolver.
 * The quantum sums are exact: the chain's cumulants from windows of at most
-  3(L−1)+1 bonds (``_quantum_power_sums``), which never form the chain's
-  m×m matrix once it has more bonds than a window.
+  3(L−1)+1 bonds (``_trace_sums``), which never form the chain's m×m
+  matrix once it has more bonds than a window.
 
 Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
 Monte Carlo: summand i is permuted on the child stream
@@ -253,7 +254,7 @@ def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(q.shape, dtype=np.result_type(q, b))
 
     def rotate(lo, hi):
-        for s, e in _sub_blocks(lo, hi, q.shape[-1]):
+        for s, e in _sub_blocks(lo, hi, q.shape[-1] ** 2):
             np.matmul(q[s:e].conj().swapaxes(-1, -2) * b[s:e, None, :], q[s:e], out=out[s:e])
 
     map_trials(rotate, q.shape[0])
@@ -295,84 +296,86 @@ def _power_sums(mats: np.ndarray) -> np.ndarray:
     They are tr M, ⟨M, M⟩, ⟨M², M⟩ and ⟨M², M²⟩ with the real part of the
     conjugated inner product, so one M² per matrix replaces an eigvalsh.
     """
-    count, m = mats.shape[0], mats.shape[-1]
-    out = np.empty((count, 4))
-
     def inner(x, y):
         # a complex array viewed as float pairs gives Re Σ conj(x)·y
         return np.einsum("ij,ij->i", x.reshape(len(x), -1).view(np.float64),
                          y.reshape(len(y), -1).view(np.float64))
 
-    def sums(lo, hi):
-        for s, e in _sub_blocks(lo, hi, m):
-            x = mats[s:e]
-            sq = x @ x
-            out[s:e, 0] = np.trace(x, axis1=1, axis2=2).real
-            out[s:e, 1] = inner(x, x)
-            out[s:e, 2] = inner(sq, x)
-            out[s:e, 3] = inner(sq, sq)
-
-    map_trials(sums, count)
-    return out
+    sq = mats @ mats
+    return np.stack([np.trace(mats, axis1=1, axis2=2).real, inner(mats, mats),
+                     inner(sq, mats), inner(sq, sq)], axis=-1)
 
 
 def _window_cumulants(bonds: np.ndarray, spec: ChainSpec, width: int) -> np.ndarray:
     """κ₂, κ₃, κ₄ summed over the windows of `width` consecutive centred bonds.
 
-    `bonds` is (count, nb, d^L, d^L); returns (count, 3).  Each window is
-    the Hamiltonian of a chain of width + L − 1 sites; the normalised trace
-    of an embedded product is the same on any chain that holds it, and a
-    centred window has mean 0, so κ₂ = μ₂, κ₃ = μ₃ and κ₄ = μ₄ − 3μ₂².
+    `bonds` is (count, nb, d^L, d^L); returns (count, 3).  The windows are
+    embedded in one call, stacked on the batch axis, as chains of width +
+    L − 1 sites: τ of an embedded product is the same on any chain that
+    holds it, and a centred window has mean 0, so κ₂ = μ₂, κ₃ = μ₃ and
+    κ₄ = μ₄ − 3μ₂².
     """
     sub = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 1)
-    kappa = 0.0
-    for i in range(bonds.shape[1] - width + 1):
-        mu = _power_sums(chain_mod.embed_sum_batch(bonds[:, i:i + width], sub)) / sub.m
-        kappa = kappa + np.stack([mu[:, 1], mu[:, 2], mu[:, 3] - 3 * mu[:, 1] ** 2], axis=-1)
-    return kappa
+    count, nloc = bonds.shape[0], bonds.shape[-1]
+    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(bonds, width, 1), -1, 2)
+    mats = chain_mod.embed_sum_batch(windows.reshape(-1, width, nloc, nloc), sub)
+    mu = _power_sums(mats).reshape(count, -1, 4) / sub.m
+    kappa = np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1)
+    # a left fold over the positions, the same for a trial in any sub-block
+    return sum(kappa[:, i] for i in range(kappa.shape[1]))
 
 
-def _quantum_power_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    """Σλ¹…Σλ⁴ of each trial's chain Hamiltonian Σ_l h_l, as a (count, 4) array.
+def _trace_sums(dense: np.ndarray, spec: ChainSpec):
+    """Each bond's trace moments and each trial's quantum Σλ¹…Σλ⁴.
 
-    Centre every bond term, h_l − τ(h_l)·I with τ the normalised trace, and
-    expand the cumulants κ₂…κ₄ multilinearly in the terms.  A tuple of
-    terms that splits into two groups with disjoint supports contributes
-    nothing: the groups commute, τ factorises over them and the centred
-    terms have τ = 0.  So only tuples of at most four bonds whose supports
-    form a chain contribute, and those span at most s = 3(L−1)+1 consecutive
-    bonds.  Every such tuple lies in a run of consecutive s-bond windows,
-    and in the overlaps (s − 1 bonds) of each neighbouring pair of them, so
-    the chain's cumulants are the windows' cumulants summed, less the
-    overlaps'.  With n_bonds ≤ s the one window is the chain itself.
+    `dense` is (count, n_bonds, d^L, d^L).  Returns the (count, n_bonds, 4)
+    τ(h_l), τ(c_l²), τ(c_l³), τ(c_l⁴), with τ the normalised trace and c_l =
+    h_l − τ(h_l)·I, and the chain's (count, 4) sums.  Its cumulants κ₂…κ₄
+    expand multilinearly in the c_l.  A tuple of terms that splits into two
+    groups with disjoint supports contributes nothing: the groups commute, τ
+    factorises over them and τ(c_l) = 0.  So only tuples of at most four
+    bonds whose supports form a chain contribute, spanning at most s =
+    3(L−1)+1 consecutive bonds, and the chain's cumulants are those of its
+    s-bond windows summed, less those of the overlaps (s − 1 bonds) of
+    neighbouring windows.  With n_bonds ≤ s the one window is the chain.
+    One fan-out: each worker centres, embeds and reduces its trials' windows
+    sub-block by sub-block, and a bond is a window of one bond.
     """
-    nb, nloc = dense.shape[1], dense.shape[-1]
-    shift = np.trace(dense, axis1=-2, axis2=-1).real / nloc          # τ(h_l)
-    centred = dense - shift[..., None, None] * np.eye(nloc)
+    count, nb, nloc = dense.shape[:3]
     width = min(nb, 3 * (spec.coupling_range - 1) + 1)
-    kappa = _window_cumulants(centred, spec, width)
-    if width < nb:
-        kappa -= _window_cumulants(centred[:, 1:-1], spec, width - 1)
-    return spec.m * np.stack(_raw_moments(shift.sum(axis=1), *kappa.T), axis=-1)
+    window_dim = spec.site_dim ** (width + spec.coupling_range - 1)
+    bonds, kappa = np.empty((count, nb, 4)), np.empty((count, 3))
+
+    def reduce(lo, hi):
+        for s, e in _sub_blocks(lo, hi, (nb - width + 1) * window_dim ** 2):
+            tau = np.trace(dense[s:e], axis1=-2, axis2=-1).real / nloc
+            c = dense[s:e] - tau[..., None, None] * np.eye(nloc)
+            bonds[s:e] = _power_sums(c.reshape(-1, nloc, nloc)).reshape(e - s, nb, 4) / nloc
+            bonds[s:e, :, 0] = tau
+            kappa[s:e] = _window_cumulants(c, spec, width)
+            if width < nb:
+                kappa[s:e] -= _window_cumulants(c[:, 1:-1], spec, width - 1)
+
+    map_trials(reduce, count)
+    return bonds, spec.m * np.stack(_raw_moments(bonds[..., 0].sum(axis=1), *kappa.T), axis=-1)
 
 
-def _conditional_power_sums(evals: np.ndarray, spec: ChainSpec):
+def _conditional_power_sums(bonds: np.ndarray, spec: ChainSpec):
     """Each trial's classical and isotropic Σλ¹…Σλ⁴, averaged over Π_i or Q_i.
 
-    `evals` is (count, n_bonds, d^L); returns two (count, 4) arrays.  A
-    classical eigenvalue is a sum of independent uniform draws, one from
-    each bond's spectrum, so its cumulants κ₁…κ₄ are the bonds' summed.  The
-    isotropic spectrum has the same κ₁…κ₃ (Matching Three Moments): E Q†SQ =
-    τ(S)·I, so in a word of degree at most 4 a summand that appears once
-    factors out, as it does classically.  Only the alternating words differ:
+    `bonds` is (count, n_bonds, 4), each bond's τ(h), τ(c²), τ(c³), τ(c⁴)
+    (``_trace_sums``); returns two (count, 4) arrays.  A classical
+    eigenvalue is a sum of independent uniform draws, one from each bond's
+    spectrum, so its cumulants κ₁…κ₄ are the bonds' summed.  The isotropic
+    spectrum has the same κ₁…κ₃ (Matching Three Moments): E Q†SQ = τ(S)·I,
+    so in a word of degree at most 4 a summand that appears once factors
+    out, as it does classically.  Only the alternating words differ:
     E τ(S_i S_j S_i S_j) = τ(S_i²)τ(S_j²) − w·v_i·v_j with S_i = diag(s_i)
     rotated, w = β(m−1)/(mβ+2) and v_i = m/(m−1)·var(s_i)
     (``slider.appendix_iso_expectation``), and τ(M⁴) holds two per pair.
     """
     m, beta = spec.m, spec.beta
-    mu = evals.mean(axis=-1)                                        # (count, nb)
-    c = evals - mu[..., None]
-    c2, c3, c4 = ((c ** j).mean(axis=-1) for j in (2, 3, 4))
+    mu, c2, c3, c4 = np.moveaxis(bonds, -1, 0)                     # each (count, nb)
     kappa = [mu.sum(1), c2.sum(1), c3.sum(1), (c4 - 3 * c2 ** 2).sum(1)]
     # var(s_i): a parity's bonds summed at L = 2, each bond's at L > 2
     var = np.stack([c2[:, 0::2].sum(1), c2[:, 1::2].sum(1)], axis=1) \
@@ -503,14 +506,15 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     The pools' moment sums are each trial's Σλ¹…Σλ⁴ given its local draw:
     the classical and isotropic ones averaged exactly over Π_i and Q_i
     (``_conditional_power_sums``), the quantum ones exact from cumulants of
-    bond windows (``_quantum_power_sums``).  They need no m×m matrix.
-    `keep_samples` (``spinmix run``) also draws Π_i on stream
+    bond windows (``_trace_sums``).  They need no m×m matrix and so no
+    dense cap.  `keep_samples` (``spinmix run``) also draws Π_i on stream
     ``(STREAM_CLASSICAL, i − 1)`` and Q_i on ``(STREAM_ISO, i − 1)``,
     diagonalises the isotropic and quantum matrices, and keeps every
     trial's eigenvalues as a row of each pool's ``samples``; the moment
     sums are the same on both routes, bit for bit.
     """
-    spec.check_dense_cap()
+    if keep_samples:
+        spec.check_dense_cap()
     m = spec.m
     pools = {k: _new_pool(m, trials, keep_samples) for k in ("classical", "iso", "quantum")}
     # both local streams are opened once and drawn trial-major, so the draws
@@ -528,11 +532,13 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     dim = m if keep_samples else min(m, spec.site_dim ** (4 * spec.coupling_range - 3))
     for lo, hi in _chunks(dim, trials):
         evals, dense = chain_mod.draw_local_batch(spec, hi - lo, eig_gen, vec_gen=vec_gen)
-        for kind, sums in zip(("classical", "iso"), _conditional_power_sums(evals, spec)):
+        bonds, quantum = _trace_sums(dense, spec)
+        for kind, sums in zip(("classical", "iso"), _conditional_power_sums(bonds, spec)):
             _accumulate(pools[kind], sums, lo)
-        _accumulate(pools["quantum"], _quantum_power_sums(dense, spec), lo)
+        _accumulate(pools["quantum"], quantum, lo)
         if not keep_samples:
             continue
+        evals = np.linalg.eigvalsh(dense) if evals is None else evals    # Wishart, GOE
         if spec.coupling_range == 2:
             summands = chain_mod.diagonals_from_eigs(evals, spec)
         else:

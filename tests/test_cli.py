@@ -270,6 +270,14 @@ def test_reproduce_rejects_negative_seed(capsys):
     assert out == "" and err == "error: --seed must be >= 0\n", (out, err)
 
 
+def test_reproduce_does_not_check_the_dense_cap(monkeypatch, capsys):
+    # reproduce keeps no samples and forms no m×m matrix, so a cap below
+    # its m = 8 does not stop it
+    monkeypatch.setenv("IE_MAX_DIM", "4")
+    assert main(["reproduce", "N3", "--trials", "8000", "--seed", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_reproduce_small_run_passes():
     code, out, _ = run_cli("reproduce", "N3", "--trials", "8000", "--seed", "2")
     assert code == 0, out

@@ -194,11 +194,17 @@ def test_fixed_spectrum_wrong_length():
 
 
 def test_local_term_eigendecomposition_roundtrip():
-    # the eigenvalues draw_local_batch returns belong to the terms it returns
+    # the eigenvalues draw_local_batch returns belong to the terms it returns;
+    # Wishart terms are drawn whole and returned undiagonalised
     gen = sm.Rng(9).generator()
     evals, dense = draw_local_batch(wishart_chain(2), 1, gen)
-    h = dense[0, 0]
-    _, q = np.linalg.eigh(h)
-    err = np.abs((q * evals[0, 0]) @ q.conj().T - h).max()
-    assert err <= 1e-10
-    assert np.abs(h - h.conj().T).max() <= 1e-12
+    assert evals is None
+    assert np.abs(dense[0, 0] - dense[0, 0].conj().T).max() <= 1e-12
+    for ensemble in (sm.LocalEnsemble.pm1(), sm.LocalEnsemble.fixed_spectrum([-2, 0.5, 1, 3])):
+        spec = sm.ChainSpec(n_sites=2, site_dim=2, ensemble=ensemble, beta=2)
+        evals, dense = draw_local_batch(spec, 1, gen, vec_gen=gen)
+        h = dense[0, 0]
+        _, q = np.linalg.eigh(h)
+        err = np.abs((q * evals[0, 0]) @ q.conj().T - h).max()
+        assert err <= 1e-10
+        assert np.abs(h - h.conj().T).max() <= 1e-12

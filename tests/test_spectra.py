@@ -1,16 +1,19 @@
 """Measures, summaries, the three convolutions, density utilities."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinmix as sm
-from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
+from spinmix.chain import (DEFAULT_MAX_DIM, diagonals_from_eigs, draw_local_batch,
+                           embed_sum_batch)
 from spinmix.matgen import gaussian_batch, haar_batch
 from spinmix import _workers, spectra
-from spinmix.spectra import (EmpiricalMeasure, _iso_mats, _power_sums, _quantum_power_sums,
-                             _rotate_diag, freedman_diaconis_edges)
+from spinmix.spectra import (EmpiricalMeasure, _iso_mats, _power_sums, _rotate_diag,
+                             _trace_sums, freedman_diaconis_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +154,20 @@ def test_power_sums_match_eigenvalues(m, beta, shift):
 
 @pytest.mark.parametrize("beta", [1, 2])
 def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
+    # at N=7 the bond and window sums of a trial come from three windows and
+    # two overlaps, embedded and reduced in whichever sub-block holds it
+    spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4), beta=beta)
+
     def kernels():
         gen = sm.Rng(54, beta).generator()
         q = haar_batch(16, beta, gen, 40)
         b = gen.standard_normal((40, 16))
-        return q, _rotate_diag(q, b), _power_sums(_rotate_diag(q, b))
+        _, dense = draw_local_batch(spec, 40, gen)
+        return (q, _rotate_diag(q, b), _power_sums(_rotate_diag(q, b)),
+                *_trace_sums(dense, spec))
 
     ref = kernels()
-    monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)      # one matrix per sub-block
+    monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)      # one trial per sub-block
     for r, g in zip(ref, kernels()):
         assert np.array_equal(r, g)
 
@@ -185,7 +194,58 @@ def test_quantum_power_sums_match_eigenvalues(spec):
     count = 2 if spec.m > 512 else 4
     _, dense = draw_local_batch(spec, count, gen, vec_gen=gen)
     lam = np.linalg.eigvalsh(embed_sum_batch(dense, spec))
-    _assert_power_sums_match(_quantum_power_sums(dense, spec), lam)
+    _assert_power_sums_match(_trace_sums(dense, spec)[1], lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["wishart", "goe", "pm1", "fixed"]),
+       values=st.lists(st.floats(-10, 10), min_size=8, max_size=8),
+       coupling_range=st.integers(2, 3), beta=st.integers(1, 2), shift=st.floats(-1e3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_bond_cumulants_from_traces_match_eigenvalues(kind, values, coupling_range, beta,
+                                                     shift, seed):
+    # τ(h) and τ(c^j) of each centred bond term c = h − τ(h)·I, taken from
+    # traces of its powers, are the mean and the central moments of its
+    # spectrum; a shift of the spectrum moves τ(h) alone.  A central moment
+    # of order j rounds by about ε·max|λ|·max|c|^(j−1)
+    ensemble = {"wishart": sm.LocalEnsemble.wishart(4), "goe": sm.LocalEnsemble.goe(),
+                "pm1": sm.LocalEnsemble.pm1(),
+                "fixed": sm.LocalEnsemble.fixed_spectrum(values[:2 ** coupling_range])}[kind]
+    spec = sm.ChainSpec(n_sites=coupling_range + 2, site_dim=2, ensemble=ensemble, beta=beta,
+                        coupling_range=coupling_range)
+    gen = sm.Rng(seed).generator()
+    _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
+    dense = dense + shift * np.eye(spec.local_dim)
+    bonds, _ = _trace_sums(dense, spec)
+    lam = np.linalg.eigvalsh(dense)
+    c = lam - lam.mean(axis=-1, keepdims=True)
+    top = np.abs(lam).max(axis=-1)
+    spread = np.maximum(np.abs(c).max(axis=-1), np.finfo(float).eps * top)
+    assert np.all(np.abs(bonds[..., 0] - lam.mean(axis=-1)) <= 1e-12 * top)
+    for j in (2, 3, 4):
+        err = np.abs(bonds[..., j - 1] - (c ** j).mean(axis=-1))
+        assert np.all(err <= 1e-12 * top * spread ** (j - 1)), j
+
+
+def test_moments_only_pools_need_no_dense_cap():
+    # the moments-only sums form no m×m matrix, so they run far above the
+    # dense cap: m = 65,536 at N=16, against the default cap of 4,096
+    spec = sm.ChainSpec(n_sites=16, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
+    assert spec.m > DEFAULT_MAX_DIM
+    t0 = time.perf_counter()
+    pools = sm.ensemble_pools(spec, 200, sm.Rng(59))
+    assert time.perf_counter() - t0 < 1.0
+    for kind, pool in pools.items():
+        assert np.all(np.isfinite(pool.moment_sums)), kind
+    classical, iso = pools["classical"].summary(), pools["iso"].summary()
+    for stat in ("kappa1", "kappa2", "kappa3"):
+        assert iso.stat(stat) == pytest.approx(classical.stat(stat), rel=1e-12), stat
+
+
+def test_kept_samples_still_check_the_dense_cap():
+    spec = sm.ChainSpec(n_sites=13, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
+    with pytest.raises(ValueError, match="cap"):
+        sm.ensemble_pools(spec, 2, sm.Rng(59), keep_samples=True)
 
 
 POOL_ENSEMBLES = pytest.mark.parametrize(
@@ -226,9 +286,10 @@ def test_moments_only_pools_match_eigenvalue_pools_n7(ensemble, coupling_range, 
 
 
 def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
-    # at N=7 and L=2 the quantum sums embed 32×32 windows only, and the
-    # classical and isotropic sums are closed forms in the bond spectra:
-    # no permutation, Haar draw or rotation is made
+    # at N=7 and L=2 the quantum sums embed 32×32 windows only, on the
+    # worker threads, and the classical and isotropic sums are closed forms
+    # in traces of the bond terms: no permutation, Haar draw, rotation or
+    # eigensolve is made
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
     widths = []
     embed = spectra.chain_mod.embed_sum_batch
@@ -238,11 +299,12 @@ def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
         return embed(dense, sub, *args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the moments-only route sampled a permutation or a rotation")
+        raise AssertionError("the moments-only route sampled a permutation or a rotation, "
+                             "or diagonalised a matrix")
 
     monkeypatch.setattr(spectra.chain_mod, "embed_sum_batch", recording_embed)
     for owner, name in ((spectra.matgen, "haar_batch"), (spectra, "_rotate_diag"),
-                        (spectra, "_permuted")):
+                        (spectra, "_permuted"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(owner, name, refuse)
     sm.ensemble_pools(spec, 5, sm.Rng(58))
     assert widths and max(widths) == 32
@@ -287,13 +349,17 @@ def test_pools_deterministic(spec_n3):
 
 
 def test_pool_block_statistics(spec_n3):
-    pool = sm.ensemble_pools(spec_n3, 5000, sm.Rng(52))["classical"]
+    pools = sm.ensemble_pools(spec_n3, 5000, sm.Rng(52))
+    pool = pools["classical"]
     assert (pool.block_counts > 0).sum() == 50
     assert np.isfinite(pool.stderr("gamma2"))
     assert pool.stderr("mu") > 0
-    # block sums partition the pooled sums
-    assert np.abs(pool.block_sums.sum(axis=0) - pool.moment_sums).max() < 1e-6
-    assert pool.block_counts.sum() == pool.count
+    for kind, p in pools.items():
+        # block sums partition the pooled sums, up to the rounding of two
+        # summation orders: a few ulp of each pooled sum
+        gap = np.abs(p.block_sums.sum(axis=0) - p.moment_sums)
+        assert np.all(gap <= 64 * np.spacing(p.moment_sums)), kind
+        assert p.block_counts.sum() == p.count, kind
 
 
 def test_jackknife_mu_equals_block_mean_se(spec_n3):
