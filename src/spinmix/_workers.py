@@ -1,26 +1,39 @@
 """Trial-parallel worker threads for the per-trial O(m³) LAPACK/BLAS kernels.
 
-``map_trials(fn, count)`` runs ``fn(lo, hi)`` on contiguous slices of
-``range(count)``, one slice per worker, and returns once every slice is done.
-Each ``fn`` writes its slice of an output its caller preallocated, and every
-trial is computed by the same single-threaded kernel whichever slice holds
-it, so results do not depend on the worker count.  Random draws never happen
-here: callers draw on their own thread first.  ``fn`` must not itself call
-``map_trials``.  Callers walk each slice in sub-blocks of at most
-``_SUB_BLOCK`` array elements (``_sub_blocks``), which bounds the
-temporaries each worker holds.
+``map_trials(fn, count, size)`` runs ``fn(lo, hi)`` on contiguous slices of
+``range(count)`` and returns once every slice is done.  Each ``fn`` writes
+its slice of an output its caller preallocated, and every trial is computed
+by the same single-threaded kernel whichever slice holds it, so results do
+not depend on the slice count.  Random draws never happen here: callers
+draw on their own thread first.  A slice must not itself call
+``map_trials``; such a call raises ``RuntimeError`` instead of waiting for
+the fan-out it runs in.  Callers walk each slice in sub-blocks of at most
+``_SUB_BLOCK`` array elements (``_sub_blocks``), where a trial holds `size`
+elements, which bounds the temporaries each slice holds.
+
+The slice rule: a fan-out runs min(workers, count, ⌈count·size /
+_SUB_BLOCK⌉) slices, so no slice of a split holds less than half a
+sub-block.  A smaller slice is a few short numpy calls that hold the
+interpreter lock between their loops, and two of them finish no sooner than
+one thread running both.  A lone slice runs on the calling thread.
 
 The workers are threads, one per CPU in the process's affinity mask; the
 LAPACK, BLAS and ufunc loops they run release the interpreter lock.  At
-these matrix sizes OpenBLAS's own threads cost more than they give, so each
-fan-out runs every OpenBLAS library numpy and scipy load at one thread.
-OpenBLAS keeps that count per process (``openblas_set_num_threads_local``
-sets the same process-wide count), so it is set to 1 only while a fan-out
-runs and restored before ``map_trials`` returns: the calling thread's
-kernels between fan-outs keep the count it had.  Fan-outs from different
-calling threads take turns.  Where numpy or scipy loads no OpenBLAS whose
-thread count can be set, ``map_trials`` runs one slice on the calling
-thread.
+these matrix sizes OpenBLAS's own threads cost more than they give, so
+every slice, a lone one on the calling thread included, runs every OpenBLAS
+library numpy and scipy load at one thread.  OpenBLAS keeps that count per
+process (``openblas_set_num_threads_local`` sets the same process-wide
+count), so it is set to 1 only while a fan-out runs and restored before
+``map_trials`` returns: the calling thread's kernels between fan-outs keep
+the count it had.  Fan-outs from different calling threads take turns.
+Where numpy or scipy loads no OpenBLAS whose thread count can be set,
+``map_trials`` runs one slice on the calling thread.
+
+``_scratch(key, shape, dtype)`` hands a kernel a per-thread array that is
+reused across sub-blocks and calls, so a sub-block maps no fresh pages.  It
+lives as long as its thread (a worker lives as long as the pool) and grows
+only to the largest request that thread has made; nothing a kernel returns
+may alias it.
 
 The pool is created on first use, so importing the package starts no thread.
 """
@@ -29,14 +42,19 @@ from __future__ import annotations
 
 import ctypes
 import importlib
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["map_trials", "describe"]
 
 _SUB_BLOCK = 1 << 18             # array elements per worker-side temporary
+
+_thread = threading.local()      # .in_slice while a slice runs; .scratch arrays
 
 
 def _cpu_count() -> int:
@@ -80,6 +98,14 @@ def _openblas_controls() -> list:
     return controls
 
 
+def _run_slice(fn, lo, hi):
+    _thread.in_slice = True
+    try:
+        fn(lo, hi)
+    finally:
+        _thread.in_slice = False
+
+
 class _Pool:
     """`workers` threads running OpenBLAS at one thread; serial if `blas` is empty."""
 
@@ -92,20 +118,26 @@ class _Pool:
         self._executor = ThreadPoolExecutor(self.workers, "spinmix-worker") \
             if self.one_blas_thread else None
 
-    def map(self, fn, count: int):
+    def map(self, fn, count: int, size: int):
+        if getattr(_thread, "in_slice", False):
+            raise RuntimeError("map_trials called from a slice of a fan-out: a slice "
+                               "must not itself call map_trials")
         if self._executor is None:
-            fn(0, count)
+            _run_slice(fn, 0, count)
             return
-        n = max(1, min(self.workers, count))
-        bounds = [count * i // n for i in range(n + 1)]
+        n = max(1, min(self.workers, count, -(-count * size // _SUB_BLOCK)))
         with self._lock:
             saved = [get() for get, _ in self._blas]
             futures = []
             try:
                 for _, put in self._blas:
                     put(1)
-                for lo, hi in zip(bounds, bounds[1:]):
-                    futures.append(self._executor.submit(fn, lo, hi))
+                if n == 1:
+                    _run_slice(fn, 0, count)
+                else:
+                    bounds = [count * i // n for i in range(n + 1)]
+                    for lo, hi in zip(bounds, bounds[1:]):
+                        futures.append(self._executor.submit(_run_slice, fn, lo, hi))
             finally:
                 # no slice may outlive the fan-out: the caller reads (or frees)
                 # the output next, and the thread count is restored
@@ -142,9 +174,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def map_trials(fn, count: int):
-    """Run fn(lo, hi) over contiguous slices covering range(count); re-raise errors."""
-    _pool().map(fn, count)
+def map_trials(fn, count: int, size: int):
+    """Run fn(lo, hi) over contiguous slices covering range(count); re-raise errors.
+
+    `size` is the number of array elements a trial holds, as `fn` passes it
+    to ``_sub_blocks``; it sets the slice count (see the module docstring).
+    """
+    _pool().map(fn, count, size)
 
 
 def _sub_blocks(lo: int, hi: int, size: int):
@@ -152,6 +188,15 @@ def _sub_blocks(lo: int, hi: int, size: int):
     step = max(1, _SUB_BLOCK // size)
     for s in range(lo, hi, step):
         yield s, min(hi, s + step)
+
+
+def _scratch(key: str, shape, dtype) -> np.ndarray:
+    """This thread's reusable array `key`, of `shape` and `dtype`, contents undefined."""
+    arrays = _thread.__dict__.setdefault("scratch", {})
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if key not in arrays or arrays[key].size < nbytes:
+        arrays[key] = np.empty(nbytes, np.uint8)
+    return arrays[key][:nbytes].view(dtype).reshape(shape)
 
 
 def describe() -> dict:

@@ -168,14 +168,21 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
     stream does not depend on the eigenvectors.  Wishart and GOE terms are
     drawn whole from `gen` and returned undiagonalised, with evals None.
     """
+    evals, factors = _draw_bonds(spec, count, gen, vec_gen)
+    return evals, _bond_terms(spec, evals, factors)
+
+
+def _draw_bonds(spec: ChainSpec, count: int, gen, vec_gen=None):
+    """(evals, factors): `count` trials' bond draws, trial-major, for `_bond_terms`.
+
+    factors are the Wishart w (count, n_bonds, r, d^L), the GOE Gaussians
+    or the spectral ensembles' Haar eigenvectors (count, n_bonds, d^L, d^L).
+    """
     ens, nb, nloc, beta = spec.ensemble, spec.n_bonds, spec.local_dim, spec.beta
-    if ens.kind in ("wishart", "goe"):
-        if ens.kind == "wishart":
-            w = matgen.gaussian_batch((count * nb, ens.rank, nloc), beta, gen)
-            h = np.einsum("tri,trj->tij", w.conj(), w).reshape(count, nb, nloc, nloc)
-        else:
-            h = matgen.gaussian_batch((count, nb, nloc, nloc), beta, gen)
-        return None, (h + h.conj().swapaxes(-1, -2)) / 2.0
+    if ens.kind == "wishart":
+        return None, matgen.gaussian_batch((count, nb, ens.rank, nloc), beta, gen)
+    if ens.kind == "goe":
+        return None, matgen.gaussian_batch((count, nb, nloc, nloc), beta, gen)
     if ens.kind in ("pm1", "pm1_balanced", "fixed"):
         if ens.kind == "pm1":
             evals = np.where(gen.random((count, nb, nloc)) < 0.5, -1.0, 1.0)
@@ -189,10 +196,30 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
             evals = np.broadcast_to(base, (count, nb, nloc)).copy()
         if vec_gen is None:
             raise ValueError("need a vec_gen to draw Haar eigenvectors")
-        q = matgen.haar_batch(nloc, beta, vec_gen, count * nb).reshape(count, nb, nloc, nloc)
-        dense = np.einsum("tbij,tbj,tbkj->tbik", q, evals, q.conj())
-        return evals, (dense + dense.conj().swapaxes(-1, -2)) / 2.0
+        return evals, matgen.haar_batch(nloc, beta, vec_gen, count * nb).reshape(
+            count, nb, nloc, nloc)
     raise ValueError(f"unknown ensemble kind {ens.kind!r}")
+
+
+def _bond_terms(spec: ChainSpec, evals, factors, out=None):
+    """The Hermitian bond terms of `_draw_bonds`'s (evals, factors), into `out`.
+
+    Every step is per term, so a run of trials gets the same terms, bit for
+    bit, alone or within a longer run.
+    """
+    if out is None:
+        out = np.empty((len(factors), spec.n_bonds, spec.local_dim, spec.local_dim),
+                       dtype=factors.dtype)
+    if spec.ensemble.kind == "wishart":
+        w = factors.reshape(-1, *factors.shape[2:])
+        h = np.einsum("tri,trj->tij", w.conj(), w).reshape(out.shape)
+    elif spec.ensemble.kind == "goe":
+        h = factors
+    else:
+        h = np.einsum("tbij,tbj,tbkj->tbik", factors, evals, factors.conj())
+    np.add(h, h.conj().swapaxes(-1, -2), out=out)
+    out /= 2.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +242,20 @@ def embed_local(term, bond_index: int, spec: ChainSpec) -> np.ndarray:
     return np.kron(np.kron(np.eye(left), h), np.eye(right))
 
 
-def embed_sum_batch(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
+def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
     """Sum of embedded bond terms for a batch: (count, m, m).
 
-    `dense` is (count, n_bonds, d^L, d^L), slice i holding bond i + 1.
+    `dense` is (count, n_bonds, d^L, d^L), slice i holding bond i + 1.  The
+    sum is written into `out`, a C-contiguous array of that shape, when it
+    is given.
     """
     count, nb, nloc = dense.shape[0], dense.shape[1], dense.shape[2]
     if nb != spec.n_bonds or nloc != spec.local_dim:
         raise ValueError("batch shape does not match the chain spec")
-    out = np.zeros((count, spec.m, spec.m), dtype=dense.dtype)
+    if out is None:
+        out = np.zeros((count, spec.m, spec.m), dtype=dense.dtype)
+    else:
+        out[...] = 0
     for i in range(nb):
         left = spec.site_dim ** i
         right = spec.m // (left * nloc)

@@ -24,6 +24,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +86,19 @@ def _ensemble_from_args(args) -> LocalEnsemble:
         if args.spectrum_file is None:
             raise ValueError("fixed ensemble needs --spectrum-file")
         try:
-            values = np.loadtxt(args.spectrum_file, ndmin=1)
+            with warnings.catch_warnings():
+                # numpy warns of an empty file; it is refused below instead
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(args.spectrum_file, ndmin=1)
         except OSError as exc:
             raise ValueError(f"cannot read --spectrum-file: {exc}") from exc
+        if values.size == 0:
+            raise ValueError("--spectrum-file holds no values")
+        if values.ndim != 1:
+            raise ValueError(f"--spectrum-file must hold one row or one column of values, "
+                             f"not {values.shape[0]} rows of {values.shape[1]}")
         ensemble = LocalEnsemble.fixed_spectrum(values)
-        if values.size and values.min() == values.max():
+        if values.min() == values.max():
             raise ValueError("--spectrum-file holds a constant spectrum: every chain "
                              "spectrum is then a point mass, whose gamma and "
                              "Gram-Charlier density are undefined")

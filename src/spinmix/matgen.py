@@ -90,7 +90,7 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
         for s, e in _sub_blocks(lo, hi, dim * dim):
             _reflectors_to_haar(v[s:e], orgqr, lwork)
 
-    map_trials(reflect, count)
+    map_trials(reflect, count, dim * dim)
     return v
 
 

@@ -18,14 +18,19 @@ Each chunk's sums are folded into the pools in trial order, so the pooled
 and block sums do not depend on the chunks either, bit for bit.
 
 Within a chunk the per-trial kernels fan out over worker threads
-(``_workers.map_trials``), each worker taking a contiguous slice of the
-chunk's trials with OpenBLAS at one thread and walking it in sub-blocks of
-at most ``_workers._SUB_BLOCK`` array elements, which bounds its
-temporaries: the moment sums in one fan-out per chunk (``_trace_sums``),
-the kept samples' m×m rotations and eigensolves in their own.  All random
-draws stay serial on the calling thread, in trial-major order, and each
-trial is computed by the same kernel in any slice or sub-block, so the
-output does not depend on the worker count either.
+(``_workers.map_trials``), each slice a contiguous run of the chunk's
+trials with OpenBLAS at one thread, walked in sub-blocks of at most
+``_workers._SUB_BLOCK`` array elements, which bounds its temporaries.  A
+chunk that fits in one sub-block is one slice, run on the calling thread.
+The moment sums are one pass per chunk (``_moment_pass``): each sub-block
+forms its trials' bond terms from the draws, centres them, and reduces
+them to every pool's Σλ¹…Σλ⁴ (``_trial_sums``) while they are in cache,
+with its window stacks in per-thread scratch (``_workers._scratch``) that
+is reused across sub-blocks and calls.  The kept samples' m×m rotations
+and eigensolves fan out on their own.  All random draws stay serial on the
+calling thread, in trial-major order, and each trial is computed by the
+same kernel in any slice or sub-block, so the output does not depend on
+the worker count either.
 
 Each trial's spectrum is a list of diagonal summands s₀ … s_k: the
 odd/even diagonals (a, b) at range L = 2, each bond's embedded spectrum at
@@ -38,7 +43,7 @@ each trial adds its Σλ¹…Σλ⁴ given its local draw.
   (``_conditional_power_sums``): traces of powers of each centred bond
   term, O(n_bonds · d^(3L)) per trial, with no draw and no eigensolver.
 * The quantum sums are exact: the chain's cumulants from windows of at most
-  3(L−1)+1 bonds (``_trace_sums``), which never form the chain's m×m
+  3(L−1)+1 bonds (``_trial_sums``), which never form the chain's m×m
   matrix once it has more bonds than a window.
 
 Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
@@ -61,7 +66,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import matgen
-from ._workers import _sub_blocks, map_trials
+from ._workers import _scratch, _sub_blocks, map_trials
 from .chain import (STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS,
                     STREAM_LOCAL_VECS, ChainSpec)
 from .rng import Rng
@@ -257,7 +262,7 @@ def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
         for s, e in _sub_blocks(lo, hi, q.shape[-1] ** 2):
             np.matmul(q[s:e].conj().swapaxes(-1, -2) * b[s:e, None, :], q[s:e], out=out[s:e])
 
-    map_trials(rotate, q.shape[0])
+    map_trials(rotate, q.shape[0], q.shape[-1] ** 2)
     return out
 
 
@@ -286,24 +291,30 @@ def _eigvalsh(mats: np.ndarray) -> np.ndarray:
     def eig(lo, hi):
         out[lo:hi] = np.linalg.eigvalsh(mats[lo:hi])
 
-    map_trials(eig, mats.shape[0])
+    map_trials(eig, mats.shape[0], mats.shape[-1] ** 2)
     return out
 
 
-def _power_sums(mats: np.ndarray) -> np.ndarray:
+def _power_sums(mats: np.ndarray, sq: Optional[np.ndarray] = None) -> np.ndarray:
     """Σλ¹…Σλ⁴ of each Hermitian matrix in a stack, as a (count, 4) array.
 
     They are tr M, ⟨M, M⟩, ⟨M², M⟩ and ⟨M², M²⟩ with the real part of the
     conjugated inner product, so one M² per matrix replaces an eigvalsh.
+    M² is written into `sq` when it is given.
     """
     def inner(x, y):
         # a complex array viewed as float pairs gives Re Σ conj(x)·y
         return np.einsum("ij,ij->i", x.reshape(len(x), -1).view(np.float64),
                          y.reshape(len(y), -1).view(np.float64))
 
-    sq = mats @ mats
+    sq = np.matmul(mats, mats, out=sq)
     return np.stack([np.trace(mats, axis1=1, axis2=2).real, inner(mats, mats),
                      inner(sq, mats), inner(sq, sq)], axis=-1)
+
+
+def _window_width(spec: ChainSpec) -> int:
+    """Bonds in a quantum window: 3(L−1)+1, or all of a shorter chain's."""
+    return min(spec.n_bonds, 3 * (spec.coupling_range - 1) + 1)
 
 
 def _window_cumulants(bonds: np.ndarray, spec: ChainSpec, width: int) -> np.ndarray:
@@ -313,58 +324,90 @@ def _window_cumulants(bonds: np.ndarray, spec: ChainSpec, width: int) -> np.ndar
     embedded in one call, stacked on the batch axis, as chains of width +
     L − 1 sites: τ of an embedded product is the same on any chain that
     holds it, and a centred window has mean 0, so κ₂ = μ₂, κ₃ = μ₃ and
-    κ₄ = μ₄ − 3μ₂².
+    κ₄ = μ₄ − 3μ₂².  The window stack and its square are this thread's
+    scratch.
     """
     sub = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 1)
     count, nloc = bonds.shape[0], bonds.shape[-1]
     windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(bonds, width, 1), -1, 2)
-    mats = chain_mod.embed_sum_batch(windows.reshape(-1, width, nloc, nloc), sub)
-    mu = _power_sums(mats).reshape(count, -1, 4) / sub.m
+    windows = windows.reshape(-1, width, nloc, nloc)
+    shape = (len(windows), sub.m, sub.m)
+    mats = chain_mod.embed_sum_batch(windows, sub, _scratch("windows", shape, bonds.dtype))
+    mu = _power_sums(mats, _scratch("square", shape, bonds.dtype)).reshape(count, -1, 4) / sub.m
     kappa = np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1)
     # a left fold over the positions, the same for a trial in any sub-block
     return sum(kappa[:, i] for i in range(kappa.shape[1]))
 
 
-def _trace_sums(dense: np.ndarray, spec: ChainSpec):
-    """Each bond's trace moments and each trial's quantum Σλ¹…Σλ⁴.
+def _bond_moments(dense: np.ndarray):
+    """Each bond's trace moments, and the centred bond terms.
 
     `dense` is (count, n_bonds, d^L, d^L).  Returns the (count, n_bonds, 4)
-    τ(h_l), τ(c_l²), τ(c_l³), τ(c_l⁴), with τ the normalised trace and c_l =
-    h_l − τ(h_l)·I, and the chain's (count, 4) sums.  Its cumulants κ₂…κ₄
-    expand multilinearly in the c_l.  A tuple of terms that splits into two
-    groups with disjoint supports contributes nothing: the groups commute, τ
-    factorises over them and τ(c_l) = 0.  So only tuples of at most four
-    bonds whose supports form a chain contribute, spanning at most s =
-    3(L−1)+1 consecutive bonds, and the chain's cumulants are those of its
-    s-bond windows summed, less those of the overlaps (s − 1 bonds) of
-    neighbouring windows.  With n_bonds ≤ s the one window is the chain.
-    One fan-out: each worker centres, embeds and reduces its trials' windows
-    sub-block by sub-block, and a bond is a window of one bond.
+    τ(h_l), τ(c_l²), τ(c_l³), τ(c_l⁴), with τ the normalised trace, and the
+    c_l = h_l − τ(h_l)·I.
     """
     count, nb, nloc = dense.shape[:3]
-    width = min(nb, 3 * (spec.coupling_range - 1) + 1)
-    window_dim = spec.site_dim ** (width + spec.coupling_range - 1)
-    bonds, kappa = np.empty((count, nb, 4)), np.empty((count, 3))
+    tau = np.trace(dense, axis1=-2, axis2=-1).real / nloc
+    c = dense - tau[..., None, None] * np.eye(nloc)
+    bonds = _power_sums(c.reshape(-1, nloc, nloc)).reshape(count, nb, 4) / nloc
+    bonds[..., 0] = tau
+    return bonds, c
+
+
+def _trial_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """Each trial's classical, isotropic and quantum Σλ¹…Σλ⁴: (3, count, 4).
+
+    `dense` is (count, n_bonds, d^L, d^L).  The quantum cumulants κ₂…κ₄
+    expand multilinearly in the centred terms c_l (``_bond_moments``).  A
+    tuple of terms that splits into two groups with disjoint supports
+    contributes nothing: the groups commute, τ factorises over them and
+    τ(c_l) = 0.  So only tuples of at most four bonds whose supports form a
+    chain contribute, spanning at most s = 3(L−1)+1 consecutive bonds, and
+    the chain's cumulants are those of its s-bond windows summed, less those
+    of the overlaps (s − 1 bonds) of neighbouring windows.  With n_bonds ≤ s
+    the one window is the chain.  The classical and isotropic sums are
+    ``_conditional_power_sums`` of the bond moments.
+    """
+    width = _window_width(spec)
+    bonds, c = _bond_moments(dense)
+    kappa = _window_cumulants(c, spec, width)
+    if width < spec.n_bonds:
+        kappa -= _window_cumulants(c[:, 1:-1], spec, width - 1)
+    quantum = spec.m * np.stack(_raw_moments(bonds[..., 0].sum(axis=1), *kappa.T), axis=-1)
+    return np.stack([*_conditional_power_sums(bonds, spec), quantum])
+
+
+def _moment_pass(spec: ChainSpec, evals, factors):
+    """One chunk's per-trial sums, (3, count, 4), and its bond terms.
+
+    `evals` and `factors` are ``chain._draw_bonds``'s draws.  One fan-out
+    walks the trials in sub-blocks; each forms its bond terms
+    (``chain._bond_terms``) into the returned (count, n_bonds, d^L, d^L)
+    array, which the kept route reads, and reduces them (``_trial_sums``)
+    while they are in cache.  A sub-block holds at most ``_SUB_BLOCK``
+    elements of quantum windows.
+    """
+    count, nb, nloc = factors.shape[0], spec.n_bonds, spec.local_dim
+    width = _window_width(spec)
+    size = (nb - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 1))
+    dense = np.empty((count, nb, nloc, nloc), dtype=factors.dtype)
+    sums = np.empty((3, count, 4))
 
     def reduce(lo, hi):
-        for s, e in _sub_blocks(lo, hi, (nb - width + 1) * window_dim ** 2):
-            tau = np.trace(dense[s:e], axis1=-2, axis2=-1).real / nloc
-            c = dense[s:e] - tau[..., None, None] * np.eye(nloc)
-            bonds[s:e] = _power_sums(c.reshape(-1, nloc, nloc)).reshape(e - s, nb, 4) / nloc
-            bonds[s:e, :, 0] = tau
-            kappa[s:e] = _window_cumulants(c, spec, width)
-            if width < nb:
-                kappa[s:e] -= _window_cumulants(c[:, 1:-1], spec, width - 1)
+        for s, e in _sub_blocks(lo, hi, size):
+            chain_mod._bond_terms(spec, None if evals is None else evals[s:e], factors[s:e],
+                                  dense[s:e])
+            sums[:, s:e] = _trial_sums(dense[s:e], spec)
 
-    map_trials(reduce, count)
-    return bonds, spec.m * np.stack(_raw_moments(bonds[..., 0].sum(axis=1), *kappa.T), axis=-1)
+    map_trials(reduce, count, size)
+    return sums, dense
 
 
 def _conditional_power_sums(bonds: np.ndarray, spec: ChainSpec):
     """Each trial's classical and isotropic Σλ¹…Σλ⁴, averaged over Π_i or Q_i.
 
     `bonds` is (count, n_bonds, 4), each bond's τ(h), τ(c²), τ(c³), τ(c⁴)
-    (``_trace_sums``); returns two (count, 4) arrays.  A classical
+    (``_bond_moments``); returns two (count, 4) arrays.  A classical
     eigenvalue is a sum of independent uniform draws, one from each bond's
     spectrum, so its cumulants κ₁…κ₄ are the bonds' summed.  The isotropic
     spectrum has the same κ₁…κ₃ (Matching Three Moments): E Q†SQ = τ(S)·I,
@@ -506,7 +549,7 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     The pools' moment sums are each trial's Σλ¹…Σλ⁴ given its local draw:
     the classical and isotropic ones averaged exactly over Π_i and Q_i
     (``_conditional_power_sums``), the quantum ones exact from cumulants of
-    bond windows (``_trace_sums``).  They need no m×m matrix and so no
+    bond windows (``_trial_sums``).  They need no m×m matrix and so no
     dense cap.  `keep_samples` (``spinmix run``) also draws Π_i on stream
     ``(STREAM_CLASSICAL, i − 1)`` and Q_i on ``(STREAM_ISO, i − 1)``,
     diagonalises the isotropic and quantum matrices, and keeps every
@@ -531,11 +574,10 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     # most 3(L−1)+1 bonds on 4L−3 sites
     dim = m if keep_samples else min(m, spec.site_dim ** (4 * spec.coupling_range - 3))
     for lo, hi in _chunks(dim, trials):
-        evals, dense = chain_mod.draw_local_batch(spec, hi - lo, eig_gen, vec_gen=vec_gen)
-        bonds, quantum = _trace_sums(dense, spec)
-        for kind, sums in zip(("classical", "iso"), _conditional_power_sums(bonds, spec)):
-            _accumulate(pools[kind], sums, lo)
-        _accumulate(pools["quantum"], quantum, lo)
+        evals, factors = chain_mod._draw_bonds(spec, hi - lo, eig_gen, vec_gen)
+        sums, dense = _moment_pass(spec, evals, factors)
+        for pool, trial_sums in zip(pools.values(), sums):
+            _accumulate(pool, trial_sums, lo)
         if not keep_samples:
             continue
         evals = np.linalg.eigvalsh(dense) if evals is None else evals    # Wishart, GOE

@@ -166,7 +166,9 @@ def test_run_usage_errors(tmp_path, capsys):
     assert err.startswith("error: cannot read --spectrum-file") and err.count("\n") == 1
     for text, message in (("nan 0 1 2", "fixed spectrum values must be finite"),
                           ("1 inf 0 2", "fixed spectrum values must be finite"),
-                          ("1 1 1 1", "--spectrum-file holds a constant spectrum")):
+                          ("1 1 1 1", "--spectrum-file holds a constant spectrum"),
+                          ("1 2\n3 4", "--spectrum-file must hold one row or one column"),
+                          ("", "--spectrum-file holds no values")):
         spectrum = tmp_path / "spectrum.txt"
         spectrum.write_text(text + "\n")
         out = tmp_path / "fixed"

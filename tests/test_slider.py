@@ -207,12 +207,13 @@ def test_slider_p_even_sites_monte_carlo():
 
 
 @pytest.mark.parametrize("beta", [1, 2])
-@pytest.mark.parametrize("n_sites", [4, 5])
+@pytest.mark.parametrize("n_sites", [4, 5, 7, 9])
 @pytest.mark.parametrize("ensemble", [
     sm.LocalEnsemble.goe(), sm.LocalEnsemble.pm1(),
     sm.LocalEnsemble.fixed_spectrum([-1.5, -0.5, 0.5, 1.5])], ids=["goe", "pm1", "fixed"])
 def test_p_empirical_is_universal(ensemble, n_sites, beta):
-    # the abstract's universality: p depends on N, d and β, not on the bond law
+    # the abstract's universality: p depends on N, d and β, not on the bond
+    # law; at N = 7 and 9 the moments-only pools sum the quantum windows
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta)
     assert abs(_p_empirical_z(spec, 4000, sm.Rng(68))) <= 3
 

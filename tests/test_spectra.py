@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinmix as sm
-from spinmix.chain import (DEFAULT_MAX_DIM, diagonals_from_eigs, draw_local_batch,
-                           embed_sum_batch)
+from spinmix.chain import (DEFAULT_MAX_DIM, _draw_bonds, diagonals_from_eigs,
+                           draw_local_batch, embed_sum_batch)
 from spinmix.matgen import gaussian_batch, haar_batch
 from spinmix import _workers, spectra
-from spinmix.spectra import (EmpiricalMeasure, _iso_mats, _power_sums, _rotate_diag,
-                             _trace_sums, freedman_diaconis_edges)
+from spinmix.spectra import (EmpiricalMeasure, _bond_moments, _iso_mats, _moment_pass,
+                             _power_sums, _rotate_diag, _trial_sums, freedman_diaconis_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +154,16 @@ def test_power_sums_match_eigenvalues(m, beta, shift):
 
 @pytest.mark.parametrize("beta", [1, 2])
 def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
-    # at N=7 the bond and window sums of a trial come from three windows and
-    # two overlaps, embedded and reduced in whichever sub-block holds it
+    # at N=7 the bond terms and the sums of a trial come from three windows
+    # and two overlaps, formed and reduced in whichever sub-block holds it
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4), beta=beta)
 
     def kernels():
         gen = sm.Rng(54, beta).generator()
         q = haar_batch(16, beta, gen, 40)
         b = gen.standard_normal((40, 16))
-        _, dense = draw_local_batch(spec, 40, gen)
         return (q, _rotate_diag(q, b), _power_sums(_rotate_diag(q, b)),
-                *_trace_sums(dense, spec))
+                *_moment_pass(spec, *_draw_bonds(spec, 40, gen)))
 
     ref = kernels()
     monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)      # one trial per sub-block
@@ -194,7 +193,7 @@ def test_quantum_power_sums_match_eigenvalues(spec):
     count = 2 if spec.m > 512 else 4
     _, dense = draw_local_batch(spec, count, gen, vec_gen=gen)
     lam = np.linalg.eigvalsh(embed_sum_batch(dense, spec))
-    _assert_power_sums_match(_trace_sums(dense, spec)[1], lam)
+    _assert_power_sums_match(_trial_sums(dense, spec)[2], lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,7 +215,7 @@ def test_bond_cumulants_from_traces_match_eigenvalues(kind, values, coupling_ran
     gen = sm.Rng(seed).generator()
     _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
     dense = dense + shift * np.eye(spec.local_dim)
-    bonds, _ = _trace_sums(dense, spec)
+    bonds, _ = _bond_moments(dense)
     lam = np.linalg.eigvalsh(dense)
     c = lam - lam.mean(axis=-1, keepdims=True)
     top = np.abs(lam).max(axis=-1)
@@ -286,8 +285,8 @@ def test_moments_only_pools_match_eigenvalue_pools_n7(ensemble, coupling_range, 
 
 
 def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
-    # at N=7 and L=2 the quantum sums embed 32×32 windows only, on the
-    # worker threads, and the classical and isotropic sums are closed forms
+    # at N=7 and L=2 the quantum sums embed 32×32 windows only, in the
+    # moment pass, and the classical and isotropic sums are closed forms
     # in traces of the bond terms: no permutation, Haar draw, rotation or
     # eigensolve is made
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))

@@ -1,5 +1,8 @@
 """Results depend on the seed and the trial count, not on chunking or workers."""
 
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,10 +71,30 @@ def worker_pools():
         pool.shutdown()
 
 
-def _with_pool(pool, fn, *args, **kwargs):
+def _with_pool(pool, split, fn, *args, **kwargs):
+    """fn(*args, **kwargs) on `pool`, with every trial a sub-block of its own.
+
+    A fan-out then runs one slice per worker, up to one per trial, where the
+    small chunks of these tests would run as one slice at the default
+    ``_SUB_BLOCK``.  With `split`, a pool of several workers must have run
+    some fan-out in more than one slice.
+    """
+    starts = []
+    run_slice = _workers._run_slice
+
+    def recording(fn, lo, hi):
+        starts.append(lo)
+        run_slice(fn, lo, hi)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_workers, "_default", pool)
-        return fn(*args, **kwargs)
+        mp.setattr(_workers, "_SUB_BLOCK", 1)
+        mp.setattr(_workers, "_run_slice", recording)
+        out = fn(*args, **kwargs)
+    assert starts
+    if split and pool.workers > 1:
+        assert any(starts), "every fan-out ran in one slice"
+    return out
 
 
 def _assert_pools_equal(ref, other):
@@ -89,7 +112,7 @@ def test_pools_do_not_depend_on_workers(worker_pools, keep_samples, n_sites, cou
                                         beta, ensemble, trials, seed):
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ENSEMBLES[ensemble],
                         beta=beta, coupling_range=coupling_range)
-    runs = {name: _with_pool(pool, sm.ensemble_pools, spec, trials, sm.Rng(seed),
+    runs = {name: _with_pool(pool, trials > 1, sm.ensemble_pools, spec, trials, sm.Rng(seed),
                              keep_samples=keep_samples)
             for name, pool in worker_pools.items()}
     for pools in runs.values():
@@ -102,7 +125,7 @@ def test_pools_do_not_depend_on_workers_n9(worker_pools, keep_samples):
     # count, which at m=512 sums in another order: only the worker pools agree
     # bit for bit
     spec = sm.ChainSpec(n_sites=9, site_dim=2, ensemble=ENSEMBLES["wishart"])
-    runs = {name: _with_pool(pool, sm.ensemble_pools, spec, 2, sm.Rng(5),
+    runs = {name: _with_pool(pool, True, sm.ensemble_pools, spec, 2, sm.Rng(5),
                              keep_samples=keep_samples)
             for name, pool in worker_pools.items()}
     for k in (2, 3):
@@ -123,12 +146,54 @@ def test_windowed_pools_do_not_depend_on_workers_or_chunking(worker_pools):
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=ENSEMBLES["wishart"], beta=2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_N_BLOCKS", 6)
-        runs = {name: _with_pool(pool, sm.ensemble_pools, spec, 20, sm.Rng(6))
+        runs = {name: _with_pool(pool, True, sm.ensemble_pools, spec, 20, sm.Rng(6))
                 for name, pool in worker_pools.items() if name != "serial"}
         # chunks of one and of seven trials: without samples a chunk is sized
         # by the 32×32 windows, not by the chain's m×m matrices
         for budget in (1, 7 * 32 ** 2):
-            runs[budget] = _with_pool(worker_pools[2], _with_budget, budget,
+            runs[budget] = _with_pool(worker_pools[2], budget > 1, _with_budget, budget,
                                       sm.ensemble_pools, spec, 20, sm.Rng(6))
     for pools in runs.values():
         _assert_pools_equal(runs[1], pools)
+
+
+def test_scratch_reuse_is_invisible():
+    # the moments-only kernels keep their window stacks in per-thread scratch
+    # that outlives a call; each of these runs is one slice on the calling
+    # thread, which grows the scratch (complex windows at N=5, β=2), reads it
+    # as 64×64 windows (L=3) and goes back to real 32×32 ones
+    wishart = sm.LocalEnsemble.wishart(4)
+    calls = [(sm.ChainSpec(n_sites=9, site_dim=2, ensemble=wishart), 32),
+             (sm.ChainSpec(n_sites=5, site_dim=2, ensemble=wishart, beta=2), 200),
+             (sm.ChainSpec(n_sites=6, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
+                           coupling_range=3), 40)]
+    calls.append(calls[0])
+
+    def in_new_thread(fn):
+        out = []
+        thread = threading.Thread(target=lambda: out.append(fn()))
+        thread.start()
+        thread.join(timeout=120)
+        assert out, "the call raised or hung"
+        return out[0]
+
+    def pools(spec, trials):
+        return sm.ensemble_pools(spec, trials, sm.Rng(12))
+
+    def copy(pools):
+        return {kind: dataclasses.replace(pool, **{f: np.copy(getattr(pool, f)) for f in (
+            "moment_sums", "block_sums", "block_counts")}) for kind, pool in pools.items()}
+
+    def in_turn():
+        runs = []
+        for spec, trials in calls:
+            got = pools(spec, trials)
+            runs.append(copy(got))
+            for pool in got.values():           # must not reach the next call
+                pool.moment_sums[:] = np.nan
+                pool.block_sums[:] = np.nan
+        return runs
+
+    fresh = [in_new_thread(lambda c=c: copy(pools(*c))) for c in calls]
+    for ref, got in zip(fresh, in_new_thread(in_turn)):
+        _assert_pools_equal(ref, got)
