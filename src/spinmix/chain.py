@@ -1,13 +1,17 @@
-"""Chain Hamiltonians: bond draws, Kronecker embedding, odd/even split.
+"""Chain Hamiltonians: bond draws, the batched embedding, odd/even split.
 
 A chain of N qudits of dimension d carries one random bond term per run of L
-adjacent sites, n_bonds = N − L + 1 of them.  At range L = 2, bonds at odd
-positions mutually commute, as do bonds at even positions, so each parity
-class is jointly diagonalizable; the diagonals a and b built here are the
-raw material for the classical / isotropic / quantum convolutions in
-:mod:`spinmix.spectra`.  At L > 2 there is no such split, and each bond's
-embedded term I ⊗ h ⊗ I is its own summand, with the spectrum of h repeated
-d^(N−L) times.
+adjacent sites, n_bonds = N − L + 1 of them.  ``_draw_bonds`` makes a
+chunk's random draws on the calling thread and ``_bond_terms`` forms the
+Hermitian terms from them (``draw_local_batch`` does both).
+``embed_sum_batch`` adds the embedded terms I ⊗ h ⊗ I of a batch of chains
+into m×m matrices, m = d^N, without forming a Kronecker product.  At range
+L = 2, bonds at odd positions mutually commute, as do bonds at even
+positions, so each parity class is jointly diagonalizable;
+``diagonals_from_eigs`` builds their diagonals a and b, the raw material for
+the classical / isotropic / quantum convolutions in :mod:`spinmix.spectra`.
+At L > 2 there is no such split, and each bond's embedded term is its own
+summand, with the spectrum of h repeated d^(N−L) times.
 """
 
 from __future__ import annotations
@@ -19,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matgen
-from .rng import Rng
 
 __all__ = [
     "DEFAULT_MAX_DIM",
     "LocalEnsemble",
     "ChainSpec",
-    "embed_local",
-    "assemble_chain",
 ]
 
 DEFAULT_MAX_DIM = 4096
@@ -110,10 +111,6 @@ class ChainSpec:
             raise ValueError("balanced ±1 spectrum needs even local dimension")
 
     # -- derived sizes ------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.site_dim ** 2
-
     @property
     def local_dim(self) -> int:
         return self.site_dim ** self.coupling_range
@@ -223,23 +220,7 @@ def _bond_terms(spec: ChainSpec, evals, factors, out=None):
 
 
 # ---------------------------------------------------------------------------
-# embedding and assembly
-
-
-def embed_local(term, bond_index: int, spec: ChainSpec) -> np.ndarray:
-    """I_{d^(l-1)} ⊗ H ⊗ I on the full chain space, for bond l (1-based).
-
-    The Kronecker reference that :func:`embed_sum_batch` must reproduce.
-    """
-    h = np.asarray(term)
-    nloc = spec.local_dim
-    if h.shape != (nloc, nloc):
-        raise ValueError(f"local term must be {nloc}x{nloc}")
-    if not 1 <= bond_index <= spec.n_bonds:
-        raise ValueError(f"bond index must lie in 1..{spec.n_bonds}")
-    left = spec.site_dim ** (bond_index - 1)
-    right = spec.m // (left * nloc)
-    return np.kron(np.kron(np.eye(left), h), np.eye(right))
+# embedding
 
 
 def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
@@ -267,25 +248,6 @@ def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
             (s[0], s[1] + s[4], s[3] + s[6], s[2], s[5]))
         blocks += dense[:, i, None, None]
     return out
-
-
-def assemble_chain(spec: ChainSpec, rng: Rng):
-    """Draw one chain: (H, H_odd, H_even, terms), terms of shape (n_bonds, d², d²).
-
-    The draw uses the local streams of the pool samplers, so it is the chain
-    of trial 0 of :func:`spinmix.spectra.ensemble_pools` with the same rng.
-    """
-    spec._require_nearest_neighbor()
-    spec.check_dense_cap()
-    _, dense = draw_local_batch(
-        spec, 1, rng.substream(STREAM_LOCAL_EIGS, 0),
-        vec_gen=rng.substream(STREAM_LOCAL_VECS, 0))
-    # each parity from the full bond stack with the other parity's terms
-    # zeroed; adding zeros leaves its sum bit for bit as it was
-    odd = (np.arange(spec.n_bonds) % 2 == 0)[:, None, None]      # bonds 1, 3, …
-    h_odd, h_even = (embed_sum_batch(np.where(keep, dense, 0), spec)[0]
-                     for keep in (odd, ~odd))
-    return h_odd + h_even, h_odd, h_even, dense[0]
 
 
 # ---------------------------------------------------------------------------

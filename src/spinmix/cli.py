@@ -57,6 +57,15 @@ def cmd_slider(args) -> int:
         res = slider_mod.slider_p(args.n_sites, args.d, args.beta)
     except ValueError as exc:
         return _fail_usage(str(exc))
+    except OverflowError:
+        # blame --beta if the closed form holds at β = 1, else the size d^N
+        try:
+            slider_mod.slider_p(args.n_sites, args.d, 1.0)
+        except OverflowError:
+            return _fail_usage(f"--d {args.d} at --n-sites {args.n_sites} is too large: "
+                               f"the closed form overflows a float")
+        return _fail_usage(f"--beta {args.beta} is too large: "
+                           f"the closed form overflows a float")
     dims = slider_mod.SliderDims.odd_side(args.n_sites, args.d, args.beta)
     out = {"p": res.p, "one_minus_p": res.one_minus_p,
            "k": dims.k, "n": dims.n, "m": dims.m}
@@ -139,14 +148,6 @@ def _check_seed(seed):
         raise ValueError("--seed must be >= 0")
 
 
-def _matched_edges(pools, bins):
-    pooled = spectra.EmpiricalMeasure.from_samples(
-        np.concatenate([p.samples.ravel() for p in pools.values()]))
-    if bins is not None:
-        return spectra.histogram(pooled, bins).bin_edges
-    return spectra.freedman_diaconis_edges(pooled)
-
-
 def _finite_or_none(x):
     """Strict JSON has no NaN: an undefined number is written as null."""
     return x if x is not None and math.isfinite(x) else None
@@ -208,13 +209,17 @@ def cmd_run(args) -> int:
         return _fail_usage(str(exc))
     rng = Rng(args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # a file in the way: FileExistsError, NotADirectoryError
+        return _fail_usage(f"--out {args.out}: cannot make the directory: {exc.strerror}")
 
     pools = spectra.ensemble_pools(spec, args.trials, rng, keep_samples=True)
 
-    if edges is None:
-        edges = _matched_edges(pools, args.bins)
-    hists = {k: spectra.histogram(p.measure(), edges) for k, p in pools.items()}
+    if edges is None:       # one set of edges for every pool, from all their samples
+        edges = spectra.bin_edges(np.concatenate([p.samples.ravel() for p in pools.values()]),
+                                  args.bins)
+    hists = {k: spectra.histogram(p.samples, edges) for k, p in pools.items()}
     summaries = {k: p.summary() for k, p in pools.items()}
     if nearest:
         ie = slider_mod.ie_mixture(p_analytic, hists["classical"], hists["iso"])

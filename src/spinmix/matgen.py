@@ -3,7 +3,7 @@
 Provides batches of iid Gaussian and beta-Haar orthogonal (beta=1) /
 unitary (beta=2) matrices.  The bond ensembles built from them (Wishart,
 GOE-style symmetric Gaussian, fixed spectrum with Haar eigenvectors) are
-drawn by :func:`spinmix.chain.draw_local_batch`.
+drawn by ``spinmix.chain._draw_bonds``.
 
 Conventions
 -----------

@@ -3,8 +3,9 @@
 The chain spectrum is approximated by p·classical + (1−p)·isotropic where p
 matches the excess kurtosis.  Everything needed to evaluate p analytically
 lives here: Haar fourth moments, the chain-level moments of the commuting
-diagonals, the two fourth-moment gap terms, the universal closed form, bond
-4-tuple counting, and the Wishart worked example.
+diagonals, the two fourth-moment gap terms, the universal closed form, the
+empirical p from three kurtoses, the binwise mixture of two densities, and
+the Wishart worked example (bond moments and chain statistics).
 
 Moment conventions: for one bond term, m_j = E(λ^j) for a uniformly chosen
 eigenvalue and m11 = E(λ_i λ_j) for distinct eigenvalues of the *same* term.
@@ -15,20 +16,17 @@ what enters the k(k−1) combinatorial terms below.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .chain import LocalEnsemble
 from .spectra import DensityEstimate, MomentSummary
 
 __all__ = [
     "SliderDims",
     "LocalMoments",
     "SliderResult",
-    "TermCounts",
     "haar_q4",
     "chain_m2",
     "chain_m11",
@@ -42,14 +40,8 @@ __all__ = [
     "p_from_kurtoses",
     "ensemble_slider",
     "ie_mixture",
-    "term_counts",
     "wishart_moments",
-    "goe_moments",
-    "pm1_moments",
-    "fixed_spectrum_moments",
-    "local_moments",
     "wishart_chain_stats",
-    "appendix_iso_expectation",
 ]
 
 
@@ -132,9 +124,6 @@ class SliderResult:
 
 # bond moments with m2 − m11 = 1: the local factor of both gaps is then 1
 _UNIT = LocalMoments(m1=0.0, m2=1.0, m11=0.0)
-
-TermCounts = namedtuple("TermCounts",
-                        ["four", "three", "two_not_entangled", "two_entangled"])
 
 
 # ---------------------------------------------------------------------------
@@ -333,28 +322,7 @@ def ie_mixture(p: float, classical: DensityEstimate,
 
 
 # ---------------------------------------------------------------------------
-# bond 4-tuple counting
-
-
-def term_counts(n_sites: int) -> TermCounts:
-    """Counts of (odd, even, odd, even) bond 4-tuples by sharing pattern.
-
-    four: all distinct; three: one repeated parity pair; two: both repeated,
-    split by whether the odd and even bonds share a site (entangled).
-    """
-    if n_sites < 3:
-        raise ValueError("need N >= 3")
-    if n_sites % 2:
-        k = (n_sites - 1) // 2
-        return TermCounts(k * k * (k - 1) ** 2, 2 * k * k * (k - 1),
-                          (k - 1) ** 2, 2 * k - 1)
-    k = n_sites // 2
-    return TermCounts(k * (k - 1) ** 2 * (k - 2), k * (k - 1) * (2 * k - 3),
-                      (k - 1) * (k - 2), 2 * (k - 1))
-
-
-# ---------------------------------------------------------------------------
-# local-moment tables
+# the Wishart worked example
 
 
 def wishart_moments(r: int, n: int, beta: float = 1.0) -> LocalMoments:
@@ -375,48 +343,6 @@ def wishart_moments(r: int, n: int, beta: float = 1.0) -> LocalMoments:
                   + 44 * b * (n + r - 1))
     m11 = b * b * r * (r - 1)
     return LocalMoments(m1=m1, m2=m2, m11=m11, m3=m3, m4=m4)
-
-
-def goe_moments(n: int, beta: float = 1.0) -> LocalMoments:
-    """First two moments of the symmetrized Gaussian bond ensemble.
-
-    With unit-variance components the diagonal has variance 1 and the
-    off-diagonal β/2 per entry, giving m2 = 1 + (n−1)β/2 and m11 = −β/2.
-    Third/fourth moments are left to Monte Carlo.
-    """
-    return LocalMoments(m1=0.0, m2=1.0 + (n - 1) * beta / 2.0,
-                        m11=-beta / 2.0, m3=0.0, m4=None)
-
-
-def pm1_moments(n: int, balanced: bool = False) -> LocalMoments:
-    """±1-spectrum moments: iid signs (m11 = 0) or balanced (m11 = −1/(n−1))."""
-    m11 = -1.0 / (n - 1) if balanced else 0.0
-    return LocalMoments(m1=0.0, m2=1.0, m11=m11, m3=0.0, m4=1.0)
-
-
-def fixed_spectrum_moments(values) -> LocalMoments:
-    v = np.asarray(values, dtype=float).ravel()
-    n = v.size
-    if n < 2:
-        raise ValueError("need at least two eigenvalues")
-    s1, s2 = v.sum(), (v ** 2).sum()
-    return LocalMoments(m1=float(v.mean()), m2=float((v ** 2).mean()),
-                        m11=float((s1 * s1 - s2) / (n * (n - 1))),
-                        m3=float((v ** 3).mean()), m4=float((v ** 4).mean()))
-
-
-def local_moments(ensemble: LocalEnsemble, n: int, beta: float = 1.0) -> LocalMoments:
-    if ensemble.kind == "wishart":
-        return wishart_moments(ensemble.rank, n, beta)
-    if ensemble.kind == "goe":
-        return goe_moments(n, beta)
-    if ensemble.kind == "pm1":
-        return pm1_moments(n, balanced=False)
-    if ensemble.kind == "pm1_balanced":
-        return pm1_moments(n, balanced=True)
-    if ensemble.kind == "fixed":
-        return fixed_spectrum_moments(ensemble.values)
-    raise ValueError(f"unknown ensemble kind {ensemble.kind!r}")
 
 
 def wishart_chain_stats(n_sites: int, d: int, r: int) -> MomentSummary:
@@ -444,23 +370,3 @@ def wishart_chain_stats(n_sites: int, d: int, r: int) -> MomentSummary:
     return MomentSummary.from_cumulants(mu, sigma2,
                                         gamma1 * sigma2 ** 1.5,
                                         gamma2 * sigma2 ** 2)
-
-
-# ---------------------------------------------------------------------------
-# collision-count oracle
-
-
-def appendix_iso_expectation(chain_a, chain_b, m: int, beta: float) -> float:
-    """(1/m) E Tr(AQᵀBQ)² from chain-level moments by collision counting.
-
-    `chain_a`/`chain_b` are (m2, m11) pairs for the two parity diagonals.
-    Grouping the index sums by the number of collisions and weighting with
-    the Haar pair moments gives a closed form that must agree with the
-    classical value minus the isotropic gap exactly.
-    """
-    m2a, m11a = chain_a
-    m2b, m11b = chain_b
-    w = beta * (m - 1.0) / (m * beta + 2.0)
-    return ((beta + 2.0) / (m * beta + 2.0) * m2a * m2b
-            + w * (m2b * m11a + m2a * m11b)
-            - w * m11a * m11b)

@@ -1,4 +1,4 @@
-"""Empirical spectral measures, moment statistics, and the three convolutions.
+"""The three spectra of a chain ensemble, their moments, and their densities.
 
 The classical, isotropic and quantum convolutions are sampled over freshly
 drawn chains from a seed.  All three share the local eigenvalue stream
@@ -53,6 +53,10 @@ every m×m isotropic and quantum matrix is formed (``_iso_mats``,
 ``chain.embed_sum_batch``) and diagonalised (``_eigvalsh``).  The moment
 sums never read the samples, so both routes give the same moment and block
 sums, bit for bit.
+
+Densities are read from the kept sample arrays as they are: ``bin_edges``
+picks equal-width edges (``--bins`` or Freedman–Diaconis), ``histogram``
+bins a sample array on them, and ``ks_distance`` compares two densities.
 """
 
 from __future__ import annotations
@@ -72,23 +76,21 @@ from .chain import (STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS,
 from .rng import Rng
 
 __all__ = [
-    "EmpiricalMeasure",
     "MomentSummary",
     "DensityEstimate",
     "TrialPool",
-    "summarize",
-    "classical_convolve",
     "ensemble_pools",
     "jackknife_stderr",
     "gram_charlier_density",
     "ks_distance",
+    "bin_edges",
     "histogram",
 ]
 
 _CHUNK_BUDGET = 1 << 23          # f8 elements per chunk-sized scratch array
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
 _N_BLOCKS = 50                   # jackknife blocks (fewer when trials < 50)
-_EXACT_CROSS_LIMIT = 10**7
+_MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
 
 
 def _chunk_trials(m: int, trials: int) -> int:
@@ -96,53 +98,7 @@ def _chunk_trials(m: int, trials: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# measures and summaries
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Weighted multiset of real eigenvalues, sorted, weights summing to 1."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if v.size == 0:
-            raise ValueError("empty measure")
-        if v.shape != w.shape:
-            raise ValueError("values and weights must have the same length")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive total mass")
-        order = np.argsort(v, kind="stable")
-        object.__setattr__(self, "values", v[order])
-        object.__setattr__(self, "weights", w[order] / total)
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalMeasure":
-        v = np.asarray(samples, dtype=float).ravel()
-        return cls(v, np.full(v.size, 1.0 / v.size))
-
-    def mean(self) -> float:
-        return float(self.values @ self.weights)
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(((self.values - mu) ** 2) @ self.weights)
-
-    def cdf(self, x) -> np.ndarray:
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
-        return np.concatenate([[0.0], cum])[idx]
-
-    def cdf_left(self, x) -> np.ndarray:
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="left")
-        return np.concatenate([[0.0], cum])[idx]
+# summaries and densities
 
 
 _UNDEFINED_TOL = 1e-14
@@ -199,12 +155,6 @@ class MomentSummary:
         return getattr(self, name)
 
 
-def summarize(measure: EmpiricalMeasure) -> MomentSummary:
-    """Population moments of a weighted measure (no bias correction)."""
-    v, w = measure.values, measure.weights
-    return MomentSummary.from_raw_moments(*(float((v ** j) @ w) for j in (1, 2, 3, 4)))
-
-
 @dataclass(frozen=True)
 class DensityEstimate:
     """Histogram-form density: bin edges plus masses summing to 1."""
@@ -227,9 +177,6 @@ class DensityEstimate:
         object.__setattr__(self, "bin_edges", e)
         object.__setattr__(self, "masses", p / total)
 
-    def midpoints(self) -> np.ndarray:
-        return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
-
     def cdf(self, x) -> np.ndarray:
         # mass spread uniformly within each bin -> piecewise linear CDF
         cum = np.concatenate([[0.0], np.cumsum(self.masses)])
@@ -238,20 +185,7 @@ class DensityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# measure-level convolutions
-
-
-def classical_convolve(a: EmpiricalMeasure, b: EmpiricalMeasure) -> EmpiricalMeasure:
-    """Distribution of independent eigenvalue sums of two fixed measures.
-
-    Forms all pairwise sums with product weights (duplicate atoms merged).
-    """
-    if a.values.size * b.values.size > _EXACT_CROSS_LIMIT:
-        raise ValueError("support too large for the exact cross convolution")
-    sums = (a.values[:, None] + b.values[None, :]).ravel()
-    wts = (a.weights[:, None] * b.weights[None, :]).ravel()
-    uniq, inverse = np.unique(sums, return_inverse=True)
-    return EmpiricalMeasure(uniq, np.bincount(inverse, weights=wts))
+# kernels
 
 
 def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -414,8 +348,8 @@ def _conditional_power_sums(bonds: np.ndarray, spec: ChainSpec):
     so in a word of degree at most 4 a summand that appears once factors
     out, as it does classically.  Only the alternating words differ:
     E τ(S_i S_j S_i S_j) = τ(S_i²)τ(S_j²) − w·v_i·v_j with S_i = diag(s_i)
-    rotated, w = β(m−1)/(mβ+2) and v_i = m/(m−1)·var(s_i)
-    (``slider.appendix_iso_expectation``), and τ(M⁴) holds two per pair.
+    rotated, w = β(m−1)/(mβ+2) and v_i = m/(m−1)·var(s_i), and τ(M⁴)
+    holds two per pair.
     """
     m, beta = spec.m, spec.beta
     mu, c2, c3, c4 = np.moveaxis(bonds, -1, 0)                     # each (count, nb)
@@ -471,11 +405,6 @@ class TrialPool:
     def summary(self) -> MomentSummary:
         m1, m2, m3, m4 = self.moment_sums / self.count
         return MomentSummary.from_raw_moments(m1, m2, m3, m4)
-
-    def measure(self) -> EmpiricalMeasure:
-        if self.samples is None:
-            raise ValueError("pool was accumulated without sample retention")
-        return EmpiricalMeasure.from_samples(self.samples)
 
     def stderr(self, stat: str) -> float:
         """Jackknife s.e. of the pooled `stat` (a MomentSummary field)."""
@@ -626,68 +555,41 @@ def gram_charlier_density(stats: MomentSummary, grid) -> DensityEstimate:
     return DensityEstimate(edges, masses)
 
 
-def _breakpoints(obj) -> np.ndarray:
-    if isinstance(obj, EmpiricalMeasure):
-        return obj.values
-    if isinstance(obj, DensityEstimate):
-        return obj.bin_edges
-    raise TypeError("expected an EmpiricalMeasure or DensityEstimate")
+def ks_distance(x: DensityEstimate, y: DensityEstimate) -> float:
+    """Sup-norm distance between the piecewise linear CDFs of two densities."""
+    pts = np.union1d(x.bin_edges, y.bin_edges)
+    return float(np.abs(x.cdf(pts) - y.cdf(pts)).max())
 
 
-def _cdf_pair(obj, x):
-    if isinstance(obj, EmpiricalMeasure):
-        return obj.cdf(x), obj.cdf_left(x)
-    c = obj.cdf(x)
-    return c, c
+def bin_edges(values, bins: Optional[int] = None) -> np.ndarray:
+    """Equal-width bin edges over the range of a sample array.
 
-
-def ks_distance(x, y) -> float:
-    """Sup-norm distance between the CDFs of two measures/densities."""
-    pts = np.union1d(_breakpoints(x), _breakpoints(y))
-    fx_r, fx_l = _cdf_pair(x, pts)
-    fy_r, fy_l = _cdf_pair(y, pts)
-    return float(max(np.abs(fx_r - fy_r).max(), np.abs(fx_l - fy_l).max()))
-
-
-def _weighted_quantile(values, weights, q):
-    cum = np.cumsum(weights)
-    return float(values[np.searchsorted(cum, q * cum[-1], side="left").clip(0, values.size - 1)])
-
-
-def freedman_diaconis_edges(measure: EmpiricalMeasure, max_bins: int = 512) -> np.ndarray:
-    lo, hi = float(measure.values[0]), float(measure.values[-1])
-    if hi <= lo:
-        return np.array([lo - 0.5, hi + 0.5])
-    iqr = (_weighted_quantile(measure.values, measure.weights, 0.75)
-           - _weighted_quantile(measure.values, measure.weights, 0.25))
-    if iqr <= 0:
-        nb = int(min(max_bins, max(1, round(math.sqrt(measure.values.size)))))
-    else:
-        width = 2.0 * iqr / measure.values.size ** (1.0 / 3.0)
-        nb = int(np.clip(math.ceil((hi - lo) / width), 1, max_bins))
-    return np.linspace(lo, hi, nb + 1)
-
-
-def histogram(measure: EmpiricalMeasure, bins=None) -> DensityEstimate:
-    """Mass-preserving binning; Freedman–Diaconis bin count by default.
-
-    Out-of-range values (possible with explicit edges) are clipped into the
-    end bins so that total mass is always preserved.
+    `bins` bins, or by default the Freedman–Diaconis count, ceil(range ·
+    n^(1/3) / (2·IQR)) capped at ``_MAX_BINS``, with the quartiles the
+    inverted-CDF order statistics (⌈q·n⌉-th smallest value).  With IQR 0
+    the count is √n, within the same cap.  A constant sample gets the unit
+    interval around its value, as one bin by default.
     """
-    if bins is None or (isinstance(bins, str) and bins == "fd"):
-        edges = freedman_diaconis_edges(measure)
-    elif np.isscalar(bins):
-        nb = int(bins)
-        if nb < 1:
-            raise ValueError("need at least one bin")
-        lo, hi = float(measure.values[0]), float(measure.values[-1])
-        if hi <= lo:
-            lo, hi = lo - 0.5, hi + 0.5
-        edges = np.linspace(lo, hi, nb + 1)
-    else:
-        edges = np.asarray(bins, dtype=float).ravel()
-        if edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("explicit edges must be ascending with >= 2 entries")
-    vals = np.clip(measure.values, edges[0], edges[-1])
-    masses, _ = np.histogram(vals, bins=edges, weights=measure.weights)
-    return DensityEstimate(edges, masses)
+    v = np.ravel(values)
+    lo, hi = float(v.min()), float(v.max())
+    if hi <= lo:
+        lo, hi = lo - 0.5, hi + 0.5
+        bins = 1 if bins is None else bins
+    if bins is None:
+        q1, q3 = np.quantile(v, [0.25, 0.75], method="inverted_cdf")
+        if q3 <= q1:
+            bins = min(_MAX_BINS, round(math.sqrt(v.size)))
+        else:
+            width = 2.0 * (q3 - q1) / v.size ** (1.0 / 3.0)
+            bins = int(np.clip(math.ceil((hi - lo) / width), 1, _MAX_BINS))
+    return np.linspace(lo, hi, bins + 1)
+
+
+def histogram(values, edges) -> DensityEstimate:
+    """Mass-preserving binning of a sample array on ascending `edges`.
+
+    Values outside the edges are clipped into the end bins, so the total
+    mass is always preserved.
+    """
+    counts, _ = np.histogram(np.clip(np.ravel(values), edges[0], edges[-1]), bins=edges)
+    return DensityEstimate(edges, counts)

@@ -7,53 +7,54 @@ import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
 
 from conftest import local_term, wishart_chain
+from oracles import assemble_chain, embed_local
 
 W4 = sm.LocalEnsemble.wishart(4)
 
 
 def test_embed_identity_is_identity(spec_n3):
-    out = sm.embed_local(np.eye(4), 1, spec_n3)
+    out = embed_local(np.eye(4), 1, spec_n3)
     assert np.array_equal(out, np.eye(8))
 
 
 def test_embed_spectrum_multiplicity(spec_n3):
     term = local_term(W4, sm.Rng(1))
-    emb = sm.embed_local(term, 1, spec_n3)
+    emb = embed_local(term, 1, spec_n3)
     expected = np.repeat(np.sort(np.linalg.eigvalsh(term)), 2)
     assert np.abs(np.linalg.eigvalsh(emb) - expected).max() < 1e-8
 
 
 def test_embed_disjoint_bonds_commute():
     spec = wishart_chain(4)
-    h1 = sm.embed_local(local_term(W4, sm.Rng(2)), 1, spec)
-    h3 = sm.embed_local(local_term(W4, sm.Rng(3)), 3, spec)
+    h1 = embed_local(local_term(W4, sm.Rng(2)), 1, spec)
+    h3 = embed_local(local_term(W4, sm.Rng(3)), 3, spec)
     assert np.abs(h1 @ h3 - h3 @ h1).max() < 1e-10
 
 
 def test_embed_same_parity_commutes():
     spec = wishart_chain(5)
-    _, h_odd, h_even, terms = sm.assemble_chain(spec, sm.Rng(4))
-    e1 = sm.embed_local(terms[0], 1, spec)
-    e3 = sm.embed_local(terms[2], 3, spec)
+    _, h_odd, h_even, terms = assemble_chain(spec, sm.Rng(4))
+    e1 = embed_local(terms[0], 1, spec)
+    e3 = embed_local(terms[2], 3, spec)
     assert np.abs(e1 @ e3 - e3 @ e1).max() < 1e-10
     assert np.abs((e1 + e3) - h_odd).max() < 1e-12
 
 
 def test_embed_bad_index(spec_n3):
     with pytest.raises(ValueError):
-        sm.embed_local(np.eye(4), 3, spec_n3)
+        embed_local(np.eye(4), 3, spec_n3)
 
 
 def test_assemble_sum_and_shapes(spec_n3):
-    h, h_odd, h_even, terms = sm.assemble_chain(spec_n3, sm.Rng(5))
+    h, h_odd, h_even, terms = assemble_chain(spec_n3, sm.Rng(5))
     assert h.shape == (8, 8) and len(terms) == 2
     assert np.array_equal(h, h_odd + h_even)
-    assert np.abs(h_odd - sm.embed_local(terms[0], 1, spec_n3)).max() < 1e-12
-    assert np.abs(h_even - sm.embed_local(terms[1], 2, spec_n3)).max() < 1e-12
+    assert np.abs(h_odd - embed_local(terms[0], 1, spec_n3)).max() < 1e-12
+    assert np.abs(h_even - embed_local(terms[1], 2, spec_n3)).max() < 1e-12
 
 
 def test_assemble_chain_is_pool_trial_zero(spec_n3):
-    h, _, _, _ = sm.assemble_chain(spec_n3, sm.Rng(5))
+    h, _, _, _ = assemble_chain(spec_n3, sm.Rng(5))
     pool = sm.ensemble_pools(spec_n3, 3, sm.Rng(5), keep_samples=True)
     assert np.array_equal(np.linalg.eigvalsh(h[None]), pool["quantum"].samples[:1])
 
@@ -61,7 +62,7 @@ def test_assemble_chain_is_pool_trial_zero(spec_n3):
 def _kron_sum(dense, spec, positions):
     out = np.zeros((dense.shape[0], spec.m, spec.m), dtype=dense.dtype)
     for i, l in enumerate(positions):
-        out += np.stack([sm.embed_local(h, l, spec) for h in dense[:, i]])
+        out += np.stack([embed_local(h, l, spec) for h in dense[:, i]])
     return out
 
 
@@ -94,7 +95,7 @@ def test_embed_sum_batch_equals_kron_sum_range3():
 @pytest.mark.parametrize("n_sites", [3, 4, 5])
 def test_assemble_trace_identity(n_sites):
     spec = wishart_chain(n_sites)
-    h, _, _, terms = sm.assemble_chain(spec, sm.Rng(6 + n_sites))
+    h, _, _, terms = assemble_chain(spec, sm.Rng(6 + n_sites))
     lhs = np.trace(h)
     rhs = spec.site_dim ** (n_sites - 2) * sum(np.trace(t) for t in terms)
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
@@ -103,19 +104,19 @@ def test_assemble_trace_identity(n_sites):
 def test_dense_cap_rejects():
     spec = wishart_chain(13)
     with pytest.raises(ValueError, match="cap"):
-        sm.assemble_chain(spec, sm.Rng(0))
+        assemble_chain(spec, sm.Rng(0))
 
 
 def test_dense_cap_env_override(monkeypatch, spec_n3):
     monkeypatch.setenv("IE_MAX_DIM", "4")
     with pytest.raises(ValueError, match="cap"):
-        sm.assemble_chain(spec_n3, sm.Rng(0))
+        assemble_chain(spec_n3, sm.Rng(0))
 
 
 def test_dense_cap_env_must_be_an_integer(monkeypatch, spec_n3):
     monkeypatch.setenv("IE_MAX_DIM", "abc")
     with pytest.raises(ValueError, match="IE_MAX_DIM environment variable must be an integer"):
-        sm.assemble_chain(spec_n3, sm.Rng(0))
+        assemble_chain(spec_n3, sm.Rng(0))
 
 
 def _diagonals(terms, spec):
@@ -127,7 +128,7 @@ def _diagonals(terms, spec):
 @pytest.mark.parametrize("n_sites", [3, 4, 5])
 def test_diagonals_match_parity_spectra(n_sites):
     spec = wishart_chain(n_sites)
-    _, h_odd, h_even, terms = sm.assemble_chain(spec, sm.Rng(7 + n_sites))
+    _, h_odd, h_even, terms = assemble_chain(spec, sm.Rng(7 + n_sites))
     a, b = _diagonals(terms, spec)
     assert np.abs(np.sort(a) - np.linalg.eigvalsh(h_odd)).max() < 1e-8
     assert np.abs(np.sort(b) - np.linalg.eigvalsh(h_even)).max() < 1e-8
@@ -137,14 +138,14 @@ def test_diagonal_multiplicities():
     # odd chains repeat every parity value a multiple of d times; even chains
     # give multiplicity 1 for the odd part and d^2 for the even part
     spec3 = wishart_chain(3)
-    _, _, _, terms = sm.assemble_chain(spec3, sm.Rng(11))
+    _, _, _, terms = assemble_chain(spec3, sm.Rng(11))
     a, _ = _diagonals(terms, spec3)
     for lam in np.linalg.eigvalsh(terms[0]):
         assert np.isclose(a, lam, atol=1e-12).sum() == 2
     assert abs(a.sum() - 2 * np.trace(terms[0])) < 1e-8
 
     spec4 = wishart_chain(4)
-    _, _, _, terms4 = sm.assemble_chain(spec4, sm.Rng(12))
+    _, _, _, terms4 = assemble_chain(spec4, sm.Rng(12))
     a4, b4 = _diagonals(terms4, spec4)
     _, counts_a = np.unique(np.round(a4, 9), return_counts=True)
     _, counts_b = np.unique(np.round(b4, 9), return_counts=True)

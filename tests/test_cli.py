@@ -60,6 +60,16 @@ def test_slider_rejects_non_finite_beta(n_sites, beta, capsys):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("n_sites,d,beta,flag", [
+    ("3", "2", "1e154", "--beta"), ("4", "2", "1e154", "--beta"),
+    ("3", "9" * 300, "1", "--d"), ("1100", "2", "1", "--d")])
+def test_slider_rejects_arguments_that_overflow(n_sites, d, beta, flag, capsys):
+    assert main(["slider", "--n-sites", n_sites, "--d", d, "--beta", beta]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+    assert "overflows a float" in err
+
+
 def _run_args(out_dir, seed=9, trials=2500):
     return ["run", "--ensemble", "pm1", "--n-sites", "3", "--d", "2",
             "--trials", str(trials), "--seed", str(seed),
@@ -203,6 +213,15 @@ def test_run_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not out.exists(), (flag, value)
+
+    # a file where --out, or a directory above it, should be
+    in_the_way = tmp_path / "a_file"
+    in_the_way.write_text("")
+    for out, reason in ((in_the_way, "File exists"), (in_the_way / "below", "Not a directory")):
+        assert main(_run_args(out)) == 2, out
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: cannot make the directory: {reason}\n", err
+    assert in_the_way.read_text() == ""
 
     # a flag of another ensemble is an error, not ignored
     for ensemble, extra, message in (

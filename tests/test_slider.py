@@ -9,9 +9,10 @@ import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch
 from spinmix.matgen import haar_batch
 from spinmix.cli import _p_empirical
-from spinmix.slider import SliderDims
+from spinmix.slider import SliderDims, _entangled_pairs
 
 from conftest import wishart_chain
+from oracles import appendix_iso_expectation, term_counts
 
 
 W44 = sm.wishart_moments(4, 4, 1.0)
@@ -87,7 +88,8 @@ def test_chain_m2_m11_wishart_n5_frozen():
 @pytest.mark.parametrize("n_sites", [3, 4, 5, 7])
 def test_chain_gap_identity(n_sites):
     dims = SliderDims.odd_side(n_sites, 2, 1.0)
-    for local in (W44, sm.wishart_moments(2, 4, 1.0), sm.pm1_moments(4, True)):
+    balanced_pm1 = sm.LocalMoments(m1=0.0, m2=1.0, m11=-1 / 3, m3=0.0, m4=1.0)
+    for local in (W44, sm.wishart_moments(2, 4, 1.0), balanced_pm1):
         direct = sm.chain_m2(local, dims) - sm.chain_m11(local, dims)
         assert direct == pytest.approx(sm.chain_moment_gap(local, dims), rel=1e-12)
 
@@ -274,22 +276,28 @@ def _enumerate_counts(n_sites):
 
 
 def test_term_counts_small_cases():
-    assert sm.term_counts(3) == (0, 0, 0, 1)
-    assert sm.term_counts(5) == (4, 8, 1, 3)
-    assert sm.term_counts(6) == (12, 18, 2, 4)
+    assert term_counts(3) == (0, 0, 0, 1)
+    assert term_counts(5) == (4, 8, 1, 3)
+    assert term_counts(6) == (12, 18, 2, 4)
 
 
 @pytest.mark.parametrize("n_sites", list(range(3, 42)))
 def test_term_counts_sums_and_enumeration(n_sites):
-    counts = sm.term_counts(n_sites)
+    counts = term_counts(n_sites)
     k = (n_sites - 1) // 2 if n_sites % 2 else n_sites // 2
     total = k ** 4 if n_sites % 2 else (k * (k - 1)) ** 2
     assert sum(counts) == total
     assert tuple(counts) == _enumerate_counts(n_sites)
 
 
+@pytest.mark.parametrize("n_sites", list(range(3, 42)))
+def test_quantum_gap_counts_the_entangled_pairs(n_sites):
+    # quantum_gap's N − 2 pairs are the enumerated entangled 4-tuples
+    assert term_counts(n_sites).two_entangled == _entangled_pairs(n_sites)
+
+
 # ---------------------------------------------------------------------------
-# local moment tables
+# the Wishart worked example
 
 
 def test_wishart_moments_beta1():
@@ -319,30 +327,6 @@ def test_wishart_moments_beta2_monte_carlo():
     expect = sm.wishart_moments(4, 4, 2.0).m2
     assert expect == 128.0
     assert abs(t.mean() - expect) <= 3 * se
-
-
-def test_goe_moments_monte_carlo():
-    gen = sm.Rng(66).generator()
-    g = gen.standard_normal((100_000, 4, 4))
-    h = (g + g.swapaxes(1, 2)) / 2.0
-    ev = np.linalg.eigvalsh(h)
-    mom = sm.goe_moments(4, 1.0)
-    m2_t = (ev ** 2).mean(axis=1)
-    s1, s2 = ev.sum(axis=1), (ev ** 2).sum(axis=1)
-    m11_t = (s1 ** 2 - s2) / 12.0
-    assert mom.m2 == 2.5 and mom.m11 == -0.5
-    assert abs(m2_t.mean() - mom.m2) <= 3 * m2_t.std(ddof=1) / np.sqrt(m2_t.size)
-    assert abs(m11_t.mean() - mom.m11) <= 3 * m11_t.std(ddof=1) / np.sqrt(m11_t.size)
-
-
-def test_pm1_and_fixed_moments():
-    assert sm.pm1_moments(4).m11 == 0.0
-    assert sm.pm1_moments(4, balanced=True).m11 == pytest.approx(-1 / 3)
-    lam = [1.0, 1.0, -1.0, -1.0]
-    fixed = sm.fixed_spectrum_moments(lam)
-    assert (fixed.m1, fixed.m2, fixed.m11) == (0.0, 1.0, pytest.approx(-1 / 3))
-    ens = sm.LocalEnsemble.pm1(balanced=True)
-    assert sm.local_moments(ens, 4).m11 == pytest.approx(-1 / 3)
 
 
 def test_wishart_chain_stats_published_rows():
@@ -378,7 +362,7 @@ def test_wishart_chain_stats_match_cumulant_route(n_sites, r):
 
 
 def test_appendix_identity_matrix_case():
-    assert sm.appendix_iso_expectation((1.0, 1.0), (1.0, 1.0), 8, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert appendix_iso_expectation((1.0, 1.0), (1.0, 1.0), 8, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
@@ -388,7 +372,7 @@ def test_appendix_equals_classical_minus_gap(beta, n_sites):
     local = sm.wishart_moments(3, 4, beta)
     m2a = sm.chain_m2(local, dims)
     m11a = sm.chain_m11(local, dims)
-    oracle = sm.appendix_iso_expectation((m2a, m11a), (m2a, m11a), dims.m, beta)
+    oracle = appendix_iso_expectation((m2a, m11a), (m2a, m11a), dims.m, beta)
     main = m2a * m2a - sm.iso_gap(local, local, dims)
     assert oracle == pytest.approx(main, rel=1e-12)
     # explicit collision-count difference identity

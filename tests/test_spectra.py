@@ -1,5 +1,6 @@
-"""Measures, summaries, the three convolutions, density utilities."""
+"""Summaries, the three convolutions, density utilities."""
 
+import math
 import time
 
 import numpy as np
@@ -12,8 +13,10 @@ from spinmix.chain import (DEFAULT_MAX_DIM, _draw_bonds, diagonals_from_eigs,
                            draw_local_batch, embed_sum_batch)
 from spinmix.matgen import gaussian_batch, haar_batch
 from spinmix import _workers, spectra
-from spinmix.spectra import (EmpiricalMeasure, _bond_moments, _iso_mats, _moment_pass,
-                             _power_sums, _rotate_diag, _trial_sums, freedman_diaconis_edges)
+from spinmix.spectra import (_bond_moments, _iso_mats, _moment_pass, _power_sums,
+                             _rotate_diag, _trial_sums)
+
+from oracles import classical_convolve, ks_measures, measure, summarize
 
 
 # ---------------------------------------------------------------------------
@@ -21,14 +24,14 @@ from spinmix.spectra import (EmpiricalMeasure, _bond_moments, _iso_mats, _moment
 
 
 def test_summarize_point_mass():
-    s = sm.summarize(EmpiricalMeasure([5.0], [1.0]))
+    s = summarize([5.0])
     assert s.mu == 5.0 and s.sigma2 == 0.0
     assert s.gamma1 is None and s.gamma2 is None
 
 
 def test_summarize_gaussian_kurtosis():
     x = sm.Rng(41).generator().standard_normal(1_000_000)
-    s = sm.summarize(EmpiricalMeasure.from_samples(x))
+    s = summarize(x)
     assert abs(s.gamma2) < 0.01
     assert abs(s.gamma1) < 0.01
 
@@ -36,11 +39,11 @@ def test_summarize_gaussian_kurtosis():
 def test_summary_internal_consistency():
     gen = sm.Rng(42).generator()
     v, w = gen.standard_normal(500) * 3 + 1, gen.random(500)
-    m = EmpiricalMeasure(v, w)
-    s = sm.summarize(m)
+    s = summarize(v, w)
+    v, w = measure(v, w)
     mu = s.mu
-    c2 = ((m.values - mu) ** 2) @ m.weights
-    c4 = ((m.values - mu) ** 4) @ m.weights
+    c2 = ((v - mu) ** 2) @ w
+    c4 = ((v - mu) ** 4) @ w
     assert abs(s.gamma2 - (c4 / c2 ** 2 - 3.0)) < 1e-12
     assert abs(s.sigma2 - c2) < 1e-12 * max(1.0, c2)
     assert s.kappa2 >= 0
@@ -49,8 +52,8 @@ def test_summary_internal_consistency():
 def test_summary_weighted_equals_repeated():
     v = np.array([1.0, 2.0, 4.0])
     w = np.array([0.25, 0.5, 0.25])
-    s1 = sm.summarize(EmpiricalMeasure(v, w))
-    s2 = sm.summarize(EmpiricalMeasure.from_samples([1.0, 2.0, 2.0, 4.0]))
+    s1 = summarize(v, w)
+    s2 = summarize([1.0, 2.0, 2.0, 4.0])
     assert abs(s1.m4 - s2.m4) < 1e-12
 
 
@@ -59,18 +62,18 @@ def test_summary_weighted_equals_repeated():
 
 
 def test_classical_exact_cross_binary():
-    u = EmpiricalMeasure([0.0, 1.0], [0.5, 0.5])
-    out = sm.classical_convolve(u, u)
-    assert np.array_equal(out.values, [0.0, 1.0, 2.0])
-    assert np.abs(out.weights - [0.25, 0.5, 0.25]).max() < 1e-15
+    u = measure([0.0, 1.0])
+    values, weights = classical_convolve(u, u)
+    assert np.array_equal(values, [0.0, 1.0, 2.0])
+    assert np.abs(weights - [0.25, 0.5, 0.25]).max() < 1e-15
 
 
 def test_classical_exact_cross_mean_additivity():
     gen = sm.Rng(43).generator()
-    a = EmpiricalMeasure(gen.standard_normal(40), gen.random(40))
-    b = EmpiricalMeasure(gen.standard_normal(25) + 2, gen.random(25))
-    out = sm.classical_convolve(a, b)
-    assert abs(out.mean() - (a.mean() + b.mean())) < 1e-12
+    a = measure(gen.standard_normal(40), gen.random(40))
+    b = measure(gen.standard_normal(25) + 2, gen.random(25))
+    mean = [summarize(*m).mu for m in (a, b, classical_convolve(a, b))]
+    assert abs(mean[2] - (mean[0] + mean[1])) < 1e-12
 
 
 def test_classical_mc_matches_exact():
@@ -81,19 +84,13 @@ def test_classical_mc_matches_exact():
     spec = sm.ChainSpec(n_sites=5, site_dim=2,
                         ensemble=sm.LocalEnsemble.fixed_spectrum(gen.standard_normal(4)))
     evals = np.broadcast_to(np.sort(spec.ensemble.values), (1, spec.n_bonds, 4))
-    a, b = (EmpiricalMeasure.from_samples(x) for x in diagonals_from_eigs(evals, spec))
-    exact = sm.classical_convolve(a, b)
-    pool = sm.ensemble_pools(spec, 4000, sm.Rng(45), keep_samples=True)
-    mc = pool["classical"].measure()
-    se = np.sqrt(exact.variance() / mc.values.size)
-    assert abs(mc.mean() - exact.mean()) <= 4 * se
-    assert sm.ks_distance(mc, exact) < 0.02
-
-
-def test_classical_mode_validation():
-    big = EmpiricalMeasure.from_samples(np.arange(4000.0))
-    with pytest.raises(ValueError, match="support too large"):
-        sm.classical_convolve(big, big)
+    a, b = (measure(x) for x in diagonals_from_eigs(evals, spec))
+    exact = classical_convolve(a, b)
+    mc = sm.ensemble_pools(spec, 4000, sm.Rng(45), keep_samples=True)["classical"].samples
+    stats = summarize(*exact)
+    se = np.sqrt(stats.sigma2 / mc.size)
+    assert abs(mc.mean() - stats.mu) <= 4 * se
+    assert ks_measures(measure(mc), exact) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +113,8 @@ def test_isotropic_pool_matches_classical_three_moments():
     spec = sm.ChainSpec(n_sites=3, site_dim=2,
                         ensemble=sm.LocalEnsemble.fixed_spectrum(gen.standard_normal(4)))
     evals = np.broadcast_to(np.sort(spec.ensemble.values), (1, spec.n_bonds, 4))
-    a, b = (EmpiricalMeasure.from_samples(x) for x in diagonals_from_eigs(evals, spec))
-    exact = sm.summarize(sm.classical_convolve(a, b))
+    a, b = (measure(x) for x in diagonals_from_eigs(evals, spec))
+    exact = summarize(*classical_convolve(a, b))
     iso = sm.ensemble_pools(spec, 300, sm.Rng(49))["iso"].summary()
     for stat in ("mu", "sigma2", "m3"):
         assert iso.stat(stat) == pytest.approx(exact.stat(stat), rel=1e-12), stat
@@ -469,7 +466,7 @@ def test_gram_charlier_standard_normal():
     stats = sm.MomentSummary.from_cumulants(0.0, 1.0, 0.0, 0.0)
     edges = np.linspace(-5, 5, 41)
     dens = sm.gram_charlier_density(stats, edges)
-    mids = dens.midpoints()
+    mids = (edges[:-1] + edges[1:]) / 2
     ref = np.exp(-mids ** 2 / 2) * np.diff(edges)
     ref /= ref.sum()
     assert np.abs(dens.masses - ref).max() < 1e-12
@@ -489,50 +486,75 @@ def test_gram_charlier_rejects_degenerate():
         sm.gram_charlier_density(stats, np.linspace(-1, 1, 5))
 
 
+def _density(values, bins=None):
+    return sm.histogram(values, sm.bin_edges(values, bins))
+
+
 def test_ks_distance_basics():
-    x = EmpiricalMeasure.from_samples([0.0, 1.0, 2.0])
+    x = sm.DensityEstimate([0.0, 1.0, 2.0], [0.5, 0.5])
     assert sm.ks_distance(x, x) == 0.0
-    y = EmpiricalMeasure.from_samples([10.0, 11.0])
+    y = sm.DensityEstimate([10.0, 11.0], [1.0])
     assert sm.ks_distance(x, y) == 1.0
-    z = EmpiricalMeasure.from_samples([0.5, 1.5])
-    assert sm.ks_distance(x, z) == sm.ks_distance(z, x)
+    z = sm.DensityEstimate([0.5, 1.5], [1.0])
+    assert sm.ks_distance(x, z) == sm.ks_distance(z, x) == 0.25
 
 
-def test_ks_distance_density_vs_measure():
-    gen = sm.Rng(55).generator()
-    x = gen.standard_normal(20_000)
-    meas = EmpiricalMeasure.from_samples(x)
-    dens = sm.histogram(meas, 100)
-    assert sm.ks_distance(meas, dens) < 0.02
-    assert sm.ks_distance(dens, dens) == 0.0
+def test_ks_distance_coarse_vs_fine_histogram():
+    # binning 20,000 Gaussian draws into 100 bins moves the CDF by less than
+    # 0.02 from a 5,000-bin histogram of the same draws, which stands in for
+    # their ECDF
+    x = sm.Rng(55).generator().standard_normal(20_000)
+    assert sm.ks_distance(_density(x, 100), _density(x, 5000)) < 0.02
 
 
 def test_histogram_single_atom():
-    dens = sm.histogram(EmpiricalMeasure([3.0], [1.0]), 1)
+    dens = _density([3.0], 1)
     assert np.array_equal(dens.masses, [1.0])
+    assert np.array_equal(dens.bin_edges, [2.5, 3.5])
+    assert np.array_equal(_density([3.0, 3.0]).bin_edges, [2.5, 3.5])
 
 
 def test_histogram_mass_preservation_and_refinement():
-    gen = sm.Rng(56).generator()
-    meas = EmpiricalMeasure.from_samples(gen.standard_normal(5000))
+    x = sm.Rng(56).generator().standard_normal(5000)
     for bins in (1, 7, 50, 333):
-        assert abs(sm.histogram(meas, bins).masses.sum() - 1.0) < 1e-12
+        assert abs(_density(x, bins).masses.sum() - 1.0) < 1e-12
     edges = np.linspace(-1.0, 1.0, 9)            # clips the tails into end bins
-    assert abs(sm.histogram(meas, edges).masses.sum() - 1.0) < 1e-12
+    assert abs(sm.histogram(x, edges).masses.sum() - 1.0) < 1e-12
 
 
 def test_histogram_default_fd():
-    gen = sm.Rng(57).generator()
-    meas = EmpiricalMeasure.from_samples(gen.standard_normal(4000))
-    dens = sm.histogram(meas)
-    fd = freedman_diaconis_edges(meas)
-    assert dens.bin_edges.size == fd.size
+    # the default edges of `spinmix run`: Freedman–Diaconis with the quartiles
+    # the ⌈n/4⌉-th and ⌈3n/4⌉-th smallest values
+    x = sm.Rng(57).generator().standard_normal(4000)
+    q1, q3 = np.sort(x)[[999, 2999]]
+    width = 2 * (q3 - q1) / 4000 ** (1 / 3)
+    bins = math.ceil((x.max() - x.min()) / width)
+    assert 1 < bins < spectra._MAX_BINS
+    assert np.array_equal(sm.bin_edges(x), np.linspace(x.min(), x.max(), bins + 1))
+
+
+def test_fd_quartiles_are_inverted_cdf_order_statistics():
+    # for i³, i = 0…19, Q1 and Q3 are the 5th and 15th smallest values, 4³
+    # and 14³: the bin width is 2·(14³ − 4³)/20^(1/3), so 19³ spans 4 bins
+    # (5³ and 15³, one order statistic up, would give 3)
+    x = np.arange(20.0) ** 3
+    assert np.array_equal(np.quantile(x, [0.25, 0.75], method="inverted_cdf"), [4 ** 3, 14 ** 3])
+    width = 2 * (14 ** 3 - 4 ** 3) / 20 ** (1 / 3)
+    assert math.ceil(19 ** 3 / width) == 4
+    assert np.array_equal(sm.bin_edges(x[::-1]), np.linspace(0.0, 19.0 ** 3, 5))
+
+
+def test_fd_bin_count_is_capped():
+    x = sm.Rng(59).generator().standard_normal(4000)
+    x[0] = 1e6                                   # a far outlier widens the range
+    assert sm.bin_edges(x).size == spectra._MAX_BINS + 1
+    assert sm.bin_edges(np.repeat([0.0, 1.0], [190, 10])).size == 15    # IQR 0: √200 bins
 
 
 def test_pm1_classical_three_atoms():
     spec = sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
     pool = sm.ensemble_pools(spec, 20_000, sm.Rng(58), keep_samples=True)["classical"]
     edges = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
-    dens = sm.histogram(pool.measure(), edges)
+    dens = sm.histogram(pool.samples, edges)
     assert (dens.masses > 0).sum() == 3
     assert np.abs(dens.masses[[0, 2, 4]] - [0.25, 0.5, 0.25]).max() < 0.02
