@@ -115,16 +115,12 @@ class _Pool:
         self._blas = blas
         self._lock = threading.Lock()
         # ThreadPoolExecutor starts its threads on the first submit
-        self._executor = ThreadPoolExecutor(self.workers, "spinmix-worker") \
-            if self.one_blas_thread else None
+        self._executor = ThreadPoolExecutor(self.workers, "spinmix-worker")
 
     def map(self, fn, count: int, size: int):
         if getattr(_thread, "in_slice", False):
             raise RuntimeError("map_trials called from a slice of a fan-out: a slice "
                                "must not itself call map_trials")
-        if self._executor is None:
-            _run_slice(fn, 0, count)
-            return
         n = max(1, min(self.workers, count, -(-count * size // _SUB_BLOCK)))
         with self._lock:
             saved = [get() for get, _ in self._blas]
@@ -148,8 +144,7 @@ class _Pool:
             f.result()
 
     def shutdown(self):
-        if self._executor is not None:
-            self._executor.shutdown()
+        self._executor.shutdown()
 
 
 _lock = threading.Lock()

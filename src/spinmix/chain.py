@@ -1,17 +1,19 @@
-"""Chain Hamiltonians: bond draws, the batched embedding, odd/even split.
+"""Chain Hamiltonians: bond draws, the batched embedding, the diagonal summands.
 
 A chain of N qudits of dimension d carries one random bond term per run of L
 adjacent sites, n_bonds = N − L + 1 of them.  ``_draw_bonds`` makes a
 chunk's random draws on the calling thread and ``_bond_terms`` forms the
 Hermitian terms from them (``draw_local_batch`` does both).
 ``embed_sum_batch`` adds the embedded terms I ⊗ h ⊗ I of a batch of chains
-into m×m matrices, m = d^N, without forming a Kronecker product.  At range
-L = 2, bonds at odd positions mutually commute, as do bonds at even
-positions, so each parity class is jointly diagonalizable;
-``diagonals_from_eigs`` builds their diagonals a and b, the raw material for
-the classical / isotropic / quantum convolutions in :mod:`spinmix.spectra`.
-At L > 2 there is no such split, and each bond's embedded term is its own
-summand, with the spectrum of h repeated d^(N−L) times.
+into m×m matrices, m = d^N, without forming a Kronecker product.
+
+The chain's Hamiltonian is split into diagonal summands s₀ … s_k, each a
+set of mutually commuting bonds (``ChainSpec.summand_bonds``, the only code
+that decides the split).  At range L = 2 bonds of one parity act on
+disjoint pairs of sites, so the two parity classes are the summands; at
+L > 2 each bond is its own.  ``diagonals_from_eigs`` builds every summand's
+diagonal from the bonds' eigenvalues, the raw material for the classical /
+isotropic / quantum convolutions in :mod:`spinmix.spectra`.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class ChainSpec:
     ensemble: LocalEnsemble
     beta: int = 1
     coupling_range: int = 2
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.n_sites < 2:
@@ -101,8 +102,6 @@ class ChainSpec:
             raise ValueError("coupling range must satisfy 2 <= L <= N")
         if self.beta not in (1, 2):
             raise ValueError("beta must be 1 or 2 for sampling")
-        if self.boundary != "open":
-            raise ValueError("only open boundary conditions are supported")
         if self.ensemble.kind == "wishart" and not 1 <= self.ensemble.rank <= self.local_dim:
             raise ValueError("wishart rank must satisfy 1 <= r <= d^L")
         if self.ensemble.kind == "fixed" and len(self.ensemble.values) != self.local_dim:
@@ -124,19 +123,11 @@ class ChainSpec:
         return self.n_sites - self.coupling_range + 1
 
     @property
-    def odd_bonds(self) -> tuple:
-        """1-based bond positions l = 1, 3, ... (L=2 only)."""
-        self._require_nearest_neighbor()
-        return tuple(range(1, self.n_sites, 2))
-
-    @property
-    def even_bonds(self) -> tuple:
-        self._require_nearest_neighbor()
-        return tuple(range(2, self.n_sites, 2))
-
-    def _require_nearest_neighbor(self):
-        if self.coupling_range != 2:
-            raise ValueError("odd/even split is defined for L=2 only")
+    def summand_bonds(self) -> list:
+        """The bonds of each diagonal summand s₀ … s_k, as slices of the bond axis."""
+        if self.coupling_range == 2:
+            return [slice(0, None, 2), slice(1, None, 2)]
+        return [slice(i, i + 1) for i in range(self.n_bonds)]
 
     def check_dense_cap(self):
         raw = os.environ.get(_MAX_DIM_ENV, str(DEFAULT_MAX_DIM))
@@ -251,30 +242,23 @@ def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# odd/even diagonals
+# diagonal summands
 
 
 def diagonals_from_eigs(evals: np.ndarray, spec: ChainSpec):
-    """Batched (a, b) diagonals from per-bond eigenvalues (count, nb, n)."""
-    spec._require_nearest_neighbor()
+    """Each summand's diagonal from per-bond eigenvalues (count, nb, d^L).
+
+    Returns one (count, m) array per entry of ``spec.summand_bonds``, built
+    site by site: a bond of the summand Kronecker-sums its eigenvalues in,
+    and a site no bond of it covers repeats the vector d times.
+    """
     d, count = spec.site_dim, evals.shape[0]
-
-    def build(idxs, repeat_inner, tile_outer):
-        v = np.zeros((count, 1))
-        for i in idxs:
+    summands = []
+    for bonds in spec.summand_bonds:
+        v, site = np.zeros((count, 1)), 0
+        for i in range(spec.n_bonds)[bonds]:
+            v = np.repeat(v, d ** (i - site), axis=1)
             v = (v[:, :, None] + evals[:, i][:, None, :]).reshape(count, -1)
-        if repeat_inner > 1:
-            v = np.repeat(v, repeat_inner, axis=1)
-        if tile_outer > 1:
-            v = np.tile(v, (1, tile_outer))
-        return v
-
-    odd_idx = [l - 1 for l in spec.odd_bonds]
-    even_idx = [l - 1 for l in spec.even_bonds]
-    if spec.n_sites % 2 == 1:
-        a = build(odd_idx, d, 1)     # (⊕ odds) ⊗ I_d
-        b = build(even_idx, 1, d)    # I_d ⊗ (⊕ evens)
-    else:
-        a = build(odd_idx, 1, 1)     # odds cover every site
-        b = build(even_idx, d, d)    # I_d ⊗ (⊕ evens) ⊗ I_d
-    return a, b
+            site = i + spec.coupling_range
+        summands.append(np.repeat(v, d ** (spec.n_sites - site), axis=1))
+    return summands

@@ -201,10 +201,9 @@ def cmd_run(args) -> int:
                          beta=args.beta, coupling_range=args.coupling_range)
         spec.check_dense_cap()
         edges = _check_run_args(args, spec.m)
-        nearest = spec.coupling_range == 2
-        # beyond nearest neighbors the sum is treated all-isotropic
         p_analytic = slider_mod.slider_p(spec.n_sites, spec.site_dim, spec.beta).p \
-            if nearest else None
+            if spec.coupling_range == 2 else None
+        weight = p_analytic or 0.0      # all-isotropic beyond nearest neighbors
     except ValueError as exc:
         return _fail_usage(str(exc))
     rng = Rng(args.seed)
@@ -221,10 +220,7 @@ def cmd_run(args) -> int:
                                   args.bins)
     hists = {k: spectra.histogram(p.samples, edges) for k, p in pools.items()}
     summaries = {k: p.summary() for k, p in pools.items()}
-    if nearest:
-        ie = slider_mod.ie_mixture(p_analytic, hists["classical"], hists["iso"])
-    else:
-        ie = hists["iso"]
+    ie = slider_mod.ie_mixture(weight, hists["classical"], hists["iso"])
     gc = spectra.gram_charlier_density(summaries["quantum"], edges)
     densities = dict(hists, ie=ie, gram_charlier=gc)
 
@@ -237,13 +233,9 @@ def cmd_run(args) -> int:
                ["source", "bin_left", "bin_right", "mass"], rows)
 
     mrows = [_stat_row(k, summaries[k], pools[k]) for k in ("classical", "iso", "quantum")]
-    if nearest:
-        mix_raw = [p_analytic * getattr(summaries["classical"], f"m{j}")
-                   + (1 - p_analytic) * getattr(summaries["iso"], f"m{j}")
-                   for j in (1, 2, 3, 4)]
-        mrows.append(_stat_row("ie", spectra.MomentSummary.from_raw_moments(*mix_raw), None))
-    else:
-        mrows.append(_stat_row("ie", summaries["iso"], None))
+    mix_raw = [weight * getattr(summaries["classical"], f"m{j}")
+               + (1 - weight) * getattr(summaries["iso"], f"m{j}") for j in (1, 2, 3, 4)]
+    mrows.append(_stat_row("ie", spectra.MomentSummary.from_raw_moments(*mix_raw), None))
     mrows.append(_stat_row("gram_charlier", summaries["quantum"], None))
     _write_csv(out_dir / "moments.csv",
                ["source", "mu", "sigma2", "gamma1", "gamma2",

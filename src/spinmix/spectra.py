@@ -32,11 +32,12 @@ calling thread, in trial-major order, and each trial is computed by the
 same kernel in any slice or sub-block, so the output does not depend on
 the worker count either.
 
-Each trial's spectrum is a list of diagonal summands s₀ … s_k: the
-odd/even diagonals (a, b) at range L = 2, each bond's embedded spectrum at
-L > 2.  The classical spectrum permutes, and the isotropic one Haar-rotates,
-every summand after the first.  One estimator gives every pool's moments:
-each trial adds its Σλ¹…Σλ⁴ given its local draw.
+Each trial's spectrum is a sum of the diagonal summands s₀ … s_k of
+``ChainSpec.summand_bonds``: the two parity classes at range L = 2, each
+bond's embedded spectrum at L > 2.  The classical spectrum permutes, and
+the isotropic one Haar-rotates, every summand after the first.  One
+estimator gives every pool's moments: each trial adds its Σλ¹…Σλ⁴ given
+its local draw.
 
 * The classical and isotropic sums are their exact means over the
   permutations and rotations, closed forms in the bonds' cumulants
@@ -237,9 +238,13 @@ def _power_sums(mats: np.ndarray, sq: Optional[np.ndarray] = None) -> np.ndarray
     M² is written into `sq` when it is given.
     """
     def inner(x, y):
-        # a complex array viewed as float pairs gives Re Σ conj(x)·y
-        return np.einsum("ij,ij->i", x.reshape(len(x), -1).view(np.float64),
-                         y.reshape(len(y), -1).view(np.float64))
+        # a complex array viewed as float pairs gives Re Σ conj(x)·y; einsum
+        # sums a lone long row in another order than a row of a stack, so a
+        # lone row is reduced as a two-row stack
+        x, y = (a.reshape(len(a), -1).view(np.float64) for a in (x, y))
+        if len(x) == 1:
+            return np.einsum("ij,ij->i", np.vstack([x, x]), np.vstack([y, y]))[:1]
+        return np.einsum("ij,ij->i", x, y)
 
     sq = np.matmul(mats, mats, out=sq)
     return np.stack([np.trace(mats, axis1=1, axis2=2).real, inner(mats, mats),
@@ -354,9 +359,8 @@ def _conditional_power_sums(bonds: np.ndarray, spec: ChainSpec):
     m, beta = spec.m, spec.beta
     mu, c2, c3, c4 = np.moveaxis(bonds, -1, 0)                     # each (count, nb)
     kappa = [mu.sum(1), c2.sum(1), c3.sum(1), (c4 - 3 * c2 ** 2).sum(1)]
-    # var(s_i): a parity's bonds summed at L = 2, each bond's at L > 2
-    var = np.stack([c2[:, 0::2].sum(1), c2[:, 1::2].sum(1)], axis=1) \
-        if spec.coupling_range == 2 else c2
+    # var(s_i): τ(c²) summed over summand i's bonds, a strided view of each
+    var = np.stack([c2[:, bonds].sum(1) for bonds in spec.summand_bonds], axis=1)
     v = m / (m - 1) * var
     pairs = (v[:, 1:] * np.cumsum(v, axis=1)[:, :-1]).sum(1)       # Σ_{i<j} v_i v_j
     w = beta * (m - 1) / (m * beta + 2)
@@ -465,9 +469,8 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     cross-ensemble differences (kurtosis gaps, mixture weights) are
     estimated with strongly reduced variance.
 
-    Each trial's spectrum is split into diagonal summands s₀ … s_k: the
-    odd/even diagonals (a, b) for range L = 2, and each bond's embedded
-    spectrum for L > 2.  The classical spectrum is s₀ + Σ_{i≥1} Π_i s_i and
+    Each trial's spectrum is split into the diagonal summands s₀ … s_k of
+    ``spec.summand_bonds``.  The classical spectrum is s₀ + Σ_{i≥1} Π_i s_i and
     the isotropic one that of diag(s₀) + Σ_{i≥1} Q_i† diag(s_i) Q_i.  A bond
     term I ⊗ h ⊗ I is U diag(s) U† for some unitary U, and U†Q is Haar when
     Q is, so rotating its diagonal draws the same law as rotating the
@@ -494,14 +497,12 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     eig_gen = rng.substream(STREAM_LOCAL_EIGS, 0)
     vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
     if keep_samples:
-        # one stream per permuted or rotated summand s₁ … s_k: b at L = 2,
-        # and every bond after the first at L > 2
-        n_rotated = 1 if spec.coupling_range == 2 else spec.n_bonds - 1
-        perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in range(n_rotated)]
-        haar_gens = [rng.substream(STREAM_ISO, j) for j in range(n_rotated)]
-    # without samples the largest matrices are the quantum windows, of at
-    # most 3(L−1)+1 bonds on 4L−3 sites
-    dim = m if keep_samples else min(m, spec.site_dim ** (4 * spec.coupling_range - 3))
+        # one stream per permuted or rotated summand s₁ … s_k
+        rotated = range(len(spec.summand_bonds) - 1)
+        perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in rotated]
+        haar_gens = [rng.substream(STREAM_ISO, j) for j in rotated]
+    # without samples the largest matrices are the quantum windows
+    dim = m if keep_samples else spec.site_dim ** (_window_width(spec) + spec.coupling_range - 1)
     for lo, hi in _chunks(dim, trials):
         evals, factors = chain_mod._draw_bonds(spec, hi - lo, eig_gen, vec_gen)
         sums, dense = _moment_pass(spec, evals, factors)
@@ -510,11 +511,7 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
         if not keep_samples:
             continue
         evals = np.linalg.eigvalsh(dense) if evals is None else evals    # Wishart, GOE
-        if spec.coupling_range == 2:
-            summands = chain_mod.diagonals_from_eigs(evals, spec)
-        else:
-            emb = np.repeat(evals, m // spec.local_dim, axis=2)
-            summands = [emb[:, i] for i in range(spec.n_bonds)]
+        summands = chain_mod.diagonals_from_eigs(evals, spec)
         vals = summands[0]
         for s, g in zip(summands[1:], perm_gens):
             vals = vals + _permuted(s, g)

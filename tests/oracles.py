@@ -40,16 +40,24 @@ def assemble_chain(spec, rng):
     The draw uses the local streams of the pool samplers, so it is the chain
     of trial 0 of ``ensemble_pools`` with the same rng.
     """
-    spec._require_nearest_neighbor()
+    if spec.coupling_range != 2:
+        raise ValueError("odd/even split is defined for L=2 only")
     spec.check_dense_cap()
     _, dense = draw_local_batch(spec, 1, rng.substream(STREAM_LOCAL_EIGS, 0),
                                 vec_gen=rng.substream(STREAM_LOCAL_VECS, 0))
-    # each parity from the full bond stack with the other parity's terms
-    # zeroed; adding zeros leaves its sum bit for bit as it was
-    odd = (np.arange(spec.n_bonds) % 2 == 0)[:, None, None]      # bonds 1, 3, …
-    h_odd, h_even = (embed_sum_batch(np.where(keep, dense, 0), spec)[0]
-                     for keep in (odd, ~odd))
+    # each parity (bonds 1, 3, … and bonds 2, 4, …) from the full bond stack
+    # with the other parity's terms zeroed; adding zeros leaves its sum bit
+    # for bit as it was
+    h_odd, h_even = (embed_sum_batch(only_bonds(dense, bonds), spec)[0]
+                     for bonds in spec.summand_bonds)
     return h_odd + h_even, h_odd, h_even, dense[0]
+
+
+def only_bonds(dense, bonds):
+    """A copy of the (count, n_bonds, …) stack `dense` with every bond but `bonds` zeroed."""
+    picked = np.zeros_like(dense)
+    picked[:, bonds] = dense[:, bonds]
+    return picked
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bond draws, embedding, odd/even structure, the dense cap, the quantum pool."""
+"""Bond draws, embedding, the diagonal summands, the dense cap, the quantum pool."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
 
 from conftest import local_term, wishart_chain
-from oracles import assemble_chain, embed_local
+from oracles import assemble_chain, embed_local, only_bonds
 
 W4 = sm.LocalEnsemble.wishart(4)
 
@@ -72,15 +72,13 @@ def _kron_sum(dense, spec, positions):
 def test_embed_sum_batch_equals_kron_sum(n_sites, beta, parity):
     spec = wishart_chain(n_sites, beta=beta)
     _, dense = draw_local_batch(spec, 3, sm.Rng(70 + n_sites).generator())
-    positions = {"all": tuple(range(1, spec.n_bonds + 1)),
-                 "odd": spec.odd_bonds, "even": spec.even_bonds}[parity]
-    idx = [l - 1 for l in positions]
+    bonds = {"all": slice(None), "odd": spec.summand_bonds[0],
+             "even": spec.summand_bonds[1]}[parity]
+    positions = [i + 1 for i in range(spec.n_bonds)[bonds]]
     # one parity is the full stack with the other zeroed, as assemble_chain
     # embeds it
-    picked = np.zeros_like(dense)
-    picked[:, idx] = dense[:, idx]
-    out = embed_sum_batch(picked, spec)
-    assert np.array_equal(out, _kron_sum(dense[:, idx], spec, positions))
+    out = embed_sum_batch(only_bonds(dense, bonds), spec)
+    assert np.array_equal(out, _kron_sum(dense[:, bonds], spec, positions))
 
 
 def test_embed_sum_batch_equals_kron_sum_range3():
@@ -125,13 +123,32 @@ def _diagonals(terms, spec):
     return a[0], b[0]
 
 
-@pytest.mark.parametrize("n_sites", [3, 4, 5])
-def test_diagonals_match_parity_spectra(n_sites):
-    spec = wishart_chain(n_sites)
-    _, h_odd, h_even, terms = assemble_chain(spec, sm.Rng(7 + n_sites))
-    a, b = _diagonals(terms, spec)
-    assert np.abs(np.sort(a) - np.linalg.eigvalsh(h_odd)).max() < 1e-8
-    assert np.abs(np.sort(b) - np.linalg.eigvalsh(h_even)).max() < 1e-8
+def _summand_cases():
+    for n_sites in (3, 4, 5):
+        yield pytest.param(wishart_chain(n_sites), id=str(n_sites))
+    for n_sites, rank in ((3, 8), (5, 8), (6, 3)):
+        yield pytest.param(sm.ChainSpec(n_sites=n_sites, site_dim=2, coupling_range=3,
+                                        ensemble=sm.LocalEnsemble.wishart(rank)),
+                           id=f"L3-N{n_sites}")
+    yield pytest.param(wishart_chain(4, d=3), id="d3-N4")
+    yield pytest.param(sm.ChainSpec(n_sites=4, site_dim=3, coupling_range=3,
+                                    ensemble=sm.LocalEnsemble.goe()), id="d3-L3-N4")
+
+
+@pytest.mark.parametrize("spec", _summand_cases())
+def test_diagonals_match_parity_spectra(spec):
+    # each summand is the diagonal of its own bonds' embedded diagonal terms,
+    # and has the spectrum of its own bonds' embedded terms
+    _, dense = draw_local_batch(spec, 2, sm.Rng(7, spec.n_sites).generator())
+    evals = np.linalg.eigvalsh(dense)
+    diag_terms = evals[..., None] * np.eye(spec.local_dim)
+    summands = diagonals_from_eigs(evals, spec)
+    assert len(summands) == len(spec.summand_bonds)
+    for bonds, s in zip(spec.summand_bonds, summands):
+        embedded = embed_sum_batch(only_bonds(diag_terms, bonds), spec)
+        assert np.array_equal(s, np.diagonal(embedded, axis1=1, axis2=2))
+        lam = np.linalg.eigvalsh(embed_sum_batch(only_bonds(dense, bonds), spec))
+        assert np.abs(np.sort(s) - lam).max() < 1e-8
 
 
 def test_diagonal_multiplicities():

@@ -1,5 +1,6 @@
 """Front-end behavior: JSON output, artifact files, determinism, exit codes."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -260,6 +261,10 @@ def test_run_beyond_nearest_neighbor(tmp_path):
     ie = [ln.split(",")[3] for ln in lines if ln.startswith("ie,")]
     iso = [ln.split(",")[3] for ln in lines if ln.startswith("iso,")]
     assert ie == iso
+    # the ie row's mu, sigma2, gamma1 and gamma2 are the iso row's
+    rows = {row[0]: row[1:5]
+            for row in csv.reader((out / "moments.csv").read_text().splitlines())}
+    assert rows["ie"] == rows["iso"]
 
 
 def test_reproduce_theory_only():

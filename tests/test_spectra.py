@@ -168,6 +168,25 @@ def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
         assert np.array_equal(r, g)
 
 
+@pytest.mark.parametrize("spec, trials", [
+    pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
+                              coupling_range=3), 200, id="goe-L3-beta1"),
+    pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.goe(), beta=2,
+                              coupling_range=3), 100, id="goe-L3-beta2"),
+    pytest.param(sm.ChainSpec(n_sites=5, site_dim=3, ensemble=sm.LocalEnsemble.pm1()), 200,
+                 id="pm1-d3-N5")])
+def test_pools_do_not_depend_on_sub_blocks(monkeypatch, spec, trials):
+    # a sub-block of one trial reduces its quantum window, a row of more than
+    # 8,192 floats, alone: it must sum as it does within a longer stack
+    ref = sm.ensemble_pools(spec, trials, sm.Rng(11))
+    monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)
+    pools = sm.ensemble_pools(spec, trials, sm.Rng(11))
+    for kind, pool in ref.items():
+        for field in ("moment_sums", "block_sums", "block_counts"):
+            assert np.array_equal(getattr(pools[kind], field), getattr(pool, field)), \
+                (kind, field)
+
+
 def _quantum_oracle_cases():
     wishart = sm.LocalEnsemble.wishart(4)
     for n_sites in range(3, 10):
