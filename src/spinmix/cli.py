@@ -130,6 +130,8 @@ def _check_run_args(args, m):
                          f"{spectra._MAX_KEPT_VALUES // m} trials")
     if args.bins is not None and args.bins < 1:
         raise ValueError("--bins must be >= 1")
+    if args.bins is not None and args.edges:
+        raise ValueError("--bins and --edges cannot be given together")
     if not args.edges:
         return None
     try:
@@ -160,14 +162,14 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _stat_row(source, summary, pool):
+def _stat_row(source, summary, loo):
     cells = [source]
     for stat in ("mu", "sigma2", "gamma1", "gamma2"):
         v = summary.stat(stat)
         cells.append("" if v is None else _fmt(v))
     for stat in ("mu", "sigma2", "gamma1", "gamma2"):
         try:
-            se = None if pool is None else pool.stderr(stat)
+            se = None if loo is None else spectra.jackknife_se(s.stat(stat) for s in loo)
         except ValueError:  # the statistic is undefined with a block left out
             se = None
         se = _finite_or_none(se)  # NaN below two trials
@@ -232,7 +234,9 @@ def cmd_run(args) -> int:
     _write_csv(out_dir / "densities.csv",
                ["source", "bin_left", "bin_right", "mass"], rows)
 
-    mrows = [_stat_row(k, summaries[k], pools[k]) for k in ("classical", "iso", "quantum")]
+    # one jackknife pass per pool serves every s.e. of moments.csv and p_empirical
+    loo = {k: p.leave_one_out() for k, p in pools.items()}
+    mrows = [_stat_row(k, summaries[k], loo[k]) for k in ("classical", "iso", "quantum")]
     mix_raw = [weight * getattr(summaries["classical"], f"m{j}")
                + (1 - weight) * getattr(summaries["iso"], f"m{j}") for j in (1, 2, 3, 4)]
     mrows.append(_stat_row("ie", spectra.MomentSummary.from_raw_moments(*mix_raw), None))
@@ -258,19 +262,19 @@ def cmd_run(args) -> int:
         "provenance": {
             "numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_builds(),
             **_workers.describe(),
-            "chunk_trials": spectra._chunk_trials(spec.m, args.trials),
+            "chunk_trials": spectra._chunk_trials(spectra._trial_size(spec, True), args.trials),
             # histogram() clips values outside the edges into the end bins
             "mass_outside_edges": {
                 k: float(np.mean((p.samples < edges[0]) | (p.samples > edges[-1])))
                 for k, p in pools.items()},
         },
     }
-    kinds = [pools[k] for k in ("quantum", "classical", "iso")]
+    kinds = ("quantum", "classical", "iso")
     try:
-        summary["p_empirical"] = _p_empirical([p.summary() for p in kinds])
+        summary["p_empirical"] = _p_empirical([summaries[k] for k in kinds])
         if summary["p_empirical"] is not None:
-            summary["p_empirical_se"] = _finite_or_none(
-                spectra.jackknife_stderr(kinds, _p_empirical))
+            summary["p_empirical_se"] = _finite_or_none(spectra.jackknife_se(
+                _p_empirical(s) for s in zip(*(loo[k] for k in kinds))))
     except (ZeroDivisionError, ValueError):
         pass
     summary["wall_time_s"] = time.time() - t_start

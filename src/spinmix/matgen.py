@@ -58,69 +58,65 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     dim(dim+1)/2 draws instead of dim².
 
     The draws are made first, trial-major, on the calling thread, so the
-    output depends neither on how callers chunk the trials nor on the
-    worker count.  Everything after the draw fans out: each worker of
-    ``_workers.map_trials`` places the vectors of its own contiguous slice,
-    vector k below the diagonal of column k of a Fortran-ordered array
-    (where orgqr reads the reflectors of a QR factorisation).  It then walks
-    the slice in sub-blocks, computing the reflector scalars in LAPACK's
-    larfg convention and running orgqr and the sign fix in place, with
-    OpenBLAS at one thread.  Every step is per matrix, so the output does
-    not depend on the slices or sub-blocks either.  The workspace is queried once
-    (lwork=-1): the wrappers' default lwork forces the unblocked algorithm,
-    about 3x slower at dim 512.  lwork goes by position because keyword
-    parsing costs more than a 4x4 orgqr.
+    output depends on neither the callers' chunks nor the worker count; the
+    workers then run the per-matrix kernel ``haar_from_gaussians`` on
+    sub-blocks.  A caller that fuses Q into later per-trial work draws the
+    same Gaussians and runs the kernel itself.
     """
-    _check_beta(beta)
     g = gaussian_batch((count, dim * (dim + 1) // 2), beta, gen)
-    v = np.zeros((count, dim, dim), dtype=g.dtype)
-    orgqr = _lapack.dorgqr if beta == 1 else _lapack.zungqr
-    probe = np.zeros((dim, dim), dtype=v.dtype)
-    lwork = int(orgqr(probe, probe[0], -1)[1][0].real)
+    q = np.empty((count, dim, dim), dtype=g.dtype)
 
     def reflect(lo, hi):
-        # row k of v[t] is column k of the Fortran-ordered array v[t].T that
-        # orgqr reads; vector k fills it from the diagonal on.  The copy holds
-        # no temporary, so it takes the whole slice: in sub-blocks, which are
-        # one matrix at dim 512, it would cost dim slice copies per matrix
-        start = 0
-        for k in range(dim):
-            v[lo:hi, k, k:] = g[lo:hi, start:start + dim - k]
-            start += dim - k
         for s, e in _sub_blocks(lo, hi, dim * dim):
-            _reflectors_to_haar(v[s:e], orgqr, lwork)
+            haar_from_gaussians(g[s:e], q[s:e])
 
     map_trials(reflect, count, dim * dim)
-    return v
+    return q
 
 
-def _reflectors_to_haar(v, orgqr, lwork):
-    """Overwrite a stack of raw Gaussian reflector vectors with their Haar matrices."""
-    dim = v.shape[-1]
+def haar_from_gaussians(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Overwrite `out`, (count, dim, dim), with the Haar matrices of Gaussians `g`.
+
+    Row t of `g` holds the vectors of lengths dim, dim-1, ..., 1.  Row k of
+    out[t] is column k of the Fortran-ordered out[t].T that orgqr reads, so
+    vector k fills it from the diagonal on.  Single-threaded and per matrix;
+    lwork goes by position: keyword parsing costs more than a 4x4 orgqr.
+    """
+    count, dim = out.shape[:2]
+    orgqr = _lapack.dorgqr if out.dtype == np.float64 else _lapack.zungqr
+    # the wrappers' default lwork forces the unblocked algorithm, about 3x
+    # slower at dim 512; the query (lwork=-1) reads no entry of out[0].T
+    lwork = int(orgqr(out[0].T, out[0, 0], -1, 1)[1][0].real)
+    start = 0
+    for k in range(dim):
+        out[:, k, :k] = 0.0
+        out[:, k, k:] = g[:, start:start + dim - k]
+        start += dim - k
     # larfg: R_kk = -sign(Re alpha) |vector k|, tau = (R_kk - alpha) / R_kk and
     # v = x / (alpha - R_kk), with the (count, dim) arrays updated in place
-    alpha = np.diagonal(v, axis1=1, axis2=2).copy()
-    flat = v.view(np.float64)
+    alpha = np.diagonal(out, axis1=1, axis2=2).copy()
+    flat = out.view(np.float64)
     r_diag = np.einsum("tkj,tkj->tk", flat, flat)
     np.sqrt(r_diag, out=r_diag)
     np.copysign(r_diag, alpha.real, out=r_diag)
     r_diag *= -1.0
     tau = r_diag - alpha
     tau /= r_diag
-    if not np.iscomplexobj(v):  # larfg leaves a real 1-vector alone: tau = 0, R_kk = alpha
+    if not np.iscomplexobj(out):  # larfg leaves a real 1-vector alone: tau = 0, R_kk = alpha
         r_diag[:, -1], tau[:, -1] = alpha[:, -1], 0.0
     scale = alpha[:, :-1]
     scale -= r_diag[:, :-1]
     np.reciprocal(scale, out=scale)
-    v[:, :-1] *= scale[:, :, None]
+    out[:, :-1] *= scale[:, :, None]
     # scaling column k by the sign of R_kk makes R's diagonal positive, which
     # is what turns the reflector product into exact Haar measure
     sign = np.sign(r_diag, out=r_diag)
     sign[sign == 0] = 1.0
-    for i in range(len(v)):
-        # v[i].T is Fortran-ordered, so orgqr overwrites it in place with Q;
-        # v[i] then takes Q itself, row-major, from a temporary
-        q, _, info = orgqr(v[i].T, tau[i], lwork, 1)
+    for i in range(count):
+        # out[i].T is Fortran-ordered, so orgqr overwrites it in place with Q;
+        # out[i] then takes Q itself, row-major, from a temporary
+        q, _, info = orgqr(out[i].T, tau[i], lwork, 1)
         if info != 0:
             raise np.linalg.LinAlgError(f"orgqr failed (info={info})")
-        v[i] = q * sign[i]
+        out[i] = q * sign[i]
+    return out

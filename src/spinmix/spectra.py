@@ -26,11 +26,11 @@ The moment sums are one pass per chunk (``_moment_pass``): each sub-block
 forms its trials' bond terms from the draws, centres them, and reduces
 them to every pool's Σλ¹…Σλ⁴ (``_trial_sums``) while they are in cache,
 with its window stacks in per-thread scratch (``_workers._scratch``) that
-is reused across sub-blocks and calls.  The kept samples' m×m rotations
-and eigensolves fan out on their own.  All random draws stay serial on the
-calling thread, in trial-major order, and each trial is computed by the
-same kernel in any slice or sub-block, so the output does not depend on
-the worker count either.
+is reused across sub-blocks and calls.  The kept samples are one more
+pass (``_kept_pass``).  All random draws stay serial on the calling
+thread, in trial-major order, and each trial is computed by the same
+kernel in any slice or sub-block, so the output does not depend on the
+worker count either.
 
 Each trial's spectrum is a sum of the diagonal summands s₀ … s_k of
 ``ChainSpec.summand_bonds``: the two parity classes at range L = 2, each
@@ -50,10 +50,9 @@ its local draw.
 Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
 Monte Carlo: summand i is permuted on the child stream
 ``(STREAM_CLASSICAL, i − 1)`` and rotated on ``(STREAM_ISO, i − 1)``, and
-every m×m isotropic and quantum matrix is formed (``_iso_mats``,
-``chain.embed_sum_batch``) and diagonalised (``_eigvalsh``).  The moment
-sums never read the samples, so both routes give the same moment and block
-sums, bit for bit.
+each sub-block of the kept pass forms and diagonalises its m×m isotropic
+and quantum matrices in arrays of its slice.  The moment sums never read
+the samples, so both routes give the same moment and block sums.
 
 Densities are read from the kept sample arrays as they are: ``bin_edges``
 picks equal-width edges (``--bins`` or Freedman–Diaconis), ``histogram``
@@ -82,6 +81,7 @@ __all__ = [
     "TrialPool",
     "ensemble_pools",
     "jackknife_stderr",
+    "jackknife_se",
     "gram_charlier_density",
     "ks_distance",
     "bin_edges",
@@ -94,8 +94,15 @@ _N_BLOCKS = 50                   # jackknife blocks (fewer when trials < 50)
 _MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
 
 
-def _chunk_trials(m: int, trials: int) -> int:
-    return int(max(1, min(trials, _CHUNK_BUDGET // (m * m), 8192)))
+def _chunk_trials(size: int, trials: int) -> int:
+    return int(max(1, min(trials, _CHUNK_BUDGET // size, 8192)))
+
+
+def _trial_size(spec: ChainSpec, keep_samples: bool) -> int:
+    # chunk-sized elements of a trial: its Haar Gaussians, or a quantum window
+    if keep_samples:
+        return max(1, len(spec.summand_bonds) - 1) * spec.m * (spec.m + 1) // 2
+    return spec.site_dim ** (2 * (_window_width(spec) + spec.coupling_range - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -189,45 +196,11 @@ class DensityEstimate:
 # kernels
 
 
-def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched Q† diag(b) Q, fanned out over the workers' trial slices."""
-    out = np.empty(q.shape, dtype=np.result_type(q, b))
-
-    def rotate(lo, hi):
-        for s, e in _sub_blocks(lo, hi, q.shape[-1] ** 2):
-            np.matmul(q[s:e].conj().swapaxes(-1, -2) * b[s:e, None, :], q[s:e], out=out[s:e])
-
-    map_trials(rotate, q.shape[0], q.shape[-1] ** 2)
-    return out
-
-
-def _iso_mats(summands, rotations) -> np.ndarray:
-    """The isotropic matrices diag(s₀) + Σ_{i≥1} Q_i† diag(s_i) Q_i, one per trial.
-
-    `summands` holds at least two diagonals s₀, s₁, …; `rotations` yields
-    the Haar batches Q₁, Q₂, … in turn.  Each further rotation is added in
-    place into the first one's output; when `rotations` draws lazily no Q
-    outlives its rotation, so the sum, one Q and one rotated stack are the
-    most held at once.
-    """
-    qs = iter(rotations)
-    mats = _rotate_diag(next(qs), summands[1])
-    for s in summands[2:]:
-        mats += _rotate_diag(next(qs), s)
-    diag = np.arange(mats.shape[-1])
-    mats[:, diag, diag] += summands[0]
-    return mats
-
-
-def _eigvalsh(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of Hermitian matrices, split by trial slice."""
-    out = np.empty(mats.shape[:-1])
-
-    def eig(lo, hi):
-        out[lo:hi] = np.linalg.eigvalsh(mats[lo:hi])
-
-    map_trials(eig, mats.shape[0], mats.shape[-1] ** 2)
-    return out
+def _rotate_diag(q: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Batched Q† diag(b) Q, into `out` when it is given: a single-threaded kernel."""
+    qh = np.conjugate(q.swapaxes(-1, -2))          # laid out as Q, so gemm reads it transposed
+    qh *= b[:, None, :]
+    return np.matmul(qh, q, out=out)
 
 
 def _power_sums(mats: np.ndarray, sq: Optional[np.ndarray] = None) -> np.ndarray:
@@ -342,6 +315,40 @@ def _moment_pass(spec: ChainSpec, evals, factors):
     return sums, dense
 
 
+def _kept_pass(spec: ChainSpec, dense, summands, gaussians, iso, quantum):
+    """One chunk's isotropic and quantum eigenvalue rows, into `iso` and `quantum`.
+
+    `dense` is the chunk's bond terms, `summands` its diagonals s₀ … s_k and
+    `gaussians` the (count, m(m+1)/2) reflector Gaussians of Q₁ … Q_k.  Each
+    sub-block of m² elements diagonalises its embedded chains, then adds
+    each Q_i† diag(s_i) Q_i to diag(s₀) and diagonalises the sum; with
+    nothing rotated (N = L) the iso rows are s₀.  Its m×m arrays are the
+    slice's, allocated once and freed with the fan-out.
+    """
+    count, m = dense.shape[0], spec.m
+    diag = np.arange(m)
+
+    def diagonalise(lo, hi):
+        blocks = list(_sub_blocks(lo, hi, m * m))
+        chains, haar = np.empty((2, blocks[0][1] - lo, m, m), dtype=dense.dtype)
+        for s, e in blocks:
+            mats = chain_mod.embed_sum_batch(dense[s:e], spec, chains[:e - s])
+            quantum[s:e] = np.linalg.eigvalsh(mats)
+            if not gaussians:                                   # N = L: nothing is rotated
+                iso[s:e] = summands[0][s:e]
+                continue
+            for i, (g, b) in enumerate(zip(gaussians, summands[1:])):
+                q = matgen.haar_from_gaussians(g[s:e], haar[:e - s])
+                # the first rotation overwrites the chains, which are diagonalised
+                rotated = _rotate_diag(q, b[s:e], None if i else mats)
+                if i:
+                    mats += rotated
+            mats[:, diag, diag] += summands[0][s:e]
+            iso[s:e] = np.linalg.eigvalsh(mats)
+
+    map_trials(diagonalise, count, m * m)
+
+
 def _conditional_power_sums(bonds: np.ndarray, spec: ChainSpec):
     """Each trial's classical and isotropic Σλ¹…Σλ⁴, averaged over Π_i or Q_i.
 
@@ -375,19 +382,6 @@ def _permuted(x: np.ndarray, gen) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the trial loop
-
-
-def _chunks(m: int, trials: int):
-    """(lo, hi) trial ranges of the memory chunks; the only chunk loop."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    step = _chunk_trials(m, trials)
-    for lo in range(0, trials, step):
-        yield lo, min(trials, lo + step)
-
-
-# ---------------------------------------------------------------------------
 # ensemble pipelines
 
 
@@ -414,6 +408,13 @@ class TrialPool:
         """Jackknife s.e. of the pooled `stat` (a MomentSummary field)."""
         return jackknife_stderr([self], lambda s: s[0].stat(stat))
 
+    def leave_one_out(self) -> list:
+        """The MomentSummary with each non-empty block left out; none below two."""
+        blocks = np.flatnonzero(self.block_counts)
+        return [MomentSummary.from_raw_moments(*((self.moment_sums - self.block_sums[i])
+                                                 / (self.count - self.block_counts[i])))
+                for i in blocks] if blocks.size > 1 else []
+
 
 def jackknife_stderr(pools, fn) -> float:
     """Delete-one-block jackknife s.e. of fn(summaries), one MomentSummary per pool.
@@ -423,18 +424,19 @@ def jackknife_stderr(pools, fn) -> float:
     the spread of per-block statistics, this is the s.e. of the pooled
     estimate even when a block holds a single trial.
     """
-    counts = pools[0].block_counts
-    blocks = np.flatnonzero(counts)
-    if blocks.size < 2:
-        return float("nan")
+    return jackknife_se(fn(list(s)) for s in zip(*(p.leave_one_out() for p in pools)))
+
+
+def jackknife_se(values) -> float:
+    """Jackknife s.e. from a statistic's values on ``leave_one_out`` summaries."""
     loo = []
-    for i in blocks:
-        value = fn([MomentSummary.from_raw_moments(
-            *((p.moment_sums - p.block_sums[i]) / (p.count - counts[i]))) for p in pools])
+    for value in values:
         if value is None:
             raise ValueError("statistic undefined with a block left out")
         loo.append(value)
-    loo, g = np.array(loo), blocks.size
+    if len(loo) < 2:
+        return float("nan")
+    loo, g = np.array(loo), len(loo)
     return float(math.sqrt((g - 1) / g * ((loo - loo.mean()) ** 2).sum()))
 
 
@@ -478,16 +480,14 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     s₀ needs no rotation.  For L > 2 this is the all-isotropic
     approximation, used in place of a mixture.
 
-    The pools' moment sums are each trial's Σλ¹…Σλ⁴ given its local draw:
-    the classical and isotropic ones averaged exactly over Π_i and Q_i
-    (``_conditional_power_sums``), the quantum ones exact from cumulants of
-    bond windows (``_trial_sums``).  They need no m×m matrix and so no
-    dense cap.  `keep_samples` (``spinmix run``) also draws Π_i on stream
-    ``(STREAM_CLASSICAL, i − 1)`` and Q_i on ``(STREAM_ISO, i − 1)``,
-    diagonalises the isotropic and quantum matrices, and keeps every
-    trial's eigenvalues as a row of each pool's ``samples``; the moment
-    sums are the same on both routes, bit for bit.
+    The moment sums (see the module docstring) need no m×m matrix and so no
+    dense cap.  `keep_samples` (``spinmix run``) also keeps every trial's
+    eigenvalues as a row of each pool's ``samples``: Π_i is drawn on stream
+    ``(STREAM_CLASSICAL, i − 1)`` and Q_i's Gaussians on stream
+    ``(STREAM_ISO, i − 1)``; a chunk holds those but no m×m stack (``_kept_pass``).
     """
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     if keep_samples:
         spec.check_dense_cap()
     m = spec.m
@@ -501,9 +501,9 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
         rotated = range(len(spec.summand_bonds) - 1)
         perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in rotated]
         haar_gens = [rng.substream(STREAM_ISO, j) for j in rotated]
-    # without samples the largest matrices are the quantum windows
-    dim = m if keep_samples else spec.site_dim ** (_window_width(spec) + spec.coupling_range - 1)
-    for lo, hi in _chunks(dim, trials):
+    step = _chunk_trials(_trial_size(spec, keep_samples), trials)
+    for lo in range(0, trials, step):       # the memory chunks: the only chunk loop
+        hi = min(trials, lo + step)
         evals, factors = chain_mod._draw_bonds(spec, hi - lo, eig_gen, vec_gen)
         sums, dense = _moment_pass(spec, evals, factors)
         for pool, trial_sums in zip(pools.values(), sums):
@@ -516,13 +516,11 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
         for s, g in zip(summands[1:], perm_gens):
             vals = vals + _permuted(s, g)
         pools["classical"].samples[lo:hi] = vals
-        if len(summands) == 1:                      # N = L: nothing to rotate
-            pools["iso"].samples[lo:hi] = summands[0]
-        else:
-            # drawn lazily, so no Q outlives its rotation
-            qs = (matgen.haar_batch(m, spec.beta, g, hi - lo) for g in haar_gens)
-            pools["iso"].samples[lo:hi] = _eigvalsh(_iso_mats(summands, qs))
-        pools["quantum"].samples[lo:hi] = _eigvalsh(chain_mod.embed_sum_batch(dense, spec))
+        # what matgen.haar_batch would draw; the pass builds each Q from them
+        gaussians = [matgen.gaussian_batch((hi - lo, m * (m + 1) // 2), spec.beta, g)
+                     for g in haar_gens]
+        _kept_pass(spec, dense, summands, gaussians, pools["iso"].samples[lo:hi],
+                   pools["quantum"].samples[lo:hi])
     return pools
 
 

@@ -113,7 +113,8 @@ def test_run_writes_artifacts(tmp_path):
     # the counts outside a fan-out, read back unchanged by the run
     assert prov["openblas_threads"] == [get() for get, _ in _workers._openblas_controls()]
     assert all(k >= 1 for k in prov["openblas_threads"])
-    assert prov["chunk_trials"] == spectra._chunk_trials(8, 2500)
+    spec = sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
+    assert prov["chunk_trials"] == spectra._chunk_trials(spectra._trial_size(spec, True), 2500)
     # |λ| <= 2 on a two-bond ±1 chain, inside the edges ±2.5
     assert prov["mass_outside_edges"] == {"classical": 0.0, "iso": 0.0, "quantum": 0.0}
 
@@ -196,6 +197,8 @@ def test_run_usage_errors(tmp_path, capsys):
     for flag, value, message in (("--trials", "0", "--trials must be >= 1"),
                                  ("--trials", "-3", "--trials must be >= 1"),
                                  ("--bins", "0", "--bins must be >= 1"),
+                                 # _run_args gives --edges, which --bins would contradict
+                                 ("--bins", "5", "--bins and --edges cannot be given together"),
                                  ("--edges", "0,x", "--edges:"),
                                  ("--edges", "1,0", "--edges must be ascending"),
                                  ("--edges", "0,nan,40", "--edges must be finite"),

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 import spinmix as sm
 from spinmix.chain import (DEFAULT_MAX_DIM, _draw_bonds, diagonals_from_eigs,
                            draw_local_batch, embed_sum_batch)
-from spinmix.matgen import gaussian_batch, haar_batch
+from spinmix.matgen import gaussian_batch, haar_batch, haar_from_gaussians
 from spinmix import _workers, spectra
-from spinmix.spectra import (_bond_moments, _iso_mats, _moment_pass, _power_sums,
+from spinmix.spectra import (_bond_moments, _kept_pass, _moment_pass, _power_sums,
                              _rotate_diag, _trial_sums)
 
 from oracles import classical_convolve, ks_measures, measure, summarize
@@ -97,11 +98,18 @@ def test_classical_mc_matches_exact():
 # isotropic convolution
 
 
-def test_iso_mats_zero_b_returns_a():
-    a = np.array([-1.0, 0.5, 2.0, 7.0])
-    q = haar_batch(4, 1, sm.Rng(46).generator(), 20)
-    mats = _iso_mats([np.broadcast_to(a, (20, 4)), np.zeros((20, 4))], [q])
-    assert np.abs(np.linalg.eigvalsh(mats) - np.sort(a)).max() < 1e-12
+def test_kept_pass_zero_b_returns_a():
+    # diag(a) + Q† diag(0) Q has the eigenvalues of a, whatever Q is
+    spec = sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
+    a = np.array([-1.0, 0.5, 2.0, 7.0, -3.0, 0.0, 1.5, 4.0])
+    gen = sm.Rng(46).generator()
+    _, dense = draw_local_batch(spec, 20, gen, vec_gen=gen)
+    gaussians = [gaussian_batch((20, 8 * 9 // 2), 1, gen)]
+    iso, quantum = np.empty((2, 20, 8))
+    _kept_pass(spec, dense, [np.broadcast_to(a, (20, 8)), np.zeros((20, 8))], gaussians,
+               iso, quantum)
+    assert np.abs(iso - np.sort(a)).max() < 1e-12
+    assert np.array_equal(quantum, np.linalg.eigvalsh(embed_sum_batch(dense, spec)))
 
 
 def test_isotropic_pool_matches_classical_three_moments():
@@ -157,34 +165,78 @@ def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
 
     def kernels():
         gen = sm.Rng(54, beta).generator()
-        q = haar_batch(16, beta, gen, 40)
+        g = gaussian_batch((40, 16 * 17 // 2), beta, gen)
         b = gen.standard_normal((40, 16))
-        return (q, _rotate_diag(q, b), _power_sums(_rotate_diag(q, b)),
+        # the Haar kernel and the rotation on each sub-block, as the kept pass runs them
+        blocks = list(_workers._sub_blocks(0, 40, 16 * 16))
+        q = np.concatenate([haar_from_gaussians(g[s:e], np.empty((e - s, 16, 16), g.dtype))
+                            for s, e in blocks])
+        rotated = np.concatenate([_rotate_diag(q[s:e], b[s:e]) for s, e in blocks])
+        return (q, rotated, _power_sums(rotated),
                 *_moment_pass(spec, *_draw_bonds(spec, 40, gen)))
 
     ref = kernels()
+    # haar_batch draws the same Gaussians and runs the same kernel on its sub-blocks
+    assert np.array_equal(haar_batch(16, beta, sm.Rng(54, beta).generator(), 40), ref[0])
     monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)      # one trial per sub-block
     for r, g in zip(ref, kernels()):
         assert np.array_equal(r, g)
 
 
-@pytest.mark.parametrize("spec, trials", [
-    pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
-                              coupling_range=3), 200, id="goe-L3-beta1"),
-    pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.goe(), beta=2,
-                              coupling_range=3), 100, id="goe-L3-beta2"),
-    pytest.param(sm.ChainSpec(n_sites=5, site_dim=3, ensemble=sm.LocalEnsemble.pm1()), 200,
-                 id="pm1-d3-N5")])
-def test_pools_do_not_depend_on_sub_blocks(monkeypatch, spec, trials):
+_SUB_BLOCK_CASES = [
     # a sub-block of one trial reduces its quantum window, a row of more than
     # 8,192 floats, alone: it must sum as it does within a longer stack
-    ref = sm.ensemble_pools(spec, trials, sm.Rng(11))
+    pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
+                              coupling_range=3), 200, False, id="goe-L3-beta1"),
+    pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.goe(), beta=2,
+                              coupling_range=3), 100, False, id="goe-L3-beta2"),
+    pytest.param(sm.ChainSpec(n_sites=5, site_dim=3, ensemble=sm.LocalEnsemble.pm1()), 200,
+                 False, id="pm1-d3-N5"),
+    # the kept pass: sub-blocks of 16 trials at m = 128 against one trial each
+    pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1()), 50,
+                 True, id="kept-pm1-N7-beta1"),
+    pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1(), beta=2),
+                 40, True, id="kept-pm1-N7-beta2"),
+    # two rotated summands, and none
+    pytest.param(sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
+                              coupling_range=3), 60, True, id="kept-goe-L3-N5"),
+    pytest.param(sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
+                              coupling_range=3), 60, True, id="kept-goe-N3-L3"),
+]
+
+
+@pytest.mark.parametrize("spec, trials, keep_samples", _SUB_BLOCK_CASES)
+def test_pools_do_not_depend_on_sub_blocks(monkeypatch, spec, trials, keep_samples):
+    ref = sm.ensemble_pools(spec, trials, sm.Rng(11), keep_samples)
     monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)
-    pools = sm.ensemble_pools(spec, trials, sm.Rng(11))
+    pools = sm.ensemble_pools(spec, trials, sm.Rng(11), keep_samples)
     for kind, pool in ref.items():
-        for field in ("moment_sums", "block_sums", "block_counts"):
+        for field in ("moment_sums", "block_sums", "block_counts", "samples"):
             assert np.array_equal(getattr(pools[kind], field), getattr(pool, field)), \
                 (kind, field)
+
+
+def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
+    # a kept chunk holds its reflector Gaussians, 512·128·129/2 floats here,
+    # and each slice of the pass a few sub-blocks of m×m matrices; a stack of
+    # 512 matrices of 128×128 is 64 MiB.  Two workers, so that the bound
+    # does not depend on the machine
+    spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
+    pool = _workers._Pool(2, _workers._openblas_controls())
+    monkeypatch.setattr(_workers, "_default", pool)
+    try:
+        # the first call sizes the workers' per-thread scratch outside the trace
+        sm.ensemble_pools(spec, 512, sm.Rng(60), keep_samples=True)
+        tracemalloc.start()
+        try:
+            sm.ensemble_pools(spec, 512, sm.Rng(60), keep_samples=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        pool.shutdown()
+    gaussians = 512 * spec.m * (spec.m + 1) // 2 * 8
+    assert peak < gaussians + 24 * 2 ** 20, peak / 2 ** 20
 
 
 def _quantum_oracle_cases():
