@@ -21,12 +21,15 @@ The workers are threads, one per CPU in the process's affinity mask; the
 LAPACK, BLAS and ufunc loops they run release the interpreter lock.  At
 these matrix sizes OpenBLAS's own threads cost more than they give, so
 every slice, a lone one on the calling thread included, runs every OpenBLAS
-library numpy and scipy load at one thread.  OpenBLAS keeps that count per
+library that numpy and scipy ship at one thread.  The pool finds scipy's
+library without importing scipy and loads it by path, so a fan-out that
+first imports ``scipy.linalg`` (``matgen._orgqr``) finds its OpenBLAS
+mapped once and already limited.  OpenBLAS keeps that count per
 process (``openblas_set_num_threads_local`` sets the same process-wide
 count), so it is set to 1 only while a fan-out runs and restored before
 ``map_trials`` returns: the calling thread's kernels between fan-outs keep
 the count it had.  Fan-outs from different calling threads take turns.
-Where numpy or scipy loads no OpenBLAS whose thread count can be set,
+Where numpy or scipy ships no OpenBLAS whose thread count can be set,
 ``map_trials`` runs one slice on the calling thread.
 
 ``_scratch(key, shape, dtype)`` hands a kernel a per-thread array that is
@@ -42,7 +45,7 @@ The pool is created on first use, so importing the package starts no thread.
 from __future__ import annotations
 
 import ctypes
-import importlib
+import importlib.util
 import math
 import os
 import threading
@@ -85,12 +88,14 @@ def _thread_count_functions(path):
 def _openblas_controls() -> list:
     """(get, set) pairs of numpy's and scipy's OpenBLAS thread counts, or [].
 
-    Empty unless both packages load such a library: a fan-out that could
+    Empty unless both packages ship such a library: a fan-out that could
     limit only one of them would oversubscribe the cores through the other.
+    The packages are found, not imported: scipy is imported by the first
+    Haar matrix, whose LAPACK then uses the library loaded here.
     """
     controls = []
     for pkg in ("numpy", "scipy"):
-        libdir = Path(importlib.import_module(pkg).__file__).parent.parent / f"{pkg}.libs"
+        libdir = Path(importlib.util.find_spec(pkg).origin).parent.parent / f"{pkg}.libs"
         found = [fns for lib in sorted(libdir.glob("*openblas*"))
                  if (fns := _thread_count_functions(lib)) is not None]
         if not found:

@@ -13,6 +13,10 @@ Haar rotations for the classical and isotropic spectra, exact for the
 quantum one (``spectra.ensemble_pools``).  ``reproduce`` reads the same sums
 and samples no eigenvalues.
 
+scipy is imported only for ``run``'s provenance (``_library_versions``) and
+by its first Haar matrix (``matgen``), so ``slider`` and ``reproduce``
+start without it.
+
 Exit codes: 0 ok, 1 tolerance failure (reproduce), 2 usage error.
 """
 
@@ -28,7 +32,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import _workers
 from . import slider as slider_mod
@@ -183,8 +186,10 @@ def _p_empirical(summaries):
     return None if None in g2 else slider_mod.p_from_kurtoses(*g2)
 
 
-def _blas_builds() -> dict:
-    """The BLAS that numpy and scipy were built against, as "name version"."""
+def _library_versions() -> dict:
+    """numpy's and scipy's versions and the BLAS each was built against, as "name version"."""
+    import scipy
+
     builds = {}
     for mod in (np, scipy):
         try:
@@ -192,7 +197,7 @@ def _blas_builds() -> dict:
             builds[mod.__name__] = f"{blas['name']} {blas['version']}"
         except (TypeError, KeyError):    # releases without a dict-valued config
             builds[mod.__name__] = None
-    return builds
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": builds}
 
 
 def cmd_run(args) -> int:
@@ -260,8 +265,7 @@ def cmd_run(args) -> int:
         "seed": args.seed,
         "wall_time_s": None,
         "provenance": {
-            "numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_builds(),
-            **_workers.describe(),
+            **_library_versions(), **_workers.describe(),
             "chunk_trials": spectra._chunk_trials(spectra._trial_size(spec, True), args.trials),
             # histogram() clips values outside the edges into the end bins
             "mass_outside_edges": {
@@ -287,14 +291,15 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # reproduce
 
-# default trial counts: every preset runs in seconds, and N11's γ₂ rows have
-# a narrower s.e. than N9's; pass --trials to use the larger published counts
+# default trial counts: each preset runs in under 1.5 s on 2 cores, and on
+# seeds 0-4 its widest γ₂ 3-s.e. band is about half the smallest gap between
+# its three γ₂ theory values or less; --trials sets the published counts
 _PRESETS = {
     "N3": (3, 200_000),
     "N5": (5, 50_000),
     "N7": (7, 4_000),
-    "N9": (9, 300),
-    "N11": (11, 1_000),
+    "N9": (9, 4_000),
+    "N11": (11, 4_000),
 }
 
 
@@ -318,9 +323,12 @@ def cmd_reproduce(args) -> int:
                    "classical": slid.gamma2_classical},
     }
     print(f"table {args.table}: wishart chain, d={d}, r={r}, beta={beta}, trials={trials}")
-    pools = None
+    summaries = loo = None
     if trials:
         pools = spectra.ensemble_pools(spec, trials, Rng(args.seed), keep_samples=False)
+        summaries = {k: p.summary() for k, p in pools.items()}
+        # one jackknife pass per pool serves all twelve s.e.
+        loo = {k: p.leave_one_out() for k, p in pools.items()}
     # the "3 d.p." column is the theory at the precision of the paper's tables
     print(f"{'statistic':<10} {'ensemble':<10} {'theory':>12} {'3 d.p.':>8} "
           f"{'empirical':>12} {'3 s.e.':>10}")
@@ -329,11 +337,11 @@ def cmd_reproduce(args) -> int:
         for kind in ("iso", "quantum", "classical"):
             t = th[stat][kind]
             row = f"{stat:<10} {kind:<10} {t:>12.6f} {t:>8.3f}"
-            if pools is None:
+            if summaries is None:
                 print(f"{row} {'-':>12} {'-':>10}")
                 continue
-            emp = pools[kind].summary().stat(stat)
-            tol = 3.0 * pools[kind].stderr(stat) + 1e-9
+            emp = summaries[kind].stat(stat)
+            tol = 3.0 * spectra.jackknife_se(s.stat(stat) for s in loo[kind]) + 1e-9
             good = abs(emp - t) <= tol
             ok = ok and good
             flag = "" if good else "  <-- out of tolerance"

@@ -14,12 +14,18 @@ Conventions
 * Haar matrices are sign-fixed products of Householder reflectors built
   from independent Gaussian vectors (Stewart 1980; see :func:`haar_batch`),
   which have the law of the sign-fixed QR of a Gaussian matrix.
+
+scipy is imported by the first Haar matrix, not by this module: its one
+routine here, LAPACK's orgqr, is reached through ``scipy.linalg``, whose
+import costs more than the package's own, and the closed forms and the
+moments-only Wishart and GOE pools never build a Haar matrix.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from ._workers import _sub_blocks, map_trials
 
@@ -74,6 +80,14 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     return q
 
 
+@functools.cache
+def _orgqr(real: bool):
+    """LAPACK's dorgqr (`real`) or zungqr; the first call imports scipy.linalg."""
+    from scipy.linalg import lapack
+
+    return lapack.dorgqr if real else lapack.zungqr
+
+
 def haar_from_gaussians(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Overwrite `out`, (count, dim, dim), with the Haar matrices of Gaussians `g`.
 
@@ -83,7 +97,7 @@ def haar_from_gaussians(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     lwork goes by position: keyword parsing costs more than a 4x4 orgqr.
     """
     count, dim = out.shape[:2]
-    orgqr = _lapack.dorgqr if out.dtype == np.float64 else _lapack.zungqr
+    orgqr = _orgqr(out.dtype == np.float64)
     # the wrappers' default lwork forces the unblocked algorithm, about 3x
     # slower at dim 512; the query (lwork=-1) reads no entry of out[0].T
     lwork = int(orgqr(out[0].T, out[0, 0], -1, 1)[1][0].real)
