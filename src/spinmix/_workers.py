@@ -36,8 +36,9 @@ Where numpy or scipy ships no OpenBLAS whose thread count can be set,
 reused across sub-blocks and calls, so a sub-block maps no fresh pages.  It
 lives as long as its thread (a worker lives as long as the pool) and grows
 only to the largest request that thread has made; nothing a kernel returns
-may alias it.  So m×m sub-blocks (``spectra._kept_pass``) take arrays of
-their slice instead, which are freed when the fan-out returns.
+may alias it.  So the bond terms and kept m×m arrays of
+``spectra._chunk_pass`` are arrays of their slice instead, which are freed
+when the fan-out returns.
 
 The pool is created on first use, so importing the package starts no thread.
 """

@@ -133,6 +133,9 @@ def _check_run_args(args, m):
                          f"{spectra._MAX_KEPT_VALUES // m} trials")
     if args.bins is not None and args.bins < 1:
         raise ValueError("--bins must be >= 1")
+    if args.bins is not None and args.bins > args.trials * m:
+        raise ValueError(f"--bins {args.bins} exceeds the {args.trials * m} values one "
+                         f"spectrum pools (--trials × d^N = {args.trials} × {m})")
     if args.bins is not None and args.edges:
         raise ValueError("--bins and --edges cannot be given together")
     if not args.edges:

@@ -66,8 +66,9 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     The draws are made first, trial-major, on the calling thread, so the
     output depends on neither the callers' chunks nor the worker count; the
     workers then run the per-matrix kernel ``haar_from_gaussians`` on
-    sub-blocks.  A caller that fuses Q into later per-trial work draws the
-    same Gaussians and runs the kernel itself.
+    sub-blocks.  The kept route of ``spectra.ensemble_pools`` draws the same
+    Gaussians, and ``spectra._chunk_pass`` runs the kernel in the sub-block
+    that rotates by Q and diagonalises.
     """
     g = gaussian_batch((count, dim * (dim + 1) // 2), beta, gen)
     q = np.empty((count, dim, dim), dtype=g.dtype)

@@ -22,15 +22,14 @@ Within a chunk the per-trial kernels fan out over worker threads
 trials with OpenBLAS at one thread, walked in sub-blocks of at most
 ``_workers._SUB_BLOCK`` array elements, which bounds its temporaries.  A
 chunk that fits in one sub-block is one slice, run on the calling thread.
-The moment sums are one pass per chunk (``_moment_pass``): each sub-block
-forms its trials' bond terms from the draws, centres them, and reduces
-them to every pool's Σλ¹…Σλ⁴ (``_trial_sums``) while they are in cache,
-with its window stacks in per-thread scratch (``_workers._scratch``) that
-is reused across sub-blocks and calls.  The kept samples are one more
-pass (``_kept_pass``).  All random draws stay serial on the calling
-thread, in trial-major order, and each trial is computed by the same
-kernel in any slice or sub-block, so the output does not depend on the
-worker count either.
+Each chunk is one such fan-out (``_chunk_pass``): each sub-block forms its
+trials' bond terms from the draws, centres them, and reduces them to every
+pool's Σλ¹…Σλ⁴ (``_trial_sums``) while they are in cache, with its window
+stacks in per-thread scratch (``_workers._scratch``) that is reused across
+sub-blocks and calls; on the kept route it goes on to the samples.  The
+calling thread only draws, serially and trial-major, and each trial is
+computed by the same kernel in any slice or sub-block, so the output does
+not depend on the worker count either.
 
 Each trial's spectrum is a sum of the diagonal summands s₀ … s_k of
 ``ChainSpec.summand_bonds``: the two parity classes at range L = 2, each
@@ -48,11 +47,13 @@ its local draw.
   matrix once it has more bonds than a window.
 
 Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
-Monte Carlo: summand i is permuted on the child stream
-``(STREAM_CLASSICAL, i − 1)`` and rotated on ``(STREAM_ISO, i − 1)``, and
-each sub-block of the kept pass forms and diagonalises its m×m isotropic
-and quantum matrices in arrays of its slice.  The moment sums never read
-the samples, so both routes give the same moment and block sums.
+Monte Carlo: summand i is permuted by the argsort of keys drawn on the
+child stream ``(STREAM_CLASSICAL, i − 1)`` and rotated by a Haar matrix
+built from Gaussians drawn on ``(STREAM_ISO, i − 1)``.  Each sub-block of
+the chunk's pass then diagonalises its Wishart or GOE bond terms, builds
+the summands, and forms and diagonalises its m×m isotropic and quantum
+matrices in arrays of its slice.  The moment sums never read the samples,
+so both routes give the same moment and block sums.
 
 Densities are read from the kept sample arrays as they are: ``bin_edges``
 picks equal-width edges (``--bins`` or Freedman–Diaconis), ``histogram``
@@ -289,64 +290,65 @@ def _trial_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
     return np.stack([*_conditional_power_sums(bonds, spec), quantum])
 
 
-def _moment_pass(spec: ChainSpec, evals, factors):
-    """One chunk's per-trial sums, (3, count, 4), and its bond terms.
+def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=()):
+    """One chunk's per-trial sums, (3, count, 4), and on the kept route its sample rows.
 
-    `evals` and `factors` are ``chain._draw_bonds``'s draws.  One fan-out
-    walks the trials in sub-blocks; each forms its bond terms
-    (``chain._bond_terms``) into the returned (count, n_bonds, d^L, d^L)
-    array, which the kept route reads, and reduces them (``_trial_sums``)
-    while they are in cache.  A sub-block holds at most ``_SUB_BLOCK``
-    elements of quantum windows.
+    `evals` and `factors` are ``chain._draw_bonds``'s draws.  On the kept
+    route `rows` holds the chunk's classical, iso and quantum rows, which
+    the pass fills, and `keys` and `gaussians` the (count, m) permutation
+    keys and (count, m(m+1)/2) reflector Gaussians of each rotated summand.
+
+    One fan-out walks the trials in sub-blocks, of m² elements on the kept
+    route and of quantum windows otherwise.  Each forms its bond terms
+    (``chain._bond_terms``) and reduces them (``_trial_sums``) while they
+    are in cache.  On the kept route it then builds the summands s₀ … s_k
+    from the bonds' eigenvalues, permutes each s_i by the argsort of its
+    keys, and diagonalises the embedded chains and diag(s₀) + Σ Q_i†
+    diag(s_i) Q_i (s₀ alone when nothing is rotated, N = L).  Its bond
+    terms and m×m arrays are the slice's, freed with the fan-out.
     """
-    count, nb, nloc = factors.shape[0], spec.n_bonds, spec.local_dim
+    count, nb, nloc, m = factors.shape[0], spec.n_bonds, spec.local_dim, spec.m
     width = _window_width(spec)
     size = (nb - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 1))
-    dense = np.empty((count, nb, nloc, nloc), dtype=factors.dtype)
+    if rows is not None:
+        size = m * m                    # no fewer than the quantum windows' elements
     sums = np.empty((3, count, 4))
-
-    def reduce(lo, hi):
-        for s, e in _sub_blocks(lo, hi, size):
-            chain_mod._bond_terms(spec, None if evals is None else evals[s:e], factors[s:e],
-                                  dense[s:e])
-            sums[:, s:e] = _trial_sums(dense[s:e], spec)
-
-    map_trials(reduce, count, size)
-    return sums, dense
-
-
-def _kept_pass(spec: ChainSpec, dense, summands, gaussians, iso, quantum):
-    """One chunk's isotropic and quantum eigenvalue rows, into `iso` and `quantum`.
-
-    `dense` is the chunk's bond terms, `summands` its diagonals s₀ … s_k and
-    `gaussians` the (count, m(m+1)/2) reflector Gaussians of Q₁ … Q_k.  Each
-    sub-block of m² elements diagonalises its embedded chains, then adds
-    each Q_i† diag(s_i) Q_i to diag(s₀) and diagonalises the sum; with
-    nothing rotated (N = L) the iso rows are s₀.  Its m×m arrays are the
-    slice's, allocated once and freed with the fan-out.
-    """
-    count, m = dense.shape[0], spec.m
     diag = np.arange(m)
 
-    def diagonalise(lo, hi):
-        blocks = list(_sub_blocks(lo, hi, m * m))
-        chains, haar = np.empty((2, blocks[0][1] - lo, m, m), dtype=dense.dtype)
+    def run(lo, hi):
+        blocks = list(_sub_blocks(lo, hi, size))
+        terms = np.empty((blocks[0][1] - lo, nb, nloc, nloc), dtype=factors.dtype)
+        if rows is not None:
+            classical, iso, quantum = rows
+            chains, haar = np.empty((2, len(terms), m, m), dtype=factors.dtype)
         for s, e in blocks:
-            mats = chain_mod.embed_sum_batch(dense[s:e], spec, chains[:e - s])
+            local = None if evals is None else evals[s:e]
+            h = chain_mod._bond_terms(spec, local, factors[s:e], terms[:e - s])
+            sums[:, s:e] = _trial_sums(h, spec)
+            if rows is None:
+                continue
+            summands = chain_mod.diagonals_from_eigs(
+                np.linalg.eigvalsh(h) if local is None else local, spec)     # Wishart, GOE
+            vals = summands[0]
+            for b, k in zip(summands[1:], keys):
+                vals = vals + np.take_along_axis(b, np.argsort(k[s:e], axis=1), axis=1)
+            classical[s:e] = vals
+            mats = chain_mod.embed_sum_batch(h, spec, chains[:e - s])
             quantum[s:e] = np.linalg.eigvalsh(mats)
             if not gaussians:                                   # N = L: nothing is rotated
-                iso[s:e] = summands[0][s:e]
+                iso[s:e] = summands[0]
                 continue
             for i, (g, b) in enumerate(zip(gaussians, summands[1:])):
                 q = matgen.haar_from_gaussians(g[s:e], haar[:e - s])
                 # the first rotation overwrites the chains, which are diagonalised
-                rotated = _rotate_diag(q, b[s:e], None if i else mats)
+                rotated = _rotate_diag(q, b, None if i else mats)
                 if i:
                     mats += rotated
-            mats[:, diag, diag] += summands[0][s:e]
+            mats[:, diag, diag] += summands[0]
             iso[s:e] = np.linalg.eigvalsh(mats)
 
-    map_trials(diagonalise, count, m * m)
+    map_trials(run, count, size)
+    return sums
 
 
 def _conditional_power_sums(bonds: np.ndarray, spec: ChainSpec):
@@ -374,11 +376,6 @@ def _conditional_power_sums(bonds: np.ndarray, spec: ChainSpec):
     iso_k4 = kappa[3] - 2 * w * pairs
     return (m * np.stack(_raw_moments(*kappa), axis=-1),
             m * np.stack(_raw_moments(*kappa[:3], iso_k4), axis=-1))
-
-
-def _permuted(x: np.ndarray, gen) -> np.ndarray:
-    """Every row of `x` under its own uniform random permutation."""
-    return np.take_along_axis(x, np.argsort(gen.random(x.shape), axis=1), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +479,11 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
 
     The moment sums (see the module docstring) need no m×m matrix and so no
     dense cap.  `keep_samples` (``spinmix run``) also keeps every trial's
-    eigenvalues as a row of each pool's ``samples``: Π_i is drawn on stream
+    eigenvalues as a row of each pool's ``samples``.  The calling thread
+    draws each chunk's bonds and, on the kept route, Π_i's keys on stream
     ``(STREAM_CLASSICAL, i − 1)`` and Q_i's Gaussians on stream
-    ``(STREAM_ISO, i − 1)``; a chunk holds those but no m×m stack (``_kept_pass``).
+    ``(STREAM_ISO, i − 1)``; one fan-out (``_chunk_pass``) does the rest.  A
+    chunk holds those draws but no m×m stack.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -496,31 +495,22 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     # do not depend on where the chunk boundaries fall
     eig_gen = rng.substream(STREAM_LOCAL_EIGS, 0)
     vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
-    if keep_samples:
-        # one stream per permuted or rotated summand s₁ … s_k
-        rotated = range(len(spec.summand_bonds) - 1)
-        perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in rotated]
-        haar_gens = [rng.substream(STREAM_ISO, j) for j in rotated]
+    # one stream per permuted or rotated summand s₁ … s_k, on the kept route
+    rotated = range(len(spec.summand_bonds) - 1 if keep_samples else 0)
+    perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in rotated]
+    haar_gens = [rng.substream(STREAM_ISO, j) for j in rotated]
     step = _chunk_trials(_trial_size(spec, keep_samples), trials)
     for lo in range(0, trials, step):       # the memory chunks: the only chunk loop
         hi = min(trials, lo + step)
         evals, factors = chain_mod._draw_bonds(spec, hi - lo, eig_gen, vec_gen)
-        sums, dense = _moment_pass(spec, evals, factors)
-        for pool, trial_sums in zip(pools.values(), sums):
-            _accumulate(pool, trial_sums, lo)
-        if not keep_samples:
-            continue
-        evals = np.linalg.eigvalsh(dense) if evals is None else evals    # Wishart, GOE
-        summands = chain_mod.diagonals_from_eigs(evals, spec)
-        vals = summands[0]
-        for s, g in zip(summands[1:], perm_gens):
-            vals = vals + _permuted(s, g)
-        pools["classical"].samples[lo:hi] = vals
-        # what matgen.haar_batch would draw; the pass builds each Q from them
+        rows = [p.samples[lo:hi] for p in pools.values()] if keep_samples else None
+        # Π_i is the argsort of its keys; Q_i is built from what matgen.haar_batch would draw
+        keys = [g.random((hi - lo, m)) for g in perm_gens]
         gaussians = [matgen.gaussian_batch((hi - lo, m * (m + 1) // 2), spec.beta, g)
                      for g in haar_gens]
-        _kept_pass(spec, dense, summands, gaussians, pools["iso"].samples[lo:hi],
-                   pools["quantum"].samples[lo:hi])
+        sums = _chunk_pass(spec, evals, factors, rows, keys, gaussians)
+        for pool, trial_sums in zip(pools.values(), sums):
+            _accumulate(pool, trial_sums, lo)
     return pools
 
 

@@ -197,6 +197,8 @@ def test_run_usage_errors(tmp_path, capsys):
     for flag, value, message in (("--trials", "0", "--trials must be >= 1"),
                                  ("--trials", "-3", "--trials must be >= 1"),
                                  ("--bins", "0", "--bins must be >= 1"),
+                                 # more bins than the 2,500 × 8 values a spectrum pools
+                                 ("--bins", "20001", "--bins 20001 exceeds the 20000 values"),
                                  # _run_args gives --edges, which --bins would contradict
                                  ("--bins", "5", "--bins and --edges cannot be given together"),
                                  ("--edges", "0,x", "--edges:"),

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinmix as sm
-from spinmix.chain import (DEFAULT_MAX_DIM, _draw_bonds, diagonals_from_eigs,
-                           draw_local_batch, embed_sum_batch)
+from spinmix.chain import (DEFAULT_MAX_DIM, STREAM_LOCAL_EIGS, STREAM_LOCAL_VECS, _draw_bonds,
+                           diagonals_from_eigs, draw_local_batch, embed_sum_batch)
 from spinmix.matgen import gaussian_batch, haar_batch, haar_from_gaussians
 from spinmix import _workers, spectra
-from spinmix.spectra import (_bond_moments, _kept_pass, _moment_pass, _power_sums,
-                             _rotate_diag, _trial_sums)
+from spinmix.cli import _p_empirical
+from spinmix.spectra import _bond_moments, _chunk_pass, _power_sums, _rotate_diag, _trial_sums
 
 from oracles import classical_convolve, ks_measures, measure, summarize
 
@@ -98,18 +98,20 @@ def test_classical_mc_matches_exact():
 # isotropic convolution
 
 
-def test_kept_pass_zero_b_returns_a():
+def test_kept_pass_zero_b_returns_a(monkeypatch):
     # diag(a) + Q† diag(0) Q has the eigenvalues of a, whatever Q is
     spec = sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
     a = np.array([-1.0, 0.5, 2.0, 7.0, -3.0, 0.0, 1.5, 4.0])
-    gen = sm.Rng(46).generator()
-    _, dense = draw_local_batch(spec, 20, gen, vec_gen=gen)
-    gaussians = [gaussian_batch((20, 8 * 9 // 2), 1, gen)]
-    iso, quantum = np.empty((2, 20, 8))
-    _kept_pass(spec, dense, [np.broadcast_to(a, (20, 8)), np.zeros((20, 8))], gaussians,
-               iso, quantum)
-    assert np.abs(iso - np.sort(a)).max() < 1e-12
-    assert np.array_equal(quantum, np.linalg.eigvalsh(embed_sum_batch(dense, spec)))
+    monkeypatch.setattr(spectra.chain_mod, "diagonals_from_eigs",
+                        lambda evals, spec: [np.broadcast_to(a, (len(evals), 8)),
+                                             np.zeros((len(evals), 8))])
+    pools = sm.ensemble_pools(spec, 20, sm.Rng(46), keep_samples=True)
+    # the chains the pass embeds: the pool's own local draws
+    _, dense = draw_local_batch(spec, 20, sm.Rng(46).substream(STREAM_LOCAL_EIGS, 0),
+                                vec_gen=sm.Rng(46).substream(STREAM_LOCAL_VECS, 0))
+    assert np.abs(pools["iso"].samples - np.sort(a)).max() < 1e-12
+    assert np.array_equal(pools["quantum"].samples,
+                          np.linalg.eigvalsh(embed_sum_batch(dense, spec)))
 
 
 def test_isotropic_pool_matches_classical_three_moments():
@@ -172,8 +174,11 @@ def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
         q = np.concatenate([haar_from_gaussians(g[s:e], np.empty((e - s, 16, 16), g.dtype))
                             for s, e in blocks])
         rotated = np.concatenate([_rotate_diag(q[s:e], b[s:e]) for s, e in blocks])
-        return (q, rotated, _power_sums(rotated),
-                *_moment_pass(spec, *_draw_bonds(spec, 40, gen)))
+        # the chunk pass on the kept route: its sums and its three sample rows
+        rows = np.empty((3, 40, spec.m))
+        sums = _chunk_pass(spec, *_draw_bonds(spec, 40, gen), rows, [gen.random((40, spec.m))],
+                           [gaussian_batch((40, spec.m * (spec.m + 1) // 2), beta, gen)])
+        return q, rotated, _power_sums(rotated), sums, rows
 
     ref = kernels()
     # haar_batch draws the same Gaussians and runs the same kernel on its sub-blocks
@@ -237,6 +242,42 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
         pool.shutdown()
     gaussians = 512 * spec.m * (spec.m + 1) // 2 * 8
     assert peak < gaussians + 24 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("ensemble, n_sites, trials", [
+    pytest.param(sm.LocalEnsemble.wishart(4), 5, 35, id="wishart-N5"),
+    pytest.param(sm.LocalEnsemble.pm1(), 7, 20, id="pm1-N7")])
+def test_kept_pools_fan_out_once_per_chunk(monkeypatch, ensemble, n_sites, trials):
+    # the calling thread only draws: a chunk's moment sums, local eigenvalues,
+    # permutations, rotations and eigensolves are all one fan-out
+    spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble)
+    monkeypatch.setattr(spectra, "_CHUNK_BUDGET", 8 * spectra._trial_size(spec, True))
+    counts = []
+    fan_out = spectra.map_trials
+
+    def counting(fn, count, size):
+        counts.append(count)
+        fan_out(fn, count, size)
+
+    monkeypatch.setattr(spectra, "map_trials", counting)
+    sm.ensemble_pools(spec, trials, sm.Rng(59), keep_samples=True)
+    assert counts == [8] * (trials // 8) + [trials % 8]
+
+
+def test_kept_eigensolves_run_in_a_fan_out(monkeypatch):
+    # the Wishart bonds' eigenvalues are solved in a slice, as the chains' are,
+    # with OpenBLAS at one thread
+    spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
+    in_slice = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        in_slice.append(getattr(_workers._thread, "in_slice", False))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    sm.ensemble_pools(spec, 40, sm.Rng(61), keep_samples=True)
+    assert in_slice and all(in_slice), in_slice
 
 
 def _quantum_oracle_cases():
@@ -371,7 +412,8 @@ def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
 
     monkeypatch.setattr(spectra.chain_mod, "embed_sum_batch", recording_embed)
     for owner, name in ((spectra.matgen, "haar_batch"), (spectra, "_rotate_diag"),
-                        (spectra, "_permuted"), (np.linalg, "eigvalsh")):
+                        (spectra.chain_mod, "diagonals_from_eigs"), (np, "argsort"),
+                        (np.linalg, "eigvalsh")):
         monkeypatch.setattr(owner, name, refuse)
     sm.ensemble_pools(spec, 5, sm.Rng(58))
     assert widths and max(widths) == 32
@@ -437,6 +479,29 @@ def test_jackknife_mu_equals_block_mean_se(spec_n3):
     means = pool.block_sums[:, 0] / pool.block_counts
     assert pool.stderr("mu") == pytest.approx(means.std(ddof=1) / np.sqrt(means.size),
                                               rel=1e-12)
+
+
+def test_jackknife_se_is_calibrated():
+    # across independent pools the variance of γ₂ and of p_empirical is
+    # their mean squared jackknife s.e.: the ratio is 1 within 3 s.e. of a
+    # sample variance's ratio to its mean, √((μ₄/σ⁴ − (P−3)/(P−1))/P).  A
+    # Wishart chain only: a pm1 pool's s.e. of p is conservative, as
+    # Efron–Stein predicts for the jackknife
+    spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
+    n_pools = 150
+    values = np.empty((4, 2, n_pools))             # (statistic, estimate or s.e., pool)
+    for i in range(n_pools):
+        pools = sm.ensemble_pools(spec, 200, sm.Rng(73, i))
+        kinds = [pools[k] for k in ("quantum", "classical", "iso")]
+        for j, pool in enumerate(kinds):
+            values[j, :, i] = pool.summary().gamma2, pool.stderr("gamma2")
+        values[3, :, i] = (_p_empirical([k.summary() for k in kinds]),
+                           sm.jackknife_stderr(kinds, _p_empirical))
+    for stat, (x, se) in zip(("quantum γ₂", "classical γ₂", "iso γ₂", "p"), values):
+        var = x.var(ddof=1)
+        kurtosis = ((x - x.mean()) ** 4).mean() / var ** 2
+        ratio_se = math.sqrt((kurtosis - (n_pools - 3) / (n_pools - 1)) / n_pools)
+        assert abs(var / (se ** 2).mean() - 1) <= 3 * ratio_se, stat
 
 
 # ---------------------------------------------------------------------------
