@@ -1,52 +1,50 @@
 """Trial-parallel worker threads for the per-trial O(m³) LAPACK/BLAS kernels.
 
-``map_trials(fn, count, size)`` runs ``fn(lo, hi)`` on contiguous slices of
-``range(count)`` and returns once every slice is done.  Each ``fn`` writes
-its slice of an output its caller preallocated, and every trial is computed
-by the same single-threaded kernel whichever slice holds it, so results do
-not depend on the slice count.  Random draws never happen here: callers
-draw on their own thread first.  A slice must not itself call
-``map_trials``; such a call raises ``RuntimeError`` instead of waiting for
-the fan-out it runs in.  Callers walk each slice in sub-blocks of at most
-``_SUB_BLOCK`` array elements (``_sub_blocks``), where a trial holds `size`
-elements, which bounds the temporaries each slice holds.
-
-The slice rule: a fan-out runs min(workers, count, ⌈count·size /
-_SUB_BLOCK⌉) slices, so no slice of a split holds less than half a
-sub-block.  A smaller slice is a few short numpy calls that hold the
-interpreter lock between their loops, and two of them finish no sooner than
-one thread running both.  A lone slice runs on the calling thread.
+``stream(count, step, draw, work, fold)`` runs ``range(count)`` as work
+items of `step` trials, lo..hi, in order.  The calling thread draws each
+item, ``draw(lo, hi)``, in trial order; a worker takes it as soon as it is
+drawn and runs ``work(lo, hi, drawn)``; and the calling thread folds the
+results, ``fold(lo, hi, result)``, in item order, as soon as the finished
+prefix grows.  At most 2 × workers items are in flight, drawn but not yet
+folded, so a run holds only their draws however long it is.  Every trial
+is computed by the same single-threaded kernel whichever worker runs its
+item, and random draws happen only in ``draw``, on the calling thread, so
+results do not depend on the worker count.  A run of one item, or a pool
+of one worker, runs every item on the calling thread.  An item must not
+itself start a stream; such a call raises ``RuntimeError`` instead of
+waiting for the stream it runs in.  The first error, in item order, is
+re-raised once every item in flight has finished.  Kernels walk an item
+in sub-blocks of at most ``_SUB_BLOCK`` array elements (``_sub_blocks``),
+where a trial holds `size` elements, which bounds the temporaries each
+worker holds.
 
 The workers are threads, one per CPU in the process's affinity mask; the
 LAPACK, BLAS and ufunc loops they run release the interpreter lock.  At
-these matrix sizes OpenBLAS's own threads cost more than they give, so
-every slice, a lone one on the calling thread included, runs every OpenBLAS
-library that numpy and scipy ship at one thread.  The pool finds scipy's
-library without importing scipy and loads it by path, so a fan-out that
-first imports ``scipy.linalg`` (``matgen._orgqr``) finds its OpenBLAS
-mapped once and already limited.  OpenBLAS keeps that count per
-process (``openblas_set_num_threads_local`` sets the same process-wide
-count), so it is set to 1 only while a fan-out runs and restored before
-``map_trials`` returns: the calling thread's kernels between fan-outs keep
-the count it had.  Fan-outs from different calling threads take turns.
-Where numpy or scipy ships no OpenBLAS whose thread count can be set,
-``map_trials`` runs one slice on the calling thread.
+these matrix sizes OpenBLAS's own threads cost more than they give, so the
+OpenBLAS that numpy ships runs at one thread while a stream runs, on the
+calling thread as on the workers.  OpenBLAS keeps that count per process
+(``openblas_set_num_threads_local`` sets the same process-wide count), so
+it is set to 1 only while a stream runs and restored before ``stream``
+returns: the calling thread's kernels between streams keep the count it
+had.  Streams from different calling threads take turns.  Where numpy
+ships no OpenBLAS whose thread count can be set, every item runs on the
+calling thread.
 
 ``_scratch(key, shape, dtype)`` hands a kernel a per-thread array that is
 reused across sub-blocks and calls, so a sub-block maps no fresh pages.  It
 lives as long as its thread (a worker lives as long as the pool) and grows
 only to the largest request that thread has made; nothing a kernel returns
 may alias it.  So the bond terms and kept m×m arrays of
-``spectra._chunk_pass`` are arrays of their slice instead, which are freed
-when the fan-out returns.
+``spectra._chunk_pass`` are arrays of their item instead, which are freed
+when the item is done.
 
 The pool is created on first use, so importing the package starts no thread.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
-import importlib.util
 import math
 import os
 import threading
@@ -55,11 +53,11 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["map_trials", "describe"]
+__all__ = ["stream", "describe"]
 
 _SUB_BLOCK = 1 << 18             # array elements per worker-side temporary
 
-_thread = threading.local()      # .in_slice while a slice runs; .scratch arrays
+_thread = threading.local()      # .in_stream while a stream or an item runs; .scratch arrays
 
 
 def _cpu_count() -> int:
@@ -87,30 +85,18 @@ def _thread_count_functions(path):
 
 
 def _openblas_controls() -> list:
-    """(get, set) pairs of numpy's and scipy's OpenBLAS thread counts, or [].
-
-    Empty unless both packages ship such a library: a fan-out that could
-    limit only one of them would oversubscribe the cores through the other.
-    The packages are found, not imported: scipy is imported by the first
-    Haar matrix, whose LAPACK then uses the library loaded here.
-    """
-    controls = []
-    for pkg in ("numpy", "scipy"):
-        libdir = Path(importlib.util.find_spec(pkg).origin).parent.parent / f"{pkg}.libs"
-        found = [fns for lib in sorted(libdir.glob("*openblas*"))
-                 if (fns := _thread_count_functions(lib)) is not None]
-        if not found:
-            return []
-        controls += found
-    return controls
+    """(get, set) pairs of the thread counts of numpy's OpenBLAS, or []."""
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    return [fns for lib in sorted(libdir.glob("*openblas*"))
+            if (fns := _thread_count_functions(lib)) is not None]
 
 
-def _run_slice(fn, lo, hi):
-    _thread.in_slice = True
+def _run_item(work, lo, hi, drawn):
+    _thread.in_stream = True
     try:
-        fn(lo, hi)
+        return work(lo, hi, drawn)
     finally:
-        _thread.in_slice = False
+        _thread.in_stream = False
 
 
 class _Pool:
@@ -124,31 +110,43 @@ class _Pool:
         # ThreadPoolExecutor starts its threads on the first submit
         self._executor = ThreadPoolExecutor(self.workers, "spinmix-worker")
 
-    def map(self, fn, count: int, size: int):
-        if getattr(_thread, "in_slice", False):
-            raise RuntimeError("map_trials called from a slice of a fan-out: a slice "
-                               "must not itself call map_trials")
-        n = max(1, min(self.workers, count, -(-count * size // _SUB_BLOCK)))
+    def stream(self, count: int, step: int, draw, work, fold):
+        if getattr(_thread, "in_stream", False):
+            raise RuntimeError("stream called from inside a stream: an item must not "
+                               "itself start a stream")
+        pending = collections.deque()          # (lo, hi, future) in item order
+
+        def fold_head():
+            lo, hi, future = pending.popleft()
+            fold(lo, hi, future.result())
+
         with self._lock:
             saved = [get() for get, _ in self._blas]
-            futures = []
+            _thread.in_stream = True
             try:
                 for _, put in self._blas:
                     put(1)
-                if n == 1:
-                    _run_slice(fn, 0, count)
-                else:
-                    bounds = [count * i // n for i in range(n + 1)]
-                    for lo, hi in zip(bounds, bounds[1:]):
-                        futures.append(self._executor.submit(_run_slice, fn, lo, hi))
+                inline = self.workers == 1 or count <= step
+                for lo in range(0, count, step):
+                    hi = min(count, lo + step)
+                    if inline:
+                        fold(lo, hi, work(lo, hi, draw(lo, hi)))
+                        continue
+                    if len(pending) == 2 * self.workers:
+                        fold_head()
+                    pending.append((lo, hi, self._executor.submit(
+                        _run_item, work, lo, hi, draw(lo, hi))))
+                    while pending and pending[0][2].done():
+                        fold_head()
+                while pending:
+                    fold_head()
             finally:
-                # no slice may outlive the fan-out: the caller reads (or frees)
+                # no item may outlive the stream: the caller reads (or frees)
                 # the output next, and the thread count is restored
-                wait(futures)
+                wait([future for _, _, future in pending])
                 for (_, put), k in zip(self._blas, saved):
                     put(k)
-        for f in futures:
-            f.result()
+                _thread.in_stream = False
 
     def shutdown(self):
         self._executor.shutdown()
@@ -176,18 +174,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def map_trials(fn, count: int, size: int):
-    """Run fn(lo, hi) over contiguous slices covering range(count); re-raise errors.
+def stream(count: int, step: int, draw, work, fold):
+    """Draw, work on and fold range(count) in items of `step` trials; re-raise errors.
 
-    `size` is the number of array elements a trial holds, as `fn` passes it
-    to ``_sub_blocks``; it sets the slice count (see the module docstring).
+    See the module docstring: draw(lo, hi) and fold(lo, hi, result) run on
+    the calling thread in item order, work(lo, hi, drawn) on the workers.
     """
-    _pool().map(fn, count, size)
+    _pool().stream(count, step, draw, work, fold)
+
+
+def _block_trials(size: int) -> int:
+    """Trials in a sub-block of at most _SUB_BLOCK elements, at `size` a trial."""
+    return max(1, _SUB_BLOCK // size)
 
 
 def _sub_blocks(lo: int, hi: int, size: int):
-    """(s, e) ranges covering lo..hi, of at most _SUB_BLOCK elements at `size` a trial."""
-    step = max(1, _SUB_BLOCK // size)
+    """(s, e) ranges covering lo..hi, of ``_block_trials(size)`` trials each."""
+    step = _block_trials(size)
     for s in range(lo, hi, step):
         yield s, min(hi, s + step)
 
@@ -203,7 +206,7 @@ def _scratch(key: str, shape, dtype) -> np.ndarray:
 
 def describe() -> dict:
     """Worker count, whether the workers run OpenBLAS at one thread each, and
-    the OpenBLAS thread counts outside a fan-out (one per library, read only)."""
+    the OpenBLAS thread counts outside a stream (one per library, read only)."""
     pool = _pool()
     return {"workers": pool.workers, "openblas_one_thread_per_worker": pool.one_blas_thread,
             "openblas_threads": [get() for get, _ in pool._blas]}

@@ -2,7 +2,7 @@
 
 A chain of N qudits of dimension d carries one random bond term per run of L
 adjacent sites, n_bonds = N − L + 1 of them.  ``_draw_bonds`` makes a
-chunk's random draws on the calling thread and ``_bond_terms`` forms the
+work item's random draws on the calling thread and ``_bond_terms`` forms the
 Hermitian terms from them (``draw_local_batch`` does both).
 ``embed_sum_batch`` adds the embedded terms I ⊗ h ⊗ I of a batch of chains
 into m×m matrices, m = d^N, without forming a Kronecker product.
@@ -187,6 +187,14 @@ def _draw_bonds(spec: ChainSpec, count: int, gen, vec_gen=None):
         return evals, matgen.haar_batch(nloc, beta, vec_gen, count * nb).reshape(
             count, nb, nloc, nloc)
     raise ValueError(f"unknown ensemble kind {ens.kind!r}")
+
+
+def _draw_elements(spec: ChainSpec) -> int:
+    """Elements of `_draw_bonds`'s arrays per trial."""
+    ens, nloc = spec.ensemble, spec.local_dim
+    # the spectral ensembles draw eigenvalues and Haar eigenvectors
+    per_bond = {"wishart": ens.rank * nloc, "goe": nloc * nloc}.get(ens.kind, nloc * (nloc + 1))
+    return spec.n_bonds * per_bond
 
 
 def _bond_terms(spec: ChainSpec, evals, factors, out=None):

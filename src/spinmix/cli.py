@@ -13,8 +13,8 @@ Haar rotations for the classical and isotropic spectra, exact for the
 quantum one (``spectra.ensemble_pools``).  ``reproduce`` reads the same sums
 and samples no eigenvalues.
 
-scipy is imported only for ``run``'s provenance (``_library_versions``) and
-by its first Haar matrix (``matgen``), so ``slider`` and ``reproduce``
+scipy is imported only for ``run``'s provenance (``_library_versions``):
+the samplers need numpy alone, so ``slider``, ``reproduce`` and the pools
 start without it.
 
 Exit codes: 0 ok, 1 tolerance failure (reproduce), 2 usage error.
@@ -269,7 +269,7 @@ def cmd_run(args) -> int:
         "wall_time_s": None,
         "provenance": {
             **_library_versions(), **_workers.describe(),
-            "chunk_trials": spectra._chunk_trials(spectra._trial_size(spec, True), args.trials),
+            "chunk_trials": spectra._item_trials(spec, True, args.trials),     # per work item
             # histogram() clips values outside the edges into the end bins
             "mass_outside_edges": {
                 k: float(np.mean((p.samples < edges[0]) | (p.samples > edges[-1])))

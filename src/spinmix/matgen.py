@@ -15,19 +15,16 @@ Conventions
   from independent Gaussian vectors (Stewart 1980; see :func:`haar_batch`),
   which have the law of the sign-fixed QR of a Gaussian matrix.
 
-scipy is imported by the first Haar matrix, not by this module: its one
-routine here, LAPACK's orgqr, is reached through ``scipy.linalg``, whose
-import costs more than the package's own, and the closed forms and the
-moments-only Wishart and GOE pools never build a Haar matrix.
+LAPACK's orgqr, the one routine here that numpy does not wrap in its public
+API, is reached through the gufunc behind ``numpy.linalg.qr(mode=
+"complete")``, so no Haar matrix loads scipy, whose ``scipy.linalg`` import
+costs more than the package's own.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-
-from ._workers import _sub_blocks, map_trials
+from numpy.linalg import _umath_linalg
 
 __all__ = ["gaussian_batch", "haar_batch"]
 
@@ -63,45 +60,29 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     Gaussian matrix is Haar.  No matrix is factorised, and a trial takes
     dim(dim+1)/2 draws instead of dim².
 
-    The draws are made first, trial-major, on the calling thread, so the
-    output depends on neither the callers' chunks nor the worker count; the
-    workers then run the per-matrix kernel ``haar_from_gaussians`` on
-    sub-blocks.  The kept route of ``spectra.ensemble_pools`` draws the same
-    Gaussians, and ``spectra._chunk_pass`` runs the kernel in the sub-block
+    The draws are made first, trial-major, and the per-matrix kernel
+    ``haar_from_gaussians`` runs on the calling thread, so the output
+    depends on neither the callers' work items nor the worker count.  Its
+    one caller in the package draws the spectral ensembles' local
+    eigenvectors (``chain._draw_bonds``), inside a stream's draw, which
+    must not start a stream of its own.  The kept route of
+    ``spectra.ensemble_pools`` draws the same Gaussians for its m×m
+    matrices, and ``spectra._chunk_pass`` runs the kernel in the sub-block
     that rotates by Q and diagonalises.
     """
     g = gaussian_batch((count, dim * (dim + 1) // 2), beta, gen)
-    q = np.empty((count, dim, dim), dtype=g.dtype)
-
-    def reflect(lo, hi):
-        for s, e in _sub_blocks(lo, hi, dim * dim):
-            haar_from_gaussians(g[s:e], q[s:e])
-
-    map_trials(reflect, count, dim * dim)
-    return q
-
-
-@functools.cache
-def _orgqr(real: bool):
-    """LAPACK's dorgqr (`real`) or zungqr; the first call imports scipy.linalg."""
-    from scipy.linalg import lapack
-
-    return lapack.dorgqr if real else lapack.zungqr
+    return haar_from_gaussians(g, np.empty((count, dim, dim), dtype=g.dtype))
 
 
 def haar_from_gaussians(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Overwrite `out`, (count, dim, dim), with the Haar matrices of Gaussians `g`.
 
     Row t of `g` holds the vectors of lengths dim, dim-1, ..., 1.  Row k of
-    out[t] is column k of the Fortran-ordered out[t].T that orgqr reads, so
-    vector k fills it from the diagonal on.  Single-threaded and per matrix;
-    lwork goes by position: keyword parsing costs more than a 4x4 orgqr.
+    out[t] is column k of the matrix out[t].T that orgqr reads, so vector k
+    fills it from the diagonal on.  Single-threaded: one gufunc call runs
+    orgqr on each matrix with its optimal (blocked) workspace.
     """
     count, dim = out.shape[:2]
-    orgqr = _orgqr(out.dtype == np.float64)
-    # the wrappers' default lwork forces the unblocked algorithm, about 3x
-    # slower at dim 512; the query (lwork=-1) reads no entry of out[0].T
-    lwork = int(orgqr(out[0].T, out[0, 0], -1, 1)[1][0].real)
     start = 0
     for k in range(dim):
         out[:, k, :k] = 0.0
@@ -127,11 +108,9 @@ def haar_from_gaussians(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     # is what turns the reflector product into exact Haar measure
     sign = np.sign(r_diag, out=r_diag)
     sign[sign == 0] = 1.0
+    # orgqr writes Q into out[t].T, so out[t] holds Q transposed
+    flipped = out.swapaxes(-1, -2)
+    _umath_linalg.qr_complete(flipped, tau, out=flipped)
     for i in range(count):
-        # out[i].T is Fortran-ordered, so orgqr overwrites it in place with Q;
-        # out[i] then takes Q itself, row-major, from a temporary
-        q, _, info = orgqr(out[i].T, tau[i], lwork, 1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"orgqr failed (info={info})")
-        out[i] = q * sign[i]
+        out[i] = out[i].T * sign[i]
     return out

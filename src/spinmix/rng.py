@@ -41,7 +41,7 @@ class Rng:
         where the component is 0 or a bond index.  A sampler opens each child
         once per call and draws from it in trial-major order, so its output
         depends neither on which other samplers ran nor on how the trials are
-        split into memory chunks.
+        split into work items.
         """
         for k in key:
             if not 0 <= k < _MAX_KEY:

@@ -7,29 +7,27 @@ rotation-driven rather than draw noise.  Each purpose draws from its own
 child stream, so no pool's numbers depend on how many draws another pool
 took.
 
-Trials run in memory chunks of ``_chunk_trials`` trials, but a sampler opens
-each child stream once per call, as ``rng.substream(purpose, j)`` with j = 0
-or a summand index, and draws from it in trial-major order.  A run's numbers
-therefore depend on its seed and trial count alone: not on
-``_CHUNK_BUDGET``, and the first t trials of a longer run equal a t-trial
+A sampler opens each child stream once per call, as
+``rng.substream(purpose, j)`` with j = 0 or a summand index, and draws from
+it in trial-major order.  A run's numbers therefore depend on its seed and
+trial count alone, and the first t trials of a longer run equal a t-trial
 run.
 
-Each chunk's sums are folded into the pools in trial order, so the pooled
-and block sums do not depend on the chunks either, bit for bit.
-
-Within a chunk the per-trial kernels fan out over worker threads
-(``_workers.map_trials``), each slice a contiguous run of the chunk's
-trials with OpenBLAS at one thread, walked in sub-blocks of at most
-``_workers._SUB_BLOCK`` array elements, which bounds its temporaries.  A
-chunk that fits in one sub-block is one slice, run on the calling thread.
-Each chunk is one such fan-out (``_chunk_pass``): each sub-block forms its
-trials' bond terms from the draws, centres them, and reduces them to every
-pool's Σλ¹…Σλ⁴ (``_trial_sums``) while they are in cache, with its window
-stacks in per-thread scratch (``_workers._scratch``) that is reused across
-sub-blocks and calls; on the kept route it goes on to the samples.  The
-calling thread only draws, serially and trial-major, and each trial is
-computed by the same kernel in any slice or sub-block, so the output does
-not depend on the worker count either.
+A run is one stream (``_workers.stream``) of work items of
+``_item_trials`` trials: the fewest whole sub-blocks whose draws hold
+``_ITEM_DRAWS`` elements, each sub-block at most ``_workers._SUB_BLOCK``
+array elements.  The calling thread draws each item in trial order, a
+worker runs ``_chunk_pass`` on it as soon as it is drawn, and the calling
+thread folds the finished items into the pools in trial order.  So a run
+holds the draws of at most 2 × workers items, and the pooled and block sums
+are the same left fold, bit for bit, whatever the items and sub-blocks.
+Each sub-block of an item forms its trials' bond terms from the draws,
+centres them, and reduces them to every pool's Σλ¹…Σλ⁴ (``_trial_sums``)
+while they are in cache, with its window stacks in per-thread scratch
+(``_workers._scratch``) that is reused across sub-blocks and calls; on the
+kept route it goes on to the samples.  Each trial is computed by the same
+single-threaded kernel in any item or sub-block, so the output does not
+depend on the worker count either.
 
 Each trial's spectrum is a sum of the diagonal summands s₀ … s_k of
 ``ChainSpec.summand_bonds``: the two parity classes at range L = 2, each
@@ -50,9 +48,9 @@ Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
 Monte Carlo: summand i is permuted by the argsort of keys drawn on the
 child stream ``(STREAM_CLASSICAL, i − 1)`` and rotated by a Haar matrix
 built from Gaussians drawn on ``(STREAM_ISO, i − 1)``.  Each sub-block of
-the chunk's pass then diagonalises its Wishart or GOE bond terms, builds
+an item's pass then diagonalises its Wishart or GOE bond terms, builds
 the summands, and forms and diagonalises its m×m isotropic and quantum
-matrices in arrays of its slice.  The moment sums never read the samples,
+matrices in arrays of its item.  The moment sums never read the samples,
 so both routes give the same moment and block sums.
 
 Densities are read from the kept sample arrays as they are: ``bin_edges``
@@ -71,7 +69,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import matgen
-from ._workers import _scratch, _sub_blocks, map_trials
+from ._workers import _block_trials, _scratch, _sub_blocks, stream
 from .chain import (STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS,
                     STREAM_LOCAL_VECS, ChainSpec)
 from .rng import Rng
@@ -89,21 +87,30 @@ __all__ = [
     "histogram",
 ]
 
-_CHUNK_BUDGET = 1 << 23          # f8 elements per chunk-sized scratch array
+_ITEM_DRAWS = 1 << 16            # draw elements a work item holds, at least
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
 _N_BLOCKS = 50                   # jackknife blocks (fewer when trials < 50)
 _MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
 
 
-def _chunk_trials(size: int, trials: int) -> int:
-    return int(max(1, min(trials, _CHUNK_BUDGET // size, 8192)))
-
-
-def _trial_size(spec: ChainSpec, keep_samples: bool) -> int:
-    # chunk-sized elements of a trial: its Haar Gaussians, or a quantum window
+def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
+    """Elements a trial holds in a sub-block: m², or its quantum windows'."""
     if keep_samples:
-        return max(1, len(spec.summand_bonds) - 1) * spec.m * (spec.m + 1) // 2
-    return spec.site_dim ** (2 * (_window_width(spec) + spec.coupling_range - 1))
+        return spec.m * spec.m          # no fewer than the quantum windows' elements
+    width = _window_width(spec)
+    return (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 1))
+
+
+def _item_trials(spec: ChainSpec, keep_samples: bool, trials: int) -> int:
+    """Trials per work item: the fewest whole sub-blocks that draw ``_ITEM_DRAWS`` elements.
+
+    A trial draws its bonds and, on the kept route, each rotated summand's
+    m keys and m(m+1)/2 reflector Gaussians.
+    """
+    m, rotated = spec.m, len(spec.summand_bonds) - 1 if keep_samples else 0
+    draws = chain_mod._draw_elements(spec) + rotated * (m + m * (m + 1) // 2)
+    block = _block_trials(_block_size(spec, keep_samples))
+    return min(trials, block * -(-_ITEM_DRAWS // (block * draws)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,63 +298,56 @@ def _trial_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
 
 
 def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=()):
-    """One chunk's per-trial sums, (3, count, 4), and on the kept route its sample rows.
+    """One work item's per-trial sums, (3, count, 4), and on the kept route its sample rows.
 
     `evals` and `factors` are ``chain._draw_bonds``'s draws.  On the kept
-    route `rows` holds the chunk's classical, iso and quantum rows, which
+    route `rows` holds the item's classical, iso and quantum rows, which
     the pass fills, and `keys` and `gaussians` the (count, m) permutation
     keys and (count, m(m+1)/2) reflector Gaussians of each rotated summand.
 
-    One fan-out walks the trials in sub-blocks, of m² elements on the kept
-    route and of quantum windows otherwise.  Each forms its bond terms
-    (``chain._bond_terms``) and reduces them (``_trial_sums``) while they
-    are in cache.  On the kept route it then builds the summands s₀ … s_k
-    from the bonds' eigenvalues, permutes each s_i by the argsort of its
-    keys, and diagonalises the embedded chains and diag(s₀) + Σ Q_i†
-    diag(s_i) Q_i (s₀ alone when nothing is rotated, N = L).  Its bond
-    terms and m×m arrays are the slice's, freed with the fan-out.
+    The pass walks the trials in sub-blocks of ``_block_size`` elements a
+    trial.  Each forms its bond terms (``chain._bond_terms``) and reduces
+    them (``_trial_sums``) while they are in cache.  On the kept route it
+    then builds the summands s₀ … s_k from the bonds' eigenvalues, permutes
+    each s_i by the argsort of its keys, and diagonalises the embedded
+    chains and diag(s₀) + Σ Q_i† diag(s_i) Q_i (s₀ alone when nothing is
+    rotated, N = L).  Its bond terms and m×m arrays are the item's, freed
+    when it returns.
     """
     count, nb, nloc, m = factors.shape[0], spec.n_bonds, spec.local_dim, spec.m
-    width = _window_width(spec)
-    size = (nb - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 1))
-    if rows is not None:
-        size = m * m                    # no fewer than the quantum windows' elements
+    size = _block_size(spec, rows is not None)
+    blocks = list(_sub_blocks(0, count, size))
     sums = np.empty((3, count, 4))
+    terms = np.empty((blocks[0][1], nb, nloc, nloc), dtype=factors.dtype)
+    if rows is not None:
+        classical, iso, quantum = rows
+        chains, haar = np.empty((2, len(terms), m, m), dtype=factors.dtype)
     diag = np.arange(m)
-
-    def run(lo, hi):
-        blocks = list(_sub_blocks(lo, hi, size))
-        terms = np.empty((blocks[0][1] - lo, nb, nloc, nloc), dtype=factors.dtype)
-        if rows is not None:
-            classical, iso, quantum = rows
-            chains, haar = np.empty((2, len(terms), m, m), dtype=factors.dtype)
-        for s, e in blocks:
-            local = None if evals is None else evals[s:e]
-            h = chain_mod._bond_terms(spec, local, factors[s:e], terms[:e - s])
-            sums[:, s:e] = _trial_sums(h, spec)
-            if rows is None:
-                continue
-            summands = chain_mod.diagonals_from_eigs(
-                np.linalg.eigvalsh(h) if local is None else local, spec)     # Wishart, GOE
-            vals = summands[0]
-            for b, k in zip(summands[1:], keys):
-                vals = vals + np.take_along_axis(b, np.argsort(k[s:e], axis=1), axis=1)
-            classical[s:e] = vals
-            mats = chain_mod.embed_sum_batch(h, spec, chains[:e - s])
-            quantum[s:e] = np.linalg.eigvalsh(mats)
-            if not gaussians:                                   # N = L: nothing is rotated
-                iso[s:e] = summands[0]
-                continue
-            for i, (g, b) in enumerate(zip(gaussians, summands[1:])):
-                q = matgen.haar_from_gaussians(g[s:e], haar[:e - s])
-                # the first rotation overwrites the chains, which are diagonalised
-                rotated = _rotate_diag(q, b, None if i else mats)
-                if i:
-                    mats += rotated
-            mats[:, diag, diag] += summands[0]
-            iso[s:e] = np.linalg.eigvalsh(mats)
-
-    map_trials(run, count, size)
+    for s, e in blocks:
+        local = None if evals is None else evals[s:e]
+        h = chain_mod._bond_terms(spec, local, factors[s:e], terms[:e - s])
+        sums[:, s:e] = _trial_sums(h, spec)
+        if rows is None:
+            continue
+        summands = chain_mod.diagonals_from_eigs(
+            np.linalg.eigvalsh(h) if local is None else local, spec)     # Wishart, GOE
+        vals = summands[0]
+        for b, k in zip(summands[1:], keys):
+            vals = vals + np.take_along_axis(b, np.argsort(k[s:e], axis=1), axis=1)
+        classical[s:e] = vals
+        mats = chain_mod.embed_sum_batch(h, spec, chains[:e - s])
+        quantum[s:e] = np.linalg.eigvalsh(mats)
+        if not gaussians:                                   # N = L: nothing is rotated
+            iso[s:e] = summands[0]
+            continue
+        for i, (g, b) in enumerate(zip(gaussians, summands[1:])):
+            q = matgen.haar_from_gaussians(g[s:e], haar[:e - s])
+            # the first rotation overwrites the chains, which are diagonalised
+            rotated = _rotate_diag(q, b, None if i else mats)
+            if i:
+                mats += rotated
+        mats[:, diag, diag] += summands[0]
+        iso[s:e] = np.linalg.eigvalsh(mats)
     return sums
 
 
@@ -453,7 +453,7 @@ def _accumulate(pool: TrialPool, sums: np.ndarray, lo: int):
     """Add the (count, 4) per-trial Σλ¹…Σλ⁴ of the trials from `lo` on."""
     c, n_blocks = sums.shape[0], pool.block_counts.size
     ids = (np.arange(lo, lo + c) * n_blocks) // pool.trials
-    # a left fold in trial order, so the sums do not depend on the chunks
+    # a left fold in trial order, so the sums do not depend on the items
     pool.moment_sums[:] = np.cumsum(np.vstack([pool.moment_sums, sums]), axis=0)[-1]
     np.add.at(pool.block_sums, ids, sums)
     pool.block_counts += np.bincount(ids, minlength=n_blocks) * pool.matrix_dim
@@ -480,10 +480,10 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     The moment sums (see the module docstring) need no m×m matrix and so no
     dense cap.  `keep_samples` (``spinmix run``) also keeps every trial's
     eigenvalues as a row of each pool's ``samples``.  The calling thread
-    draws each chunk's bonds and, on the kept route, Π_i's keys on stream
-    ``(STREAM_CLASSICAL, i − 1)`` and Q_i's Gaussians on stream
-    ``(STREAM_ISO, i − 1)``; one fan-out (``_chunk_pass``) does the rest.  A
-    chunk holds those draws but no m×m stack.
+    draws each work item's bonds and, on the kept route, Π_i's keys on
+    stream ``(STREAM_CLASSICAL, i − 1)`` and Q_i's Gaussians on stream
+    ``(STREAM_ISO, i − 1)``; a worker's ``_chunk_pass`` does the rest.  The
+    calling thread holds the draws of the items in flight but no m×m stack.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -492,25 +492,32 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     m = spec.m
     pools = {k: _new_pool(m, trials, keep_samples) for k in ("classical", "iso", "quantum")}
     # both local streams are opened once and drawn trial-major, so the draws
-    # do not depend on where the chunk boundaries fall
+    # do not depend on where the item boundaries fall
     eig_gen = rng.substream(STREAM_LOCAL_EIGS, 0)
     vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
     # one stream per permuted or rotated summand s₁ … s_k, on the kept route
     rotated = range(len(spec.summand_bonds) - 1 if keep_samples else 0)
     perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in rotated]
     haar_gens = [rng.substream(STREAM_ISO, j) for j in rotated]
-    step = _chunk_trials(_trial_size(spec, keep_samples), trials)
-    for lo in range(0, trials, step):       # the memory chunks: the only chunk loop
-        hi = min(trials, lo + step)
-        evals, factors = chain_mod._draw_bonds(spec, hi - lo, eig_gen, vec_gen)
-        rows = [p.samples[lo:hi] for p in pools.values()] if keep_samples else None
+
+    def draw(lo, hi):
         # Π_i is the argsort of its keys; Q_i is built from what matgen.haar_batch would draw
-        keys = [g.random((hi - lo, m)) for g in perm_gens]
-        gaussians = [matgen.gaussian_batch((hi - lo, m * (m + 1) // 2), spec.beta, g)
-                     for g in haar_gens]
-        sums = _chunk_pass(spec, evals, factors, rows, keys, gaussians)
+        return (*chain_mod._draw_bonds(spec, hi - lo, eig_gen, vec_gen),
+                [g.random((hi - lo, m)) for g in perm_gens],
+                [matgen.gaussian_batch((hi - lo, m * (m + 1) // 2), spec.beta, g)
+                 for g in haar_gens])
+
+    def work(lo, hi, drawn):
+        rows = [p.samples[lo:hi] for p in pools.values()] if keep_samples else None
+        evals, factors, keys, gaussians = drawn
+        return _chunk_pass(spec, evals, factors, rows, keys, gaussians)
+
+    def fold(lo, hi, sums):
         for pool, trial_sums in zip(pools.values(), sums):
             _accumulate(pool, trial_sums, lo)
+
+    # the only trial loop
+    stream(trials, _item_trials(spec, keep_samples, trials), draw, work, fold)
     return pools
 
 

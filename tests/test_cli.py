@@ -114,7 +114,7 @@ def test_run_writes_artifacts(tmp_path):
     assert prov["openblas_threads"] == [get() for get, _ in _workers._openblas_controls()]
     assert all(k >= 1 for k in prov["openblas_threads"])
     spec = sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
-    assert prov["chunk_trials"] == spectra._chunk_trials(spectra._trial_size(spec, True), 2500)
+    assert prov["chunk_trials"] == spectra._item_trials(spec, True, 2500)
     # |λ| <= 2 on a two-bond ±1 chain, inside the edges ±2.5
     assert prov["mass_outside_edges"] == {"classical": 0.0, "iso": 0.0, "quantum": 0.0}
 

@@ -1,4 +1,4 @@
-"""scipy is loaded by the first Haar matrix: the cold import graph, and a late LAPACK.
+"""No sampler loads scipy: the cold import graph, and a kept pool's BLAS state.
 
 Each test runs a fresh interpreter, since the test session itself has long
 imported scipy.
@@ -25,21 +25,21 @@ codes = [cli.main(["slider", "--n-sites", "5", "--d", "2"]),
          cli.main(["reproduce", "N3", "--trials", "200"])]
 cold = [name for name in json.loads(sys.argv[1]) if name in sys.modules]
 spectra.ensemble_pools(ChainSpec(5, 2, LocalEnsemble.pm1()), 16, Rng(0), keep_samples=True)
-print(json.dumps({"codes": codes, "cold": cold, "haar": "scipy.linalg" in sys.modules}))
+kept = [name for name in json.loads(sys.argv[1]) if name in sys.modules]
+print(json.dumps({"codes": codes, "cold": cold, "kept": kept}))
 """
 
-# argv[1] "first" imports scipy.linalg before the package, "late" leaves it to
-# the kept pool, whose chunk of two slices loads it inside a worker slice
-_LATE_LAPACK = """
+# argv[1] "first" imports scipy.linalg before the package, "never" leaves it
+# out; the kept pool streams its four items through the workers
+_KEPT_POOL = """
 import collections, hashlib, json, os, sys
 if sys.argv[1] == "first":
     import scipy.linalg
 from spinmix import ChainSpec, LocalEnsemble, Rng, _workers, spectra
 spectra.ensemble_pools(ChainSpec(3, 2, LocalEnsemble.wishart(4)), 2, Rng(0))
 before = _workers.describe()["openblas_threads"]
-loaded_before = "scipy.linalg" in sys.modules
-pools = spectra.ensemble_pools(ChainSpec(7, 2, LocalEnsemble.wishart(4)), 32, Rng(5),
-                               keep_samples=True)
+spec = ChainSpec(7, 2, LocalEnsemble.wishart(4))
+pools = spectra.ensemble_pools(spec, 64, Rng(5), keep_samples=True)
 h = hashlib.sha256()
 for kind in ("classical", "iso", "quantum"):
     for a in (pools[kind].samples, pools[kind].moment_sums, pools[kind].block_sums):
@@ -50,8 +50,9 @@ if os.path.exists("/proc/self/maps"):
         fields = line.split()
         if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
             loads[fields[5]] += int(fields[2], 16) == 0
-print(json.dumps({"loaded_before": loaded_before, "before": before,
+print(json.dumps({"scipy": "scipy" in sys.modules, "before": before,
                   "after": _workers.describe()["openblas_threads"],
+                  "items": -(-64 // spectra._item_trials(spec, True, 64)),
                   "loads": loads, "sha256": h.hexdigest()}))
 """
 
@@ -68,15 +69,16 @@ def test_closed_forms_and_moments_only_pools_load_no_scipy():
     out = _fresh(_IMPORT_GRAPH, json.dumps(HEAVY))
     assert out["codes"] == [0, 0]
     assert out["cold"] == []
-    assert out["haar"], "a kept pm1 pool builds Haar matrices, so it loads scipy.linalg"
+    assert out["kept"] == [], "a kept pm1 pool builds its Haar matrices with numpy alone"
 
 
-def test_late_lapack_keeps_the_thread_control_and_the_bits():
-    late, first = _fresh(_LATE_LAPACK, "late"), _fresh(_LATE_LAPACK, "first")
-    assert not late["loaded_before"] and first["loaded_before"]
-    assert late["after"] == late["before"]
-    # each OpenBLAS file is loaded once, scipy's by the pool and its LAPACK alike
-    # (read from /proc/self/maps where there is one)
-    assert set(late["loads"].values()) <= {1}
-    assert late["loads"] == first["loads"]
-    assert late["sha256"] == first["sha256"]
+def test_kept_pool_keeps_the_thread_count_and_the_bits():
+    never, first = _fresh(_KEPT_POOL, "never"), _fresh(_KEPT_POOL, "first")
+    assert not never["scipy"] and first["scipy"]
+    assert never["items"] > 1
+    assert never["after"] == never["before"]
+    # each OpenBLAS file is loaded once (read from /proc/self/maps where there
+    # is one), and the pool loads no other
+    assert set(never["loads"].values()) <= {1}
+    assert set(never["loads"]) <= set(first["loads"])
+    assert never["sha256"] == first["sha256"]

@@ -222,10 +222,12 @@ def test_pools_do_not_depend_on_sub_blocks(monkeypatch, spec, trials, keep_sampl
 
 
 def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
-    # a kept chunk holds its reflector Gaussians, 512·128·129/2 floats here,
-    # and each slice of the pass a few sub-blocks of m×m matrices; a stack of
-    # 512 matrices of 128×128 is 64 MiB.  Two workers, so that the bound
-    # does not depend on the machine
+    # a kept run holds the reflector Gaussians of the items in flight, at most
+    # 2 × workers items of 16 trials here (512·128·129/2 floats for the whole
+    # run), and each worker the m×m stacks of one sub-block: the chains, the
+    # Haar matrices and eigvalsh's copy.  A stack of 512 matrices of 128×128
+    # is 64 MiB.  Two workers, so that the bound does not depend on the
+    # machine
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
     pool = _workers._Pool(2, _workers._openblas_controls())
     monkeypatch.setattr(_workers, "_default", pool)
@@ -240,44 +242,68 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
             tracemalloc.stop()
     finally:
         pool.shutdown()
-    gaussians = 512 * spec.m * (spec.m + 1) // 2 * 8
-    assert peak < gaussians + 24 * 2 ** 20, peak / 2 ** 20
+    item = spectra._item_trials(spec, True, 512)
+    assert item == 16
+    gaussians = 2 * pool.workers * item * spec.m * (spec.m + 1) // 2 * 8
+    stacks = pool.workers * 3 * item * spec.m ** 2 * 8
+    assert peak < gaussians + stacks + 6 * 2 ** 20, peak / 2 ** 20
 
 
-@pytest.mark.parametrize("ensemble, n_sites, trials", [
-    pytest.param(sm.LocalEnsemble.wishart(4), 5, 35, id="wishart-N5"),
-    pytest.param(sm.LocalEnsemble.pm1(), 7, 20, id="pm1-N7")])
-def test_kept_pools_fan_out_once_per_chunk(monkeypatch, ensemble, n_sites, trials):
-    # the calling thread only draws: a chunk's moment sums, local eigenvalues,
-    # permutations, rotations and eigensolves are all one fan-out
-    spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble)
-    monkeypatch.setattr(spectra, "_CHUNK_BUDGET", 8 * spectra._trial_size(spec, True))
-    counts = []
-    fan_out = spectra.map_trials
+def test_item_sizes():
+    # the fewest whole sub-blocks whose draws hold 2¹⁶ elements: one
+    # sub-block of 16 kept pm1 trials at N=7; four of 256 Wishart trials at
+    # N=5; and at N=9 eleven of 51, so the whole of a 32-trial run
+    wishart = sm.LocalEnsemble.wishart(4)
+    assert spectra._item_trials(sm.ChainSpec(7, 2, sm.LocalEnsemble.pm1()), True, 512) == 16
+    assert spectra._item_trials(sm.ChainSpec(5, 2, wishart), False, 8192) == 1024
+    assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 32) == 32
+    assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 10 ** 6) == 561
 
-    def counting(fn, count, size):
-        counts.append(count)
-        fan_out(fn, count, size)
 
-    monkeypatch.setattr(spectra, "map_trials", counting)
-    sm.ensemble_pools(spec, trials, sm.Rng(59), keep_samples=True)
-    assert counts == [8] * (trials // 8) + [trials % 8]
+def test_kept_pools_finish_an_item_before_the_last_is_drawn(monkeypatch):
+    # the calling thread draws while the workers run the items: with at most
+    # four items in flight, item 0 is done before item 10 is drawn
+    spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
+    pool = _workers._Pool(2, _workers._openblas_controls())
+    monkeypatch.setattr(_workers, "_default", pool)
+    events = []
+    draw, item_pass = spectra.chain_mod._draw_bonds, spectra._chunk_pass
+
+    def drawing(*args, **kwargs):
+        events.append("drawn")
+        return draw(*args, **kwargs)
+
+    def passing(*args, **kwargs):
+        out = item_pass(*args, **kwargs)
+        events.append("done")
+        return out
+
+    monkeypatch.setattr(spectra.chain_mod, "_draw_bonds", drawing)
+    monkeypatch.setattr(spectra, "_chunk_pass", passing)
+    try:
+        sm.ensemble_pools(spec, 10 * 16, sm.Rng(59), keep_samples=True)
+    finally:
+        pool.shutdown()
+    last_draw = len(events) - 1 - events[::-1].index("drawn")
+    assert "done" in events[:last_draw], events
 
 
 def test_kept_eigensolves_run_in_a_fan_out(monkeypatch):
-    # the Wishart bonds' eigenvalues are solved in a slice, as the chains' are,
-    # with OpenBLAS at one thread
+    # the Wishart bonds' eigenvalues are solved in the stream, as the
+    # chains' are, with OpenBLAS at one thread
     spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
-    in_slice = []
+    blas = _workers._openblas_controls()
+    seen = []
     eigvalsh = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
-        in_slice.append(getattr(_workers._thread, "in_slice", False))
+        seen.append((getattr(_workers._thread, "in_stream", False),
+                     [get() for get, _ in blas]))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     sm.ensemble_pools(spec, 40, sm.Rng(61), keep_samples=True)
-    assert in_slice and all(in_slice), in_slice
+    assert seen and all(s == (True, [1] * len(blas)) for s in seen), seen
 
 
 def _quantum_oracle_cases():

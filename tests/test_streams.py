@@ -1,5 +1,6 @@
-"""Results depend on the seed and the trial count, not on chunking or workers."""
+"""Results depend on the seed and the trial count, not on work items or workers."""
 
+import contextlib
 import dataclasses
 import threading
 
@@ -11,39 +12,69 @@ from hypothesis import strategies as st
 import spinmix as sm
 from spinmix import _workers, spectra
 
-# 1 forces one trial per chunk; the last is the default budget
-BUDGETS = (1, 1 << 8, 1 << 12, spectra._CHUNK_BUDGET)
+# sub-blocks of one trial and of more; items of one sub-block and of more;
+# the last of each is the default
+SUB_BLOCKS = (1, 1 << 10, _workers._SUB_BLOCK)
+ITEM_DRAWS = (1, 1 << 8, 1 << 12, spectra._ITEM_DRAWS)
 ENSEMBLES = {"wishart": sm.LocalEnsemble.wishart(4), "goe": sm.LocalEnsemble.goe(),
              "pm1": sm.LocalEnsemble.pm1()}
 
-budget_pairs = st.lists(st.sampled_from(BUDGETS), min_size=2, max_size=2, unique=True)
+layouts = st.tuples(st.sampled_from(SUB_BLOCKS), st.sampled_from(ITEM_DRAWS),
+                    st.sampled_from([1, 2, 3]))
+layout_pairs = st.lists(layouts, min_size=2, max_size=2, unique=True)
 seeds = st.integers(0, 2**32 - 1)
 
 
-def _with_budget(budget, fn, *args, **kwargs):
+@contextlib.contextmanager
+def _layout(sub_block, item_draws, pool):
+    """Sub-blocks of `sub_block` elements, items of `item_draws` draws, on `pool`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_CHUNK_BUDGET", budget)
-        return fn(*args, **kwargs)
+        mp.setattr(_workers, "_SUB_BLOCK", sub_block)
+        mp.setattr(spectra, "_ITEM_DRAWS", item_draws)
+        mp.setattr(_workers, "_default", pool)
+        yield
+
+
+@pytest.fixture(scope="module")
+def worker_pools():
+    """Pools of 1, 2 and 3 workers running OpenBLAS at one thread, and the serial fallback.
+
+    Without an OpenBLAS whose thread count can be set, only the fallback.
+    """
+    blas = _workers._openblas_controls()
+    pools = {k: _workers._Pool(k, blas) for k in ((1, 2, 3) if blas else ())}
+    pools["serial"] = _workers._Pool(3, [])
+    yield pools
+    for pool in pools.values():
+        pool.shutdown()
+
+
+@pytest.fixture(scope="module")
+def thread_pools(worker_pools):
+    if 1 not in worker_pools:
+        pytest.skip("numpy loads no OpenBLAS whose thread count can be set")
+    return worker_pools
 
 
 @pytest.mark.parametrize("keep_samples", [True, False])
 @settings(max_examples=30, deadline=None)
 @given(n_sites=st.integers(3, 5), coupling_range=st.integers(2, 3), beta=st.integers(1, 2),
        ensemble=st.sampled_from(sorted(ENSEMBLES)), trials=st.integers(1, 12),
-       extra=st.integers(1, 6), budgets=budget_pairs, seed=seeds)
-def test_pools_do_not_depend_on_chunking(keep_samples, n_sites, coupling_range, beta,
-                                         ensemble, trials, extra, budgets, seed):
+       extra=st.integers(1, 6), layouts=layout_pairs, seed=seeds)
+def test_pools_do_not_depend_on_chunking(worker_pools, keep_samples, n_sites, coupling_range,
+                                         beta, ensemble, trials, extra, layouts, seed):
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ENSEMBLES[ensemble],
                         beta=beta, coupling_range=coupling_range)
 
-    def pools(budget, t, keep=keep_samples):
-        return _with_budget(budget, sm.ensemble_pools, spec, t, sm.Rng(seed),
-                            keep_samples=keep)
+    def pools(layout, t, keep=keep_samples):
+        sub_block, item_draws, workers = layout
+        with _layout(sub_block, item_draws, worker_pools.get(workers, worker_pools["serial"])):
+            return sm.ensemble_pools(spec, t, sm.Rng(seed), keep_samples=keep)
 
-    ref, other, longer = pools(budgets[0], trials), pools(budgets[1], trials), \
-        pools(budgets[1], trials + extra)
+    ref, other, longer = pools(layouts[0], trials), pools(layouts[1], trials), \
+        pools(layouts[1], trials + extra)
     for kind, pool in ref.items():
-        # the sums are folded in trial order, whatever the chunks
+        # the sums are folded in trial order, whatever the items
         for field in ("samples", "moment_sums"):
             assert np.array_equal(getattr(other[kind], field), getattr(pool, field)), \
                 (kind, field)
@@ -58,42 +89,26 @@ def test_pools_do_not_depend_on_chunking(keep_samples, n_sites, coupling_range, 
             assert np.array_equal(longer[kind].samples[:trials], pool.samples), kind
 
 
-@pytest.fixture(scope="module")
-def worker_pools():
-    """Pools of 1, 2 and 3 workers running OpenBLAS at one thread, and the serial fallback."""
-    blas = _workers._openblas_controls()
-    if not blas:
-        pytest.skip("numpy or scipy loads no OpenBLAS whose thread count can be set")
-    pools = {k: _workers._Pool(k, blas) for k in (1, 2, 3)}
-    pools["serial"] = _workers._Pool(3, [])
-    yield pools
-    for pool in pools.values():
-        pool.shutdown()
-
-
 def _with_pool(pool, split, fn, *args, **kwargs):
-    """fn(*args, **kwargs) on `pool`, with every trial a sub-block of its own.
+    """fn(*args, **kwargs) on `pool`, with every trial a work item of its own.
 
-    A fan-out then runs one slice per worker, up to one per trial, where the
-    small chunks of these tests would run as one slice at the default
-    ``_SUB_BLOCK``.  With `split`, a pool of several workers must have run
-    some fan-out in more than one slice.
+    A stream then runs one item per trial on the workers, where the small
+    runs of these tests would be one item on the calling thread at the
+    default ``_ITEM_DRAWS``.  With `split`, a pool of several workers must
+    have run items on its workers.
     """
     starts = []
-    run_slice = _workers._run_slice
+    run_item = _workers._run_item
 
-    def recording(fn, lo, hi):
+    def recording(work, lo, hi, drawn):
         starts.append(lo)
-        run_slice(fn, lo, hi)
+        return run_item(work, lo, hi, drawn)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_workers, "_default", pool)
-        mp.setattr(_workers, "_SUB_BLOCK", 1)
-        mp.setattr(_workers, "_run_slice", recording)
+    with _layout(1, 1, pool), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_workers, "_run_item", recording)
         out = fn(*args, **kwargs)
-    assert starts
     if split and pool.workers > 1:
-        assert any(starts), "every fan-out ran in one slice"
+        assert any(starts), "every stream ran on the calling thread"
     return out
 
 
@@ -108,26 +123,26 @@ def _assert_pools_equal(ref, other):
 @settings(max_examples=25, deadline=None)
 @given(n_sites=st.integers(3, 5), coupling_range=st.integers(2, 3), beta=st.integers(1, 2),
        ensemble=st.sampled_from(sorted(ENSEMBLES)), trials=st.integers(1, 12), seed=seeds)
-def test_pools_do_not_depend_on_workers(worker_pools, keep_samples, n_sites, coupling_range,
+def test_pools_do_not_depend_on_workers(thread_pools, keep_samples, n_sites, coupling_range,
                                         beta, ensemble, trials, seed):
     spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ENSEMBLES[ensemble],
                         beta=beta, coupling_range=coupling_range)
     runs = {name: _with_pool(pool, trials > 1, sm.ensemble_pools, spec, trials, sm.Rng(seed),
                              keep_samples=keep_samples)
-            for name, pool in worker_pools.items()}
+            for name, pool in thread_pools.items()}
     for pools in runs.values():
         _assert_pools_equal(runs["serial"], pools)
 
 
 @pytest.mark.parametrize("keep_samples", [True, False])
-def test_pools_do_not_depend_on_workers_n9(worker_pools, keep_samples):
+def test_pools_do_not_depend_on_workers_n9(thread_pools, keep_samples):
     # the serial fallback runs on the calling thread at its own OpenBLAS thread
     # count, which at m=512 sums in another order: only the worker pools agree
     # bit for bit
     spec = sm.ChainSpec(n_sites=9, site_dim=2, ensemble=ENSEMBLES["wishart"])
     runs = {name: _with_pool(pool, True, sm.ensemble_pools, spec, 2, sm.Rng(5),
                              keep_samples=keep_samples)
-            for name, pool in worker_pools.items()}
+            for name, pool in thread_pools.items()}
     for k in (2, 3):
         _assert_pools_equal(runs[1], runs[k])
     for kind, pool in runs[1].items():
@@ -140,19 +155,22 @@ def test_pools_do_not_depend_on_workers_n9(worker_pools, keep_samples):
                       <= 1e-12 * np.abs(pool.moment_sums)), kind
 
 
-def test_windowed_pools_do_not_depend_on_workers_or_chunking(worker_pools):
+def test_windowed_pools_do_not_depend_on_workers_or_chunking(thread_pools):
     # the hypothesis tests draw N <= 5, where the quantum sums come from one
     # window; at N=7 they sum three windows less two overlaps
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=ENSEMBLES["wishart"], beta=2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_N_BLOCKS", 6)
         runs = {name: _with_pool(pool, True, sm.ensemble_pools, spec, 20, sm.Rng(6))
-                for name, pool in worker_pools.items() if name != "serial"}
-        # chunks of one and of seven trials: without samples a chunk is sized
-        # by the 32×32 windows, not by the chain's m×m matrices
-        for budget in (1, 7 * 32 ** 2):
-            runs[budget] = _with_pool(worker_pools[2], budget > 1, _with_budget, budget,
-                                      sm.ensemble_pools, spec, 20, sm.Rng(6))
+                for name, pool in thread_pools.items() if name != "serial"}
+        # items of seven trials, a sub-block each: without samples a
+        # sub-block is sized by the 32×32 windows, not by the chain's m×m
+        # matrices; and the default layout, one item on the calling thread
+        for layout, item in (((7 * spectra._block_size(spec, False), 1), 7),
+                             ((_workers._SUB_BLOCK, spectra._ITEM_DRAWS), 20)):
+            with _layout(*layout, thread_pools[2]):
+                assert spectra._item_trials(spec, False, 20) == item
+                runs[layout] = sm.ensemble_pools(spec, 20, sm.Rng(6))
     for pools in runs.values():
         _assert_pools_equal(runs[1], pools)
 

@@ -1,6 +1,6 @@
-"""The trial-parallel worker pool: lazy start, BLAS thread count, errors, fork."""
+"""The trial-parallel worker pool: lazy start, the stream's order and bound,
+BLAS thread count, errors, fork."""
 
-import math
 import multiprocessing
 import os
 import subprocess
@@ -15,20 +15,26 @@ import pytest
 from spinmix import _workers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# a trial of a whole sub-block, so that a fan-out runs one slice per worker
-SPLIT = _workers._SUB_BLOCK
 
 
 @pytest.fixture()
 def blas():
     controls = _workers._openblas_controls()
     if not controls:
-        pytest.skip("numpy or scipy loads no OpenBLAS whose thread count can be set")
+        pytest.skip("numpy loads no OpenBLAS whose thread count can be set")
     return controls
 
 
 def _counts(blas):
     return [get() for get, _ in blas]
+
+
+def _draw(lo, hi):
+    return lo, hi
+
+
+def _ignore(lo, hi, result):
+    pass
 
 
 def test_import_starts_no_thread():
@@ -42,21 +48,31 @@ def test_import_starts_no_thread():
 
 @pytest.mark.parametrize("threaded", [True, False])
 def test_slices_cover_every_trial_once(threaded):
+    # each item is drawn and folded once, in order, on the calling thread,
+    # and folded with its own work's result
     blas = _workers._openblas_controls() if threaded else []
     if threaded and not blas:
-        pytest.skip("numpy or scipy loads no OpenBLAS whose thread count can be set")
+        pytest.skip("numpy loads no OpenBLAS whose thread count can be set")
     pool = _workers._Pool(3, blas)
+    caller = threading.get_ident()
     try:
         for count in (0, 1, 2, 3, 7, 100):
-            hits = np.zeros(count, dtype=int)
+            for step in (1, 3, 7, 1000):
+                drawn, folded = [], []
 
-            def mark(lo, hi):
-                hits[lo:hi] += 1
+                def draw(lo, hi):
+                    assert threading.get_ident() == caller
+                    drawn.append((lo, hi))
+                    return lo, hi
 
-            for size in (1, SPLIT):
-                hits[:] = 0
-                pool.map(mark, count, size)
-                assert np.all(hits == 1), (count, size)
+                def fold(lo, hi, result):
+                    assert threading.get_ident() == caller
+                    assert result == (lo, hi, lo, hi)
+                    folded.append((lo, hi))
+
+                pool.stream(count, step, draw, lambda lo, hi, d: (lo, hi, *d), fold)
+                expected = [(lo, min(count, lo + step)) for lo in range(0, count, step)]
+                assert drawn == folded == expected, (count, step)
     finally:
         pool.shutdown()
 
@@ -64,135 +80,197 @@ def test_slices_cover_every_trial_once(threaded):
 def test_workers_run_openblas_at_one_thread_and_the_caller_keeps_its_count(blas):
     before = _counts(blas)
     pool = _workers._Pool(2, blas)
-    seen = []
+    seen, drawn_at = [], []
     gen = np.random.default_rng(0)
     mats = gen.standard_normal((4, 256, 256))
 
-    def work(lo, hi):
+    def draw(lo, hi):
+        drawn_at.append(_counts(blas))
+        return mats[lo:hi]
+
+    def work(lo, hi, m):
         seen.append(_counts(blas))
-        np.linalg.eigvalsh(mats[lo:hi] + mats[lo:hi].swapaxes(-1, -2))
+        return np.linalg.eigvalsh(m + m.swapaxes(-1, -2))
 
     try:
-        pool.map(work, 4, SPLIT)
-        assert len(seen) == 2 and all(c == [1] * len(blas) for c in seen)
+        pool.stream(4, 1, draw, work, _ignore)
+        assert len(seen) == 4 and all(c == [1] * len(blas) for c in seen + drawn_at)
         assert _counts(blas) == before
         with pytest.raises(ZeroDivisionError):
-            pool.map(lambda lo, hi: 1 / 0, 4, SPLIT)
+            pool.stream(4, 1, _draw, lambda lo, hi, d: 1 / 0, _ignore)
         assert _counts(blas) == before
     finally:
         pool.shutdown()
 
 
-def test_slice_count_follows_the_rule(blas, monkeypatch):
-    # min(workers, count, ⌈count·size / _SUB_BLOCK⌉) slices, at least one
-    monkeypatch.setattr(_workers, "_SUB_BLOCK", 100)
-    pools = {k: _workers._Pool(k, blas) for k in (1, 2, 3)}
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_items_in_flight_stay_within_the_bound(blas, workers):
+    # at most 2 × workers items are drawn and not yet folded; item 0's work
+    # waits until the last item the bound allows is drawn, so the bound is
+    # reached.  One worker runs each item before the next is drawn
+    pool = _workers._Pool(workers, blas)
+    bound = 2 * workers if workers > 1 else 1
+    caller = threading.get_ident()
+    release = threading.Event()
+    state = {"drawn": 0, "folded": 0, "in_flight": []}
+    ran_on = set()
+
+    def draw(lo, hi):
+        state["drawn"] += 1
+        state["in_flight"].append(state["drawn"] - state["folded"])
+        if state["drawn"] == bound:
+            release.set()
+        return lo
+
+    def work(lo, hi, drawn):
+        ran_on.add(threading.get_ident())
+        if lo == 0 and workers > 1:
+            assert release.wait(timeout=60), "the stream drew no more items"
+        return lo
+
+    def fold(lo, hi, result):
+        state["folded"] += 1
+
     try:
-        for workers, pool in pools.items():
-            for count in (0, 1, 2, 5, 40):
-                for size in (1, 7, 33, 50, 100, 250):
-                    slices = []
-                    pool.map(lambda lo, hi: slices.append((lo, hi)), count, size)
-                    expected = max(1, min(workers, count, math.ceil(count * size / 100)))
-                    assert len(slices) == expected, (workers, count, size)
-                    assert sorted(slices)[0][0] == 0 and sorted(slices)[-1][1] == count
+        pool.stream(30, 1, draw, work, fold)
     finally:
-        for pool in pools.values():
-            pool.shutdown()
+        pool.shutdown()
+    assert state["folded"] == 30
+    assert max(state["in_flight"]) == bound, state["in_flight"]
+    assert (caller in ran_on) is (workers == 1)
 
 
 def test_lone_slice_runs_on_the_calling_thread_at_one_blas_thread(blas):
+    # a run of one item, and every item of a one-worker pool, run on the
+    # calling thread
     before = _counts(blas)
-    pool = _workers._Pool(3, blas)
+    pools = [_workers._Pool(3, blas), _workers._Pool(1, blas)]
     seen = []
 
-    def work(lo, hi):
+    def work(lo, hi, drawn):
         seen.append((lo, hi, threading.get_ident(), _counts(blas)))
 
     try:
         for _, put in blas:
             put(2)
         outside = _counts(blas)
-        pool.map(work, 5, 1)
+        pools[0].stream(5, 5, _draw, work, _ignore)
         assert seen == [(0, 5, threading.get_ident(), [1] * len(blas))]
+        seen.clear()
+        pools[1].stream(5, 2, _draw, work, _ignore)
+        assert seen == [(lo, min(5, lo + 2), threading.get_ident(), [1] * len(blas))
+                        for lo in (0, 2, 4)]
         assert _counts(blas) == outside
-        with pytest.raises(ZeroDivisionError):
-            pool.map(lambda lo, hi: 1 / 0, 5, 1)
-        assert _counts(blas) == outside
+        for pool in pools:
+            with pytest.raises(ZeroDivisionError):
+                pool.stream(5, 5, _draw, lambda lo, hi, d: 1 / 0, _ignore)
+            assert _counts(blas) == outside
     finally:
         for (_, put), k in zip(blas, before):
             put(k)
-        pool.shutdown()
+        for pool in pools:
+            pool.shutdown()
 
 
-def _nested(pool, size):
-    def outer(lo, hi):
-        pool.map(lambda a, b: None, 2, SPLIT)
+def _nested(pool, step, where="work"):
+    def nested(*args):
+        pool.stream(2, 1, _draw, lambda lo, hi, d: None, _ignore)
+        return args[-1]
 
-    pool.map(outer, 4, size)
+    pool.stream(4, step, nested if where == "draw" else _draw,
+                nested if where == "work" else (lambda lo, hi, d: d),
+                nested if where == "fold" else _ignore)
 
 
-@pytest.mark.parametrize("threaded", [True, False])
-@pytest.mark.parametrize("size", [1, SPLIT], ids=["lone", "split"])
-def test_nested_fan_out_raises(threaded, size):
-    # the outer fan-out holds the pool while its slices run, so a slice that
-    # waited for a fan-out of its own would never return
-    blas = _workers._openblas_controls() if threaded else []
-    if threaded and not blas:
-        pytest.skip("numpy or scipy loads no OpenBLAS whose thread count can be set")
-    pool = _workers._Pool(2, blas)
+def _assert_nested_stream_raises(pool, step, where="work"):
     errors = []
 
     def caller():
         try:
-            _nested(pool, size)
+            _nested(pool, step, where)
         except Exception as exc:       # reported by the assertions below
             errors.append(exc)
 
+    thread = threading.Thread(target=caller, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "a nested stream deadlocked"
+    assert len(errors) == 1 and isinstance(errors[0], RuntimeError), errors
+    assert "must not itself start a stream" in str(errors[0])
+    # the refusal leaves the pool usable
+    hits = np.zeros(4, dtype=int)
+
+    def mark(lo, hi, drawn):
+        hits[lo:hi] += 1
+
+    pool.stream(4, step, _draw, mark, _ignore)
+    assert np.all(hits == 1)
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+@pytest.mark.parametrize("step", [4, 1], ids=["lone", "split"])
+def test_nested_fan_out_raises(threaded, step):
+    # the outer stream holds the pool while its items run, so an item that
+    # waited for a stream of its own would never return
+    blas = _workers._openblas_controls() if threaded else []
+    if threaded and not blas:
+        pytest.skip("numpy loads no OpenBLAS whose thread count can be set")
+    pool = _workers._Pool(2, blas)
     try:
-        thread = threading.Thread(target=caller, daemon=True)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive(), "a nested fan-out deadlocked"
-        assert len(errors) == 1 and isinstance(errors[0], RuntimeError), errors
-        assert "must not itself call map_trials" in str(errors[0])
-        # the refusal leaves the pool usable
-        hits = np.zeros(4, dtype=int)
+        _assert_nested_stream_raises(pool, step)
+    finally:
+        pool.shutdown()
 
-        def mark(lo, hi):
-            hits[lo:hi] += 1
 
-        pool.map(mark, 4, size)
-        assert np.all(hits == 1)
+@pytest.mark.parametrize("where", ["draw", "fold"])
+def test_nested_stream_from_the_calling_thread_raises(blas, where):
+    # the calling thread holds the pool while it draws and folds
+    pool = _workers._Pool(2, blas)
+    try:
+        _assert_nested_stream_raises(pool, 1, where)
     finally:
         pool.shutdown()
 
 
 def test_worker_error_reaches_caller_after_every_slice(blas):
+    # the first error is raised once every item in flight has finished; no
+    # item is folded past it.  Item 0 fails once the bound's six items are
+    # drawn
     pool = _workers._Pool(3, blas)
-    done = np.zeros(9, dtype=bool)
+    started, done, folded = set(), set(), []
+    full = threading.Event()
 
-    def work(lo, hi):
+    def draw(lo, hi):
+        if lo == 5:
+            full.set()
+        return lo
+
+    def work(lo, hi, drawn):
+        started.add(lo)
         if lo == 0:
-            raise FloatingPointError("slice 0 failed")
+            full.wait(timeout=60)
+            raise FloatingPointError("item 0 failed")
         time.sleep(0.05)
-        done[lo:hi] = True
+        done.add(lo)
+
+    def fold(lo, hi, result):
+        folded.append(lo)
 
     try:
-        with pytest.raises(FloatingPointError, match="slice 0 failed"):
-            pool.map(work, 9, SPLIT)
-        # the caller regains control only once the other slices are finished
-        assert done[3:].all() and not done[:3].any()
+        with pytest.raises(FloatingPointError, match="item 0 failed"):
+            pool.stream(20, 1, draw, work, fold)
+        # the caller regains control only once the other items are finished
+        assert started - {0} == done and {1, 2, 3, 4, 5} <= done and not folded
     finally:
         pool.shutdown()
 
 
 def test_default_pool_raises_in_caller():
-    def fail(lo, hi):
+    def fail(lo, hi, drawn):
         raise KeyError(lo)
 
     with pytest.raises(KeyError):
-        _workers.map_trials(fail, 4, 1)
+        _workers.stream(4, 1, _draw, fail, _ignore)
 
 
 def test_fan_outs_from_several_callers_take_turns(blas):
@@ -206,10 +284,10 @@ def test_fan_outs_from_several_callers_take_turns(blas):
             for _ in range(20):
                 part = np.zeros(7)
 
-                def add(lo, hi):
+                def add(lo, hi, drawn):
                     part[lo:hi] += 1
 
-                pool.map(add, 7, SPLIT)
+                pool.stream(7, 1, _draw, add, _ignore)
                 totals[k] += part.sum()
         except Exception as exc:       # reported by the assertion below
             errors.append(exc)
@@ -239,24 +317,24 @@ def test_describe_reports_affinity_workers():
     assert info["openblas_threads"] == [get() for get, _ in _workers._openblas_controls()]
 
 
-def _child_maps():
+def _child_streams():
     hits = np.zeros(5, dtype=int)
 
-    def mark(lo, hi):
+    def mark(lo, hi, drawn):
         hits[lo:hi] += 1
 
-    _workers.map_trials(mark, 5, SPLIT)
+    _workers.stream(5, 1, _draw, mark, _ignore)
     os._exit(0 if np.all(hits == 1) else 1)
 
 
 def test_forked_child_gets_a_fresh_pool():
-    _workers.map_trials(lambda lo, hi: None, 4, SPLIT)   # the parent's threads exist
-    proc = multiprocessing.get_context("fork").Process(target=_child_maps)
+    _workers.stream(4, 1, _draw, lambda lo, hi, d: None, _ignore)   # the parent's threads exist
+    proc = multiprocessing.get_context("fork").Process(target=_child_streams)
     proc.start()
     proc.join(timeout=60)
     alive = proc.is_alive()
     if alive:
         proc.kill()
         proc.join()
-    assert not alive, "map_trials hung in a forked child"
+    assert not alive, "stream hung in a forked child"
     assert proc.exitcode == 0
