@@ -6,17 +6,18 @@ item, ``draw(lo, hi)``, in trial order; a worker takes it as soon as it is
 drawn and runs ``work(lo, hi, drawn)``; and the calling thread folds the
 results, ``fold(lo, hi, result)``, in item order, as soon as the finished
 prefix grows.  At most 2 × workers items are in flight, drawn but not yet
-folded, so a run holds only their draws however long it is.  Every trial
-is computed by the same single-threaded kernel whichever worker runs its
-item, and random draws happen only in ``draw``, on the calling thread, so
-results do not depend on the worker count.  A run of one item, or a pool
-of one worker, runs every item on the calling thread.  An item must not
-itself start a stream; such a call raises ``RuntimeError`` instead of
-waiting for the stream it runs in.  The first error, in item order, is
-re-raised once every item in flight has finished.  Kernels walk an item
-in sub-blocks of at most ``_SUB_BLOCK`` array elements (``_sub_blocks``),
-where a trial holds `size` elements, which bounds the temporaries each
-worker holds.
+folded, and no more than the caller's `in_flight`, so a run holds only
+their draws however long it is.  Every trial is computed by the same
+single-threaded kernel whichever worker runs its item, and random draws
+happen only in ``draw``, on the calling thread, so results do not depend
+on the worker count.  A run of one item, a run that allows one item in
+flight, and every run on a pool of one worker run their items on the
+calling thread.  An item must not itself start a stream; such a call
+raises ``RuntimeError`` instead of waiting for the stream it runs in.  The
+first error, in item order, is re-raised once every item in flight has
+finished.  Kernels walk an item in sub-blocks of at most ``_SUB_BLOCK``
+array elements (``_sub_blocks``), where a trial holds `size` elements,
+which bounds the temporaries each worker holds.
 
 The workers are threads, one per CPU in the process's affinity mask; the
 LAPACK, BLAS and ufunc loops they run release the interpreter lock.  At
@@ -110,7 +111,7 @@ class _Pool:
         # ThreadPoolExecutor starts its threads on the first submit
         self._executor = ThreadPoolExecutor(self.workers, "spinmix-worker")
 
-    def stream(self, count: int, step: int, draw, work, fold):
+    def stream(self, count: int, step: int, draw, work, fold, in_flight=None):
         if getattr(_thread, "in_stream", False):
             raise RuntimeError("stream called from inside a stream: an item must not "
                                "itself start a stream")
@@ -126,13 +127,14 @@ class _Pool:
             try:
                 for _, put in self._blas:
                     put(1)
-                inline = self.workers == 1 or count <= step
+                bound = min(2 * self.workers, in_flight or math.inf)
+                inline = self.workers == 1 or count <= step or bound == 1
                 for lo in range(0, count, step):
                     hi = min(count, lo + step)
                     if inline:
                         fold(lo, hi, work(lo, hi, draw(lo, hi)))
                         continue
-                    if len(pending) == 2 * self.workers:
+                    if len(pending) == bound:
                         fold_head()
                     pending.append((lo, hi, self._executor.submit(
                         _run_item, work, lo, hi, draw(lo, hi))))
@@ -174,13 +176,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def stream(count: int, step: int, draw, work, fold):
+def stream(count: int, step: int, draw, work, fold, in_flight=None):
     """Draw, work on and fold range(count) in items of `step` trials; re-raise errors.
 
     See the module docstring: draw(lo, hi) and fold(lo, hi, result) run on
-    the calling thread in item order, work(lo, hi, drawn) on the workers.
+    the calling thread in item order, work(lo, hi, drawn) on the workers,
+    with at most `in_flight` items (if given) drawn and not yet folded.
     """
-    _pool().stream(count, step, draw, work, fold)
+    _pool().stream(count, step, draw, work, fold, in_flight)
 
 
 def _block_trials(size: int) -> int:

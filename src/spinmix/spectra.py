@@ -19,8 +19,10 @@ A run is one stream (``_workers.stream``) of work items of
 array elements.  The calling thread draws each item in trial order, a
 worker runs ``_chunk_pass`` on it as soon as it is drawn, and the calling
 thread folds the finished items into the pools in trial order.  So a run
-holds the draws of at most 2 × workers items, and the pooled and block sums
-are the same left fold, bit for bit, whatever the items and sub-blocks.
+holds the draws of at most 2 × workers items, and only of as many as fit
+in ``_FLIGHT_DRAWS`` elements (``_items_in_flight``; one at least).  The
+pooled and block sums are the same left fold, bit for bit, whatever the
+items and sub-blocks.
 Each sub-block of an item forms its trials' bond terms from the draws,
 centres them, and reduces them to every pool's Σλ¹…Σλ⁴ (``_trial_sums``)
 while they are in cache, with its window stacks in per-thread scratch
@@ -88,6 +90,7 @@ __all__ = [
 ]
 
 _ITEM_DRAWS = 1 << 16            # draw elements a work item holds, at least
+_FLIGHT_DRAWS = 1 << 23          # draw elements the items in flight hold, at most
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
 _N_BLOCKS = 50                   # jackknife blocks (fewer when trials < 50)
 _MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
@@ -101,16 +104,28 @@ def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
     return (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 1))
 
 
-def _item_trials(spec: ChainSpec, keep_samples: bool, trials: int) -> int:
-    """Trials per work item: the fewest whole sub-blocks that draw ``_ITEM_DRAWS`` elements.
-
-    A trial draws its bonds and, on the kept route, each rotated summand's
-    m keys and m(m+1)/2 reflector Gaussians.
-    """
+def _trial_draws(spec: ChainSpec, keep_samples: bool) -> int:
+    """Elements a trial draws: its bonds and, on the kept route, each rotated
+    summand's m keys and m(m+1)/2 reflector Gaussians."""
     m, rotated = spec.m, len(spec.summand_bonds) - 1 if keep_samples else 0
-    draws = chain_mod._draw_elements(spec) + rotated * (m + m * (m + 1) // 2)
+    return chain_mod._draw_elements(spec) + rotated * (m + m * (m + 1) // 2)
+
+
+def _item_trials(spec: ChainSpec, keep_samples: bool, trials: int) -> int:
+    """Trials per work item: the fewest whole sub-blocks that draw ``_ITEM_DRAWS`` elements."""
     block = _block_trials(_block_size(spec, keep_samples))
-    return min(trials, block * -(-_ITEM_DRAWS // (block * draws)))
+    return min(trials, block * -(-_ITEM_DRAWS // (block * _trial_draws(spec, keep_samples))))
+
+
+def _items_in_flight(spec: ChainSpec, keep_samples: bool, step: int) -> int:
+    """Items of `step` trials whose draws fit in ``_FLIGHT_DRAWS`` elements, at least one.
+
+    The workers run only items in flight, each with its sub-block's m×m
+    stacks, so at large m this also bounds how many of those stacks the
+    kept route holds: three one-trial items at m = 2048, and one at
+    m = 4096, which then runs on the calling thread.
+    """
+    return max(1, _FLIGHT_DRAWS // (step * _trial_draws(spec, keep_samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +532,8 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
             _accumulate(pool, trial_sums, lo)
 
     # the only trial loop
-    stream(trials, _item_trials(spec, keep_samples, trials), draw, work, fold)
+    step = _item_trials(spec, keep_samples, trials)
+    stream(trials, step, draw, work, fold, _items_in_flight(spec, keep_samples, step))
     return pools
 
 

@@ -1,6 +1,7 @@
 """Summaries, the three convolutions, density utilities."""
 
 import math
+import threading
 import time
 import tracemalloc
 
@@ -289,21 +290,48 @@ def test_kept_pools_finish_an_item_before_the_last_is_drawn(monkeypatch):
 
 
 def test_kept_eigensolves_run_in_a_fan_out(monkeypatch):
-    # the Wishart bonds' eigenvalues are solved in the stream, as the
-    # chains' are, with OpenBLAS at one thread
+    # the Wishart bonds' eigenvalues are solved in the items' work, as the
+    # chains' are, with OpenBLAS at one thread: never in the calling
+    # thread's draws or folds, which run inside the stream too
     spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
     blas = _workers._openblas_controls()
+    pool = _workers._Pool(2, blas)
+    monkeypatch.setattr(_workers, "_default", pool)
+    in_work = threading.local()
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh, item_pass = np.linalg.eigvalsh, spectra._chunk_pass
 
     def recording(a, *args, **kwargs):
-        seen.append((getattr(_workers._thread, "in_stream", False),
-                     [get() for get, _ in blas]))
+        seen.append((getattr(in_work, "on", False), [get() for get, _ in blas]))
         return eigvalsh(a, *args, **kwargs)
 
+    def working(*args, **kwargs):
+        in_work.on = True
+        try:
+            return item_pass(*args, **kwargs)
+        finally:
+            in_work.on = False
+
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    sm.ensemble_pools(spec, 40, sm.Rng(61), keep_samples=True)
+    monkeypatch.setattr(spectra, "_chunk_pass", working)
+    try:
+        # three items of 256 trials, on the workers
+        sm.ensemble_pools(spec, 600, sm.Rng(61), keep_samples=True)
+    finally:
+        pool.shutdown()
     assert seen and all(s == (True, [1] * len(blas)) for s in seen), seen
+
+
+def test_items_in_flight():
+    # draws of at most 2²³ elements in flight: many items at N=7, three
+    # one-trial kept items at N=11 (m = 2048), one at N=12 (m = 4096)
+    pm1 = sm.LocalEnsemble.pm1()
+    for n_sites, trials, step, in_flight in ((7, 512, 16, 61), (11, 6, 1, 3), (12, 2, 1, 1)):
+        spec = sm.ChainSpec(n_sites, 2, pm1)
+        assert spectra._item_trials(spec, True, trials) == step
+        assert spectra._items_in_flight(spec, True, step) == in_flight
+    wishart_n5 = sm.ChainSpec(5, 2, sm.LocalEnsemble.wishart(4))
+    assert spectra._items_in_flight(wishart_n5, False, 1024) == 128
 
 
 def _quantum_oracle_cases():

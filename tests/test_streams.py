@@ -175,6 +175,30 @@ def test_windowed_pools_do_not_depend_on_workers_or_chunking(thread_pools):
         _assert_pools_equal(runs[1], pools)
 
 
+def test_pools_do_not_depend_on_items_in_flight(thread_pools):
+    # one-trial kept items on two workers, with one, three or the default
+    # number in flight; with one, every item runs on the calling thread
+    spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=ENSEMBLES["pm1"])
+    draws = spectra._trial_draws(spec, True)
+    item_pass = spectra._chunk_pass
+    runs, ran_on = {}, {}
+
+    def recording(*args, **kwargs):
+        ran_on[flight].add(threading.get_ident())
+        return item_pass(*args, **kwargs)
+
+    for flight in (draws, 3 * draws, spectra._FLIGHT_DRAWS):
+        ran_on[flight] = set()
+        with _layout(1, 1, thread_pools[2]), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_FLIGHT_DRAWS", flight)
+            mp.setattr(spectra, "_chunk_pass", recording)
+            runs[flight] = sm.ensemble_pools(spec, 12, sm.Rng(8), keep_samples=True)
+    assert ran_on[draws] == {threading.get_ident()}
+    assert threading.get_ident() not in ran_on[3 * draws]
+    for pools in runs.values():
+        _assert_pools_equal(runs[draws], pools)
+
+
 def test_scratch_reuse_is_invisible():
     # the moments-only kernels keep their window stacks in per-thread scratch
     # that outlives a call; each of these runs is one slice on the calling

@@ -103,14 +103,11 @@ def test_workers_run_openblas_at_one_thread_and_the_caller_keeps_its_count(blas)
         pool.shutdown()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_items_in_flight_stay_within_the_bound(blas, workers):
-    # at most 2 × workers items are drawn and not yet folded; item 0's work
-    # waits until the last item the bound allows is drawn, so the bound is
-    # reached.  One worker runs each item before the next is drawn
-    pool = _workers._Pool(workers, blas)
-    bound = 2 * workers if workers > 1 else 1
-    caller = threading.get_ident()
+def _reach_the_bound(pool, bound, in_flight=None):
+    """Run a 30-item stream whose item 0 waits until `bound` items are drawn.
+
+    Returns the items in flight at each draw and the threads that ran work.
+    """
     release = threading.Event()
     state = {"drawn": 0, "folded": 0, "in_flight": []}
     ran_on = set()
@@ -124,7 +121,7 @@ def test_items_in_flight_stay_within_the_bound(blas, workers):
 
     def work(lo, hi, drawn):
         ran_on.add(threading.get_ident())
-        if lo == 0 and workers > 1:
+        if lo == 0 and bound > 1:
             assert release.wait(timeout=60), "the stream drew no more items"
         return lo
 
@@ -132,12 +129,31 @@ def test_items_in_flight_stay_within_the_bound(blas, workers):
         state["folded"] += 1
 
     try:
-        pool.stream(30, 1, draw, work, fold)
+        pool.stream(30, 1, draw, work, fold, in_flight)
     finally:
         pool.shutdown()
     assert state["folded"] == 30
-    assert max(state["in_flight"]) == bound, state["in_flight"]
-    assert (caller in ran_on) is (workers == 1)
+    return state["in_flight"], ran_on
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_items_in_flight_stay_within_the_bound(blas, workers):
+    # at most 2 × workers items are drawn and not yet folded; item 0's work
+    # waits until the last item the bound allows is drawn, so the bound is
+    # reached.  One worker runs each item before the next is drawn
+    bound = 2 * workers if workers > 1 else 1
+    in_flight, ran_on = _reach_the_bound(_workers._Pool(workers, blas), bound)
+    assert max(in_flight) == bound, in_flight
+    assert (threading.get_ident() in ran_on) is (workers == 1)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 5])
+def test_items_in_flight_stay_within_the_callers_limit(blas, limit):
+    # a caller's limit below 2 × workers binds; a limit of one runs every
+    # item on the calling thread
+    in_flight, ran_on = _reach_the_bound(_workers._Pool(3, blas), limit, limit)
+    assert max(in_flight) == limit, in_flight
+    assert (threading.get_ident() in ran_on) is (limit == 1)
 
 
 def test_lone_slice_runs_on_the_calling_thread_at_one_blas_thread(blas):
