@@ -42,9 +42,14 @@ its local draw.
   permutations and rotations, closed forms in the bonds' cumulants
   (``_conditional_power_sums``): traces of powers of each centred bond
   term, O(n_bonds · d^(3L)) per trial, with no draw and no eigensolver.
-* The quantum sums are exact: the chain's cumulants from windows of at most
-  3(L−1)+1 bonds (``_trial_sums``), which never form the chain's m×m
-  matrix once it has more bonds than a window.
+* The quantum sums are exact (``_trial_sums``): the chain's cumulants are
+  those of its windows of s = 3(L−1)+1 consecutive bonds, less those of
+  the (s − 1)-bond overlaps of neighbouring windows.  Each window's first
+  s − 1 bonds, its head, are embedded once (``chain.embed_sum_batch``);
+  every head but the first is an overlap, and each head grows into its
+  window by one site and one bond (``chain._extend_sum_batch``).  So the
+  largest matrix is a window's, on s + L − 1 sites, and the chain's m×m
+  matrix is never formed once it has more bonds than a window.
 
 Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
 Monte Carlo: summand i is permuted by the argsort of keys drawn on the
@@ -72,8 +77,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import matgen
 from ._workers import _block_trials, _scratch, _sub_blocks, stream
-from .chain import (STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS,
-                    STREAM_LOCAL_VECS, ChainSpec)
+from .chain import STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS, ChainSpec
 from .rng import Rng
 
 __all__ = [
@@ -252,26 +256,18 @@ def _window_width(spec: ChainSpec) -> int:
     return min(spec.n_bonds, 3 * (spec.coupling_range - 1) + 1)
 
 
-def _window_cumulants(bonds: np.ndarray, spec: ChainSpec, width: int) -> np.ndarray:
-    """κ₂, κ₃, κ₄ summed over the windows of `width` consecutive centred bonds.
+def _window_cumulants(mats: np.ndarray, count: int, sq: np.ndarray, first: int = 0) -> np.ndarray:
+    """κ₂, κ₃, κ₄ summed over a stack's centred windows from position `first` on: (count, 3).
 
-    `bonds` is (count, nb, d^L, d^L); returns (count, 3).  The windows are
-    embedded in one call, stacked on the batch axis, as chains of width +
-    L − 1 sites: τ of an embedded product is the same on any chain that
-    holds it, and a centred window has mean 0, so κ₂ = μ₂, κ₃ = μ₃ and
-    κ₄ = μ₄ − 3μ₂².  The window stack and its square are this thread's
-    scratch.
+    `mats` holds `count` trials' windows, trial-major, each embedded on a
+    chain of its own sites: τ of an embedded product is the same on any
+    chain that holds it, and a centred window has mean 0, so κ₂ = μ₂,
+    κ₃ = μ₃ and κ₄ = μ₄ − 3μ₂².  Their squares are written into `sq`.
     """
-    sub = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 1)
-    count, nloc = bonds.shape[0], bonds.shape[-1]
-    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(bonds, width, 1), -1, 2)
-    windows = windows.reshape(-1, width, nloc, nloc)
-    shape = (len(windows), sub.m, sub.m)
-    mats = chain_mod.embed_sum_batch(windows, sub, _scratch("windows", shape, bonds.dtype))
-    mu = _power_sums(mats, _scratch("square", shape, bonds.dtype)).reshape(count, -1, 4) / sub.m
+    mu = _power_sums(mats, sq).reshape(count, -1, 4) / mats.shape[-1]
     kappa = np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1)
     # a left fold over the positions, the same for a trial in any sub-block
-    return sum(kappa[:, i] for i in range(kappa.shape[1]))
+    return sum(kappa[:, i] for i in range(first, kappa.shape[1]))
 
 
 def _bond_moments(dense: np.ndarray):
@@ -300,14 +296,40 @@ def _trial_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
     chain contribute, spanning at most s = 3(L−1)+1 consecutive bonds, and
     the chain's cumulants are those of its s-bond windows summed, less those
     of the overlaps (s − 1 bonds) of neighbouring windows.  With n_bonds ≤ s
-    the one window is the chain.  The classical and isotropic sums are
+    the one window is the chain.
+
+    The first s − 1 bonds of window j, its head, are the overlap of windows
+    j − 1 and j, so one stack of heads, embedded on s + L − 2 sites in this
+    thread's scratch, gives the overlaps (every head but the first) and
+    grows into the windows: head j ⊗ I_d plus bond j + s − 1 on the last L
+    sites (``chain._extend_sum_batch``).  That bond is added last, as
+    ``chain.embed_sum_batch`` adds it, so every sum is that of embedding
+    each window whole, bit for bit.  At N = L the head is the empty sum on
+    L − 1 sites.  The classical and isotropic sums are
     ``_conditional_power_sums`` of the bond moments.
     """
-    width = _window_width(spec)
+    width, nb = _window_width(spec), spec.n_bonds
     bonds, c = _bond_moments(dense)
-    kappa = _window_cumulants(c, spec, width)
-    if width < spec.n_bonds:
-        kappa -= _window_cumulants(c[:, 1:-1], spec, width - 1)
+    count, nloc = len(c), spec.local_dim
+    window = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 1)
+    count_w, side = count * (nb - width + 1), window.m // spec.site_dim
+    # two window stacks of scratch take turns: the heads, then the windows'
+    # squares, in one; the heads' squares, then the windows, in the other
+    windows, square = (_scratch(k, (count_w, window.m, window.m), c.dtype)
+                       for k in ("windows", "square"))
+    heads, heads_sq = (a.reshape(-1)[:count_w * side * side].reshape(count_w, side, side)
+                       for a in (square, windows))
+    if width > 1:
+        head = dataclasses.replace(window, n_sites=window.n_sites - 1)
+        stack = np.moveaxis(np.lib.stride_tricks.sliding_window_view(c[:, :-1], width - 1, 1),
+                            -1, 2).reshape(-1, width - 1, nloc, nloc)
+        chain_mod.embed_sum_batch(stack, head, heads)
+    else:
+        heads[...] = 0
+    overlaps = _window_cumulants(heads, count, heads_sq, first=1) if width < nb else 0
+    mats = chain_mod._extend_sum_batch(heads, c[:, width - 1:].reshape(-1, nloc, nloc), window,
+                                       windows)
+    kappa = _window_cumulants(mats, count, square) - overlaps
     quantum = spec.m * np.stack(_raw_moments(bonds[..., 0].sum(axis=1), *kappa.T), axis=-1)
     return np.stack([*_conditional_power_sums(bonds, spec), quantum])
 
@@ -506,10 +528,11 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
         spec.check_dense_cap()
     m = spec.m
     pools = {k: _new_pool(m, trials, keep_samples) for k in ("classical", "iso", "quantum")}
-    # both local streams are opened once and drawn trial-major, so the draws
-    # do not depend on where the item boundaries fall
+    # the local streams are opened once and drawn trial-major, so the draws
+    # do not depend on where the item boundaries fall; the eigenvector
+    # stream is opened only for an ensemble that draws from it
     eig_gen = rng.substream(STREAM_LOCAL_EIGS, 0)
-    vec_gen = rng.substream(STREAM_LOCAL_VECS, 0)
+    vec_gen = chain_mod._vector_gen(spec, rng)
     # one stream per permuted or rotated summand s₁ … s_k, on the kept route
     rotated = range(len(spec.summand_bonds) - 1 if keep_samples else 0)
     perm_gens = [rng.substream(STREAM_CLASSICAL, j) for j in rotated]

@@ -1,13 +1,15 @@
 """Reference implementations that the package is checked against.
 
 They are slow or exhaustive by design: Kronecker products for the batched
-embedding, an exact cross convolution for the classical pool, weighted
+embedding, the quantum window sums from two separately embedded window
+widths, an exact cross convolution for the classical pool, weighted
 moments for the summaries, the appendix's collision count for the
 isotropic gap and an enumeration-backed count of bond 4-tuples.  A weighted
 measure is a pair (values, weights) of arrays, sorted by value, with
 weights summing to 1.
 """
 
+import dataclasses
 from collections import namedtuple
 
 import numpy as np
@@ -15,6 +17,7 @@ import numpy as np
 import spinmix as sm
 from spinmix.chain import (STREAM_LOCAL_EIGS, STREAM_LOCAL_VECS, draw_local_batch,
                            embed_sum_batch)
+from spinmix.spectra import _bond_moments, _power_sums, _raw_moments, _window_width
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +61,32 @@ def only_bonds(dense, bonds):
     picked = np.zeros_like(dense)
     picked[:, bonds] = dense[:, bonds]
     return picked
+
+
+def window_cumulants(bonds, spec, width):
+    """κ₂, κ₃, κ₄ summed over the windows of `width` consecutive centred bonds.
+
+    `bonds` is (count, nb, d^L, d^L); returns (count, 3).  Every window is
+    embedded whole, as a chain of width + L − 1 sites.
+    """
+    sub = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 1)
+    count, nloc = bonds.shape[0], bonds.shape[-1]
+    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(bonds, width, 1), -1, 2)
+    mats = embed_sum_batch(windows.reshape(-1, width, nloc, nloc), sub)
+    mu = _power_sums(mats).reshape(count, -1, 4) / sub.m
+    kappa = np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1)
+    return sum(kappa[:, i] for i in range(kappa.shape[1]))
+
+
+def two_embed_quantum_sums(dense, spec):
+    """Each trial's quantum Σλ¹…Σλ⁴, (count, 4), from its s-bond windows less
+    their (s − 1)-bond overlaps, the two widths embedded separately."""
+    width = _window_width(spec)
+    bonds, c = _bond_moments(dense)
+    kappa = window_cumulants(c, spec, width)
+    if width < spec.n_bonds:
+        kappa -= window_cumulants(c[:, 1:-1], spec, width - 1)
+    return spec.m * np.stack(_raw_moments(bonds[..., 0].sum(axis=1), *kappa.T), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spinmix as sm
-from spinmix.chain import diagonals_from_eigs, draw_local_batch, embed_sum_batch
+from spinmix.chain import _extend_sum_batch, diagonals_from_eigs, draw_local_batch, embed_sum_batch
 
 from conftest import local_term, wishart_chain
 from oracles import assemble_chain, embed_local, only_bonds
@@ -88,6 +88,31 @@ def test_embed_sum_batch_equals_kron_sum_range3():
     positions = range(1, spec.n_bonds + 1)
     assert np.array_equal(embed_sum_batch(dense, spec),
                           _kron_sum(dense, spec, positions))
+
+
+@pytest.mark.parametrize("site_dim, coupling_range, n_sites",
+                         [(2, 2, 3), (2, 2, 6), (2, 3, 4), (2, 3, 7), (3, 2, 4)])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_extend_sum_batch_is_the_embedded_sum(site_dim, coupling_range, n_sites, beta):
+    # the first n_bonds − 1 bonds embedded on N − 1 sites, grown by one site
+    # and the last bond, are the embedded sum of all n_bonds, bit for bit
+    spec = sm.ChainSpec(n_sites=n_sites, site_dim=site_dim, ensemble=sm.LocalEnsemble.goe(),
+                        beta=beta, coupling_range=coupling_range)
+    head = sm.ChainSpec(n_sites=n_sites - 1, site_dim=site_dim, ensemble=spec.ensemble,
+                        beta=beta, coupling_range=coupling_range)
+    _, dense = draw_local_batch(spec, 3, sm.Rng(78, n_sites).generator())
+    whole = embed_sum_batch(dense, spec)
+    grown = _extend_sum_batch(embed_sum_batch(dense[:, :-1], head), dense[:, -1], spec)
+    assert np.array_equal(grown, whole)
+    out = np.full_like(whole, np.nan)
+    assert _extend_sum_batch(embed_sum_batch(dense[:, :-1], head), dense[:, -1], spec, out) is out
+    assert np.array_equal(out, whole)
+
+
+def test_extend_sum_batch_rejects_a_mismatched_batch():
+    spec = wishart_chain(4)
+    with pytest.raises(ValueError, match="shape"):
+        _extend_sum_batch(np.zeros((1, 16, 16)), np.zeros((1, 4, 4)), spec)
 
 
 @pytest.mark.parametrize("n_sites", [3, 4, 5])

@@ -18,7 +18,7 @@ from spinmix import _workers, spectra
 from spinmix.cli import _p_empirical
 from spinmix.spectra import _bond_moments, _chunk_pass, _power_sums, _rotate_diag, _trial_sums
 
-from oracles import classical_convolve, ks_measures, measure, summarize
+from oracles import classical_convolve, ks_measures, measure, summarize, two_embed_quantum_sums
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,30 @@ def test_quantum_power_sums_match_eigenvalues(spec):
     _assert_power_sums_match(_trial_sums(dense, spec)[2], lam)
 
 
+def _window_cases():
+    for name, ensemble in (("wishart", sm.LocalEnsemble.wishart(4)),
+                           ("goe", sm.LocalEnsemble.goe()), ("pm1", sm.LocalEnsemble.pm1())):
+        for beta in (1, 2):
+            for coupling_range in (2, 3):
+                for n_sites in range(coupling_range, 10):
+                    yield pytest.param(
+                        sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
+                                     coupling_range=coupling_range),
+                        id=f"{name}-beta{beta}-L{coupling_range}-N{n_sites}")
+
+
+@pytest.mark.parametrize("spec", _window_cases())
+def test_quantum_sums_equal_two_embeds(spec):
+    # each window grown from its embedded head, and the overlaps read from
+    # the heads, give the sums of the two window widths embedded apart, bit
+    # for bit: at N = L (one bond), with one window (N ≤ 3L − 2) and with
+    # several, for a stack of trials and for a lone trial
+    gen = sm.Rng(60, spec.n_sites).generator()
+    _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
+    for trials in (dense, dense[:1]):
+        assert np.array_equal(_trial_sums(trials, spec)[2], two_embed_quantum_sums(trials, spec))
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["wishart", "goe", "pm1", "fixed"]),
        values=st.lists(st.floats(-10, 10), min_size=8, max_size=8),
@@ -448,29 +472,56 @@ def test_moments_only_pools_match_eigenvalue_pools_n7(ensemble, coupling_range, 
 
 
 def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
-    # at N=7 and L=2 the quantum sums embed 32×32 windows only, in the
-    # moment pass, and the classical and isotropic sums are closed forms
-    # in traces of the bond terms: no permutation, Haar draw, rotation or
-    # eigensolve is made
+    # at N=7 and L=2 the quantum sums embed 16×16 window heads and grow them
+    # into 32×32 windows, in the moment pass, and the classical and
+    # isotropic sums are closed forms in traces of the bond terms: no
+    # 128×128 chain, permutation, Haar draw, rotation or eigensolve is made
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
-    widths = []
-    embed = spectra.chain_mod.embed_sum_batch
+    sides = []
 
-    def recording_embed(dense, sub, *args):
-        widths.append(sub.m)
-        return embed(dense, sub, *args)
+    def recording(fn):
+        def record(*args):
+            out = fn(*args)
+            sides.append(out.shape[-1])
+            return out
+        return record
 
     def refuse(*args, **kwargs):
         raise AssertionError("the moments-only route sampled a permutation or a rotation, "
                              "or diagonalised a matrix")
 
-    monkeypatch.setattr(spectra.chain_mod, "embed_sum_batch", recording_embed)
+    for name in ("embed_sum_batch", "_extend_sum_batch"):
+        monkeypatch.setattr(spectra.chain_mod, name, recording(getattr(spectra.chain_mod, name)))
     for owner, name in ((spectra.matgen, "haar_batch"), (spectra, "_rotate_diag"),
                         (spectra.chain_mod, "diagonals_from_eigs"), (np, "argsort"),
                         (np.linalg, "eigvalsh")):
         monkeypatch.setattr(owner, name, refuse)
     sm.ensemble_pools(spec, 5, sm.Rng(58))
-    assert widths and max(widths) == 32
+    assert max(sides) == 32 and spec.m not in sides
+    assert set(sides) == {16, 32}
+
+
+def test_only_spectral_ensembles_open_the_eigenvector_stream(monkeypatch):
+    # Wishart and GOE terms are drawn whole from the eigenvalue stream; only
+    # the ensembles with Haar eigenvectors open (STREAM_LOCAL_VECS, 0)
+    opened = []
+    substream = sm.Rng.substream
+
+    def recording(self, *key):
+        opened.append(key)
+        return substream(self, *key)
+
+    monkeypatch.setattr(sm.Rng, "substream", recording)
+    for ensemble, draws_vectors in ((sm.LocalEnsemble.wishart(4), False),
+                                    (sm.LocalEnsemble.goe(), False),
+                                    (sm.LocalEnsemble.pm1(), True),
+                                    (sm.LocalEnsemble.pm1(balanced=True), True),
+                                    (sm.LocalEnsemble.fixed_spectrum([0, 1, 2, 3]), True)):
+        spec = sm.ChainSpec(n_sites=4, site_dim=2, ensemble=ensemble)
+        for keep_samples in (False, True):
+            opened.clear()
+            sm.ensemble_pools(spec, 3, sm.Rng(61), keep_samples=keep_samples)
+            assert ((STREAM_LOCAL_VECS, 0) in opened) == draws_vectors, ensemble
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -595,6 +646,30 @@ def test_range3_pools_match_three_moments(ensemble):
 
 # ---------------------------------------------------------------------------
 # invariances
+
+
+def _window_cases():
+    for name, ensemble in (("wishart", sm.LocalEnsemble.wishart(4)),
+                           ("goe", sm.LocalEnsemble.goe()), ("pm1", sm.LocalEnsemble.pm1())):
+        for beta in (1, 2):
+            for coupling_range in (2, 3):
+                for n_sites in range(coupling_range, 10):
+                    yield pytest.param(
+                        sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
+                                     coupling_range=coupling_range),
+                        id=f"{name}-beta{beta}-L{coupling_range}-N{n_sites}")
+
+
+@pytest.mark.parametrize("spec", _window_cases())
+def test_quantum_sums_equal_two_embeds(spec):
+    # each window grown from its embedded head, and the overlaps read from
+    # the heads, give the sums of the two window widths embedded apart, bit
+    # for bit: at N = L (one bond), with one window (N ≤ 3L − 2) and with
+    # several, for a stack of trials and for a lone trial
+    gen = sm.Rng(60, spec.n_sites).generator()
+    _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
+    for trials in (dense, dense[:1]):
+        assert np.array_equal(_trial_sums(trials, spec)[2], two_embed_quantum_sums(trials, spec))
 
 
 @settings(max_examples=40, deadline=None)
