@@ -253,23 +253,21 @@ def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
 
 
 def _extend_sum_batch(prefix: np.ndarray, last: np.ndarray, spec: ChainSpec,
-                      out=None) -> np.ndarray:
-    """Each chain of a batch grown by one site: prefix ⊗ I_d + I ⊗ h, (count, m, m).
+                      out: np.ndarray) -> np.ndarray:
+    """Each chain of a batch grown by one site, prefix ⊗ I_d + I ⊗ h, into `out`.
 
     `prefix` is (count, m/d, m/d), the embedded sum of the first n_bonds − 1
     bonds (``embed_sum_batch`` on N − 1 sites), and `last` is (count, d^L,
     d^L), bond n_bonds, which acts on the last L sites.  The bond is added
-    last, as ``embed_sum_batch`` adds it, so the result is that of
-    ``embed_sum_batch`` on all n_bonds bonds, bit for bit.  It is written
-    into `out`, a C-contiguous array of that shape, when it is given.
+    last, as ``embed_sum_batch`` adds it, so `out`, a C-contiguous (count,
+    m, m) array, receives ``embed_sum_batch`` of all n_bonds bonds, bit for
+    bit.
     """
     count, d, m = prefix.shape[0], spec.site_dim, spec.m
-    if prefix.shape[1:] != (m // d, m // d) or last.shape[1:] != (spec.local_dim,) * 2:
+    if (prefix.shape[1:] != (m // d, m // d) or last.shape[1:] != (spec.local_dim,) * 2
+            or out.shape != (count, m, m)):
         raise ValueError("batch shape does not match the chain spec")
-    if out is None:
-        out = np.zeros((count, m, m), dtype=prefix.dtype)
-    else:
-        out[...] = 0
+    out[...] = 0
     # prefix ⊗ I_d is the prefix at every row (p, j), column (q, j)
     s = out.reshape(count, m // d, d, m // d, d).strides
     np.lib.stride_tricks.as_strided(

@@ -102,8 +102,6 @@ def test_extend_sum_batch_is_the_embedded_sum(site_dim, coupling_range, n_sites,
                         beta=beta, coupling_range=coupling_range)
     _, dense = draw_local_batch(spec, 3, sm.Rng(78, n_sites).generator())
     whole = embed_sum_batch(dense, spec)
-    grown = _extend_sum_batch(embed_sum_batch(dense[:, :-1], head), dense[:, -1], spec)
-    assert np.array_equal(grown, whole)
     out = np.full_like(whole, np.nan)
     assert _extend_sum_batch(embed_sum_batch(dense[:, :-1], head), dense[:, -1], spec, out) is out
     assert np.array_equal(out, whole)
@@ -111,8 +109,10 @@ def test_extend_sum_batch_is_the_embedded_sum(site_dim, coupling_range, n_sites,
 
 def test_extend_sum_batch_rejects_a_mismatched_batch():
     spec = wishart_chain(4)
-    with pytest.raises(ValueError, match="shape"):
-        _extend_sum_batch(np.zeros((1, 16, 16)), np.zeros((1, 4, 4)), spec)
+    for prefix, out in ((np.zeros((1, 16, 16)), np.zeros((1, 16, 16))),
+                        (np.zeros((1, 8, 8)), np.zeros((2, 16, 16)))):
+        with pytest.raises(ValueError, match="shape"):
+            _extend_sum_batch(prefix, np.zeros((1, 4, 4)), spec, out)
 
 
 @pytest.mark.parametrize("n_sites", [3, 4, 5])
