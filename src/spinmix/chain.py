@@ -5,8 +5,7 @@ adjacent sites, n_bonds = N − L + 1 of them.  ``_draw_bonds`` makes a
 work item's random draws on the calling thread and ``_bond_terms`` forms the
 Hermitian terms from them (``draw_local_batch`` does both).
 ``embed_sum_batch`` adds the embedded terms I ⊗ h ⊗ I of a batch of chains
-into m×m matrices, m = d^N, without forming a Kronecker product, and
-``_extend_sum_batch`` grows such sums by one site and the bond on it.
+into m×m matrices, m = d^N, without forming a Kronecker product.
 
 The chain's Hamiltonian is split into diagonal summands s₀ … s_k, each a
 set of mutually commuting bonds (``ChainSpec.summand_bonds``, the only code
@@ -248,44 +247,15 @@ def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
         out[...] = 0
     for i in range(nb):
         left = spec.site_dim ** i
-        _add_bond(out, dense[:, i], left, spec.m // (left * nloc))
+        right = spec.m // (left * nloc)
+        # I_left ⊗ H ⊗ I_right is nonzero only at row (p, i, r), column
+        # (p, j, r); add H into a writable view of exactly those entries
+        s = out.reshape(count, left, nloc, right, left, nloc, right).strides
+        blocks = np.lib.stride_tricks.as_strided(
+            out, (count, left, right, nloc, nloc),
+            (s[0], s[1] + s[4], s[3] + s[6], s[2], s[5]))
+        blocks += dense[:, i, None, None]
     return out
-
-
-def _extend_sum_batch(prefix: np.ndarray, last: np.ndarray, spec: ChainSpec,
-                      out: np.ndarray) -> np.ndarray:
-    """Each chain of a batch grown by one site, prefix ⊗ I_d + I ⊗ h, into `out`.
-
-    `prefix` is (count, m/d, m/d), the embedded sum of the first n_bonds − 1
-    bonds (``embed_sum_batch`` on N − 1 sites), and `last` is (count, d^L,
-    d^L), bond n_bonds, which acts on the last L sites.  The bond is added
-    last, as ``embed_sum_batch`` adds it, so `out`, a C-contiguous (count,
-    m, m) array, receives ``embed_sum_batch`` of all n_bonds bonds, bit for
-    bit.
-    """
-    count, d, m = prefix.shape[0], spec.site_dim, spec.m
-    if (prefix.shape[1:] != (m // d, m // d) or last.shape[1:] != (spec.local_dim,) * 2
-            or out.shape != (count, m, m)):
-        raise ValueError("batch shape does not match the chain spec")
-    out[...] = 0
-    # prefix ⊗ I_d is the prefix at every row (p, j), column (q, j)
-    s = out.reshape(count, m // d, d, m // d, d).strides
-    np.lib.stride_tricks.as_strided(
-        out, (count, m // d, m // d, d), (s[0], s[1], s[3], s[2] + s[4]))[...] = prefix[..., None]
-    _add_bond(out, last, m // spec.local_dim, 1)
-    return out
-
-
-def _add_bond(out: np.ndarray, h: np.ndarray, left: int, right: int):
-    """Add I_left ⊗ h ⊗ I_right into each matrix of `out`, h of shape (count, n, n)."""
-    count, nloc = out.shape[0], h.shape[-1]
-    # I_left ⊗ H ⊗ I_right is nonzero only at row (p, i, r), column
-    # (p, j, r); add H into a writable view of exactly those entries
-    s = out.reshape(count, left, nloc, right, left, nloc, right).strides
-    blocks = np.lib.stride_tricks.as_strided(
-        out, (count, left, right, nloc, nloc),
-        (s[0], s[1] + s[4], s[3] + s[6], s[2], s[5]))
-    blocks += h[:, None, None]
 
 
 # ---------------------------------------------------------------------------

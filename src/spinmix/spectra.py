@@ -25,7 +25,7 @@ pooled and block sums are the same left fold, bit for bit, whatever the
 items and sub-blocks.
 Each sub-block of an item forms its trials' bond terms from the draws,
 centres them, and reduces them to every pool's Σλ¹…Σλ⁴ (``_trial_sums``)
-while they are in cache, with its window stacks in per-thread scratch
+while they are in cache, with its window heads in per-thread scratch
 (``_workers._scratch``) that is reused across sub-blocks and calls; on the
 kept route it goes on to the samples.  Each trial is computed by the same
 single-threaded kernel in any item or sub-block, so the output does not
@@ -45,11 +45,16 @@ its local draw.
 * The quantum sums are exact (``_trial_sums``): the chain's cumulants are
   those of its windows of s = 3(L−1)+1 consecutive bonds, less those of
   the (s − 1)-bond overlaps of neighbouring windows.  Each window's first
-  s − 1 bonds, its head, are embedded once (``chain.embed_sum_batch``);
-  every head but the first is an overlap, and each head grows into its
-  window by one site and one bond (``chain._extend_sum_batch``).  So the
-  largest matrix is a window's, on s + L − 1 sites, and the chain's m×m
-  matrix is never formed once it has more bonds than a window.
+  s − 1 bonds, its head H, are embedded once (``chain.embed_sum_batch``),
+  and every head but the first is an overlap.  A window is A + B with
+  A = H ⊗ I_d and B its last bond h on the last L sites, and its sums
+  come from the words of tr(A + B)ᵏ (``_window_power_sums``): powers and
+  partial traces of H and h, and one alternating word, tr(ABAB), which
+  reads the whole head through the Gram matrix of its blocks.  That word
+  is where the quantum fourth moment departs from the classical and
+  isotropic ones.  So the largest matrix is a head, on s + L − 2 sites;
+  no window, and once the chain has more bonds than a window no m×m
+  matrix, is formed.
 
 Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
 Monte Carlo: summand i is permuted by the argsort of keys drawn on the
@@ -101,11 +106,16 @@ _MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
 
 
 def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
-    """Elements a trial holds in a sub-block: m², or its quantum windows'."""
+    """Elements a trial holds in a sub-block: m², or 3 per element of its window heads.
+
+    The moments pass holds each head, its square and its blocks laid out as
+    rows (``_window_power_sums``): three n×n matrices for each of the
+    n_bonds − s + 1 windows, n = d^(s+L−2).
+    """
     if keep_samples:
-        return spec.m * spec.m          # no fewer than the quantum windows' elements
+        return spec.m * spec.m          # no fewer than the heads' elements
     width = _window_width(spec)
-    return (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 1))
+    return 3 * (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 2))
 
 
 def _trial_draws(spec: ChainSpec, keep_samples: bool) -> int:
@@ -230,25 +240,100 @@ def _rotate_diag(q: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(qh, q, out=out)
 
 
-def _power_sums(mats: np.ndarray, sq: Optional[np.ndarray] = None) -> np.ndarray:
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re Σ conj(x)·y over each matrix of two stacks of one shape: (count,)."""
+    # a complex array viewed as float pairs gives Re Σ conj(x)·y; einsum
+    # sums a lone long row in another order than a row of a stack, so a
+    # lone row is reduced as a two-row stack
+    x, y = (a.reshape(len(a), -1).view(np.float64) for a in (x, y))
+    if len(x) == 1:
+        return np.einsum("ij,ij->i", np.vstack([x, x]), np.vstack([y, y]))[:1]
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _power_sums(mats: np.ndarray) -> np.ndarray:
     """Σλ¹…Σλ⁴ of each Hermitian matrix in a stack, as a (count, 4) array.
 
     They are tr M, ⟨M, M⟩, ⟨M², M⟩ and ⟨M², M²⟩ with the real part of the
     conjugated inner product, so one M² per matrix replaces an eigvalsh.
-    M² is written into `sq` when it is given.
     """
-    def inner(x, y):
-        # a complex array viewed as float pairs gives Re Σ conj(x)·y; einsum
-        # sums a lone long row in another order than a row of a stack, so a
-        # lone row is reduced as a two-row stack
-        x, y = (a.reshape(len(a), -1).view(np.float64) for a in (x, y))
-        if len(x) == 1:
-            return np.einsum("ij,ij->i", np.vstack([x, x]), np.vstack([y, y]))[:1]
-        return np.einsum("ij,ij->i", x, y)
+    sq = np.matmul(mats, mats)
+    return np.stack([np.trace(mats, axis1=1, axis2=2).real, _inner(mats, mats),
+                     _inner(sq, mats), _inner(sq, sq)], axis=-1)
 
-    sq = np.matmul(mats, mats, out=sq)
-    return np.stack([np.trace(mats, axis1=1, axis2=2).real, inner(mats, mats),
-                     inner(sq, mats), inner(sq, sq)], axis=-1)
+
+def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int):
+    """Central Σ(λ − λ̄)¹…⁴ of each head H and of its window H ⊗ I_d + I_P ⊗ h.
+
+    `stack` is (3, count, n, n) with the Hermitian heads in ``stack[0]``;
+    `last` is (count, O·d, O·d), the Hermitian h, whose first O sites are
+    the head's last ones, so n = P·O.  Returns two (count, 4) arrays.  H and
+    h are centred first, H in place, so neither mean costs accuracy; the
+    rest of `stack` is scratch.
+
+    With A = H ⊗ I_d and B = I_P ⊗ h, tr Mᵏ is a sum of words in A and B:
+    tr Aᵏ = d·tr Hᵏ, tr Bᵏ = P·tr hᵏ, and every mixed word but one is
+    tr(AᵖB^q) = Σ_ab trP(Hᵖ)[a,b]·trD(h^q)[b,a], with trP the partial trace
+    over the head's first P and trD over the window's last site.  The one
+    alternating word, tr(ABAB), needs the whole head, not a partial trace:
+    it is Σ_abcd GH[(a,b),(d,c)]·GB[(b,c),(a,d)], with GH and GB the Gram
+    matrices of the O² blocks of H and of h.  It is where the quantum
+    fourth moment departs from the classical and isotropic ones.  Every
+    step is per matrix, so a head gets the same sums in any stack.
+    """
+    heads, (count, n), d = stack[0], stack.shape[1:3], site_dim
+    nloc = last.shape[-1]
+    o = nloc // d
+    p = n // o
+    bonds = np.empty((3, *last.shape), last.dtype)
+    bonds[0] = last
+    for mats, side in ((heads, n), (bonds[0], nloc)):
+        mats.reshape(count, -1)[:, ::side + 1] -= np.trace(mats, axis1=1, axis2=2)[:, None] / side
+    np.matmul(bonds[0], bonds[0], out=bonds[1])
+    np.matmul(bonds[1], bonds[0], out=bonds[2])
+    squares = np.matmul(heads, heads, out=stack[1])
+    # trP(H³)[b,a] = Σ_iq conj H[i,(q,b)]·H²[i,(q,a)], H's columns grouped by q
+    left = heads if heads.dtype.kind == "f" else np.conjugate(heads, out=stack[2])
+    part3 = np.matmul(left.reshape(count, -1, o).swapaxes(-1, -2), squares.reshape(count, -1, o))
+    fourth = _inner(squares, squares), _inner(bonds[1], bonds[1])
+    # GH[(a,b),(c,d)] = Σ_pq H[(p,a),(q,b)]·conj H[(p,c),(q,d)], from H's
+    # blocks laid out as rows; the conjugate is a copy even when real, as
+    # numpy's X·Xᵀ (syrk) is slower than a gemm at these sizes
+    x = stack[2].reshape(count, o, o, p, p)
+    x[...] = heads.reshape(count, p, o, p, o).transpose(0, 2, 4, 1, 3)
+    x = x.reshape(count, o * o, p * p)
+    gram = np.matmul(x, np.conjugate(x, out=stack[1].reshape(x.shape)).swapaxes(-1, -2))
+    # trP(Hᵏ) and trD(hᵏ), k = 1…3, flattened: trP(H) is the trace of
+    # each P×P block of x, trP(H²)[a,c] = Σ_b GH[(a,b),(c,b)], and their
+    # traces are tr Hᵏ and tr hᵏ
+    gram = gram.reshape(count, o, o, o, o)
+    part_h = np.empty((count, 3, o, o), heads.dtype)
+    part_h[:, 0] = x[..., ::p + 1].sum(-1).reshape(count, o, o)
+    part_h[:, 1] = sum(gram[:, :, b, :, b] for b in range(o))
+    part_h[:, 2] = part3
+    blocks = bonds.reshape(3, count, o, d, o, d)
+    part_b = np.empty((count, 3, o, o), heads.dtype)
+    part_b[...] = np.moveaxis(sum(blocks[:, :, :, e, :, e] for e in range(d)), 0, 1)
+    # GB[(b,c),(a,d)] = Σ_ef h[(b,e),(c,f)]·conj h[(a,e),(d,f)]
+    y = blocks[0].transpose(0, 1, 3, 2, 4).reshape(count, o * o, -1)
+    gram_b = np.matmul(y, y.conj().swapaxes(-1, -2)).reshape(count, o, o, o, o)
+    # tr(AᵏB^q) for k, q = 1…3: trD(h^q) is Hermitian, so the sum over a, b
+    # is the real inner product of the two partial traces
+    words = np.matmul(part_h.reshape(count, 3, -1).view(np.float64),
+                      part_b.reshape(count, 3, -1).view(np.float64).swapaxes(-1, -2))
+    sums = np.empty((3, count, 4))
+    sums[0, :, :3] = part_h.reshape(count, 3, -1)[..., ::o + 1].sum(-1).real
+    sums[1, :, :3] = part_b.reshape(count, 3, -1)[..., ::o + 1].sum(-1).real
+    sums[:2, :, 3] = fourth
+    # GB is Hermitian, so tr(ABAB) = Re Σ GH[(a,b),(d,c)]·conj GB[(a,d),(b,c)]
+    abab = _inner(gram_b.transpose(0, 1, 3, 2, 4), gram)
+    # the mixed words of tr M², tr M³ and tr M⁴: the four of degree (2, 2)
+    # but ABAB and BABA are tr(A²B²)
+    sums[2, :, 0] = 0
+    sums[2, :, 1] = 2 * words[:, 0, 0]
+    sums[2, :, 2] = 3 * (words[:, 1, 0] + words[:, 0, 1])
+    sums[2, :, 3] = 4 * (words[:, 2, 0] + words[:, 0, 2] + words[:, 1, 1]) + 2 * abab
+    return sums[0], d * sums[0] + p * sums[1] + sums[2]
 
 
 def _window_width(spec: ChainSpec) -> int:
@@ -256,18 +341,14 @@ def _window_width(spec: ChainSpec) -> int:
     return min(spec.n_bonds, 3 * (spec.coupling_range - 1) + 1)
 
 
-def _window_cumulants(mats: np.ndarray, count: int, sq: np.ndarray, first: int = 0) -> np.ndarray:
-    """κ₂, κ₃, κ₄ summed over a stack's centred windows from position `first` on: (count, 3).
+def _window_cumulants(sums: np.ndarray, side: int) -> np.ndarray:
+    """κ₂, κ₃, κ₄ of windows of `side` values from their central Σλ¹…Σλ⁴ (…, 4): (…, 3).
 
-    `mats` holds `count` trials' windows, trial-major, each embedded on a
-    chain of its own sites: τ of an embedded product is the same on any
-    chain that holds it, and a centred window has mean 0, so κ₂ = μ₂,
-    κ₃ = μ₃ and κ₄ = μ₄ − 3μ₂².  Their squares are written into `sq`.
+    A window's mean is 0 once centred, so κ₂ = μ₂, κ₃ = μ₃ and
+    κ₄ = μ₄ − 3μ₂².
     """
-    mu = _power_sums(mats, sq).reshape(count, -1, 4) / mats.shape[-1]
-    kappa = np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1)
-    # a left fold over the positions, the same for a trial in any sub-block
-    return sum(kappa[:, i] for i in range(first, kappa.shape[1]))
+    mu = sums / side
+    return np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1)
 
 
 def _bond_moments(dense: np.ndarray):
@@ -299,37 +380,37 @@ def _trial_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
     the one window is the chain.
 
     The first s − 1 bonds of window j, its head, are the overlap of windows
-    j − 1 and j, so one stack of heads, embedded on s + L − 2 sites in this
-    thread's scratch, gives the overlaps (every head but the first) and
-    grows into the windows: head j ⊗ I_d plus bond j + s − 1 on the last L
-    sites (``chain._extend_sum_batch``).  That bond is added last, as
-    ``chain.embed_sum_batch`` adds it, so every sum is that of embedding
-    each window whole, bit for bit.  At N = L the head is the empty sum on
-    L − 1 sites.  The classical and isotropic sums are
+    j − 1 and j.  So one stack of heads, embedded on s + L − 2 sites in this
+    thread's scratch (``chain.embed_sum_batch``), gives both: each head's
+    central sums serve its own window and, for every head but the first,
+    an overlap.  A window is head ⊗ I_d plus its last bond on the last L
+    sites, and ``_window_power_sums`` takes its sums from the head's
+    powers and partial traces and from that bond, without forming it.  Of
+    its words only tr(ABAB), where the head and the bond interleave, reads
+    the whole head: that is the fourth-order departure of the quantum
+    spectrum from the classical and isotropic ones.  At N = L the head is
+    the empty sum on L − 1 sites.  The classical and isotropic sums are
     ``_conditional_power_sums`` of the bond moments.
     """
-    width, nb = _window_width(spec), spec.n_bonds
+    width, nb, d = _window_width(spec), spec.n_bonds, spec.site_dim
     bonds, c = _bond_moments(dense)
     count, nloc = len(c), spec.local_dim
-    window = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 1)
-    count_w, side = count * (nb - width + 1), window.m // spec.site_dim
-    # two window stacks of scratch take turns: the heads, then the windows'
-    # squares, in one; the heads' squares, then the windows, in the other
-    windows, square = (_scratch(k, (count_w, window.m, window.m), c.dtype)
-                       for k in ("windows", "square"))
-    heads, heads_sq = (a.reshape(-1)[:count_w * side * side].reshape(count_w, side, side)
-                       for a in (square, windows))
+    side = d ** (width + spec.coupling_range - 2)
+    # the heads, and room for H² and their blocks, in this thread's scratch
+    stack = _scratch("heads", (3, count * (nb - width + 1), side, side), c.dtype)
     if width > 1:
-        head = dataclasses.replace(window, n_sites=window.n_sites - 1)
-        stack = np.moveaxis(np.lib.stride_tricks.sliding_window_view(c[:, :-1], width - 1, 1),
-                            -1, 2).reshape(-1, width - 1, nloc, nloc)
-        chain_mod.embed_sum_batch(stack, head, heads)
+        head = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 2)
+        head_bonds = np.arange(nb - width + 1)[:, None] + np.arange(width - 1)
+        chain_mod.embed_sum_batch(c[:, head_bonds].reshape(-1, width - 1, nloc, nloc), head,
+                                  stack[0])
     else:
-        heads[...] = 0
-    overlaps = _window_cumulants(heads, count, heads_sq, first=1) if width < nb else 0
-    mats = chain_mod._extend_sum_batch(heads, c[:, width - 1:].reshape(-1, nloc, nloc), window,
-                                       windows)
-    kappa = _window_cumulants(mats, count, square) - overlaps
+        stack[0] = 0
+    heads, windows = _window_power_sums(stack, c[:, width - 1:].reshape(-1, nloc, nloc), d)
+    kappa = _window_cumulants(windows.reshape(count, -1, 4), side * d)
+    # every head but the first is an overlap
+    kappa[:, 1:] -= _window_cumulants(heads.reshape(count, -1, 4)[:, 1:], side)
+    # a left fold over the positions, the same for a trial in any sub-block
+    kappa = sum(kappa[:, i] for i in range(kappa.shape[1]))
     quantum = spec.m * np.stack(_raw_moments(bonds[..., 0].sum(axis=1), *kappa.T), axis=-1)
     return np.stack([*_conditional_power_sums(bonds, spec), quantum])
 

@@ -133,6 +133,33 @@ def test_run_reports_mass_outside_edges(tmp_path):
     assert clipped["quantum"] > 0
 
 
+def test_run_warns_when_the_edges_clip(tmp_path, capsys):
+    # edges right of every sample clip the whole of two pools and most of
+    # the third: the run still exits 0 and writes its files, and says so
+    out = tmp_path / "clipped"
+    assert main(["run", "--ensemble", "goe", "--n-sites", "3", "--d", "2", "--trials", "5",
+                 "--edges", "5,6", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    clipped = read_summary(out)["provenance"]["mass_outside_edges"]
+    assert all(v > 0 for v in clipped.values())
+    assert err.startswith("warning: ") and err.count("\n") == 1, err
+    assert "ks block compares the clipped densities" in err
+    for kind, mass in clipped.items():
+        assert f"{kind} {mass:.4g}" in err
+    assert (out / "densities.csv").exists()
+
+
+def test_run_without_edges_prints_no_warning(tmp_path, capsys):
+    # the default edges span every sample, so nothing is clipped
+    args = _run_args(tmp_path / "default", trials=50)
+    i = args.index("--edges")
+    del args[i:i + 2]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    clipped = read_summary(tmp_path / "default")["provenance"]["mass_outside_edges"]
+    assert clipped == {"classical": 0.0, "iso": 0.0, "quantum": 0.0}
+
+
 def test_run_single_trial_writes_strict_json(tmp_path):
     out = tmp_path / "one"
     assert main(_run_args(out, trials=1)) == 0

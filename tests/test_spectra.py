@@ -252,13 +252,14 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
 
 def test_item_sizes():
     # the fewest whole sub-blocks whose draws hold 2¹⁶ elements: one
-    # sub-block of 16 kept pm1 trials at N=7; four of 256 Wishart trials at
-    # N=5; and at N=9 eleven of 51, so the whole of a 32-trial run
+    # sub-block of 16 kept pm1 trials at N=7; four of 341 Wishart trials at
+    # N=5 (a head stack of 3 × 16² elements a trial); and at N=9 eight of
+    # 68 (five windows, 3 × 5 × 16²), so the whole of a 32-trial run
     wishart = sm.LocalEnsemble.wishart(4)
     assert spectra._item_trials(sm.ChainSpec(7, 2, sm.LocalEnsemble.pm1()), True, 512) == 16
-    assert spectra._item_trials(sm.ChainSpec(5, 2, wishart), False, 8192) == 1024
+    assert spectra._item_trials(sm.ChainSpec(5, 2, wishart), False, 8192) == 1364
     assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 32) == 32
-    assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 10 ** 6) == 561
+    assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 10 ** 6) == 544
 
 
 def test_kept_pools_finish_an_item_before_the_last_is_drawn(monkeypatch):
@@ -359,30 +360,6 @@ def test_quantum_power_sums_match_eigenvalues(spec):
     _assert_power_sums_match(_trial_sums(dense, spec)[2], lam)
 
 
-def _window_cases():
-    for name, ensemble in (("wishart", sm.LocalEnsemble.wishart(4)),
-                           ("goe", sm.LocalEnsemble.goe()), ("pm1", sm.LocalEnsemble.pm1())):
-        for beta in (1, 2):
-            for coupling_range in (2, 3):
-                for n_sites in range(coupling_range, 10):
-                    yield pytest.param(
-                        sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
-                                     coupling_range=coupling_range),
-                        id=f"{name}-beta{beta}-L{coupling_range}-N{n_sites}")
-
-
-@pytest.mark.parametrize("spec", _window_cases())
-def test_quantum_sums_equal_two_embeds(spec):
-    # each window grown from its embedded head, and the overlaps read from
-    # the heads, give the sums of the two window widths embedded apart, bit
-    # for bit: at N = L (one bond), with one window (N ≤ 3L − 2) and with
-    # several, for a stack of trials and for a lone trial
-    gen = sm.Rng(60, spec.n_sites).generator()
-    _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
-    for trials in (dense, dense[:1]):
-        assert np.array_equal(_trial_sums(trials, spec)[2], two_embed_quantum_sums(trials, spec))
-
-
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["wishart", "goe", "pm1", "fixed"]),
        values=st.lists(st.floats(-10, 10), min_size=8, max_size=8),
@@ -472,10 +449,11 @@ def test_moments_only_pools_match_eigenvalue_pools_n7(ensemble, coupling_range, 
 
 
 def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
-    # at N=7 and L=2 the quantum sums embed 16×16 window heads and grow them
-    # into 32×32 windows, in the moment pass, and the classical and
-    # isotropic sums are closed forms in traces of the bond terms: no
-    # 128×128 chain, permutation, Haar draw, rotation or eigensolve is made
+    # at N=7 and L=2 the quantum sums embed only the 16×16 window heads and
+    # take each window's sums from its head and last bond, and the classical
+    # and isotropic sums are closed forms in traces of the bond terms: no
+    # 32×32 window, 128×128 chain, permutation, Haar draw, rotation or
+    # eigensolve is made
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4))
     sides = []
 
@@ -490,15 +468,14 @@ def test_moments_only_route_forms_no_chain_matrix(monkeypatch):
         raise AssertionError("the moments-only route sampled a permutation or a rotation, "
                              "or diagonalised a matrix")
 
-    for name in ("embed_sum_batch", "_extend_sum_batch"):
-        monkeypatch.setattr(spectra.chain_mod, name, recording(getattr(spectra.chain_mod, name)))
+    monkeypatch.setattr(spectra.chain_mod, "embed_sum_batch",
+                        recording(spectra.chain_mod.embed_sum_batch))
     for owner, name in ((spectra.matgen, "haar_batch"), (spectra, "_rotate_diag"),
                         (spectra.chain_mod, "diagonals_from_eigs"), (np, "argsort"),
                         (np.linalg, "eigvalsh")):
         monkeypatch.setattr(owner, name, refuse)
     sm.ensemble_pools(spec, 5, sm.Rng(58))
-    assert max(sides) == 32 and spec.m not in sides
-    assert set(sides) == {16, 32}
+    assert set(sides) == {16}
 
 
 def test_only_spectral_ensembles_open_the_eigenvector_stream(monkeypatch):
@@ -649,8 +626,9 @@ def test_range3_pools_match_three_moments(ensemble):
 
 
 def _window_cases():
-    for name, ensemble in (("wishart", sm.LocalEnsemble.wishart(4)),
-                           ("goe", sm.LocalEnsemble.goe()), ("pm1", sm.LocalEnsemble.pm1())):
+    ensembles = (("wishart", sm.LocalEnsemble.wishart(4)), ("goe", sm.LocalEnsemble.goe()),
+                 ("pm1", sm.LocalEnsemble.pm1()))
+    for name, ensemble in ensembles:
         for beta in (1, 2):
             for coupling_range in (2, 3):
                 for n_sites in range(coupling_range, 10):
@@ -658,18 +636,63 @@ def _window_cases():
                         sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
                                      coupling_range=coupling_range),
                         id=f"{name}-beta{beta}-L{coupling_range}-N{n_sites}")
+    # qutrits: one ensemble and β per N, so the largest chain (3⁶) stays cheap
+    for coupling_range in (2, 3):
+        for n_sites in range(coupling_range, 7):
+            name, ensemble = ensembles[n_sites % 3]
+            beta = 1 + n_sites % 2
+            yield pytest.param(
+                sm.ChainSpec(n_sites=n_sites, site_dim=3, ensemble=ensemble, beta=beta,
+                             coupling_range=coupling_range),
+                id=f"d3-{name}-beta{beta}-L{coupling_range}-N{n_sites}")
 
 
 @pytest.mark.parametrize("spec", _window_cases())
 def test_quantum_sums_equal_two_embeds(spec):
-    # each window grown from its embedded head, and the overlaps read from
-    # the heads, give the sums of the two window widths embedded apart, bit
-    # for bit: at N = L (one bond), with one window (N ≤ 3L − 2) and with
-    # several, for a stack of trials and for a lone trial
+    # the windows' sums taken from their heads and last bonds, and the
+    # overlaps' from the heads, give the sums of the two window widths
+    # embedded apart: at N = L (one bond), with one window (N ≤ 3L − 2) and
+    # with several, for a stack of trials and for a lone trial.  Σλ¹ is the
+    # same sum; Σλᵏ is summed in another order, so it agrees within 1e-12
+    # of m·(Σλ²/m)^(k/2)
     gen = sm.Rng(60, spec.n_sites).generator()
     _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
     for trials in (dense, dense[:1]):
-        assert np.array_equal(_trial_sums(trials, spec)[2], two_embed_quantum_sums(trials, spec))
+        got, ref = _trial_sums(trials, spec)[2], two_embed_quantum_sums(trials, spec)
+        assert np.array_equal(got[:, 0], ref[:, 0])
+        for k in (2, 3, 4):
+            scale = spec.m * (ref[:, 1] / spec.m) ** (k / 2)
+            assert np.all(np.abs(got[:, k - 1] - ref[:, k - 1]) <= 1e-12 * scale), k
+
+
+def _hermitian(gen, beta, count, side, shift):
+    x = gaussian_batch((count, side, side), beta, gen)
+    return x + x.conj().swapaxes(-1, -2) + shift[:, None, None] * np.eye(side)
+
+
+@settings(max_examples=40, deadline=None)
+@given(site_dim=st.integers(2, 3), coupling_range=st.integers(2, 3), beta=st.integers(1, 2),
+       first_sites=st.integers(0, 2), windows=st.integers(1, 4),
+       shifts=st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_window_power_sums_match_eigenvalues(site_dim, coupling_range, beta, first_sites,
+                                             windows, shifts, seed):
+    # heads H on P·O sites' worth of indices, P = d^first_sites, and bonds h
+    # on the O = d^(L−1) shared sites and one more, neither centred: the
+    # central sums of each H and of each H ⊗ I_d + I_P ⊗ h against the
+    # eigenvalues of the centred matrices, formed whole
+    d, gen = site_dim, sm.Rng(61, seed).generator()
+    p, o = d ** first_sites, d ** (coupling_range - 1)
+    heads = _hermitian(gen, beta, windows, p * o, np.array(shifts[:windows]))
+    last = _hermitian(gen, beta, windows, o * d, np.array(shifts[4:4 + windows]))
+    stack = np.empty((3, *heads.shape), heads.dtype)
+    stack[0] = heads
+    head_sums, window_sums = spectra._window_power_sums(stack, last, d)
+    for got, mats in ((head_sums, heads),
+                      (window_sums, np.kron(heads, np.eye(d)) + np.kron(np.eye(p), last))):
+        side = mats.shape[-1]
+        centred = mats - np.trace(mats, axis1=1, axis2=2).real[:, None, None] / side * np.eye(side)
+        _assert_power_sums_match(got, np.linalg.eigvalsh(centred))
 
 
 @settings(max_examples=40, deadline=None)
