@@ -13,10 +13,6 @@ Haar rotations for the classical and isotropic spectra, exact for the
 quantum one (``spectra.ensemble_pools``).  ``reproduce`` reads the same sums
 and samples no eigenvalues.
 
-scipy is imported only for ``run``'s provenance (``_library_versions``):
-the samplers need numpy alone, so ``slider``, ``reproduce`` and the pools
-start without it.
-
 Exit codes: 0 ok, 1 tolerance failure (reproduce), 2 usage error.
 """
 
@@ -190,17 +186,13 @@ def _p_empirical(summaries):
 
 
 def _library_versions() -> dict:
-    """numpy's and scipy's versions and the BLAS each was built against, as "name version"."""
-    import scipy
-
-    builds = {}
-    for mod in (np, scipy):
-        try:
-            blas = mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
-            builds[mod.__name__] = f"{blas['name']} {blas['version']}"
-        except (TypeError, KeyError):    # releases without a dict-valued config
-            builds[mod.__name__] = None
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": builds}
+    """numpy's version and the BLAS it was built against, as "name version"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):    # releases without a dict-valued config
+        blas = None
+    return {"numpy": np.__version__, "blas": blas}
 
 
 def cmd_run(args) -> int:

@@ -28,14 +28,10 @@ class Rng:
         if not 0 <= self.stream_index < _MAX_KEY:
             raise ValueError("stream_index must fit in 32 bits")
 
-    def generator(self) -> np.random.Generator:
-        """PCG64 generator for this stream; same stream => same bits."""
-        ss = np.random.SeedSequence(entropy=self.master_seed,
-                                    spawn_key=(self.stream_index,))
-        return np.random.Generator(np.random.PCG64(ss))
-
     def substream(self, *key: int) -> np.random.Generator:
-        """Generator for a child stream keyed by extra 32-bit integers.
+        """PCG64 generator for a child stream keyed by extra 32-bit integers.
+
+        With no key it is this stream's own generator; same key => same bits.
 
         Used by batched Monte Carlo loops: one child per (purpose, component),
         where the component is 0 or a bond index.  A sampler opens each child

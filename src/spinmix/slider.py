@@ -2,15 +2,15 @@
 
 The chain spectrum is approximated by p·classical + (1−p)·isotropic where p
 matches the excess kurtosis.  Everything needed to evaluate p analytically
-lives here: Haar fourth moments, the chain-level moments of the commuting
+lives here: Haar fourth moments, the chain-level moment gap of the commuting
 diagonals, the two fourth-moment gap terms, the universal closed form, the
 empirical p from three kurtoses, the binwise mixture of two densities, and
 the Wishart worked example (bond moments and chain statistics).
 
 Moment conventions: for one bond term, m_j = E(λ^j) for a uniformly chosen
 eigenvalue and m11 = E(λ_i λ_j) for distinct eigenvalues of the *same* term.
-Cross products between different (independent) bonds reduce to m1², which is
-what enters the k(k−1) combinatorial terms below.
+Cross products between different (independent) bonds reduce to m1², which
+cancels from the chain-level gap m2^A − m11^A.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ __all__ = [
     "LocalMoments",
     "SliderResult",
     "haar_q4",
-    "chain_m2",
-    "chain_m11",
     "chain_moment_gap",
     "iso_gap",
     "quantum_gap",
@@ -111,12 +109,10 @@ class LocalMoments:
 
 @dataclass(frozen=True)
 class SliderResult:
-    """Mixture weight plus the kurtoses and gap terms that produced it."""
+    """Mixture weight, with the three kurtoses when the bond law gives them."""
 
     p: float
     one_minus_p: float
-    gap_iso: float
-    gap_quantum: float
     gamma2_classical: Optional[float] = None
     gamma2_iso: Optional[float] = None
     gamma2_quantum: Optional[float] = None
@@ -137,7 +133,7 @@ def haar_q4(m: int, beta: float) -> float:
     return (beta + 2.0) / (m * (m * beta + 2.0))
 
 
-def frob_uv_classical(d: int, beta: float = 1.0) -> float:
+def frob_uv_classical(d: int) -> float:
     """E‖uv‖_F² for d×d reshapes u, v of two independent Haar columns: 1/d."""
     if d < 1:
         raise ValueError("need d >= 1")
@@ -153,32 +149,7 @@ def frob_uv_quantum(d: int, beta: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# chain-level moments of one parity diagonal
-
-
-def chain_m2(local: LocalMoments, dims: SliderDims) -> float:
-    """E(a_i²) of the parity diagonal: k·m2 + k(k−1)·m1².
-
-    Distinct bonds are independent, so their eigenvalue cross products
-    factor into squared means.
-    """
-    k = dims.k
-    return k * local.m2 + k * (k - 1) * local.m1 ** 2
-
-
-def chain_m11(local: LocalMoments, dims: SliderDims) -> float:
-    """E(a_i a_j), i≠j, of the parity diagonal.
-
-    Same-bond contributions split by whether the two diagonal positions hit
-    the same local eigenvalue (multiplicity t n^(k−1) copies each) or two
-    distinct ones.
-    """
-    k, n, m, t = dims.k, dims.n, dims.m, dims.t
-    if m <= 1:
-        raise ValueError("need m > 1")
-    copies = t * n ** (k - 1)
-    same = (copies - 1) * local.m2 + copies * (n - 1) * local.m11
-    return k * (k - 1) * local.m1 ** 2 + k * same / (m - 1)
+# the chain-level moment gap of one parity diagonal
 
 
 def chain_moment_gap(local: LocalMoments, dims: SliderDims) -> float:
@@ -215,7 +186,7 @@ def quantum_gap(local_odd: LocalMoments, local_even: LocalMoments,
     """
     d, beta = dims.d, dims.beta
     pairs = _entangled_pairs(dims.n_sites)
-    delta = frob_uv_classical(d, beta) - frob_uv_quantum(d, beta)
+    delta = frob_uv_classical(d) - frob_uv_quantum(d, beta)
     return d * pairs * (local_odd.m2 - local_odd.m11) \
         * (local_even.m2 - local_even.m11) * delta
 
@@ -245,10 +216,20 @@ def p_universal(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
         * (beta * (d ** 3 + d ** 2 - 2 * d + 1) + 4 * d - 2)
         / ((d - 1.0) * (beta * d * d + 2.0))
     )
-    return _clamped_result(one_minus_p, n_sites, d, beta)
+    result = _clamped_result(one_minus_p)
+    # one domain for both parities: where the gap ratio leaves the floats
+    # (OverflowError: a huge β, or d^N beyond a float) the closed form refuses too
+    _unit_gap_ratio(n_sites, d, beta)
+    return result
 
 
-def _clamped_result(one_minus_p, n_sites, d, beta) -> SliderResult:
+def _unit_gap_ratio(n_sites, d, beta) -> float:
+    """quantum_gap / iso_gap at unit local moments, m2 − m11 = 1, which cancel from it."""
+    dims = SliderDims.odd_side(n_sites, d, beta)
+    return quantum_gap(_UNIT, _UNIT, dims) / iso_gap(_UNIT, _UNIT, dims)
+
+
+def _clamped_result(one_minus_p) -> SliderResult:
     # the interval is guaranteed analytically; only float noise is clamped
     if one_minus_p < 0.0:
         if one_minus_p < -1e-12:
@@ -258,11 +239,7 @@ def _clamped_result(one_minus_p, n_sites, d, beta) -> SliderResult:
         if one_minus_p > 1.0 + 1e-12:
             raise ValueError(f"1-p = {one_minus_p} escaped [0, 1]")
         one_minus_p = 1.0
-    # the gaps at unit local moments, m2 − m11 = 1, which cancel from p
-    dims = SliderDims.odd_side(n_sites, d, beta)
-    return SliderResult(p=1.0 - one_minus_p, one_minus_p=one_minus_p,
-                        gap_iso=iso_gap(_UNIT, _UNIT, dims),
-                        gap_quantum=quantum_gap(_UNIT, _UNIT, dims))
+    return SliderResult(p=1.0 - one_minus_p, one_minus_p=one_minus_p)
 
 
 def slider_p(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
@@ -274,9 +251,7 @@ def slider_p(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
     """
     if n_sites % 2:
         return p_universal(n_sites, d, beta)
-    dims = SliderDims.odd_side(n_sites, d, beta)
-    one_minus_p = quantum_gap(_UNIT, _UNIT, dims) / iso_gap(_UNIT, _UNIT, dims)
-    return _clamped_result(one_minus_p, n_sites, d, beta)
+    return _clamped_result(_unit_gap_ratio(n_sites, d, beta))
 
 
 def p_from_kurtoses(g2q: float, g2c: float, g2iso: float) -> float:
@@ -298,13 +273,11 @@ def ensemble_slider(local: LocalMoments, dims: SliderDims) -> SliderResult:
     _, k2, _, k4 = local.cumulants()
     sigma2 = (n_sites - 1) * k2
     g2c = (n_sites - 1) * k4 / sigma2 ** 2
-    g_iso = iso_gap(local, local, dims)
-    g_q = quantum_gap(local, local, dims)
-    g2iso = g2c - 2.0 * g_iso / sigma2 ** 2
-    g2q = g2c - 2.0 * g_q / sigma2 ** 2
+    g2iso = g2c - 2.0 * iso_gap(local, local, dims) / sigma2 ** 2
+    g2q = g2c - 2.0 * quantum_gap(local, local, dims) / sigma2 ** 2
     p = p_from_kurtoses(g2q, g2c, g2iso)
-    return SliderResult(p=p, one_minus_p=1.0 - p, gap_iso=g_iso, gap_quantum=g_q,
-                        gamma2_classical=g2c, gamma2_iso=g2iso, gamma2_quantum=g2q)
+    return SliderResult(p=p, one_minus_p=1.0 - p, gamma2_classical=g2c,
+                        gamma2_iso=g2iso, gamma2_quantum=g2q)
 
 
 def ie_mixture(p: float, classical: DensityEstimate,

@@ -555,26 +555,37 @@ def jackknife_se(values) -> float:
     return float(math.sqrt((g - 1) / g * ((loo - loo.mean()) ** 2).sum()))
 
 
-def _new_pool(m, trials, keep_samples):
+def _new_pools(m, trials, keep_samples):
+    """A TrialPool that stacks the classical, iso and quantum pools, and those pools.
+
+    Each pool's arrays are its row of the stacked ones, so one ``_accumulate``
+    folds all three.  The block counts are fixed by the blocks alone.
+    """
     samples = None
     if keep_samples:
         if trials * m > _MAX_KEPT_VALUES:
             raise ValueError("sample retention would exceed the memory guard; "
                              "use keep_samples=False")
-        samples = np.empty((trials, m))
+        samples = np.empty((3, trials, m))
     n_blocks = min(_N_BLOCKS, trials)
-    return TrialPool(m, trials, np.zeros(4), np.zeros((n_blocks, 4)),
-                     np.zeros(n_blocks, dtype=np.int64), samples)
+    # trial i falls in block i·n_blocks // trials: block b starts at ⌈b·trials/n_blocks⌉
+    starts = -(-np.arange(n_blocks + 1) * trials // n_blocks)
+    stacked = TrialPool(m, trials, np.zeros((3, 4)), np.zeros((3, n_blocks, 4)),
+                        np.tile(np.diff(starts) * m, (3, 1)), samples)
+    rows = (stacked.moment_sums, stacked.block_sums, stacked.block_counts,
+            samples if keep_samples else (None,) * 3)
+    return stacked, {kind: TrialPool(m, trials, *(a[i] for a in rows))
+                     for i, kind in enumerate(("classical", "iso", "quantum"))}
 
 
-def _accumulate(pool: TrialPool, sums: np.ndarray, lo: int):
-    """Add the (count, 4) per-trial Σλ¹…Σλ⁴ of the trials from `lo` on."""
-    c, n_blocks = sums.shape[0], pool.block_counts.size
-    ids = (np.arange(lo, lo + c) * n_blocks) // pool.trials
+def _accumulate(pools: TrialPool, sums: np.ndarray, lo: int):
+    """Fold the (3, count, 4) Σλ¹…Σλ⁴ of the trials from `lo` on into the stacked pools."""
+    c, n_blocks = sums.shape[1], pools.block_sums.shape[1]
+    ids = (np.arange(lo, lo + c) * n_blocks) // pools.trials
     # a left fold in trial order, so the sums do not depend on the items
-    pool.moment_sums[:] = np.cumsum(np.vstack([pool.moment_sums, sums]), axis=0)[-1]
-    np.add.at(pool.block_sums, ids, sums)
-    pool.block_counts += np.bincount(ids, minlength=n_blocks) * pool.matrix_dim
+    running = np.concatenate([pools.moment_sums[:, None], sums], axis=1)
+    pools.moment_sums[:] = np.cumsum(running, axis=1)[:, -1]
+    np.add.at(pools.block_sums, (slice(None), ids), sums)
 
 
 def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = False):
@@ -608,7 +619,7 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     if keep_samples:
         spec.check_dense_cap()
     m = spec.m
-    pools = {k: _new_pool(m, trials, keep_samples) for k in ("classical", "iso", "quantum")}
+    stacked, pools = _new_pools(m, trials, keep_samples)
     # the local streams are opened once and drawn trial-major, so the draws
     # do not depend on where the item boundaries fall; the eigenvector
     # stream is opened only for an ensemble that draws from it
@@ -627,13 +638,12 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
                  for g in haar_gens])
 
     def work(lo, hi, drawn):
-        rows = [p.samples[lo:hi] for p in pools.values()] if keep_samples else None
+        rows = stacked.samples[:, lo:hi] if keep_samples else None
         evals, factors, keys, gaussians = drawn
         return _chunk_pass(spec, evals, factors, rows, keys, gaussians)
 
     def fold(lo, hi, sums):
-        for pool, trial_sums in zip(pools.values(), sums):
-            _accumulate(pool, trial_sums, lo)
+        _accumulate(stacked, sums, lo)
 
     # the only trial loop
     step = _item_trials(spec, keep_samples, trials)

@@ -20,7 +20,7 @@ def wishart_chain(n_sites, rank=4, d=2, beta=1):
 def local_term(ensemble, rng, d=2, beta=1):
     """One d²×d² bond term: the one-bond chain's draw from rng's generator."""
     spec = sm.ChainSpec(n_sites=2, site_dim=d, ensemble=ensemble, beta=beta)
-    gen = rng.generator()
+    gen = rng.substream()
     return draw_local_batch(spec, 1, gen, vec_gen=gen)[1][0, 0]
 
 

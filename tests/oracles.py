@@ -3,8 +3,9 @@
 They are slow or exhaustive by design: Kronecker products for the batched
 embedding, the quantum window sums from two separately embedded window
 widths, an exact cross convolution for the classical pool, weighted
-moments for the summaries, the appendix's collision count for the
-isotropic gap and an enumeration-backed count of bond 4-tuples.  A weighted
+moments for the summaries, the parity diagonal's chain-level moments and
+the appendix's collision count for the isotropic gap, and an
+enumeration-backed count of bond 4-tuples.  A weighted
 measure is a pair (values, weights) of arrays, sorted by value, with
 weights summing to 1.
 """
@@ -122,6 +123,35 @@ def ks_measures(a, b):
         return np.concatenate([[0.0], np.cumsum(m[1])])[np.searchsorted(m[0], pts, side=side)]
 
     return float(max(np.abs(cdf(a, side) - cdf(b, side)).max() for side in ("left", "right")))
+
+
+# ---------------------------------------------------------------------------
+# chain-level moments of one parity diagonal
+
+
+def chain_m2(local, dims):
+    """E(a_i²) of the parity diagonal: k·m2 + k(k−1)·m1².
+
+    Distinct bonds are independent, so their eigenvalue cross products
+    factor into squared means.
+    """
+    k = dims.k
+    return k * local.m2 + k * (k - 1) * local.m1 ** 2
+
+
+def chain_m11(local, dims):
+    """E(a_i a_j), i≠j, of the parity diagonal.
+
+    Same-bond contributions split by whether the two diagonal positions hit
+    the same local eigenvalue (multiplicity t n^(k−1) copies each) or two
+    distinct ones.
+    """
+    k, n, m, t = dims.k, dims.n, dims.m, dims.t
+    if m <= 1:
+        raise ValueError("need m > 1")
+    copies = t * n ** (k - 1)
+    same = (copies - 1) * local.m2 + copies * (n - 1) * local.m11
+    return k * (k - 1) * local.m1 ** 2 + k * same / (m - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def _kron_sum(dense, spec, positions):
 @pytest.mark.parametrize("n_sites", [3, 4, 5, 6, 7])
 def test_embed_sum_batch_equals_kron_sum(n_sites, beta, parity):
     spec = wishart_chain(n_sites, beta=beta)
-    _, dense = draw_local_batch(spec, 3, sm.Rng(70 + n_sites).generator())
+    _, dense = draw_local_batch(spec, 3, sm.Rng(70 + n_sites).substream())
     bonds = {"all": slice(None), "odd": spec.summand_bonds[0],
              "even": spec.summand_bonds[1]}[parity]
     positions = [i + 1 for i in range(spec.n_bonds)[bonds]]
@@ -84,7 +84,7 @@ def test_embed_sum_batch_equals_kron_sum(n_sites, beta, parity):
 def test_embed_sum_batch_equals_kron_sum_range3():
     spec = sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(8),
                         coupling_range=3)
-    _, dense = draw_local_batch(spec, 2, sm.Rng(77).generator())
+    _, dense = draw_local_batch(spec, 2, sm.Rng(77).substream())
     positions = range(1, spec.n_bonds + 1)
     assert np.array_equal(embed_sum_batch(dense, spec),
                           _kron_sum(dense, spec, positions))
@@ -139,7 +139,7 @@ def _summand_cases():
 def test_diagonals_match_parity_spectra(spec):
     # each summand is the diagonal of its own bonds' embedded diagonal terms,
     # and has the spectrum of its own bonds' embedded terms
-    _, dense = draw_local_batch(spec, 2, sm.Rng(7, spec.n_sites).generator())
+    _, dense = draw_local_batch(spec, 2, sm.Rng(7, spec.n_sites).substream())
     evals = np.linalg.eigvalsh(dense)
     diag_terms = evals[..., None] * np.eye(spec.local_dim)
     summands = diagonals_from_eigs(evals, spec)
@@ -172,7 +172,7 @@ def test_diagonal_multiplicities():
 
 def test_chain_second_moment_mc(spec_n3):
     # (1/m) E sum a_i^2 -> k m2 = 36 for d=2, r=4, N=3
-    _, dense = draw_local_batch(spec_n3, 40_000, sm.Rng(13).generator())
+    _, dense = draw_local_batch(spec_n3, 40_000, sm.Rng(13).substream())
     a, _ = diagonals_from_eigs(np.linalg.eigvalsh(dense), spec_n3)
     per_trial = (a ** 2).mean(axis=1)
     se = per_trial.std(ddof=1) / np.sqrt(per_trial.size)

@@ -1,7 +1,7 @@
-"""No sampler loads scipy: the cold import graph, and a kept pool's BLAS state.
+"""The package loads no scipy: the cold import graph, and a kept pool's BLAS state.
 
-Each test runs a fresh interpreter, since the test session itself has long
-imported scipy.
+Each test runs a fresh interpreter, since the test session itself may have
+long imported scipy.
 """
 
 import json
@@ -10,13 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # loaded by scipy.linalg, or through its array-API shim
 HEAVY = ["scipy", "scipy.linalg", "numpy.f2py", "numpy.testing"]
 
 _IMPORT_GRAPH = """
-import json, sys
+import json, sys, tempfile
 import spinmix
 from spinmix import ChainSpec, LocalEnsemble, Rng, cli, spectra
 for ensemble in (LocalEnsemble.wishart(4), LocalEnsemble.goe()):
@@ -26,7 +28,11 @@ codes = [cli.main(["slider", "--n-sites", "5", "--d", "2"]),
 cold = [name for name in json.loads(sys.argv[1]) if name in sys.modules]
 spectra.ensemble_pools(ChainSpec(5, 2, LocalEnsemble.pm1()), 16, Rng(0), keep_samples=True)
 kept = [name for name in json.loads(sys.argv[1]) if name in sys.modules]
-print(json.dumps({"codes": codes, "cold": cold, "kept": kept}))
+with tempfile.TemporaryDirectory() as out:
+    codes.append(cli.main(["run", "--ensemble", "pm1", "--n-sites", "4", "--d", "2",
+                           "--trials", "20", "--out", out]))
+ran = [name for name in json.loads(sys.argv[1]) if name in sys.modules]
+print(json.dumps({"codes": codes, "cold": cold, "kept": kept, "ran": ran}))
 """
 
 # argv[1] "first" imports scipy.linalg before the package, "never" leaves it
@@ -67,18 +73,29 @@ def _fresh(code, *args):
 
 def test_closed_forms_and_moments_only_pools_load_no_scipy():
     out = _fresh(_IMPORT_GRAPH, json.dumps(HEAVY))
-    assert out["codes"] == [0, 0]
+    assert out["codes"] == [0, 0, 0]
     assert out["cold"] == []
     assert out["kept"] == [], "a kept pm1 pool builds its Haar matrices with numpy alone"
+    assert out["ran"] == [], "run's provenance reads numpy alone"
 
 
-def test_kept_pool_keeps_the_thread_count_and_the_bits():
-    never, first = _fresh(_KEPT_POOL, "never"), _fresh(_KEPT_POOL, "first")
-    assert not never["scipy"] and first["scipy"]
+@pytest.fixture(scope="module")
+def never():
+    return _fresh(_KEPT_POOL, "never")
+
+
+def test_kept_pool_keeps_the_thread_count_and_the_bits(never):
+    assert not never["scipy"]
     assert never["items"] > 1
     assert never["after"] == never["before"]
     # each OpenBLAS file is loaded once (read from /proc/self/maps where there
     # is one), and the pool loads no other
     assert set(never["loads"].values()) <= {1}
+
+
+def test_kept_pool_keeps_the_bits_with_scipy_loaded_first(never):
+    pytest.importorskip("scipy.linalg", reason="the 'first' case needs scipy, a test extra")
+    first = _fresh(_KEPT_POOL, "first")
+    assert first["scipy"]
     assert set(never["loads"]) <= set(first["loads"])
     assert never["sha256"] == first["sha256"]

@@ -34,9 +34,9 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
-# read only from outside the package: the benchmark's draw, and the
-# parity-diagonal moments that the closed-form tests check term by term
-UNREAD_ALLOWED = ["chain_m11", "chain_m2", "draw_local_batch"]
+# read only from outside the package: the benchmark's draw, which
+# perfbench's tracer wraps and its tests call
+UNREAD_ALLOWED = ["draw_local_batch"]
 
 
 def test_package_reads_what_it_defines():
@@ -56,3 +56,27 @@ def test_package_reads_what_it_defines():
     defined = {node.name for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert sorted(defined - read) == UNREAD_ALLOWED
+
+
+# (module, function, parameter) that the body need not read: the stream's
+# fold callback is called as fold(lo, hi, sums), and the pools' fold needs
+# only where the item starts
+UNREAD_PARAMETERS_ALLOWED = [("spectra.py", "fold", "hi")]
+
+
+def test_package_functions_read_their_parameters():
+    # a parameter that no expression of its function reads (nested functions
+    # included) is an input that changes nothing
+    unread = []
+    for path in sorted(ROOT.glob("src/spinmix/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(p for p in (a.vararg, a.kwarg) if p is not None)]
+            name = getattr(node, "name", "<lambda>")
+            unread += [(path.name, name, p.arg) for p in params if p.arg not in read]
+    assert sorted(unread) == UNREAD_PARAMETERS_ALLOWED

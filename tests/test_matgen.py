@@ -12,11 +12,11 @@ from conftest import local_term, wishart_chain
 
 def _haar(dim, beta, rng):
     """One Haar matrix from rng's generator."""
-    return haar_batch(dim, beta, rng.generator(), 1)[0]
+    return haar_batch(dim, beta, rng.substream(), 1)[0]
 
 
 def _entry_q4_stats(dim, beta, count, seed):
-    q = haar_batch(dim, beta, sm.Rng(seed).generator(), count)
+    q = haar_batch(dim, beta, sm.Rng(seed).substream(), count)
     per_matrix = (np.abs(q) ** 4).mean(axis=(1, 2))
     return per_matrix.mean(), per_matrix.std(ddof=1) / np.sqrt(count)
 
@@ -66,8 +66,8 @@ def _reflector_product(vectors, beta):
 @pytest.mark.parametrize("dim,beta", [(4, 1), (32, 2), (128, 1), (512, 2)])
 def test_haar_is_sign_fixed_product_of_its_reflectors(dim, beta):
     # vector k of a trial is its next dim − k Gaussians, trial-major
-    q = haar_batch(dim, beta, sm.Rng(4, dim).generator(), 2)
-    flat = gaussian_batch((2, dim * (dim + 1) // 2), beta, sm.Rng(4, dim).generator())
+    q = haar_batch(dim, beta, sm.Rng(4, dim).substream(), 2)
+    flat = gaussian_batch((2, dim * (dim + 1) // 2), beta, sm.Rng(4, dim).substream())
     cuts = np.cumsum(np.arange(dim, 1, -1))
     for t in range(2):
         ref = _reflector_product(np.split(flat[t], cuts), beta)
@@ -90,15 +90,15 @@ def test_haar_fourth_moment_law_blocked(dim, beta, count):
 
 @pytest.mark.parametrize("dim,beta", [(4, 1), (4, 2), (128, 1)])
 def test_haar_longer_draw_starts_with_shorter_draw(dim, beta):
-    short = haar_batch(dim, beta, sm.Rng(7, dim).generator(), 3)
-    longer = haar_batch(dim, beta, sm.Rng(7, dim).generator(), 5)
+    short = haar_batch(dim, beta, sm.Rng(7, dim).substream(), 3)
+    longer = haar_batch(dim, beta, sm.Rng(7, dim).substream(), 5)
     assert np.array_equal(longer[:3], short)
 
 
 def test_haar_left_invariance_statistical():
     # multiplying by a fixed orthogonal matrix must not change entry moments
-    fixed = haar_batch(4, 1, sm.Rng(99).generator(), 1)[0]
-    q = haar_batch(4, 1, sm.Rng(5).generator(), 40_000)
+    fixed = haar_batch(4, 1, sm.Rng(99).substream(), 1)[0]
+    q = haar_batch(4, 1, sm.Rng(5).substream(), 40_000)
     fq = np.einsum("ij,tjk->tik", fixed, q)
     per_matrix = (fq ** 4).mean(axis=(1, 2))
     se = per_matrix.std(ddof=1) / np.sqrt(per_matrix.size)
@@ -119,7 +119,7 @@ def test_haar_rejects_unsupported_beta():
 
 
 def test_wishart_mean_eigenvalue_is_rank():
-    gen = sm.Rng(21).generator()
+    gen = sm.Rng(21).substream()
     w = gaussian_batch((100_000, 4, 4), 1, gen)
     h = np.einsum("tri,trj->tij", w, w)
     tr = np.einsum("tii->t", h) / 4.0
@@ -128,7 +128,7 @@ def test_wishart_mean_eigenvalue_is_rank():
 
 
 def test_wishart_second_moment():
-    gen = sm.Rng(22).generator()
+    gen = sm.Rng(22).substream()
     w = gaussian_batch((100_000, 4, 4), 1, gen)
     h = np.einsum("tri,trj->tij", w, w)
     tr2 = np.einsum("tij,tij->t", h, h) / 4.0
@@ -137,7 +137,7 @@ def test_wishart_second_moment():
 
 
 def test_wishart_beta2_first_moment_convention():
-    gen = sm.Rng(23).generator()
+    gen = sm.Rng(23).substream()
     w = gaussian_batch((50_000, 4, 4), 2, gen)
     h = np.einsum("tri,trj->tij", w.conj(), w)
     tr = np.einsum("tii->t", h).real / 4.0
@@ -165,7 +165,7 @@ def test_goe_exactly_hermitian():
 
 
 def test_goe_trace_moments():
-    gen = sm.Rng(31).generator()
+    gen = sm.Rng(31).substream()
     g = gaussian_batch((100_000, 4, 4), 1, gen)
     h = (g + g.swapaxes(1, 2)) / 2.0
     tr = np.einsum("tii->t", h) / 4.0
@@ -196,7 +196,7 @@ def test_fixed_spectrum_wrong_length():
 def test_local_term_eigendecomposition_roundtrip():
     # the eigenvalues draw_local_batch returns belong to the terms it returns;
     # Wishart terms are drawn whole and returned undiagonalised
-    gen = sm.Rng(9).generator()
+    gen = sm.Rng(9).substream()
     evals, dense = draw_local_batch(wishart_chain(2), 1, gen)
     assert evals is None
     assert np.abs(dense[0, 0] - dense[0, 0].conj().T).max() <= 1e-12

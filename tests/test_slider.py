@@ -12,7 +12,7 @@ from spinmix.cli import _p_empirical
 from spinmix.slider import SliderDims, _entangled_pairs
 
 from conftest import wishart_chain
-from oracles import appendix_iso_expectation, term_counts
+from oracles import appendix_iso_expectation, chain_m11, chain_m2, term_counts
 
 
 W44 = sm.wishart_moments(4, 4, 1.0)
@@ -46,7 +46,7 @@ def test_frob_pair_ordering(beta):
 
 def test_frob_pair_monte_carlo():
     # u, v are d x d reshapes of two independent Haar columns
-    gen = sm.Rng(61).generator()
+    gen = sm.Rng(61).substream()
     q1 = haar_batch(4, 1, gen, 50_000)
     q2 = haar_batch(4, 1, gen, 50_000)
     u = q1[:, :, 0].reshape(-1, 2, 2)
@@ -64,25 +64,25 @@ def test_frob_pair_monte_carlo():
 
 
 def test_chain_m2_reduces_at_k1():
-    assert sm.chain_m2(W44, DIMS[3]) == W44.m2 == 36.0
+    assert chain_m2(W44, DIMS[3]) == W44.m2 == 36.0
 
 
 def test_chain_m2_all_equal_eigenvalues():
     unit = sm.LocalMoments(m1=1.0, m2=1.0, m11=1.0)
     for n_sites in (3, 5, 7):
         k = DIMS[n_sites].k
-        assert sm.chain_m2(unit, DIMS[n_sites]) == pytest.approx(k * k, abs=1e-12)
-        assert sm.chain_m11(unit, DIMS[n_sites]) == pytest.approx(k * k, abs=1e-12)
+        assert chain_m2(unit, DIMS[n_sites]) == pytest.approx(k * k, abs=1e-12)
+        assert chain_m11(unit, DIMS[n_sites]) == pytest.approx(k * k, abs=1e-12)
 
 
 def test_chain_m11_wishart_n3():
-    assert sm.chain_m11(W44, DIMS[3]) == pytest.approx(108 / 7, rel=1e-14)
+    assert chain_m11(W44, DIMS[3]) == pytest.approx(108 / 7, rel=1e-14)
 
 
 def test_chain_m2_m11_wishart_n5_frozen():
     # values frozen from the pair-average Monte Carlo oracle run pre-build
-    assert sm.chain_m2(W44, DIMS[5]) == pytest.approx(104.0, rel=1e-14)
-    assert sm.chain_m11(W44, DIMS[5]) == pytest.approx(2072 / 31, rel=1e-14)
+    assert chain_m2(W44, DIMS[5]) == pytest.approx(104.0, rel=1e-14)
+    assert chain_m11(W44, DIMS[5]) == pytest.approx(2072 / 31, rel=1e-14)
 
 
 @pytest.mark.parametrize("n_sites", [3, 4, 5, 7])
@@ -90,13 +90,13 @@ def test_chain_gap_identity(n_sites):
     dims = SliderDims.odd_side(n_sites, 2, 1.0)
     balanced_pm1 = sm.LocalMoments(m1=0.0, m2=1.0, m11=-1 / 3, m3=0.0, m4=1.0)
     for local in (W44, sm.wishart_moments(2, 4, 1.0), balanced_pm1):
-        direct = sm.chain_m2(local, dims) - sm.chain_m11(local, dims)
+        direct = chain_m2(local, dims) - chain_m11(local, dims)
         assert direct == pytest.approx(sm.chain_moment_gap(local, dims), rel=1e-12)
 
 
 def test_chain_moments_monte_carlo_oracle(spec_n5):
     # brute-force averages over the sampled diagonal of A, N=5, r=4
-    _, dense = draw_local_batch(spec_n5, 150_000, sm.Rng(62).generator())
+    _, dense = draw_local_batch(spec_n5, 150_000, sm.Rng(62).substream())
     a, _ = diagonals_from_eigs(np.linalg.eigvalsh(dense), spec_n5)
     m = a.shape[1]
     m2_t = (a ** 2).mean(axis=1)
@@ -308,7 +308,7 @@ def test_wishart_moments_beta1():
 
 
 def test_wishart_higher_moments_monte_carlo():
-    gen = sm.Rng(64).generator()
+    gen = sm.Rng(64).substream()
     w = gen.standard_normal((150_000, 4, 4))
     ev = np.linalg.eigvalsh(np.einsum("tri,trj->tij", w, w))
     for j, expect in ((3, W44.m3), (4, W44.m4)):
@@ -319,7 +319,7 @@ def test_wishart_higher_moments_monte_carlo():
 
 
 def test_wishart_moments_beta2_monte_carlo():
-    gen = sm.Rng(65).generator()
+    gen = sm.Rng(65).substream()
     w = gen.standard_normal((60_000, 4, 4)) + 1j * gen.standard_normal((60_000, 4, 4))
     h = np.einsum("tri,trj->tij", w.conj(), w)
     t = np.einsum("tij,tji->t", h, h).real / 4.0
@@ -370,8 +370,8 @@ def test_appendix_identity_matrix_case():
 def test_appendix_equals_classical_minus_gap(beta, n_sites):
     dims = SliderDims.odd_side(n_sites, 2, beta)
     local = sm.wishart_moments(3, 4, beta)
-    m2a = sm.chain_m2(local, dims)
-    m11a = sm.chain_m11(local, dims)
+    m2a = chain_m2(local, dims)
+    m11a = chain_m11(local, dims)
     oracle = appendix_iso_expectation((m2a, m11a), (m2a, m11a), dims.m, beta)
     main = m2a * m2a - sm.iso_gap(local, local, dims)
     assert oracle == pytest.approx(main, rel=1e-12)

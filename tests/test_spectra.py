@@ -32,14 +32,14 @@ def test_summarize_point_mass():
 
 
 def test_summarize_gaussian_kurtosis():
-    x = sm.Rng(41).generator().standard_normal(1_000_000)
+    x = sm.Rng(41).substream().standard_normal(1_000_000)
     s = summarize(x)
     assert abs(s.gamma2) < 0.01
     assert abs(s.gamma1) < 0.01
 
 
 def test_summary_internal_consistency():
-    gen = sm.Rng(42).generator()
+    gen = sm.Rng(42).substream()
     v, w = gen.standard_normal(500) * 3 + 1, gen.random(500)
     s = summarize(v, w)
     v, w = measure(v, w)
@@ -71,7 +71,7 @@ def test_classical_exact_cross_binary():
 
 
 def test_classical_exact_cross_mean_additivity():
-    gen = sm.Rng(43).generator()
+    gen = sm.Rng(43).substream()
     a = measure(gen.standard_normal(40), gen.random(40))
     b = measure(gen.standard_normal(25) + 2, gen.random(25))
     mean = [summarize(*m).mu for m in (a, b, classical_convolve(a, b))]
@@ -82,7 +82,7 @@ def test_classical_mc_matches_exact():
     # with a fixed bond spectrum the diagonals a, b of a 5-site chain are the
     # same multisets in every trial, so the classical pool is a Monte Carlo
     # estimate of their exact cross convolution
-    gen = sm.Rng(44).generator()
+    gen = sm.Rng(44).substream()
     spec = sm.ChainSpec(n_sites=5, site_dim=2,
                         ensemble=sm.LocalEnsemble.fixed_spectrum(gen.standard_normal(4)))
     evals = np.broadcast_to(np.sort(spec.ensemble.values), (1, spec.n_bonds, 4))
@@ -120,7 +120,7 @@ def test_isotropic_pool_matches_classical_three_moments():
     # same multisets in every trial, and averaged over Q each trial's
     # isotropic spectrum has the first three moments of their classical
     # convolution, so the pool has them to rounding
-    gen = sm.Rng(48).generator()
+    gen = sm.Rng(48).substream()
     spec = sm.ChainSpec(n_sites=3, site_dim=2,
                         ensemble=sm.LocalEnsemble.fixed_spectrum(gen.standard_normal(4)))
     evals = np.broadcast_to(np.sort(spec.ensemble.values), (1, spec.n_bonds, 4))
@@ -134,7 +134,7 @@ def test_isotropic_pool_matches_classical_three_moments():
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("m", [4, 32, 64, 65, 128])
 def test_rotation_kernels_match_explicit_products(m, beta):
-    gen = sm.Rng(50, m).generator()
+    gen = sm.Rng(50, m).substream()
     q = haar_batch(m, beta, gen, 3)
     b = gen.standard_normal((3, m))
     got_diag = _rotate_diag(q, b)
@@ -154,7 +154,7 @@ def _assert_power_sums_match(got, lam):
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("m", [1, 4, 32, 128])
 def test_power_sums_match_eigenvalues(m, beta, shift):
-    gen = sm.Rng(53, m).generator()
+    gen = sm.Rng(53, m).substream()
     x = gaussian_batch((5, m, m), beta, gen)
     mats = x + x.conj().swapaxes(-1, -2) + shift * np.eye(m)
     _assert_power_sums_match(_power_sums(mats), np.linalg.eigvalsh(mats))
@@ -167,7 +167,7 @@ def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4), beta=beta)
 
     def kernels():
-        gen = sm.Rng(54, beta).generator()
+        gen = sm.Rng(54, beta).substream()
         g = gaussian_batch((40, 16 * 17 // 2), beta, gen)
         b = gen.standard_normal((40, 16))
         # the Haar kernel and the rotation on each sub-block, as the kept pass runs them
@@ -183,7 +183,7 @@ def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
 
     ref = kernels()
     # haar_batch draws the same Gaussians and runs the same kernel on its sub-blocks
-    assert np.array_equal(haar_batch(16, beta, sm.Rng(54, beta).generator(), 40), ref[0])
+    assert np.array_equal(haar_batch(16, beta, sm.Rng(54, beta).substream(), 40), ref[0])
     monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)      # one trial per sub-block
     for r, g in zip(ref, kernels()):
         assert np.array_equal(r, g)
@@ -353,7 +353,7 @@ def _quantum_oracle_cases():
 
 @pytest.mark.parametrize("spec", _quantum_oracle_cases())
 def test_quantum_power_sums_match_eigenvalues(spec):
-    gen = sm.Rng(57, spec.n_sites).generator()
+    gen = sm.Rng(57, spec.n_sites).substream()
     count = 2 if spec.m > 512 else 4
     _, dense = draw_local_batch(spec, count, gen, vec_gen=gen)
     lam = np.linalg.eigvalsh(embed_sum_batch(dense, spec))
@@ -376,7 +376,7 @@ def test_bond_cumulants_from_traces_match_eigenvalues(kind, values, coupling_ran
                 "fixed": sm.LocalEnsemble.fixed_spectrum(values[:2 ** coupling_range])}[kind]
     spec = sm.ChainSpec(n_sites=coupling_range + 2, site_dim=2, ensemble=ensemble, beta=beta,
                         coupling_range=coupling_range)
-    gen = sm.Rng(seed).generator()
+    gen = sm.Rng(seed).substream()
     _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
     dense = dense + shift * np.eye(spec.local_dim)
     bonds, _ = _bond_moments(dense)
@@ -655,7 +655,7 @@ def test_quantum_sums_equal_two_embeds(spec):
     # with several, for a stack of trials and for a lone trial.  Σλ¹ is the
     # same sum; Σλᵏ is summed in another order, so it agrees within 1e-12
     # of m·(Σλ²/m)^(k/2)
-    gen = sm.Rng(60, spec.n_sites).generator()
+    gen = sm.Rng(60, spec.n_sites).substream()
     _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
     for trials in (dense, dense[:1]):
         got, ref = _trial_sums(trials, spec)[2], two_embed_quantum_sums(trials, spec)
@@ -681,7 +681,7 @@ def test_window_power_sums_match_eigenvalues(site_dim, coupling_range, beta, fir
     # on the O = d^(L−1) shared sites and one more, neither centred: the
     # central sums of each H and of each H ⊗ I_d + I_P ⊗ h against the
     # eigenvalues of the centred matrices, formed whole
-    d, gen = site_dim, sm.Rng(61, seed).generator()
+    d, gen = site_dim, sm.Rng(61, seed).substream()
     p, o = d ** first_sites, d ** (coupling_range - 1)
     heads = _hermitian(gen, beta, windows, p * o, np.array(shifts[:windows]))
     last = _hermitian(gen, beta, windows, o * d, np.array(shifts[4:4 + windows]))
@@ -791,7 +791,7 @@ def test_ks_distance_coarse_vs_fine_histogram():
     # binning 20,000 Gaussian draws into 100 bins moves the CDF by less than
     # 0.02 from a 5,000-bin histogram of the same draws, which stands in for
     # their ECDF
-    x = sm.Rng(55).generator().standard_normal(20_000)
+    x = sm.Rng(55).substream().standard_normal(20_000)
     assert sm.ks_distance(_density(x, 100), _density(x, 5000)) < 0.02
 
 
@@ -803,7 +803,7 @@ def test_histogram_single_atom():
 
 
 def test_histogram_mass_preservation_and_refinement():
-    x = sm.Rng(56).generator().standard_normal(5000)
+    x = sm.Rng(56).substream().standard_normal(5000)
     for bins in (1, 7, 50, 333):
         assert abs(_density(x, bins).masses.sum() - 1.0) < 1e-12
     edges = np.linspace(-1.0, 1.0, 9)            # clips the tails into end bins
@@ -813,7 +813,7 @@ def test_histogram_mass_preservation_and_refinement():
 def test_histogram_default_fd():
     # the default edges of `spinmix run`: Freedman–Diaconis with the quartiles
     # the ⌈n/4⌉-th and ⌈3n/4⌉-th smallest values
-    x = sm.Rng(57).generator().standard_normal(4000)
+    x = sm.Rng(57).substream().standard_normal(4000)
     q1, q3 = np.sort(x)[[999, 2999]]
     width = 2 * (q3 - q1) / 4000 ** (1 / 3)
     bins = math.ceil((x.max() - x.min()) / width)
@@ -833,7 +833,7 @@ def test_fd_quartiles_are_inverted_cdf_order_statistics():
 
 
 def test_fd_bin_count_is_capped():
-    x = sm.Rng(59).generator().standard_normal(4000)
+    x = sm.Rng(59).substream().standard_normal(4000)
     x[0] = 1e6                                   # a far outlier widens the range
     assert sm.bin_edges(x).size == spectra._MAX_BINS + 1
     assert sm.bin_edges(np.repeat([0.0, 1.0], [190, 10])).size == 15    # IQR 0: √200 bins
