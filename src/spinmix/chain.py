@@ -3,7 +3,8 @@
 A chain of N qudits of dimension d carries one random bond term per run of L
 adjacent sites, n_bonds = N − L + 1 of them.  ``_draw_bonds`` makes a
 work item's random draws on the calling thread and ``_bond_terms`` forms the
-Hermitian terms from them (``draw_local_batch`` does both).
+Hermitian terms from them, with the trial axis last (``draw_local_batch``
+does both).
 ``embed_sum_batch`` adds the embedded terms I ⊗ h ⊗ I of a batch of chains
 into m×m matrices, m = d^N, without forming a Kronecker product.
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matgen
+from ._workers import _scratch
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -152,7 +154,8 @@ class ChainSpec:
 def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
     """Batched bond draws for Monte Carlo loops.
 
-    Returns (evals, dense), dense of shape (count, n_bonds, d^L, d^L).  The
+    Returns (evals, dense), dense of shape (count, n_bonds, d^L, d^L): a view
+    of ``_bond_terms``'s array, whose trial axis is last.  The
     spectral ensembles (pm1, balanced pm1, fixed) draw evals, (count,
     n_bonds, d^L) sorted ascending per bond, from `gen` and Haar
     eigenvectors from `vec_gen`, which only they need, so the eigenvalue
@@ -160,7 +163,7 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
     drawn whole from `gen` and returned undiagonalised, with evals None.
     """
     evals, factors = _draw_bonds(spec, count, gen, vec_gen)
-    return evals, _bond_terms(spec, evals, factors)
+    return evals, _bond_terms(spec, evals, factors).transpose(3, 2, 0, 1)
 
 
 def _vector_gen(spec: ChainSpec, rng):
@@ -207,22 +210,29 @@ def _draw_elements(spec: ChainSpec) -> int:
 
 
 def _bond_terms(spec: ChainSpec, evals, factors, out=None):
-    """The Hermitian bond terms of `_draw_bonds`'s (evals, factors), into `out`.
+    """The Hermitian bond terms of `_draw_bonds`'s (evals, factors), trial axis last.
 
-    Every step is per term, so a run of trials gets the same terms, bit for
-    bit, alone or within a longer run.
+    Fills `out`, (d^L, d^L, n_bonds, count), so that every bond-sized step
+    downstream runs as an elementwise op on vectors of n_bonds·count
+    entries.  Every step is per term, so a run of trials gets the same
+    terms, bit for bit, alone or within a longer run.  A Wishart term is
+    w†w summed over the rank in one order for both of its triangles, so it
+    is exactly Hermitian; the other terms are symmetrized, (h + h†)/2.
     """
+    nb, nloc = spec.n_bonds, spec.local_dim
     if out is None:
-        out = np.empty((len(factors), spec.n_bonds, spec.local_dim, spec.local_dim),
-                       dtype=factors.dtype)
+        out = np.empty((nloc, nloc, nb, len(factors)), dtype=factors.dtype)
     if spec.ensemble.kind == "wishart":
-        w = factors.reshape(-1, *factors.shape[2:])
-        h = np.einsum("tri,trj->tij", w.conj(), w).reshape(out.shape)
-    elif spec.ensemble.kind == "goe":
+        # the draws laid out trial-last first: einsum's loops then run over
+        # n_bonds·count entries, not over d^L
+        w = _scratch("draws", (factors.shape[2], nloc, nb, len(factors)), factors.dtype)
+        w[...] = factors.transpose(2, 3, 1, 0)
+        return np.einsum("ribt,rjbt->ijbt", w.conj(), w, out=out)
+    if spec.ensemble.kind == "goe":
         h = factors
     else:
         h = np.einsum("tbij,tbj,tbkj->tbik", factors, evals, factors.conj())
-    np.add(h, h.conj().swapaxes(-1, -2), out=out)
+    np.add(h.transpose(2, 3, 1, 0), h.conj().transpose(3, 2, 1, 0), out=out)
     out /= 2.0
     return out
 
@@ -234,9 +244,11 @@ def _bond_terms(spec: ChainSpec, evals, factors, out=None):
 def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
     """Sum of embedded bond terms for a batch: (count, m, m).
 
-    `dense` is (count, n_bonds, d^L, d^L), slice i holding bond i + 1.  The
-    sum is written into `out`, a C-contiguous array of that shape, when it
-    is given.
+    `dense` is (count, n_bonds, d^L, d^L), slice i holding bond i + 1, with
+    any strides.  The sum is written into `out`, an array of that shape
+    with any strides, when it is given: a batch-innermost `out` (a
+    transposed view of an (m, m, count) array) makes every add a loop over
+    the batch.  The adds are the same, bond by bond, for any layout.
     """
     count, nb, nloc = dense.shape[0], dense.shape[1], dense.shape[2]
     if nb != spec.n_bonds or nloc != spec.local_dim:
@@ -245,15 +257,15 @@ def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
         out = np.zeros((count, spec.m, spec.m), dtype=dense.dtype)
     else:
         out[...] = 0
+    batch, row, col = out.strides
     for i in range(nb):
         left = spec.site_dim ** i
         right = spec.m // (left * nloc)
         # I_left ⊗ H ⊗ I_right is nonzero only at row (p, i, r), column
         # (p, j, r); add H into a writable view of exactly those entries
-        s = out.reshape(count, left, nloc, right, left, nloc, right).strides
         blocks = np.lib.stride_tricks.as_strided(
             out, (count, left, right, nloc, nloc),
-            (s[0], s[1] + s[4], s[3] + s[6], s[2], s[5]))
+            (batch, nloc * right * (row + col), row + col, right * row, right * col))
         blocks += dense[:, i, None, None]
     return out
 

@@ -28,6 +28,8 @@ from numpy.linalg import _umath_linalg
 
 __all__ = ["gaussian_batch", "haar_batch"]
 
+_SLICE = 1 << 14                 # elements of the transposing temporary, when a matrix is smaller
+
 
 def _check_beta(beta):
     if beta not in (1, 2):
@@ -108,9 +110,13 @@ def haar_from_gaussians(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     # is what turns the reflector product into exact Haar measure
     sign = np.sign(r_diag, out=r_diag)
     sign[sign == 0] = 1.0
-    # orgqr writes Q into out[t].T, so out[t] holds Q transposed
+    # orgqr writes Q into out[t].T, so out[t] holds Q transposed; it is
+    # transposed back, with column k of Q scaled by sign k, a slice of the
+    # batch at a time, whose temporary holds one dim×dim matrix or, for
+    # small matrices, up to _SLICE elements
     flipped = out.swapaxes(-1, -2)
     _umath_linalg.qr_complete(flipped, tau, out=flipped)
-    for i in range(count):
-        out[i] = out[i].T * sign[i]
+    step = max(1, _SLICE // (dim * dim))
+    for s in range(0, count, step):
+        out[s:s + step] = out[s:s + step].swapaxes(-1, -2) * sign[s:s + step, None, :]
     return out

@@ -40,7 +40,7 @@ its local draw.
 
 * The classical and isotropic sums are their exact means over the
   permutations and rotations, closed forms in the bonds' cumulants
-  (``_conditional_power_sums``): traces of powers of each centred bond
+  (``_conditional_cumulants``): traces of powers of each centred bond
   term, O(n_bonds · d^(3L)) per trial, with no draw and no eigensolver.
 * The quantum sums are exact (``_trial_sums``): the chain's cumulants are
   those of its windows of s = 3(L−1)+1 consecutive bonds, less those of
@@ -251,25 +251,99 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, y)
 
 
-def _power_sums(mats: np.ndarray) -> np.ndarray:
-    """Σλ¹…Σλ⁴ of each Hermitian matrix in a stack, as a (count, 4) array.
+# The kernels below keep the trial (or window) axis last: a (d^L, d^L, …)
+# array holds one matrix entry per leading index pair and a long vector of
+# trials behind it, so each step is one elementwise op over the trials.
+# Their bond-sized temporaries are cut from a `spare` flat array when one
+# is given and they fit (``_pieces``), so a sub-block maps no fresh pages.
 
-    They are tr M, ⟨M, M⟩, ⟨M², M⟩ and ⟨M², M²⟩ with the real part of the
-    conjugated inner product, so one M² per matrix replaces an eigvalsh.
+
+def _pieces(spare, dtype, *shapes):
+    """Arrays of `shapes` cut one after another from the flat `spare`, then what is left.
+
+    A shape that no longer fits, or every shape when `spare` is None, gets
+    a fresh array.
     """
-    sq = np.matmul(mats, mats)
-    return np.stack([np.trace(mats, axis1=1, axis2=2).real, _inner(mats, mats),
-                     _inner(sq, mats), _inner(sq, sq)], axis=-1)
+    if spare is not None:
+        spare = spare.view(dtype)
+    out = []
+    for shape in shapes:
+        size = math.prod(shape)
+        if spare is not None and size <= spare.size:
+            out.append(spare[:size].reshape(shape))
+            spare = spare[size:]
+        else:
+            out.append(np.empty(shape, dtype))
+    return (*out, spare)
 
 
-def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int):
+def _fold(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Σ over the first axis, in an order fixed by its length alone: the trailing shape.
+
+    Halves are added elementwise until one row is left, into `x` itself
+    when `overwrite`.  numpy's own reduction sums a lone trailing entry in
+    another (pairwise) order, so a trial's sum would depend on how many
+    trials share the array.
+    """
+    n = len(x)
+    if n == 0:
+        return np.zeros(x.shape[1:], x.dtype)
+    while n > 1:
+        half = n // 2
+        head = np.add(x[:half], x[half:2 * half], out=x[:half] if overwrite else None)
+        if n % 2:
+            head[-1] += x[n - 1]
+        x, n, overwrite = head, half, True
+    return x[0]
+
+
+def _dots(spare, *pairs) -> np.ndarray:
+    """Re Σ conj(x)·y over the first axis for each pair (x, y): (len(pairs), …).
+
+    The pairs broadcast to one shape; their products share one array, cut
+    from `spare`, so the pairs cost one fold.
+    """
+    shape = np.broadcast_shapes(*(a.shape for pair in pairs for a in pair))
+    prod, _ = _pieces(spare, np.float64, (shape[0], len(pairs), *shape[1:]))
+    for i, (x, y) in enumerate(pairs):
+        np.multiply(x.real, y.real, out=prod[:, i])
+        if np.iscomplexobj(x):
+            prod[:, i] += x.imag * y.imag
+    return _fold(prod, overwrite=True).copy()
+
+
+def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """x·y of the matrices on the two leading axes into `out`, elementwise in the rest.
+
+    A left fold over k; `term`, of the shape of `out`, holds each x[:, k]·y[k].
+    """
+    np.multiply(x[:, :1], y[None, 0], out=out)
+    for k in range(1, len(y)):
+        out += np.multiply(x[:, k, None], y[None, k], out=term)
+    return out
+
+
+def _diagonal(mats: np.ndarray) -> np.ndarray:
+    """The diagonals of the matrices on the two leading (square) axes, as a view: (side, …)."""
+    side = len(mats)
+    return mats.reshape(side * side, *mats.shape[2:])[::side + 1]
+
+
+def _centre(mats: np.ndarray) -> None:
+    """Subtract from the matrices on the two leading axes their mean eigenvalue, in place."""
+    diag = _diagonal(mats)
+    diag -= _fold(diag) / len(diag)
+
+
+def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare=None):
     """Central Σ(λ − λ̄)¹…⁴ of each head H and of its window H ⊗ I_d + I_P ⊗ h.
 
-    `stack` is (3, count, n, n) with the Hermitian heads in ``stack[0]``;
-    `last` is (count, O·d, O·d), the Hermitian h, whose first O sites are
-    the head's last ones, so n = P·O.  Returns two (count, 4) arrays.  H and
-    h are centred first, H in place, so neither mean costs accuracy; the
-    rest of `stack` is scratch.
+    `stack` is (2, count, n, n) scratch whose layer 1, read as (n, n,
+    count), holds the Hermitian heads with the window axis last; `last` is
+    (O·d, O·d, count), the Hermitian h, whose first O sites are the head's
+    last ones, so n = P·O.  Returns two (4, count) arrays.  H and h are
+    centred first, H in place, so neither mean costs accuracy.  The
+    bond-sized temporaries are cut from the flat `spare` (``_pieces``).
 
     With A = H ⊗ I_d and B = I_P ⊗ h, tr Mᵏ is a sum of words in A and B:
     tr Aᵏ = d·tr Hᵏ, tr Bᵏ = P·tr hᵏ, and every mixed word but one is
@@ -278,61 +352,77 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int):
     alternating word, tr(ABAB), needs the whole head, not a partial trace:
     it is Σ_abcd GH[(a,b),(d,c)]·GB[(b,c),(a,d)], with GH and GB the Gram
     matrices of the O² blocks of H and of h.  It is where the quantum
-    fourth moment departs from the classical and isotropic ones.  Every
-    step is per matrix, so a head gets the same sums in any stack.
+    fourth moment departs from the classical and isotropic ones.
+
+    Only H², trP(H³) and GH are batched matrix products: one transposed
+    copy lays the heads out as a (count, n, n) stack for the first two, and
+    a second lays out their blocks as rows for GH, each into the layer the
+    step before has freed.  Every other step, h's powers and GB among
+    them, is elementwise on the window-last layout.  Every step is per
+    window, so a head gets the same sums in any stack.
     """
-    heads, (count, n), d = stack[0], stack.shape[1:3], site_dim
-    nloc = last.shape[-1]
+    count, n, d = stack.shape[1], stack.shape[2], site_dim
+    nloc = len(last)
     o = nloc // d
     p = n // o
-    bonds = np.empty((3, *last.shape), last.dtype)
+    inner = stack[1].reshape(n, n, count)
+    bonds, term, gram_b, spare = _pieces(spare, last.dtype, (3, nloc, nloc, count),
+                                         (nloc, nloc, count), (d * d, o, o, o, o, count))
     bonds[0] = last
-    for mats, side in ((heads, n), (bonds[0], nloc)):
-        mats.reshape(count, -1)[:, ::side + 1] -= np.trace(mats, axis1=1, axis2=2)[:, None] / side
-    np.matmul(bonds[0], bonds[0], out=bonds[1])
-    np.matmul(bonds[1], bonds[0], out=bonds[2])
+    for mats in (inner, bonds[0]):
+        _centre(mats)
+    _matmul(bonds[0], bonds[0], bonds[1], term)
+    _matmul(bonds[1], bonds[0], bonds[2], term)
+    # trP(Hᵏ) and trD(hᵏ), k = 1…3: parts[0] and parts[1]
+    parts = np.empty((2, 3, o, o, count), inner.dtype)
+    parts[0, 0] = _fold(np.moveaxis(np.diagonal(inner.reshape(p, o, p, o, count), 0, 0, 2), -1, 0))
+    heads = stack[0]
+    heads[...] = inner.transpose(2, 0, 1)
     squares = np.matmul(heads, heads, out=stack[1])
-    # trP(H³)[b,a] = Σ_iq conj H[i,(q,b)]·H²[i,(q,a)], H's columns grouped by q
-    left = heads if heads.dtype.kind == "f" else np.conjugate(heads, out=stack[2])
-    part3 = np.matmul(left.reshape(count, -1, o).swapaxes(-1, -2), squares.reshape(count, -1, o))
-    fourth = _inner(squares, squares), _inner(bonds[1], bonds[1])
+    # trP(H³)[a,b] = Σ_iq conj H[i,(q,a)]·H²[i,(q,b)], H's columns grouped by
+    # q; a complex H² is conjugated in place instead of H, and the product
+    # conjugated back
+    complex_ = np.iscomplexobj(heads)
+    if complex_:
+        np.conjugate(squares, out=squares)
+    part3 = np.matmul(heads.reshape(count, -1, o).swapaxes(-1, -2), squares.reshape(count, -1, o))
+    parts[0, 2] = (part3.conj() if complex_ else part3).transpose(1, 2, 0)
+    fourth = _inner(squares, squares)
     # GH[(a,b),(c,d)] = Σ_pq H[(p,a),(q,b)]·conj H[(p,c),(q,d)], from H's
     # blocks laid out as rows; the conjugate is a copy even when real, as
     # numpy's X·Xᵀ (syrk) is slower than a gemm at these sizes
-    x = stack[2].reshape(count, o, o, p, p)
+    x = stack[1].reshape(count, o, o, p, p)
     x[...] = heads.reshape(count, p, o, p, o).transpose(0, 2, 4, 1, 3)
     x = x.reshape(count, o * o, p * p)
-    gram = np.matmul(x, np.conjugate(x, out=stack[1].reshape(x.shape)).swapaxes(-1, -2))
-    # trP(Hᵏ) and trD(hᵏ), k = 1…3, flattened: trP(H) is the trace of
-    # each P×P block of x, trP(H²)[a,c] = Σ_b GH[(a,b),(c,b)], and their
-    # traces are tr Hᵏ and tr hᵏ
-    gram = gram.reshape(count, o, o, o, o)
-    part_h = np.empty((count, 3, o, o), heads.dtype)
-    part_h[:, 0] = x[..., ::p + 1].sum(-1).reshape(count, o, o)
-    part_h[:, 1] = sum(gram[:, :, b, :, b] for b in range(o))
-    part_h[:, 2] = part3
-    blocks = bonds.reshape(3, count, o, d, o, d)
-    part_b = np.empty((count, 3, o, o), heads.dtype)
-    part_b[...] = np.moveaxis(sum(blocks[:, :, :, e, :, e] for e in range(d)), 0, 1)
+    gram = np.matmul(x, np.conjugate(x, out=stack[0].reshape(x.shape)).swapaxes(-1, -2))
+    # GH window-last, and trP(H²)[a,c] = Σ_b GH[(a,b),(c,b)]
+    gram = gram.reshape(count, o, o, o, o).transpose(1, 2, 3, 4, 0)
+    parts[0, 1] = _fold(np.moveaxis(np.diagonal(gram, 0, 1, 3), -1, 0))
+    # trD(h^q)[a,b] = Σ_e h^q[(a,e),(b,e)]
+    blocks = bonds.reshape(3, o, d, o, d, count)
+    parts[1] = _fold(np.moveaxis(np.diagonal(blocks, 0, 2, 4), -1, 0))
     # GB[(b,c),(a,d)] = Σ_ef h[(b,e),(c,f)]·conj h[(a,e),(d,f)]
-    y = blocks[0].transpose(0, 1, 3, 2, 4).reshape(count, o * o, -1)
-    gram_b = np.matmul(y, y.conj().swapaxes(-1, -2)).reshape(count, o, o, o, o)
-    # tr(AᵏB^q) for k, q = 1…3: trD(h^q) is Hermitian, so the sum over a, b
-    # is the real inner product of the two partial traces
-    words = np.matmul(part_h.reshape(count, 3, -1).view(np.float64),
-                      part_b.reshape(count, 3, -1).view(np.float64).swapaxes(-1, -2))
-    sums = np.empty((3, count, 4))
-    sums[0, :, :3] = part_h.reshape(count, 3, -1)[..., ::o + 1].sum(-1).real
-    sums[1, :, :3] = part_b.reshape(count, 3, -1)[..., ::o + 1].sum(-1).real
-    sums[:2, :, 3] = fourth
-    # GB is Hermitian, so tr(ABAB) = Re Σ GH[(a,b),(d,c)]·conj GB[(a,d),(b,c)]
-    abab = _inner(gram_b.transpose(0, 1, 3, 2, 4), gram)
+    y = blocks[0].transpose(1, 3, 0, 2, 4).reshape(d * d, o, o, 1, 1, count)
+    np.multiply(y, np.conjugate(y.reshape(d * d, 1, 1, o, o, count)), out=gram_b)
+    gram_b = _fold(gram_b, overwrite=True)
+    # tr(ABAB) = Re Σ GH[(a,b),(d,c)]·conj GB[(a,d),(b,c)] (GB is Hermitian);
+    # tr(AᵖB^q) is the real inner product of trP(Hᵖ) and trD(h^q), as trD(h^q)
+    # is Hermitian; and tr hᵏ and tr Hᵏ, k ≤ 3, are the traces of the parts
+    abab = _dots(spare, (gram_b.transpose(0, 2, 1, 3, 4).reshape(-1, count),
+                         gram.reshape(-1, count)))[0]
+    flat = parts.reshape(2, 3, o * o, count)
+    words = _dots(spare, (flat[1].transpose(1, 0, 2)[:, None],
+                          flat[0].transpose(1, 0, 2)[:, :, None]))[0]     # [p, q]
+    sums = np.empty((3, 4, count))
+    sums[:2, :3] = _fold(np.moveaxis(flat[:, :, ::o + 1], 2, 0).real)
+    sums[0, 3] = fourth
+    sums[1, 3] = _dots(spare, (bonds[1].reshape(-1, count), bonds[1].reshape(-1, count)))[0]
     # the mixed words of tr M², tr M³ and tr M⁴: the four of degree (2, 2)
     # but ABAB and BABA are tr(A²B²)
-    sums[2, :, 0] = 0
-    sums[2, :, 1] = 2 * words[:, 0, 0]
-    sums[2, :, 2] = 3 * (words[:, 1, 0] + words[:, 0, 1])
-    sums[2, :, 3] = 4 * (words[:, 2, 0] + words[:, 0, 2] + words[:, 1, 1]) + 2 * abab
+    sums[2, 0] = 0
+    sums[2, 1] = 2 * words[0, 0]
+    sums[2, 2] = 3 * (words[1, 0] + words[0, 1])
+    sums[2, 3] = 4 * (words[2, 0] + words[0, 2] + words[1, 1]) + 2 * abab
     return sums[0], d * sums[0] + p * sums[1] + sums[2]
 
 
@@ -342,77 +432,100 @@ def _window_width(spec: ChainSpec) -> int:
 
 
 def _window_cumulants(sums: np.ndarray, side: int) -> np.ndarray:
-    """κ₂, κ₃, κ₄ of windows of `side` values from their central Σλ¹…Σλ⁴ (…, 4): (…, 3).
+    """κ₂, κ₃, κ₄ of windows of `side` values from their central Σλ¹…Σλ⁴ (4, …): (3, …).
 
     A window's mean is 0 once centred, so κ₂ = μ₂, κ₃ = μ₃ and
     κ₄ = μ₄ − 3μ₂².
     """
     mu = sums / side
-    return np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1)
+    return np.stack([mu[1], mu[2], mu[3] - 3 * mu[1] ** 2])
 
 
-def _bond_moments(dense: np.ndarray):
-    """Each bond's trace moments, and the centred bond terms.
+def _bond_moments(c: np.ndarray, spare=None) -> np.ndarray:
+    """Each bond's trace moments, with its term centred in place.
 
-    `dense` is (count, n_bonds, d^L, d^L).  Returns the (count, n_bonds, 4)
-    τ(h_l), τ(c_l²), τ(c_l³), τ(c_l⁴), with τ the normalised trace, and the
-    c_l = h_l − τ(h_l)·I.
+    `c` is a C-contiguous (d^L, d^L, n_bonds, count) stack of the terms
+    h_l, which becomes that of the c_l = h_l − τ(h_l)·I, with τ the
+    normalised trace.  Returns the (4, n_bonds, count) τ(h_l), τ(c_l²),
+    τ(c_l³), τ(c_l⁴).  The temporaries are cut from `spare` (``_pieces``).
     """
-    count, nb, nloc = dense.shape[:3]
-    tau = np.trace(dense, axis1=-2, axis2=-1).real / nloc
-    c = dense - tau[..., None, None] * np.eye(nloc)
-    bonds = _power_sums(c.reshape(-1, nloc, nloc)).reshape(count, nb, 4) / nloc
-    bonds[..., 0] = tau
-    return bonds, c
+    nloc = len(c)
+    diag = _diagonal(c)
+    tau = _fold(diag.real) / nloc
+    diag -= tau
+    flat = c.reshape(nloc * nloc, *c.shape[2:])
+    sq, rest = _pieces(spare, c.dtype, c.shape)
+    _matmul(c, c, sq, _pieces(rest, c.dtype, c.shape)[0])
+    sq = sq.reshape(flat.shape)
+    moments = np.empty((4, *tau.shape))
+    moments[0] = tau
+    # each product in turn, so that one fits where the matrix product's term was
+    for k, pair in enumerate(((flat, flat), (sq, flat), (sq, sq)), 1):
+        moments[k] = _dots(rest, pair)[0]
+    moments[1:] /= nloc
+    return moments
 
 
-def _trial_sums(dense: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    """Each trial's classical, isotropic and quantum Σλ¹…Σλ⁴: (3, count, 4).
+def _trial_sums(terms: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """Each trial's classical, isotropic and quantum Σλ¹…Σλ⁴: (3, 4, count).
 
-    `dense` is (count, n_bonds, d^L, d^L).  The quantum cumulants κ₂…κ₄
-    expand multilinearly in the centred terms c_l (``_bond_moments``).  A
-    tuple of terms that splits into two groups with disjoint supports
-    contributes nothing: the groups commute, τ factorises over them and
-    τ(c_l) = 0.  So only tuples of at most four bonds whose supports form a
-    chain contribute, spanning at most s = 3(L−1)+1 consecutive bonds, and
-    the chain's cumulants are those of its s-bond windows summed, less those
-    of the overlaps (s − 1 bonds) of neighbouring windows.  With n_bonds ≤ s
-    the one window is the chain.
+    `terms` is (d^L, d^L, n_bonds, count) (``chain._bond_terms``).  The
+    quantum cumulants κ₂…κ₄ expand multilinearly in the centred terms c_l
+    (``_bond_moments``).  A tuple of terms that splits into two groups with
+    disjoint supports contributes nothing: the groups commute, τ factorises
+    over them and τ(c_l) = 0.  So only tuples of at most four bonds whose
+    supports form a chain contribute, spanning at most s = 3(L−1)+1
+    consecutive bonds, and the chain's cumulants are those of its s-bond
+    windows summed, less those of the overlaps (s − 1 bonds) of neighbouring
+    windows.  With n_bonds ≤ s the one window is the chain.
 
     The first s − 1 bonds of window j, its head, are the overlap of windows
     j − 1 and j.  So one stack of heads, embedded on s + L − 2 sites in this
     thread's scratch (``chain.embed_sum_batch``), gives both: each head's
     central sums serve its own window and, for every head but the first,
-    an overlap.  A window is head ⊗ I_d plus its last bond on the last L
-    sites, and ``_window_power_sums`` takes its sums from the head's
-    powers and partial traces and from that bond, without forming it.  Of
-    its words only tr(ABAB), where the head and the bond interleave, reads
-    the whole head: that is the fourth-order departure of the quantum
-    spectrum from the classical and isotropic ones.  At N = L the head is
-    the empty sum on L − 1 sites.  The classical and isotropic sums are
-    ``_conditional_power_sums`` of the bond moments.
+    an overlap.  Read with their bond and trial axes as one, the centred
+    terms hold the bonds of window j at entries j·count on, so the heads'
+    bonds and the windows' last bonds are strided views of them, with the
+    window and trial axes as one window-last axis.  A window is head ⊗ I_d
+    plus its last bond on the last L sites, and ``_window_power_sums`` takes
+    its sums from the head's powers and partial traces and from that bond,
+    without forming it.  Of its words only tr(ABAB), where the head and the
+    bond interleave, reads the whole head: that is the fourth-order
+    departure of the quantum spectrum from the classical and isotropic
+    ones.  At N = L the head is the empty sum on L − 1 sites.  The
+    classical and isotropic sums are ``_conditional_cumulants`` of the
+    bond moments.
     """
-    width, nb, d = _window_width(spec), spec.n_bonds, spec.site_dim
-    bonds, c = _bond_moments(dense)
-    count, nloc = len(c), spec.local_dim
+    width, nb, d, nloc = _window_width(spec), spec.n_bonds, spec.site_dim, spec.local_dim
+    count, windows = terms.shape[-1], nb - width + 1
     side = d ** (width + spec.coupling_range - 2)
-    # the heads, and room for H² and their blocks, in this thread's scratch
-    stack = _scratch("heads", (3, count * (nb - width + 1), side, side), c.dtype)
+    # layers 0 and 1 of this thread's scratch hold the heads, and layer 2
+    # the centred terms and, as far as they fit, the bond-sized temporaries
+    stack = _scratch("heads", (3, windows * count, side, side), terms.dtype)
+    c, spare = _pieces(stack[2].reshape(-1), terms.dtype, terms.shape)
+    c[...] = terms
+    bonds = _bond_moments(c, spare)
+    flat = c.reshape(nloc, nloc, nb * count)
     if width > 1:
         head = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 2)
-        head_bonds = np.arange(nb - width + 1)[:, None] + np.arange(width - 1)
-        chain_mod.embed_sum_batch(c[:, head_bonds].reshape(-1, width - 1, nloc, nloc), head,
-                                  stack[0])
+        row, col, entry = flat.strides
+        dense = np.lib.stride_tricks.as_strided(
+            flat, (windows * count, width - 1, nloc, nloc), (entry, count * entry, row, col))
+        chain_mod.embed_sum_batch(dense, head,
+                                  stack[1].reshape(side, side, -1).transpose(2, 0, 1))
     else:
-        stack[0] = 0
-    heads, windows = _window_power_sums(stack, c[:, width - 1:].reshape(-1, nloc, nloc), d)
-    kappa = _window_cumulants(windows.reshape(count, -1, 4), side * d)
+        stack[1] = 0
+    heads, sums = _window_power_sums(stack[:2], flat[:, :, (width - 1) * count:], d, spare)
+    kappa = _window_cumulants(sums.reshape(4, windows, count), side * d)
     # every head but the first is an overlap
-    kappa[:, 1:] -= _window_cumulants(heads.reshape(count, -1, 4)[:, 1:], side)
-    # a left fold over the positions, the same for a trial in any sub-block
-    kappa = sum(kappa[:, i] for i in range(kappa.shape[1]))
-    quantum = spec.m * np.stack(_raw_moments(bonds[..., 0].sum(axis=1), *kappa.T), axis=-1)
-    return np.stack([*_conditional_power_sums(bonds, spec), quantum])
+    kappa[:, 1:] -= _window_cumulants(heads.reshape(4, windows, count)[:, 1:], side)
+    # κ₁…κ₄ of the classical, iso and quantum spectra: the quantum κ₁ is the
+    # bonds' summed τ(h), as is the others'
+    cumulants = np.empty((4, 3, count))
+    cumulants[:, :2] = _conditional_cumulants(bonds, spec)
+    cumulants[0, 2] = cumulants[0, 0]
+    cumulants[1:, 2] = _fold(kappa.swapaxes(0, 1))
+    return spec.m * np.stack(_raw_moments(*cumulants), axis=1)
 
 
 def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=()):
@@ -424,29 +537,31 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
     keys and (count, m(m+1)/2) reflector Gaussians of each rotated summand.
 
     The pass walks the trials in sub-blocks of ``_block_size`` elements a
-    trial.  Each forms its bond terms (``chain._bond_terms``) and reduces
-    them (``_trial_sums``) while they are in cache.  On the kept route it
-    then builds the summands s₀ … s_k from the bonds' eigenvalues, permutes
-    each s_i by the argsort of its keys, and diagonalises the embedded
-    chains and diag(s₀) + Σ Q_i† diag(s_i) Q_i (s₀ alone when nothing is
-    rotated, N = L).  Its bond terms and m×m arrays are the item's, freed
-    when it returns.
+    trial.  Each forms its bond terms once, trial axis last
+    (``chain._bond_terms``), and reduces them (``_trial_sums``) while they
+    are in cache.  On the kept route it reads the same terms as a (count,
+    n_bonds, d^L, d^L) view: it builds the summands s₀ … s_k from the
+    bonds' eigenvalues, permutes each s_i by the argsort of its keys, and
+    diagonalises the embedded chains and diag(s₀) + Σ Q_i† diag(s_i) Q_i
+    (s₀ alone when nothing is rotated, N = L).  Its bond terms and m×m
+    arrays are the item's, freed when it returns.
     """
     count, nb, nloc, m = factors.shape[0], spec.n_bonds, spec.local_dim, spec.m
     size = _block_size(spec, rows is not None)
     blocks = list(_sub_blocks(0, count, size))
-    sums = np.empty((3, count, 4))
-    terms = np.empty((blocks[0][1], nb, nloc, nloc), dtype=factors.dtype)
+    sums = np.empty((3, 4, count))
+    terms = np.empty(nloc * nloc * nb * blocks[0][1], dtype=factors.dtype)
     if rows is not None:
         classical, iso, quantum = rows
-        chains, haar = np.empty((2, len(terms), m, m), dtype=factors.dtype)
+        chains, haar = np.empty((2, blocks[0][1], m, m), dtype=factors.dtype)
     diag = np.arange(m)
     for s, e in blocks:
         local = None if evals is None else evals[s:e]
-        h = chain_mod._bond_terms(spec, local, factors[s:e], terms[:e - s])
-        sums[:, s:e] = _trial_sums(h, spec)
+        out = terms[:nloc * nloc * nb * (e - s)].reshape(nloc, nloc, nb, e - s)
+        sums[..., s:e] = _trial_sums(chain_mod._bond_terms(spec, local, factors[s:e], out), spec)
         if rows is None:
             continue
+        h = out.transpose(3, 2, 0, 1)
         summands = chain_mod.diagonals_from_eigs(
             np.linalg.eigvalsh(h) if local is None else local, spec)     # Wishart, GOE
         vals = summands[0]
@@ -466,34 +581,33 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
                 mats += rotated
         mats[:, diag, diag] += summands[0]
         iso[s:e] = np.linalg.eigvalsh(mats)
-    return sums
+    return sums.transpose(0, 2, 1)
 
 
-def _conditional_power_sums(bonds: np.ndarray, spec: ChainSpec):
-    """Each trial's classical and isotropic Σλ¹…Σλ⁴, averaged over Π_i or Q_i.
+def _conditional_cumulants(bonds: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """Each trial's classical and isotropic κ₁…κ₄, averaged over Π_i or Q_i: (4, 2, count).
 
-    `bonds` is (count, n_bonds, 4), each bond's τ(h), τ(c²), τ(c³), τ(c⁴)
-    (``_bond_moments``); returns two (count, 4) arrays.  A classical
-    eigenvalue is a sum of independent uniform draws, one from each bond's
-    spectrum, so its cumulants κ₁…κ₄ are the bonds' summed.  The isotropic
-    spectrum has the same κ₁…κ₃ (Matching Three Moments): E Q†SQ = τ(S)·I,
-    so in a word of degree at most 4 a summand that appears once factors
-    out, as it does classically.  Only the alternating words differ:
-    E τ(S_i S_j S_i S_j) = τ(S_i²)τ(S_j²) − w·v_i·v_j with S_i = diag(s_i)
-    rotated, w = β(m−1)/(mβ+2) and v_i = m/(m−1)·var(s_i), and τ(M⁴)
-    holds two per pair.
+    `bonds` is (4, n_bonds, count), each bond's τ(h), τ(c²), τ(c³), τ(c⁴)
+    (``_bond_moments``).  A classical eigenvalue is a sum of independent
+    uniform draws, one from each bond's spectrum, so its cumulants κ₁…κ₄
+    are the bonds' summed.  The isotropic spectrum has the same κ₁…κ₃
+    (Matching Three Moments): E Q†SQ = τ(S)·I, so in a word of degree at
+    most 4 a summand that appears once factors out, as it does classically.
+    Only the alternating words differ: E τ(S_i S_j S_i S_j) = τ(S_i²)τ(S_j²)
+    − w·v_i·v_j with S_i = diag(s_i) rotated, w = β(m−1)/(mβ+2) and
+    v_i = m/(m−1)·var(s_i), and τ(M⁴) holds two per pair.
     """
     m, beta = spec.m, spec.beta
-    mu, c2, c3, c4 = np.moveaxis(bonds, -1, 0)                     # each (count, nb)
-    kappa = [mu.sum(1), c2.sum(1), c3.sum(1), (c4 - 3 * c2 ** 2).sum(1)]
+    cumulants = bonds.copy()
+    cumulants[3] -= 3 * bonds[1] ** 2
+    kappa = np.empty((4, 2, bonds.shape[-1]))
+    kappa[:, 0] = kappa[:, 1] = _fold(cumulants.swapaxes(0, 1))
     # var(s_i): τ(c²) summed over summand i's bonds, a strided view of each
-    var = np.stack([c2[:, bonds].sum(1) for bonds in spec.summand_bonds], axis=1)
-    v = m / (m - 1) * var
-    pairs = (v[:, 1:] * np.cumsum(v, axis=1)[:, :-1]).sum(1)       # Σ_{i<j} v_i v_j
+    v = m / (m - 1) * np.stack([_fold(bonds[1, b]) for b in spec.summand_bonds])
+    pairs = _fold(v[1:] * np.cumsum(v, axis=0)[:-1])               # Σ_{i<j} v_i v_j
     w = beta * (m - 1) / (m * beta + 2)
-    iso_k4 = kappa[3] - 2 * w * pairs
-    return (m * np.stack(_raw_moments(*kappa), axis=-1),
-            m * np.stack(_raw_moments(*kappa[:3], iso_k4), axis=-1))
+    kappa[3, 1] -= 2 * w * pairs
+    return kappa
 
 
 # ---------------------------------------------------------------------------

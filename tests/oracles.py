@@ -18,7 +18,7 @@ import numpy as np
 import spinmix as sm
 from spinmix.chain import (STREAM_LOCAL_EIGS, STREAM_LOCAL_VECS, draw_local_batch,
                            embed_sum_batch)
-from spinmix.spectra import _bond_moments, _power_sums, _raw_moments, _window_width
+from spinmix.spectra import _bond_moments, _fold, _inner, _raw_moments, _window_width
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,22 @@ def only_bonds(dense, bonds):
     return picked
 
 
+def power_sums(mats):
+    """Σλ¹…Σλ⁴ of each Hermitian matrix in a stack, as a (count, 4) array.
+
+    They are tr M, ⟨M, M⟩, ⟨M², M⟩ and ⟨M², M²⟩ with the real part of the
+    conjugated inner product, so one M² per matrix replaces an eigvalsh.
+    """
+    sq = np.matmul(mats, mats)
+    return np.stack([np.trace(mats, axis1=1, axis2=2).real, _inner(mats, mats),
+                     _inner(sq, mats), _inner(sq, sq)], axis=-1)
+
+
+def trial_last(dense):
+    """A C-contiguous (d^L, d^L, n_bonds, count) copy of a (count, n_bonds, d^L, d^L) stack."""
+    return np.array(dense.transpose(2, 3, 1, 0), order="C")
+
+
 def window_cumulants(bonds, spec, width):
     """κ₂, κ₃, κ₄ summed over the windows of `width` consecutive centred bonds.
 
@@ -74,7 +90,7 @@ def window_cumulants(bonds, spec, width):
     count, nloc = bonds.shape[0], bonds.shape[-1]
     windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(bonds, width, 1), -1, 2)
     mats = embed_sum_batch(windows.reshape(-1, width, nloc, nloc), sub)
-    mu = _power_sums(mats).reshape(count, -1, 4) / sub.m
+    mu = power_sums(mats).reshape(count, -1, 4) / sub.m
     kappa = np.stack([mu[..., 1], mu[..., 2], mu[..., 3] - 3 * mu[..., 1] ** 2], axis=-1)
     return sum(kappa[:, i] for i in range(kappa.shape[1]))
 
@@ -83,11 +99,14 @@ def two_embed_quantum_sums(dense, spec):
     """Each trial's quantum Σλ¹…Σλ⁴, (count, 4), from its s-bond windows less
     their (s − 1)-bond overlaps, the two widths embedded separately."""
     width = _window_width(spec)
-    bonds, c = _bond_moments(dense)
+    c = trial_last(dense)
+    bonds = _bond_moments(c)
+    c = c.transpose(3, 2, 0, 1)
     kappa = window_cumulants(c, spec, width)
     if width < spec.n_bonds:
         kappa -= window_cumulants(c[:, 1:-1], spec, width - 1)
-    return spec.m * np.stack(_raw_moments(bonds[..., 0].sum(axis=1), *kappa.T), axis=-1)
+    # Σλ¹ is the package's sum of the bonds' τ(h), in the package's order
+    return spec.m * np.stack(_raw_moments(_fold(bonds[0]), *kappa.T), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,24 @@ def test_embed_sum_batch_equals_kron_sum_range3():
                           _kron_sum(dense, spec, positions))
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("coupling_range", [2, 3])
+@pytest.mark.parametrize("site_dim", [2, 3])
+def test_embed_sum_batch_fills_a_batch_innermost_out(site_dim, coupling_range, beta):
+    # an out with the batch axis innermost, a transposed view of an (m, m,
+    # count) array, gets the C-contiguous embed bit for bit, from the
+    # trial-last terms' strided view and from a C-contiguous copy of them
+    spec = sm.ChainSpec(n_sites=coupling_range + 2, site_dim=site_dim,
+                        ensemble=sm.LocalEnsemble.goe(), beta=beta, coupling_range=coupling_range)
+    _, dense = draw_local_batch(spec, 3, sm.Rng(78, 4 * site_dim + 2 * coupling_range + beta).substream())
+    ref = embed_sum_batch(np.ascontiguousarray(dense), spec)
+    for terms in (dense, np.ascontiguousarray(dense)):
+        store = np.full((spec.m, spec.m, 3), np.nan, dtype=dense.dtype)
+        out = embed_sum_batch(terms, spec, store.transpose(2, 0, 1))
+        assert np.shares_memory(out, store)
+        assert np.array_equal(store.transpose(2, 0, 1), ref)
+
+
 @pytest.mark.parametrize("n_sites", [3, 4, 5])
 def test_assemble_trace_identity(n_sites):
     spec = wishart_chain(n_sites)

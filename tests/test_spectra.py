@@ -16,9 +16,10 @@ from spinmix.chain import (DEFAULT_MAX_DIM, STREAM_LOCAL_EIGS, STREAM_LOCAL_VECS
 from spinmix.matgen import gaussian_batch, haar_batch, haar_from_gaussians
 from spinmix import _workers, spectra
 from spinmix.cli import _p_empirical
-from spinmix.spectra import _bond_moments, _chunk_pass, _power_sums, _rotate_diag, _trial_sums
+from spinmix.spectra import _bond_moments, _chunk_pass, _rotate_diag, _trial_sums
 
-from oracles import classical_convolve, ks_measures, measure, summarize, two_embed_quantum_sums
+from oracles import (classical_convolve, ks_measures, measure, power_sums, summarize, trial_last,
+                     two_embed_quantum_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_power_sums_match_eigenvalues(m, beta, shift):
     gen = sm.Rng(53, m).substream()
     x = gaussian_batch((5, m, m), beta, gen)
     mats = x + x.conj().swapaxes(-1, -2) + shift * np.eye(m)
-    _assert_power_sums_match(_power_sums(mats), np.linalg.eigvalsh(mats))
+    _assert_power_sums_match(power_sums(mats), np.linalg.eigvalsh(mats))
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -179,7 +180,7 @@ def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
         rows = np.empty((3, 40, spec.m))
         sums = _chunk_pass(spec, *_draw_bonds(spec, 40, gen), rows, [gen.random((40, spec.m))],
                            [gaussian_batch((40, spec.m * (spec.m + 1) // 2), beta, gen)])
-        return q, rotated, _power_sums(rotated), sums, rows
+        return q, rotated, power_sums(rotated), sums, rows
 
     ref = kernels()
     # haar_batch draws the same Gaussians and runs the same kernel on its sub-blocks
@@ -208,6 +209,13 @@ _SUB_BLOCK_CASES = [
                               coupling_range=3), 60, True, id="kept-goe-L3-N5"),
     pytest.param(sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
                               coupling_range=3), 60, True, id="kept-goe-N3-L3"),
+    # moments-only Wishart: the wishart_n5 shape, sub-blocks of 341 trials
+    # against one trial each, and one bond (N = L = 2), whose one-trial
+    # sub-block leaves a bond-and-trial axis of length 1
+    pytest.param(sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 700,
+                 False, id="wishart-N5"),
+    pytest.param(sm.ChainSpec(n_sites=2, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 60,
+                 False, id="wishart-N2"),
 ]
 
 
@@ -357,7 +365,7 @@ def test_quantum_power_sums_match_eigenvalues(spec):
     count = 2 if spec.m > 512 else 4
     _, dense = draw_local_batch(spec, count, gen, vec_gen=gen)
     lam = np.linalg.eigvalsh(embed_sum_batch(dense, spec))
-    _assert_power_sums_match(_trial_sums(dense, spec)[2], lam)
+    _assert_power_sums_match(_trial_sums(trial_last(dense), spec)[2].T, lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,7 +387,7 @@ def test_bond_cumulants_from_traces_match_eigenvalues(kind, values, coupling_ran
     gen = sm.Rng(seed).substream()
     _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
     dense = dense + shift * np.eye(spec.local_dim)
-    bonds, _ = _bond_moments(dense)
+    bonds = _bond_moments(trial_last(dense)).T
     lam = np.linalg.eigvalsh(dense)
     c = lam - lam.mean(axis=-1, keepdims=True)
     top = np.abs(lam).max(axis=-1)
@@ -658,7 +666,8 @@ def test_quantum_sums_equal_two_embeds(spec):
     gen = sm.Rng(60, spec.n_sites).substream()
     _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
     for trials in (dense, dense[:1]):
-        got, ref = _trial_sums(trials, spec)[2], two_embed_quantum_sums(trials, spec)
+        got = _trial_sums(trial_last(trials), spec)[2].T
+        ref = two_embed_quantum_sums(trials, spec)
         assert np.array_equal(got[:, 0], ref[:, 0])
         for k in (2, 3, 4):
             scale = spec.m * (ref[:, 1] / spec.m) ** (k / 2)
@@ -685,9 +694,11 @@ def test_window_power_sums_match_eigenvalues(site_dim, coupling_range, beta, fir
     p, o = d ** first_sites, d ** (coupling_range - 1)
     heads = _hermitian(gen, beta, windows, p * o, np.array(shifts[:windows]))
     last = _hermitian(gen, beta, windows, o * d, np.array(shifts[4:4 + windows]))
-    stack = np.empty((3, *heads.shape), heads.dtype)
-    stack[0] = heads
-    head_sums, window_sums = spectra._window_power_sums(stack, last, d)
+    # the kernel reads the heads from layer 1 and the bonds with the window axis last
+    stack = np.empty((2, *heads.shape), heads.dtype)
+    stack[1].reshape(p * o, p * o, windows)[...] = heads.transpose(1, 2, 0)
+    head_sums, window_sums = (sums.T for sums in spectra._window_power_sums(
+        stack, np.ascontiguousarray(last.transpose(1, 2, 0)), d))
     for got, mats in ((head_sums, heads),
                       (window_sums, np.kron(heads, np.eye(d)) + np.kron(np.eye(p), last))):
         side = mats.shape[-1]
