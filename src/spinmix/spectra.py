@@ -106,16 +106,16 @@ _MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
 
 
 def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
-    """Elements a trial holds in a sub-block: m², or 3 per element of its window heads.
+    """Elements a trial holds in a sub-block: m², or 2 per element of its window heads.
 
-    The moments pass holds each head, its square and its blocks laid out as
-    rows (``_window_power_sums``): three n×n matrices for each of the
-    n_bonds − s + 1 windows, n = d^(s+L−2).
+    The moments pass holds two n×n layers for each of the n_bonds − s + 1
+    windows, n = d^(s+L−2) (``_trial_sums``): the heads window-last and
+    then as a stack, their squares, and their blocks laid out as rows.
     """
     if keep_samples:
         return spec.m * spec.m          # no fewer than the heads' elements
     width = _window_width(spec)
-    return 3 * (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 2))
+    return 2 * (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 2))
 
 
 def _trial_draws(spec: ChainSpec, keep_samples: bool) -> int:
@@ -303,7 +303,7 @@ def _dots(spare, *pairs) -> np.ndarray:
     The pairs broadcast to one shape; their products share one array, cut
     from `spare`, so the pairs cost one fold.
     """
-    shape = np.broadcast_shapes(*(a.shape for pair in pairs for a in pair))
+    shape = np.broadcast(*(a for pair in pairs for a in pair)).shape
     prod, _ = _pieces(spare, np.float64, (shape[0], len(pairs), *shape[1:]))
     for i, (x, y) in enumerate(pairs):
         np.multiply(x.real, y.real, out=prod[:, i])
@@ -343,7 +343,9 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare
     (O·d, O·d, count), the Hermitian h, whose first O sites are the head's
     last ones, so n = P·O.  Returns two (4, count) arrays.  H and h are
     centred first, H in place, so neither mean costs accuracy.  The
-    bond-sized temporaries are cut from the flat `spare` (``_pieces``).
+    bond-sized temporaries are cut from the flat `spare` (``_pieces``);
+    `last` and `spare` may lie in layer 0, which the bond's steps are done
+    with before the heads' overwrite it.
 
     With A = H ⊗ I_d and B = I_P ⊗ h, tr Mᵏ is a sum of words in A and B:
     tr Aᵏ = d·tr Hᵏ, tr Bᵏ = P·tr hᵏ, and every mixed word but one is
@@ -355,9 +357,9 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare
     fourth moment departs from the classical and isotropic ones.
 
     Only H², trP(H³) and GH are batched matrix products: one transposed
-    copy lays the heads out as a (count, n, n) stack for the first two, and
-    a second lays out their blocks as rows for GH, each into the layer the
-    step before has freed.  Every other step, h's powers and GB among
+    copy lays the heads out as a (count, n, n) stack in layer 0 for the
+    first two, and a second lays out their blocks as rows in layer 1 for
+    GH, once H² is done with.  Every other step, h's powers and GB among
     them, is elementwise on the window-last layout.  Every step is per
     window, so a head gets the same sums in any stack.
     """
@@ -365,16 +367,26 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare
     nloc = len(last)
     o = nloc // d
     p = n // o
-    inner = stack[1].reshape(n, n, count)
-    bonds, term, gram_b, spare = _pieces(spare, last.dtype, (3, nloc, nloc, count),
-                                         (nloc, nloc, count), (d * d, o, o, o, o, count))
+    # the bond's side first: h, h², h³, trD(h^q)[a,b] = Σ_e h^q[(a,e),(b,e)]
+    # into parts[1], ⟨h², h²⟩, and GB[(b,c),(a,d)] = Σ_ef h[(b,e),(c,f)]·
+    # conj h[(a,e),(d,f)]
+    bonds, term, spare = _pieces(spare, last.dtype, (3, nloc, nloc, count), (nloc, nloc, count))
     bonds[0] = last
-    for mats in (inner, bonds[0]):
-        _centre(mats)
+    _centre(bonds[0])
     _matmul(bonds[0], bonds[0], bonds[1], term)
     _matmul(bonds[1], bonds[0], bonds[2], term)
-    # trP(Hᵏ) and trD(hᵏ), k = 1…3: parts[0] and parts[1]
-    parts = np.empty((2, 3, o, o, count), inner.dtype)
+    parts = np.empty((2, 3, o, o, count), last.dtype)       # trP(Hᵏ), trD(hᵏ), k = 1…3
+    blocks = bonds.reshape(3, o, d, o, d, count)
+    parts[1] = _fold(np.moveaxis(np.diagonal(blocks, 0, 2, 4), -1, 0))
+    sums = np.empty((3, 4, count))
+    sums[1, 3] = _dots(spare, (bonds[1].reshape(-1, count), bonds[1].reshape(-1, count)))[0]
+    y = blocks[0].transpose(1, 3, 0, 2, 4).reshape(d * d, o, o, 1, 1, count)
+    prod, _ = _pieces(spare, last.dtype, (d * d, o, o, o, o, count))
+    np.multiply(y, np.conjugate(y.reshape(d * d, 1, 1, o, o, count)), out=prod)
+    gram_b = _fold(prod, overwrite=True).copy()
+    # the head's side: trP(H)[a,b] = Σ_p H[(p,a),(p,b)], then the batched products
+    inner = stack[1].reshape(n, n, count)
+    _centre(inner)
     parts[0, 0] = _fold(np.moveaxis(np.diagonal(inner.reshape(p, o, p, o, count), 0, 0, 2), -1, 0))
     heads = stack[0]
     heads[...] = inner.transpose(2, 0, 1)
@@ -387,7 +399,7 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare
         np.conjugate(squares, out=squares)
     part3 = np.matmul(heads.reshape(count, -1, o).swapaxes(-1, -2), squares.reshape(count, -1, o))
     parts[0, 2] = (part3.conj() if complex_ else part3).transpose(1, 2, 0)
-    fourth = _inner(squares, squares)
+    sums[0, 3] = _inner(squares, squares)
     # GH[(a,b),(c,d)] = Σ_pq H[(p,a),(q,b)]·conj H[(p,c),(q,d)], from H's
     # blocks laid out as rows; the conjugate is a copy even when real, as
     # numpy's X·Xᵀ (syrk) is slower than a gemm at these sizes
@@ -398,13 +410,6 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare
     # GH window-last, and trP(H²)[a,c] = Σ_b GH[(a,b),(c,b)]
     gram = gram.reshape(count, o, o, o, o).transpose(1, 2, 3, 4, 0)
     parts[0, 1] = _fold(np.moveaxis(np.diagonal(gram, 0, 1, 3), -1, 0))
-    # trD(h^q)[a,b] = Σ_e h^q[(a,e),(b,e)]
-    blocks = bonds.reshape(3, o, d, o, d, count)
-    parts[1] = _fold(np.moveaxis(np.diagonal(blocks, 0, 2, 4), -1, 0))
-    # GB[(b,c),(a,d)] = Σ_ef h[(b,e),(c,f)]·conj h[(a,e),(d,f)]
-    y = blocks[0].transpose(1, 3, 0, 2, 4).reshape(d * d, o, o, 1, 1, count)
-    np.multiply(y, np.conjugate(y.reshape(d * d, 1, 1, o, o, count)), out=gram_b)
-    gram_b = _fold(gram_b, overwrite=True)
     # tr(ABAB) = Re Σ GH[(a,b),(d,c)]·conj GB[(a,d),(b,c)] (GB is Hermitian);
     # tr(AᵖB^q) is the real inner product of trP(Hᵖ) and trD(h^q), as trD(h^q)
     # is Hermitian; and tr hᵏ and tr Hᵏ, k ≤ 3, are the traces of the parts
@@ -413,10 +418,7 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare
     flat = parts.reshape(2, 3, o * o, count)
     words = _dots(spare, (flat[1].transpose(1, 0, 2)[:, None],
                           flat[0].transpose(1, 0, 2)[:, :, None]))[0]     # [p, q]
-    sums = np.empty((3, 4, count))
     sums[:2, :3] = _fold(np.moveaxis(flat[:, :, ::o + 1], 2, 0).real)
-    sums[0, 3] = fourth
-    sums[1, 3] = _dots(spare, (bonds[1].reshape(-1, count), bonds[1].reshape(-1, count)))[0]
     # the mixed words of tr M², tr M³ and tr M⁴: the four of degree (2, 2)
     # but ABAB and BABA are tr(A²B²)
     sums[2, 0] = 0
@@ -459,9 +461,7 @@ def _bond_moments(c: np.ndarray, spare=None) -> np.ndarray:
     sq = sq.reshape(flat.shape)
     moments = np.empty((4, *tau.shape))
     moments[0] = tau
-    # each product in turn, so that one fits where the matrix product's term was
-    for k, pair in enumerate(((flat, flat), (sq, flat), (sq, sq)), 1):
-        moments[k] = _dots(rest, pair)[0]
+    moments[1:] = _dots(rest, (flat, flat), (sq, flat), (sq, sq))
     moments[1:] /= nloc
     return moments
 
@@ -499,12 +499,13 @@ def _trial_sums(terms: np.ndarray, spec: ChainSpec) -> np.ndarray:
     width, nb, d, nloc = _window_width(spec), spec.n_bonds, spec.site_dim, spec.local_dim
     count, windows = terms.shape[-1], nb - width + 1
     side = d ** (width + spec.coupling_range - 2)
-    # layers 0 and 1 of this thread's scratch hold the heads, and layer 2
-    # the centred terms and, as far as they fit, the bond-sized temporaries
-    stack = _scratch("heads", (3, windows * count, side, side), terms.dtype)
-    c, spare = _pieces(stack[2].reshape(-1), terms.dtype, terms.shape)
+    # this thread's scratch: layer 0 holds the centred terms, then the bond's
+    # and the heads' temporaries; layer 1 the bond moments' temporaries, then
+    # the heads, window-last; so a sub-block maps no fresh pages where they fit
+    stack = _scratch("heads", (2, windows * count, side, side), terms.dtype)
+    c, spare = _pieces(stack[0].reshape(-1), terms.dtype, terms.shape)
     c[...] = terms
-    bonds = _bond_moments(c, spare)
+    bonds = _bond_moments(c, stack[1].reshape(-1))
     flat = c.reshape(nloc, nloc, nb * count)
     if width > 1:
         head = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 2)
@@ -515,7 +516,7 @@ def _trial_sums(terms: np.ndarray, spec: ChainSpec) -> np.ndarray:
                                   stack[1].reshape(side, side, -1).transpose(2, 0, 1))
     else:
         stack[1] = 0
-    heads, sums = _window_power_sums(stack[:2], flat[:, :, (width - 1) * count:], d, spare)
+    heads, sums = _window_power_sums(stack, flat[:, :, (width - 1) * count:], d, spare)
     kappa = _window_cumulants(sums.reshape(4, windows, count), side * d)
     # every head but the first is an overlap
     kappa[:, 1:] -= _window_cumulants(heads.reshape(4, windows, count)[:, 1:], side)

@@ -209,10 +209,10 @@ _SUB_BLOCK_CASES = [
                               coupling_range=3), 60, True, id="kept-goe-L3-N5"),
     pytest.param(sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
                               coupling_range=3), 60, True, id="kept-goe-N3-L3"),
-    # moments-only Wishart: the wishart_n5 shape, sub-blocks of 341 trials
+    # moments-only Wishart: the wishart_n5 shape, sub-blocks of 512 trials
     # against one trial each, and one bond (N = L = 2), whose one-trial
     # sub-block leaves a bond-and-trial axis of length 1
-    pytest.param(sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 700,
+    pytest.param(sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 1100,
                  False, id="wishart-N5"),
     pytest.param(sm.ChainSpec(n_sites=2, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 60,
                  False, id="wishart-N2"),
@@ -260,14 +260,14 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
 
 def test_item_sizes():
     # the fewest whole sub-blocks whose draws hold 2¹⁶ elements: one
-    # sub-block of 16 kept pm1 trials at N=7; four of 341 Wishart trials at
-    # N=5 (a head stack of 3 × 16² elements a trial); and at N=9 eight of
-    # 68 (five windows, 3 × 5 × 16²), so the whole of a 32-trial run
+    # sub-block of 16 kept pm1 trials at N=7; two of 512 Wishart trials at
+    # N=5 (two head layers of 16² elements a trial); and at N=9 six of
+    # 102 (five windows, 2 × 5 × 16²), so the whole of a 32-trial run
     wishart = sm.LocalEnsemble.wishart(4)
     assert spectra._item_trials(sm.ChainSpec(7, 2, sm.LocalEnsemble.pm1()), True, 512) == 16
-    assert spectra._item_trials(sm.ChainSpec(5, 2, wishart), False, 8192) == 1364
+    assert spectra._item_trials(sm.ChainSpec(5, 2, wishart), False, 8192) == 1024
     assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 32) == 32
-    assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 10 ** 6) == 544
+    assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 10 ** 6) == 612
 
 
 def test_kept_pools_finish_an_item_before_the_last_is_drawn(monkeypatch):
