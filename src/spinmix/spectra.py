@@ -23,13 +23,27 @@ holds the draws of at most 2 × workers items, and only of as many as fit
 in ``_FLIGHT_DRAWS`` elements (``_items_in_flight``; one at least).  The
 pooled and block sums are the same left fold, bit for bit, whatever the
 items and sub-blocks.
-Each sub-block of an item forms its trials' bond terms from the draws,
-centres them, and reduces them to every pool's Σλ¹…Σλ⁴ (``_trial_sums``)
-while they are in cache, with its window heads in per-thread scratch
-(``_workers._scratch``) that is reused across sub-blocks and calls; on the
-kept route it goes on to the samples.  Each trial is computed by the same
-single-threaded kernel in any item or sub-block, so the output does not
-depend on the worker count either.
+Each sub-block of an item forms its trials' bond terms once from the
+draws, as a (d^L, d^L, n_bonds, count) array with the trial axis last
+(``chain._bond_terms``), and reduces them to every pool's Σλ¹…Σλ⁴
+(``_trial_sums``) while they are in cache.  Every bond-sized step runs on
+that layout as one elementwise op over n_bonds·count or windows·count
+entries: the centring, the bonds' power sums, the last bonds' powers,
+partial traces and Gram matrix, the words of the window sums, and the
+classical and isotropic cumulants.  A sum over a small axis is an explicit
+fold whose order depends on the axis length alone (``_fold``), never
+numpy's reduction, so a trial's sums do not depend on its sub-block.  The
+window heads are embedded window-last too, into a layer of per-thread
+scratch (``_workers._scratch``) that is reused across sub-blocks and
+calls; one transposed copy, the window axis moved from last to first,
+gives the (windows·count, n, n) stack on which H², trP(H³) and the Gram
+matrix of the heads' blocks stay batched matrix products.  The centred
+terms and the bond-sized temporaries are cut from the scratch's free
+space.  The kept route reads the same terms through a (count, n_bonds,
+d^L, d^L) view for its local ``eigvalsh`` and m×m embed, and goes on to
+the samples.  Each trial is computed by the same single-threaded kernel in
+any item or sub-block, so the output does not depend on the worker count
+either.
 
 Each trial's spectrum is a sum of the diagonal summands s₀ … s_k of
 ``ChainSpec.summand_bonds``: the two parity classes at range L = 2, each
@@ -493,8 +507,9 @@ def _trial_sums(terms: np.ndarray, spec: ChainSpec) -> np.ndarray:
     bond interleave, reads the whole head: that is the fourth-order
     departure of the quantum spectrum from the classical and isotropic
     ones.  At N = L the head is the empty sum on L − 1 sites.  The
-    classical and isotropic sums are ``_conditional_cumulants`` of the
-    bond moments.
+    classical and isotropic cumulants come from the bond moments
+    (``_conditional_cumulants``), and one ``_raw_moments`` turns the three
+    pools' cumulants into their sums.
     """
     width, nb, d, nloc = _window_width(spec), spec.n_bonds, spec.site_dim, spec.local_dim
     count, windows = terms.shape[-1], nb - width + 1
