@@ -257,15 +257,15 @@ def embed_sum_batch(dense: np.ndarray, spec: ChainSpec, out=None) -> np.ndarray:
         out = np.zeros((count, spec.m, spec.m), dtype=dense.dtype)
     else:
         out[...] = 0
-    batch, row, col = out.strides
     for i in range(nb):
         left = spec.site_dim ** i
         right = spec.m // (left * nloc)
         # I_left ⊗ H ⊗ I_right is nonzero only at row (p, i, r), column
-        # (p, j, r); add H into a writable view of exactly those entries
-        blocks = np.lib.stride_tricks.as_strided(
-            out, (count, left, right, nloc, nloc),
-            (batch, nloc * right * (row + col), row + col, right * row, right * col))
+        # (p, j, r); add H into a writable view of exactly those entries,
+        # which einsum returns for the repeated p and r (splitting out's
+        # axes is a view for any strides)
+        blocks = np.einsum("tpirpjr->tprij",
+                           out.reshape(count, left, nloc, right, left, nloc, right))
         blocks += dense[:, i, None, None]
     return out
 

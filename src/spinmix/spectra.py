@@ -26,24 +26,34 @@ items and sub-blocks.
 Each sub-block of an item forms its trials' bond terms once from the
 draws, as a (d^L, d^L, n_bonds, count) array with the trial axis last
 (``chain._bond_terms``), and reduces them to every pool's Σλ¹…Σλ⁴
-(``_trial_sums``) while they are in cache.  Every bond-sized step runs on
-that layout as one elementwise op over n_bonds·count or windows·count
-entries: the centring, the bonds' power sums, the last bonds' powers,
-partial traces and Gram matrix, the words of the window sums, and the
-classical and isotropic cumulants.  A sum over a small axis is an explicit
-fold whose order depends on the axis length alone (``_fold``), never
-numpy's reduction, so a trial's sums do not depend on its sub-block.  The
-window heads are embedded window-last too, into a layer of per-thread
-scratch (``_workers._scratch``) that is reused across sub-blocks and
-calls; one transposed copy, the window axis moved from last to first,
-gives the (windows·count, n, n) stack on which H², trP(H³) and the Gram
-matrix of the heads' blocks stay batched matrix products.  The centred
-terms and the bond-sized temporaries are cut from the scratch's free
-space.  The kept route reads the same terms through a (count, n_bonds,
-d^L, d^L) view for its local ``eigvalsh`` and m×m embed, and goes on to
-the samples.  Each trial is computed by the same single-threaded kernel in
-any item or sub-block, so the output does not depend on the worker count
-either.
+(``_trial_sums``) while they are in cache, in three steps:
+
+1. ``_bond_moments`` centres every bond's term and squares it, into a
+   layer of per-thread scratch (``_workers._scratch``) that is reused
+   across sub-blocks and calls, and takes each bond's τ(h) and τ(c²),
+   τ(c³), τ(c⁴).
+2. The window heads are embedded window-last into the scratch's other
+   layer, from strided views of the centred terms.
+   ``_window_power_sums`` takes each head's and window's central sums:
+   the last bond's centred term, square and power sums are views of step
+   1's, and one transposed copy, the window axis moved from last to
+   first, gives the (windows·count, n, n) stack on which H², trP(H³) and
+   the Gram matrix of the heads' blocks stay batched matrix products.
+3. ``_pool_sums`` turns the bonds' moments and the windows' sums into the
+   three pools' cumulants and shifts their central moments by κ₁ into
+   the raw sums, a few ops on (count,)-long rows for all pools at once.
+
+Every bond-sized step runs on that layout as one elementwise op over
+n_bonds·count or windows·count entries, and its temporaries are cut from
+the scratch's free space.  A sum over a small axis is an explicit fold
+whose order depends on the axis length alone (``_fold``), never numpy's
+reduction, so a trial's sums do not depend on its sub-block.  What a pass
+reads from the chain alone, its windows, summands and constants, is worked
+out once per chain (``_windows``).  The kept route reads the same terms
+through a (count, n_bonds, d^L, d^L) view for its local ``eigvalsh`` and
+m×m embed, and goes on to the samples.  Each trial is computed by the
+same single-threaded kernel in any item or sub-block, so the output does
+not depend on the worker count either.
 
 Each trial's spectrum is a sum of the diagonal summands s₀ … s_k of
 ``ChainSpec.summand_bonds``: the two parity classes at range L = 2, each
@@ -54,7 +64,7 @@ its local draw.
 
 * The classical and isotropic sums are their exact means over the
   permutations and rotations, closed forms in the bonds' cumulants
-  (``_conditional_cumulants``): traces of powers of each centred bond
+  (``_pool_sums``): traces of powers of each centred bond
   term, O(n_bonds · d^(3L)) per trial, with no draw and no eigensolver.
 * The quantum sums are exact (``_trial_sums``): the chain's cumulants are
   those of its windows of s = 3(L−1)+1 consecutive bonds, less those of
@@ -87,6 +97,7 @@ bins a sample array on them, and ``ks_distance`` compares two densities.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -254,15 +265,15 @@ def _rotate_diag(q: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(qh, q, out=out)
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re Σ conj(x)·y over each matrix of two stacks of one shape: (count,)."""
-    # a complex array viewed as float pairs gives Re Σ conj(x)·y; einsum
-    # sums a lone long row in another order than a row of a stack, so a
-    # lone row is reduced as a two-row stack
-    x, y = (a.reshape(len(a), -1).view(np.float64) for a in (x, y))
-    if len(x) == 1:
-        return np.einsum("ij,ij->i", np.vstack([x, x]), np.vstack([y, y]))[:1]
-    return np.einsum("ij,ij->i", x, y)
+def _inner(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Re Σ conj(x)·y over each matrix of two stacks of one shape: (count,), into `out` if given.
+
+    One dot per matrix, a batched product of its entries as a row by those
+    of the other as a column, so a matrix sums alike in any stack; a
+    complex array viewed as float pairs gives Re Σ conj(x)·y.
+    """
+    x, y = (a.reshape(len(a), 1, -1).view(np.float64) for a in (x, y))
+    return np.matmul(x, y.swapaxes(-1, -2), out=None if out is None else out.reshape(-1, 1, 1))
 
 
 # The kernels below keep the trial (or window) axis last: a (d^L, d^L, …)
@@ -291,28 +302,35 @@ def _pieces(spare, dtype, *shapes):
     return (*out, spare)
 
 
-def _fold(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _fold(x: np.ndarray, out=None, overwrite: bool = False) -> np.ndarray:
     """Σ over the first axis, in an order fixed by its length alone: the trailing shape.
 
-    Halves are added elementwise until one row is left, into `x` itself
-    when `overwrite`.  numpy's own reduction sums a lone trailing entry in
-    another (pairwise) order, so a trial's sum would depend on how many
-    trials share the array.
+    Halves are added elementwise, an odd row onto the last sum, until two
+    or three rows are left, into `x` itself when `overwrite`; the last
+    adds go into `out` when it is given.  numpy's own reduction sums a lone
+    trailing entry in another (pairwise) order, so a trial's sum would
+    depend on how many trials share the array.
     """
     n = len(x)
-    if n == 0:
-        return np.zeros(x.shape[1:], x.dtype)
-    while n > 1:
-        half = n // 2
+    if n < 2:
+        if out is None:
+            return x[0] if n else np.zeros(x.shape[1:], x.dtype)
+        out[...] = x[0] if n else 0
+        return out
+    while n > 3:
+        half = n >> 1
         head = np.add(x[:half], x[half:2 * half], out=x[:half] if overwrite else None)
-        if n % 2:
+        if n & 1:
             head[-1] += x[n - 1]
         x, n, overwrite = head, half, True
-    return x[0]
+    total = np.add(x[0], x[1], out=out)
+    if n == 3:
+        total += x[2]
+    return total
 
 
-def _dots(spare, *pairs) -> np.ndarray:
-    """Re Σ conj(x)·y over the first axis for each pair (x, y): (len(pairs), …).
+def _dots(spare, *pairs, out=None) -> np.ndarray:
+    """Re Σ conj(x)·y over the first axis for each pair (x, y): (len(pairs), …), into `out` if given.
 
     The pairs broadcast to one shape; their products share one array, cut
     from `spare`, so the pairs cost one fold.
@@ -320,10 +338,12 @@ def _dots(spare, *pairs) -> np.ndarray:
     shape = np.broadcast(*(a for pair in pairs for a in pair)).shape
     prod, _ = _pieces(spare, np.float64, (shape[0], len(pairs), *shape[1:]))
     for i, (x, y) in enumerate(pairs):
-        np.multiply(x.real, y.real, out=prod[:, i])
-        if np.iscomplexobj(x):
+        if x.dtype.kind == "c":
+            np.multiply(x.real, y.real, out=prod[:, i])
             prod[:, i] += x.imag * y.imag
-    return _fold(prod, overwrite=True).copy()
+        else:
+            np.multiply(x, y, out=prod[:, i])
+    return _fold(prod, np.empty(prod.shape[1:]) if out is None else out, overwrite=True)
 
 
 def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -349,62 +369,67 @@ def _centre(mats: np.ndarray) -> None:
     diag -= _fold(diag) / len(diag)
 
 
-def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare=None):
-    """Central Σ(λ − λ̄)¹…⁴ of each head H and of its window H ⊗ I_d + I_P ⊗ h.
+def _window_power_sums(stack: np.ndarray, last: np.ndarray, bond_sums: np.ndarray,
+                       site_dim: int, spare=None) -> np.ndarray:
+    """Central Σ(λ − λ̄)²…⁴ of each head H and of its window H ⊗ I_d + I_P ⊗ h: (2, 3, count).
 
     `stack` is (2, count, n, n) scratch whose layer 1, read as (n, n,
-    count), holds the Hermitian heads with the window axis last; `last` is
-    (O·d, O·d, count), the Hermitian h, whose first O sites are the head's
-    last ones, so n = P·O.  Returns two (4, count) arrays.  H and h are
-    centred first, H in place, so neither mean costs accuracy.  The
-    bond-sized temporaries are cut from the flat `spare` (``_pieces``);
-    `last` and `spare` may lie in layer 0, which the bond's steps are done
-    with before the heads' overwrite it.
+    count), holds the Hermitian heads with the window axis last, which are
+    centred in place first.  `last` is (2, O·d, O·d, count): the centred
+    h, whose first O sites are the head's last ones, so n = P·O, and h²;
+    `bond_sums` is (3, count), tr h², tr h³ and tr h⁴.  ``_bond_moments``
+    forms all three for every bond.  The bond-sized temporaries are cut
+    from the flat `spare` (``_pieces``); `last` and `spare` may lie in
+    layer 0, which the bond's steps are done with before the heads'
+    overwrite it.
 
     With A = H ⊗ I_d and B = I_P ⊗ h, tr Mᵏ is a sum of words in A and B:
     tr Aᵏ = d·tr Hᵏ, tr Bᵏ = P·tr hᵏ, and every mixed word but one is
     tr(AᵖB^q) = Σ_ab trP(Hᵖ)[a,b]·trD(h^q)[b,a], with trP the partial trace
     over the head's first P and trD over the window's last site.  The one
     alternating word, tr(ABAB), needs the whole head, not a partial trace:
-    it is Σ_abcd GH[(a,b),(d,c)]·GB[(b,c),(a,d)], with GH and GB the Gram
-    matrices of the O² blocks of H and of h.  It is where the quantum
-    fourth moment departs from the classical and isotropic ones.
+    it is Re Σ_abce GH[(a,b),(c,e)]·conj GB[(a,c),(b,e)], with GH and GB
+    the Gram matrices of the O² blocks of H and of h.  It is where the
+    quantum fourth moment departs from the classical and isotropic ones.
 
     Only H², trP(H³) and GH are batched matrix products: one transposed
     copy lays the heads out as a (count, n, n) stack in layer 0 for the
     first two, and a second lays out their blocks as rows in layer 1 for
-    GH, once H² is done with.  Every other step, h's powers and GB among
+    GH, once H² is done with.  Every other step, trD(h³) and GB among
     them, is elementwise on the window-last layout.  Every step is per
     window, so a head gets the same sums in any stack.
     """
     count, n, d = stack.shape[1], stack.shape[2], site_dim
-    nloc = len(last)
+    h, sq = last
+    nloc = len(h)
     o = nloc // d
     p = n // o
-    # the bond's side first: h, h², h³, trD(h^q)[a,b] = Σ_e h^q[(a,e),(b,e)]
-    # into parts[1], ⟨h², h²⟩, and GB[(b,c),(a,d)] = Σ_ef h[(b,e),(c,f)]·
-    # conj h[(a,e),(d,f)]
-    bonds, term, spare = _pieces(spare, last.dtype, (3, nloc, nloc, count), (nloc, nloc, count))
-    bonds[0] = last
-    _centre(bonds[0])
-    _matmul(bonds[0], bonds[0], bonds[1], term)
-    _matmul(bonds[1], bonds[0], bonds[2], term)
-    parts = np.empty((2, 3, o, o, count), last.dtype)       # trP(Hᵏ), trD(hᵏ), k = 1…3
-    blocks = bonds.reshape(3, o, d, o, d, count)
-    parts[1] = _fold(np.moveaxis(np.diagonal(blocks, 0, 2, 4), -1, 0))
-    sums = np.empty((3, 4, count))
-    sums[1, 3] = _dots(spare, (bonds[1].reshape(-1, count), bonds[1].reshape(-1, count)))[0]
-    y = blocks[0].transpose(1, 3, 0, 2, 4).reshape(d * d, o, o, 1, 1, count)
-    prod, _ = _pieces(spare, last.dtype, (d * d, o, o, o, o, count))
-    np.multiply(y, np.conjugate(y.reshape(d * d, 1, 1, o, o, count)), out=prod)
-    gram_b = _fold(prod, overwrite=True).copy()
-    # the head's side: trP(H)[a,b] = Σ_p H[(p,a),(p,b)], then the batched products
+    parts = np.empty((2, 3, o, o, count), h.dtype)       # trP(Hᵏ), trD(hᵏ), k = 1…3
+    # the bond's side: trD(h^q)[a,b] = Σ_e h^q[(a,e),(b,e)] for q ≤ 2, and
+    # trD(h³)[a,b] = Σ_ek h²[(a,e),k]·h[k,(b,e)]
+    _fold(np.diagonal(last.reshape(2, o, d, o, d, count), 0, 2, 4).transpose(4, 0, 1, 2, 3),
+          parts[1, :2])
+    prod, _ = _pieces(spare, h.dtype, (d, nloc, o, o, count))
+    np.multiply(sq.reshape(o, d, nloc, 1, count).transpose(1, 2, 0, 3, 4),
+                h.reshape(nloc, 1, o, d, count).transpose(3, 0, 1, 2, 4), out=prod)
+    _fold(prod.reshape(d * nloc, o, o, count), parts[1, 2], overwrite=True)
+    # GB[(a,c),(b,e)] = Σ_fg h[(a,f),(c,g)]·conj h[(b,f),(e,g)], laid out [a,b,c,e]
+    # as GH is, out of the scratch
+    x = h.reshape(o, d, o, d, count).transpose(1, 3, 0, 2, 4)              # [f, g, a, c]
+    prod, _ = _pieces(spare, h.dtype, (d, d, o, o, o, o, count))
+    np.multiply(x[:, :, :, None, :, None], x.conj()[:, :, None, :, None, :], out=prod)
+    gram_b = _fold(prod.reshape(d * d, -1, count), np.empty((o ** 4, count), h.dtype),
+                   overwrite=True)
+    # the head's side: trP(H)[a,b] = Σ_q H[(q,a),(q,b)], then the batched products
     inner = stack[1].reshape(n, n, count)
     _centre(inner)
-    parts[0, 0] = _fold(np.moveaxis(np.diagonal(inner.reshape(p, o, p, o, count), 0, 0, 2), -1, 0))
+    _fold(np.diagonal(inner.reshape(p, o, p, o, count), 0, 0, 2).transpose(3, 0, 1, 2),
+          parts[0, 0])
     heads = stack[0]
     heads[...] = inner.transpose(2, 0, 1)
     squares = np.matmul(heads, heads, out=stack[1])
+    sums = np.empty((2, 3, count))
+    _inner(squares, squares, out=sums[0, 2])                # tr H⁴ = ⟨H², H²⟩
     # trP(H³)[a,b] = Σ_iq conj H[i,(q,a)]·H²[i,(q,b)], H's columns grouped by
     # q; a complex H² is conjugated in place instead of H, and the product
     # conjugated back
@@ -413,33 +438,31 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, site_dim: int, spare
         np.conjugate(squares, out=squares)
     part3 = np.matmul(heads.reshape(count, -1, o).swapaxes(-1, -2), squares.reshape(count, -1, o))
     parts[0, 2] = (part3.conj() if complex_ else part3).transpose(1, 2, 0)
-    sums[0, 3] = _inner(squares, squares)
-    # GH[(a,b),(c,d)] = Σ_pq H[(p,a),(q,b)]·conj H[(p,c),(q,d)], from H's
+    # GH[(a,b),(c,e)] = Σ_pq H[(p,a),(q,b)]·conj H[(p,c),(q,e)], from H's
     # blocks laid out as rows; the conjugate is a copy even when real, as
     # numpy's X·Xᵀ (syrk) is slower than a gemm at these sizes
     x = stack[1].reshape(count, o, o, p, p)
     x[...] = heads.reshape(count, p, o, p, o).transpose(0, 2, 4, 1, 3)
     x = x.reshape(count, o * o, p * p)
     gram = np.matmul(x, np.conjugate(x, out=stack[0].reshape(x.shape)).swapaxes(-1, -2))
-    # GH window-last, and trP(H²)[a,c] = Σ_b GH[(a,b),(c,b)]
-    gram = gram.reshape(count, o, o, o, o).transpose(1, 2, 3, 4, 0)
-    parts[0, 1] = _fold(np.moveaxis(np.diagonal(gram, 0, 1, 3), -1, 0))
-    # tr(ABAB) = Re Σ GH[(a,b),(d,c)]·conj GB[(a,d),(b,c)] (GB is Hermitian);
-    # tr(AᵖB^q) is the real inner product of trP(Hᵖ) and trD(h^q), as trD(h^q)
-    # is Hermitian; and tr hᵏ and tr Hᵏ, k ≤ 3, are the traces of the parts
-    abab = _dots(spare, (gram_b.transpose(0, 2, 1, 3, 4).reshape(-1, count),
-                         gram.reshape(-1, count)))[0]
+    # trP(H²)[a,c] = Σ_b GH[(a,b),(c,b)]
+    _fold(np.diagonal(gram.reshape(count, o, o, o, o), 0, 2, 4).transpose(3, 1, 2, 0),
+          parts[0, 1])
+    # tr H² and tr H³ are the traces of trP(H²) and trP(H³); tr(AᵖB^q) is the
+    # real inner product of trP(Hᵖ) and trD(h^q), as trD(h^q) is Hermitian
     flat = parts.reshape(2, 3, o * o, count)
+    _fold(flat[0, 1:, ::o + 1].transpose(1, 0, 2).real, sums[0, :2])
+    abab = _dots(spare, (gram_b, gram.reshape(count, -1).T))[0]
     words = _dots(spare, (flat[1].transpose(1, 0, 2)[:, None],
                           flat[0].transpose(1, 0, 2)[:, :, None]))[0]     # [p, q]
-    sums[:2, :3] = _fold(np.moveaxis(flat[:, :, ::o + 1], 2, 0).real)
-    # the mixed words of tr M², tr M³ and tr M⁴: the four of degree (2, 2)
-    # but ABAB and BABA are tr(A²B²)
-    sums[2, 0] = 0
-    sums[2, 1] = 2 * words[0, 0]
-    sums[2, 2] = 3 * (words[1, 0] + words[0, 1])
-    sums[2, 3] = 4 * (words[2, 0] + words[0, 2] + words[1, 1]) + 2 * abab
-    return sums[0], d * sums[0] + p * sums[1] + sums[2]
+    # tr Mᵏ = d·tr Hᵏ + P·tr hᵏ and the mixed words of tr M², tr M³ and tr M⁴:
+    # the four of degree (2, 2) but ABAB and BABA are tr(A²B²)
+    np.multiply(sums[0], d, out=sums[1])
+    sums[1] += p * bond_sums
+    sums[1, 0] += 2 * words[0, 0]
+    sums[1, 1] += 3 * (words[1, 0] + words[0, 1])
+    sums[1, 2] += 4 * (words[2, 0] + words[0, 2] + words[1, 1]) + 2 * abab
+    return sums
 
 
 def _window_width(spec: ChainSpec) -> int:
@@ -447,35 +470,54 @@ def _window_width(spec: ChainSpec) -> int:
     return min(spec.n_bonds, 3 * (spec.coupling_range - 1) + 1)
 
 
-def _window_cumulants(sums: np.ndarray, side: int) -> np.ndarray:
-    """κ₂, κ₃, κ₄ of windows of `side` values from their central Σλ¹…Σλ⁴ (4, …): (3, …).
+@dataclass(frozen=True)
+class _Windows:
+    """What a chain's moments pass reads from its spec alone (``_windows``)."""
 
-    A window's mean is 0 once centred, so κ₂ = μ₂, κ₃ = μ₃ and
-    κ₄ = μ₄ − 3μ₂².
+    width: int                  # bonds in a window
+    side: int                   # a head's side, d^(width + L − 2)
+    head: Optional[ChainSpec]   # a head's chain, on width + L − 2 sites; None at N = L
+    sides: np.ndarray           # (2, 1, 1, 1): a head's side and a window's
+    members: np.ndarray         # (n_bonds, summands, 1): 1 where the bond is in the summand
+    iso: float                  # the isotropic κ₄'s factor on Σ_{i<j} S_i S_j
+
+
+@functools.lru_cache(maxsize=64)
+def _windows(spec: ChainSpec) -> _Windows:
+    """The windows, summands and constants of `spec`'s moments pass, read-only."""
+    width, d, m, beta = _window_width(spec), spec.site_dim, spec.m, spec.beta
+    side = d ** (width + spec.coupling_range - 2)
+    head = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 2) if width > 1 else None
+    members = np.zeros((spec.n_bonds, len(spec.summand_bonds), 1))
+    for i, bonds in enumerate(spec.summand_bonds):
+        members[bonds, i] = 1
+    sides = np.array([side, side * d], float).reshape(2, 1, 1, 1)
+    for a in (members, sides):
+        a.flags.writeable = False
+    # 2w·v_i·v_j with v_i = m/(m−1)·S_i and w = β(m−1)/(mβ+2) (``_pool_sums``)
+    iso = 2 * beta * (m - 1) / (m * beta + 2) * (m / (m - 1)) ** 2
+    return _Windows(width, side, head, sides, members, iso)
+
+
+def _bond_moments(cs: np.ndarray, spare=None) -> np.ndarray:
+    """Each bond's trace moments, with its term centred and squared in place.
+
+    `cs` is a C-contiguous (2, d^L, d^L, …) stack whose layer 0 holds the
+    terms h_l, the trial axis last.  Layer 0 becomes the c_l = h_l −
+    τ(h_l)·I, with τ the normalised trace, and layer 1 the c_l².  Returns
+    the (4, …) τ(h_l), τ(c_l²), τ(c_l³), τ(c_l⁴).  The temporaries are cut
+    from `spare` (``_pieces``).
     """
-    mu = sums / side
-    return np.stack([mu[1], mu[2], mu[3] - 3 * mu[1] ** 2])
-
-
-def _bond_moments(c: np.ndarray, spare=None) -> np.ndarray:
-    """Each bond's trace moments, with its term centred in place.
-
-    `c` is a C-contiguous (d^L, d^L, n_bonds, count) stack of the terms
-    h_l, which becomes that of the c_l = h_l − τ(h_l)·I, with τ the
-    normalised trace.  Returns the (4, n_bonds, count) τ(h_l), τ(c_l²),
-    τ(c_l³), τ(c_l⁴).  The temporaries are cut from `spare` (``_pieces``).
-    """
+    c, sq = cs
     nloc = len(c)
+    moments = np.empty((4, *c.shape[2:]))
     diag = _diagonal(c)
-    tau = _fold(diag.real) / nloc
-    diag -= tau
-    flat = c.reshape(nloc * nloc, *c.shape[2:])
-    sq, rest = _pieces(spare, c.dtype, c.shape)
-    _matmul(c, c, sq, _pieces(rest, c.dtype, c.shape)[0])
-    sq = sq.reshape(flat.shape)
-    moments = np.empty((4, *tau.shape))
-    moments[0] = tau
-    moments[1:] = _dots(rest, (flat, flat), (sq, flat), (sq, sq))
+    np.divide(_fold(diag.real), nloc, out=moments[0])
+    diag -= moments[0]
+    term, rest = _pieces(spare, c.dtype, c.shape)
+    _matmul(c, c, sq, term)
+    flat, square = (a.reshape(nloc * nloc, *c.shape[2:]) for a in (c, sq))
+    _dots(rest, (flat, flat), (square, flat), (square, square), out=moments[1:])
     moments[1:] /= nloc
     return moments
 
@@ -499,49 +541,104 @@ def _trial_sums(terms: np.ndarray, spec: ChainSpec) -> np.ndarray:
     central sums serve its own window and, for every head but the first,
     an overlap.  Read with their bond and trial axes as one, the centred
     terms hold the bonds of window j at entries j·count on, so the heads'
-    bonds and the windows' last bonds are strided views of them, with the
-    window and trial axes as one window-last axis.  A window is head ⊗ I_d
-    plus its last bond on the last L sites, and ``_window_power_sums`` takes
-    its sums from the head's powers and partial traces and from that bond,
-    without forming it.  Of its words only tr(ABAB), where the head and the
-    bond interleave, reads the whole head: that is the fourth-order
-    departure of the quantum spectrum from the classical and isotropic
-    ones.  At N = L the head is the empty sum on L − 1 sites.  The
-    classical and isotropic cumulants come from the bond moments
-    (``_conditional_cumulants``), and one ``_raw_moments`` turns the three
-    pools' cumulants into their sums.
+    bonds and the windows' last bonds, with their squares, are strided
+    views of the centred terms and squares, with the window and trial axes
+    as one window-last axis.  A window is head ⊗ I_d plus its last bond on
+    the last L sites, and ``_window_power_sums`` takes its sums from the
+    head's powers and partial traces and from that bond, without forming
+    it.  Of its words only tr(ABAB), where the head and the bond
+    interleave, reads the whole head: that is the fourth-order departure
+    of the quantum spectrum from the classical and isotropic ones.  At
+    N = L the head is the empty sum on L − 1 sites.  ``_pool_sums`` turns
+    the bond moments and the window sums into the three pools' sums.
     """
-    width, nb, d, nloc = _window_width(spec), spec.n_bonds, spec.site_dim, spec.local_dim
-    count, windows = terms.shape[-1], nb - width + 1
-    side = d ** (width + spec.coupling_range - 2)
-    # this thread's scratch: layer 0 holds the centred terms, then the bond's
-    # and the heads' temporaries; layer 1 the bond moments' temporaries, then
-    # the heads, window-last; so a sub-block maps no fresh pages where they fit
-    stack = _scratch("heads", (2, windows * count, side, side), terms.dtype)
-    c, spare = _pieces(stack[0].reshape(-1), terms.dtype, terms.shape)
-    c[...] = terms
-    bonds = _bond_moments(c, stack[1].reshape(-1))
-    flat = c.reshape(nloc, nloc, nb * count)
+    win, nb, d, nloc = _windows(spec), spec.n_bonds, spec.site_dim, spec.local_dim
+    count, width = terms.shape[-1], win.width
+    windows = nb - width + 1
+    # this thread's scratch: layer 0 holds the centred terms and their
+    # squares, then the bond's and the heads' temporaries; layer 1 the bond
+    # moments' temporaries, then the heads, window-last; so a sub-block maps
+    # no fresh pages where they fit
+    stack = _scratch("heads", (2, windows * count, win.side, win.side), terms.dtype)
+    cs, spare = _pieces(stack[0].reshape(-1), terms.dtype, (2, nloc, nloc, nb * count))
+    cs[0] = terms.reshape(nloc, nloc, -1)
+    bonds = _bond_moments(cs, stack[1].reshape(-1))
+    heads = stack[1].reshape(win.side, win.side, -1).transpose(2, 0, 1)
     if width > 1:
-        head = dataclasses.replace(spec, n_sites=width + spec.coupling_range - 2)
-        row, col, entry = flat.strides
-        dense = np.lib.stride_tricks.as_strided(
-            flat, (windows * count, width - 1, nloc, nloc), (entry, count * entry, row, col))
-        chain_mod.embed_sum_batch(dense, head,
-                                  stack[1].reshape(side, side, -1).transpose(2, 0, 1))
+        # head j's bond i is bond j + i, at entries (j + i)·count on
+        row, col, entry = cs[0].strides
+        dense = np.ndarray((windows * count, width - 1, nloc, nloc), cs.dtype, cs[0], 0,
+                           (entry, count * entry, row, col))
+        chain_mod.embed_sum_batch(dense, win.head, heads)
     else:
-        stack[1] = 0
-    heads, sums = _window_power_sums(stack, flat[:, :, (width - 1) * count:], d, spare)
-    kappa = _window_cumulants(sums.reshape(4, windows, count), side * d)
-    # every head but the first is an overlap
-    kappa[:, 1:] -= _window_cumulants(heads.reshape(4, windows, count)[:, 1:], side)
-    # κ₁…κ₄ of the classical, iso and quantum spectra: the quantum κ₁ is the
-    # bonds' summed τ(h), as is the others'
-    cumulants = np.empty((4, 3, count))
-    cumulants[:, :2] = _conditional_cumulants(bonds, spec)
-    cumulants[0, 2] = cumulants[0, 0]
-    cumulants[1:, 2] = _fold(kappa.swapaxes(0, 1))
-    return spec.m * np.stack(_raw_moments(*cumulants), axis=1)
+        heads[...] = 0
+    start = (width - 1) * count
+    sums = _window_power_sums(stack, cs[..., start:], nloc * bonds[1:, start:], d, spare)
+    return _pool_sums(bonds.reshape(4, nb, count), sums.reshape(2, 3, windows, count), spec)
+
+
+def _pool_sums(bonds: np.ndarray, sums: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """Each trial's classical, isotropic and quantum Σλ¹…Σλ⁴ from its cumulants: (3, 4, count).
+
+    `bonds` is (4, n_bonds, count), each bond's τ(h), τ(c²), τ(c³), τ(c⁴)
+    (``_bond_moments``), and `sums` (2, 3, windows, count), the central
+    Σλ²…⁴ of each head and window (``_window_power_sums``), which this
+    overwrites.  Every pool's κ₁ is the bonds' summed τ(h).
+
+    * Classical: an eigenvalue is a sum of independent uniform draws, one
+      from each bond's spectrum, so κ₂…κ₄ are the bonds' summed: τ(c²),
+      τ(c³) and τ(c⁴) − 3τ(c²)².
+    * Isotropic: the same κ₁…κ₃ (Matching Three Moments): E Q†SQ = τ(S)·I,
+      so in a word of degree at most 4 a summand that appears once factors
+      out, as it does classically.  Only the alternating words differ:
+      E τ(S_i S_j S_i S_j) = τ(S_i²)τ(S_j²) − w·v_i·v_j with S_i = diag(s_i)
+      rotated, w = β(m−1)/(mβ+2) and v_i = m/(m−1)·var(s_i), and τ(M⁴)
+      holds two per pair.  var(s_i) is S_i, the τ(c²) of summand i's bonds
+      summed.
+    * Quantum: a centred window's κ₂, κ₃, κ₄ are μ₂, μ₃, μ₄ − 3μ₂², summed
+      over the windows less the heads that are overlaps, every head but the
+      first (``_trial_sums``).
+
+    Every sum over bonds, summands or windows is a ``_fold``.  The raw sums
+    are m times the central moments 1, 0, κ₂, κ₃, κ₄ + 3κ₂² shifted by κ₁.
+    """
+    win, count = _windows(spec), bonds.shape[-1]
+    nb, summands = win.members.shape[:2]
+    # central moments μ₀…μ₄ of each pool, shifted by κ₁ below; the
+    # quantum κ₂…κ₄ first
+    mu = np.empty((5, 3, count))
+    mu[0], mu[1] = 1, 0
+    k = np.divide(sums, win.sides, out=sums)
+    square = np.square(k[:, 0])
+    square *= 3
+    k[:, 2] -= square
+    k[1, :, 1:] -= k[0, :, 1:]
+    _fold(k[1].swapaxes(0, 1), mu[2:, 2], overwrite=True)
+    # the bonds' κ₁…κ₄ and each summand's S_i, in one fold over the bonds
+    rows = np.empty((nb, 4 + summands, count))
+    rows[:, :4] = bonds.swapaxes(0, 1)
+    np.multiply(win.members, bonds[1, :, None], out=rows[:, 4:])
+    square = np.square(bonds[1])
+    square *= 3
+    rows[:, 3] -= square
+    kappa = _fold(rows, overwrite=True)
+    mu[2:, :2] = kappa[1:4, None]
+    # Σ_{i<j} S_i S_j, from the running sums of the S_i: S₀S₁ for the two
+    # parity classes at L = 2
+    s = kappa[4:]
+    pairs = s[0] * s[1] if summands == 2 else _fold(s[1:] * np.cumsum(s, axis=0)[:-1])
+    mu[4, 1] -= win.iso * pairs
+    square = np.square(mu[2])
+    square *= 3
+    mu[4] += square
+    # the raw moments: shifting by a = κ₁ takes μ_j to Σ_i C(j,i)·μ_i·a^(j−i),
+    # four steps of μ_j += a·μ_(j−1), j descending
+    a = kappa[0]
+    for i in range(1, 5):
+        mu[i:] += a * mu[i - 1:4]
+    out = np.empty((3, 4, count))
+    np.multiply(mu[1:], spec.m, out=out.swapaxes(0, 1))
+    return out
 
 
 def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=()):
@@ -599,31 +696,6 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
         iso[s:e] = np.linalg.eigvalsh(mats)
     return sums.transpose(0, 2, 1)
 
-
-def _conditional_cumulants(bonds: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    """Each trial's classical and isotropic κ₁…κ₄, averaged over Π_i or Q_i: (4, 2, count).
-
-    `bonds` is (4, n_bonds, count), each bond's τ(h), τ(c²), τ(c³), τ(c⁴)
-    (``_bond_moments``).  A classical eigenvalue is a sum of independent
-    uniform draws, one from each bond's spectrum, so its cumulants κ₁…κ₄
-    are the bonds' summed.  The isotropic spectrum has the same κ₁…κ₃
-    (Matching Three Moments): E Q†SQ = τ(S)·I, so in a word of degree at
-    most 4 a summand that appears once factors out, as it does classically.
-    Only the alternating words differ: E τ(S_i S_j S_i S_j) = τ(S_i²)τ(S_j²)
-    − w·v_i·v_j with S_i = diag(s_i) rotated, w = β(m−1)/(mβ+2) and
-    v_i = m/(m−1)·var(s_i), and τ(M⁴) holds two per pair.
-    """
-    m, beta = spec.m, spec.beta
-    cumulants = bonds.copy()
-    cumulants[3] -= 3 * bonds[1] ** 2
-    kappa = np.empty((4, 2, bonds.shape[-1]))
-    kappa[:, 0] = kappa[:, 1] = _fold(cumulants.swapaxes(0, 1))
-    # var(s_i): τ(c²) summed over summand i's bonds, a strided view of each
-    v = m / (m - 1) * np.stack([_fold(bonds[1, b]) for b in spec.summand_bonds])
-    pairs = _fold(v[1:] * np.cumsum(v, axis=0)[:-1])               # Σ_{i<j} v_i v_j
-    w = beta * (m - 1) / (m * beta + 2)
-    kappa[3, 1] -= 2 * w * pairs
-    return kappa
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +757,17 @@ def jackknife_se(values) -> float:
     return float(math.sqrt((g - 1) / g * ((loo - loo.mean()) ** 2).sum()))
 
 
+@functools.lru_cache(maxsize=16)
+def _block_counts(m, trials):
+    """Each pool's value count in each jackknife block, (3, n_blocks), read-only."""
+    n_blocks = min(_N_BLOCKS, trials)
+    # trial i falls in block i·n_blocks // trials: block b starts at ⌈b·trials/n_blocks⌉
+    starts = (np.arange(n_blocks + 1) * trials + n_blocks - 1) // n_blocks
+    counts = np.tile((starts[1:] - starts[:-1]) * m, (3, 1))
+    counts.flags.writeable = False
+    return counts
+
+
 def _new_pools(m, trials, keep_samples):
     """A TrialPool that stacks the classical, iso and quantum pools, and those pools.
 
@@ -697,11 +780,9 @@ def _new_pools(m, trials, keep_samples):
             raise ValueError("sample retention would exceed the memory guard; "
                              "use keep_samples=False")
         samples = np.empty((3, trials, m))
-    n_blocks = min(_N_BLOCKS, trials)
-    # trial i falls in block i·n_blocks // trials: block b starts at ⌈b·trials/n_blocks⌉
-    starts = -(-np.arange(n_blocks + 1) * trials // n_blocks)
-    stacked = TrialPool(m, trials, np.zeros((3, 4)), np.zeros((3, n_blocks, 4)),
-                        np.tile(np.diff(starts) * m, (3, 1)), samples)
+    counts = _block_counts(m, trials).copy()
+    stacked = TrialPool(m, trials, np.zeros((3, 4)), np.zeros((3, len(counts[0]), 4)), counts,
+                        samples)
     rows = (stacked.moment_sums, stacked.block_sums, stacked.block_counts,
             samples if keep_samples else (None,) * 3)
     return stacked, {kind: TrialPool(m, trials, *(a[i] for a in rows))
@@ -709,13 +790,14 @@ def _new_pools(m, trials, keep_samples):
 
 
 def _accumulate(pools: TrialPool, sums: np.ndarray, lo: int):
-    """Fold the (3, count, 4) Σλ¹…Σλ⁴ of the trials from `lo` on into the stacked pools."""
+    """Fold the (3, count, 4) Σλ¹…Σλ⁴ of the trials from `lo` on, which it overwrites,
+    into the stacked pools."""
     c, n_blocks = sums.shape[1], pools.block_sums.shape[1]
     ids = (np.arange(lo, lo + c) * n_blocks) // pools.trials
     # a left fold in trial order, so the sums do not depend on the items
-    running = np.concatenate([pools.moment_sums[:, None], sums], axis=1)
-    pools.moment_sums[:] = np.cumsum(running, axis=1)[:, -1]
     np.add.at(pools.block_sums, (slice(None), ids), sums)
+    sums[:, 0] += pools.moment_sums
+    pools.moment_sums[:] = np.cumsum(sums, axis=1)[:, -1]
 
 
 def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = False):

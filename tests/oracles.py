@@ -18,7 +18,7 @@ import numpy as np
 import spinmix as sm
 from spinmix.chain import (STREAM_LOCAL_EIGS, STREAM_LOCAL_VECS, draw_local_batch,
                            embed_sum_batch)
-from spinmix.spectra import _bond_moments, _fold, _inner, _raw_moments, _window_width
+from spinmix.spectra import _bond_moments, _fold, _raw_moments, _window_width
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +71,25 @@ def power_sums(mats):
     conjugated inner product, so one M² per matrix replaces an eigvalsh.
     """
     sq = np.matmul(mats, mats)
-    return np.stack([np.trace(mats, axis1=1, axis2=2).real, _inner(mats, mats),
-                     _inner(sq, mats), _inner(sq, sq)], axis=-1)
+
+    def inner(x, y):
+        return np.einsum("tij,tij->t", x.conj(), y).real
+
+    return np.stack([np.trace(mats, axis1=1, axis2=2).real, inner(mats, mats),
+                     inner(sq, mats), inner(sq, sq)], axis=-1)
 
 
 def trial_last(dense):
     """A C-contiguous (d^L, d^L, n_bonds, count) copy of a (count, n_bonds, d^L, d^L) stack."""
     return np.array(dense.transpose(2, 3, 1, 0), order="C")
+
+
+def term_stack(dense):
+    """The (2, d^L, d^L, n_bonds, count) stack ``spectra._bond_moments`` centres and
+    squares in place, its layer 0 the terms of the (count, n_bonds, d^L, d^L) `dense`."""
+    stack = np.empty((2, *dense.shape[:1:-1], *dense.shape[1::-1]), dense.dtype)
+    stack[0] = dense.transpose(2, 3, 1, 0)
+    return stack
 
 
 def window_cumulants(bonds, spec, width):
@@ -99,14 +111,47 @@ def two_embed_quantum_sums(dense, spec):
     """Each trial's quantum Σλ¹…Σλ⁴, (count, 4), from its s-bond windows less
     their (s − 1)-bond overlaps, the two widths embedded separately."""
     width = _window_width(spec)
-    c = trial_last(dense)
-    bonds = _bond_moments(c)
-    c = c.transpose(3, 2, 0, 1)
+    stack = term_stack(dense)
+    bonds = _bond_moments(stack)
+    c = stack[0].transpose(3, 2, 0, 1)
     kappa = window_cumulants(c, spec, width)
     if width < spec.n_bonds:
         kappa -= window_cumulants(c[:, 1:-1], spec, width - 1)
     # Σλ¹ is the package's sum of the bonds' τ(h), in the package's order
     return spec.m * np.stack(_raw_moments(_fold(bonds[0]), *kappa.T), axis=-1)
+
+
+def stepwise_pool_sums(bonds, sums, spec):
+    """Each trial's classical, isotropic and quantum Σλ¹…Σλ⁴, (3, 4, count), from the
+    inputs of ``spectra._pool_sums``, one step at a time.
+
+    `bonds` is (4, n_bonds, count), each bond's τ(h), τ(c²), τ(c³), τ(c⁴);
+    `sums` is (2, 3, windows, count), the central Σλ²…⁴ of each head and
+    window.  Each window's and head's κ₂…κ₄, the overlaps subtracted from
+    the windows, the bonds' summed cumulants with the isotropic κ₄'s
+    pairs of summands, and ``_raw_moments`` of every pool, as the package
+    took them before it fused them.
+    """
+    m, beta, d = spec.m, spec.beta, spec.site_dim
+    side = d ** (_window_width(spec) + spec.coupling_range - 2)
+
+    def window_cumulants(central, side):
+        mu = central / side
+        return np.stack([mu[0], mu[1], mu[2] - 3 * mu[0] ** 2])
+
+    kappa = window_cumulants(sums[1], side * d)
+    # every head but the first is an overlap
+    kappa[:, 1:] -= window_cumulants(sums[0], side)[:, 1:]
+    cumulants = bonds.copy()
+    cumulants[3] -= 3 * bonds[1] ** 2
+    pools = np.empty((4, 3, bonds.shape[-1]))
+    pools[:, 0] = pools[:, 1] = _fold(cumulants.swapaxes(0, 1))
+    v = m / (m - 1) * np.stack([_fold(bonds[1, b]) for b in spec.summand_bonds])
+    w = beta * (m - 1) / (m * beta + 2)
+    pools[3, 1] -= 2 * w * _fold(v[1:] * np.cumsum(v, axis=0)[:-1])
+    pools[0, 2] = pools[0, 0]
+    pools[1:, 2] = _fold(kappa.swapaxes(0, 1))
+    return m * np.stack(_raw_moments(*pools), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from spinmix import _workers, spectra
 from spinmix.cli import _p_empirical
 from spinmix.spectra import _bond_moments, _chunk_pass, _rotate_diag, _trial_sums
 
-from oracles import (classical_convolve, ks_measures, measure, power_sums, summarize, trial_last,
-                     two_embed_quantum_sums)
+from oracles import (classical_convolve, ks_measures, measure, power_sums, stepwise_pool_sums,
+                     summarize, term_stack, trial_last, two_embed_quantum_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +144,12 @@ def test_rotation_kernels_match_explicit_products(m, beta):
         assert np.abs(got_diag[t] - qh @ np.diag(b[t]) @ q[t]).max() < 1e-12
 
 
-def _assert_power_sums_match(got, lam):
-    """(count, 4) power sums against eigenvalue rows, to 1e-12·Σ|λ|ʲ per row."""
-    for j in (1, 2, 3, 4):
+def _assert_power_sums_match(got, lam, first=1):
+    """(count, 5 − first) power sums Σλ^first…Σλ⁴ against eigenvalue rows, to
+    1e-12·Σ|λ|ʲ per row."""
+    for j in range(first, 5):
         scale = (np.abs(lam) ** j).sum(axis=1)
-        assert np.all(np.abs(got[:, j - 1] - (lam ** j).sum(axis=1)) <= 1e-12 * scale), j
+        assert np.all(np.abs(got[:, j - first] - (lam ** j).sum(axis=1)) <= 1e-12 * scale), j
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e3])
@@ -228,6 +229,46 @@ def test_pools_do_not_depend_on_sub_blocks(monkeypatch, spec, trials, keep_sampl
         for field in ("moment_sums", "block_sums", "block_counts", "samples"):
             assert np.array_equal(getattr(pools[kind], field), getattr(pool, field)), \
                 (kind, field)
+
+
+def test_alternating_shapes_on_one_thread_keep_every_bit(monkeypatch):
+    # a thread reuses its scratch, and the package its per-spec tables,
+    # across calls of any shape: each call, made first on a thread of its
+    # own, must come out the same when one thread alternates it with the
+    # others.  A pool of one worker runs every item on the calling thread.
+    # The kept N=9 call holds 4 trials, not 32: at m = 512 a kept trial
+    # takes some 56 ms on one thread
+    wishart = sm.LocalEnsemble.wishart(4)
+    n9 = sm.ChainSpec(n_sites=9, site_dim=2, ensemble=wishart)
+    shapes = [(n9, 32), (sm.ChainSpec(n_sites=5, site_dim=2, ensemble=wishart), 1100), (n9, 1),
+              (sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
+                            coupling_range=3), 60),
+              (sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1(), beta=2), 40)]
+    calls = [(spec, 4 if keep and spec is n9 and trials > 1 else trials, keep)
+             for keep in (False, True) for spec, trials in shapes]
+    pool = _workers._Pool(1, _workers._openblas_controls())
+    monkeypatch.setattr(_workers, "_default", pool)
+
+    def arrays(call):
+        spec, trials, keep = call
+        pools = sm.ensemble_pools(spec, trials, sm.Rng(72), keep)
+        return [getattr(p, field) for p in pools.values()
+                for field in ("moment_sums", "block_sums", "block_counts", "samples")]
+
+    try:
+        first = []
+        for call in calls:
+            thread = threading.Thread(target=lambda c=call: first.append(arrays(c)))
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert len(first) == len(calls)
+        # in reverse order every call follows a call of another shape, on this thread
+        for i in reversed(range(len(calls))):
+            for ref, got in zip(first[i], arrays(calls[i])):
+                assert (ref is None and got is None) or np.array_equal(ref, got), calls[i][1:]
+    finally:
+        pool.shutdown()
 
 
 def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
@@ -387,7 +428,7 @@ def test_bond_cumulants_from_traces_match_eigenvalues(kind, values, coupling_ran
     gen = sm.Rng(seed).substream()
     _, dense = draw_local_batch(spec, 3, gen, vec_gen=gen)
     dense = dense + shift * np.eye(spec.local_dim)
-    bonds = _bond_moments(trial_last(dense)).T
+    bonds = _bond_moments(term_stack(dense)).T
     lam = np.linalg.eigvalsh(dense)
     c = lam - lam.mean(axis=-1, keepdims=True)
     top = np.abs(lam).max(axis=-1)
@@ -689,7 +730,9 @@ def test_window_power_sums_match_eigenvalues(site_dim, coupling_range, beta, fir
     # heads H on P·O sites' worth of indices, P = d^first_sites, and bonds h
     # on the O = d^(L−1) shared sites and one more, neither centred: the
     # central sums of each H and of each H ⊗ I_d + I_P ⊗ h against the
-    # eigenvalues of the centred matrices, formed whole
+    # eigenvalues of the centred matrices, formed whole.  The kernel centres
+    # the heads; the bonds reach it as the package centres them, with their
+    # squares and power sums (_bond_moments)
     d, gen = site_dim, sm.Rng(61, seed).substream()
     p, o = d ** first_sites, d ** (coupling_range - 1)
     heads = _hermitian(gen, beta, windows, p * o, np.array(shifts[:windows]))
@@ -697,13 +740,50 @@ def test_window_power_sums_match_eigenvalues(site_dim, coupling_range, beta, fir
     # the kernel reads the heads from layer 1 and the bonds with the window axis last
     stack = np.empty((2, *heads.shape), heads.dtype)
     stack[1].reshape(p * o, p * o, windows)[...] = heads.transpose(1, 2, 0)
+    bonds = np.empty((2, o * d, o * d, windows), last.dtype)
+    bonds[0] = last.transpose(1, 2, 0)
+    bond_sums = o * d * _bond_moments(bonds)[1:]
     head_sums, window_sums = (sums.T for sums in spectra._window_power_sums(
-        stack, np.ascontiguousarray(last.transpose(1, 2, 0)), d))
+        stack, bonds, bond_sums, d))
     for got, mats in ((head_sums, heads),
                       (window_sums, np.kron(heads, np.eye(d)) + np.kron(np.eye(p), last))):
         side = mats.shape[-1]
         centred = mats - np.trace(mats, axis1=1, axis2=2).real[:, None, None] / side * np.eye(side)
-        _assert_power_sums_match(got, np.linalg.eigvalsh(centred))
+        _assert_power_sums_match(got, np.linalg.eigvalsh(centred), first=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["wishart", "goe", "pm1", "fixed"]),
+       values=st.lists(st.floats(-10, 10), min_size=8, max_size=8),
+       n_sites=st.integers(2, 10), coupling_range=st.integers(2, 3), beta=st.integers(1, 2),
+       offset=st.floats(-1e3, 1e3), trials=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_pool_sums_match_the_stepwise_algebra(kind, values, n_sites, coupling_range, beta,
+                                              offset, trials, seed):
+    # the fused cumulant algebra against the step-by-step one it replaced,
+    # on the bond moments and window sums a sub-block hands it, with the
+    # bond spectrum shifted so that κ₁ reaches 10³: within 1e-13 of
+    # m·(Σλ²/m)^(k/2) per trial and pool
+    coupling_range = min(coupling_range, n_sites)
+    ensemble = {"wishart": sm.LocalEnsemble.wishart(4), "goe": sm.LocalEnsemble.goe(),
+                "pm1": sm.LocalEnsemble.pm1(),
+                "fixed": sm.LocalEnsemble.fixed_spectrum(values[:2 ** coupling_range])}[kind]
+    spec = sm.ChainSpec(n_sites=n_sites, site_dim=2, ensemble=ensemble, beta=beta,
+                        coupling_range=coupling_range)
+    gen = sm.Rng(seed).substream()
+    _, dense = draw_local_batch(spec, trials, gen, vec_gen=gen)
+    dense = dense + offset * np.eye(spec.local_dim)
+    inputs, fused = [], spectra._pool_sums
+
+    def keep_inputs(bonds, sums, spec):
+        inputs.append((bonds.copy(), sums.copy()))
+        return fused(bonds, sums, spec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_pool_sums", keep_inputs)
+        got = _trial_sums(trial_last(dense), spec)
+    ref = stepwise_pool_sums(*inputs[0], spec)
+    scale = spec.m * (ref[:, 1:2] / spec.m) ** (np.arange(1, 5)[:, None] / 2)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 @settings(max_examples=40, deadline=None)
