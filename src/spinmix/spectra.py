@@ -265,15 +265,15 @@ def _rotate_diag(q: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(qh, q, out=out)
 
 
-def _inner(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """Re Σ conj(x)·y over each matrix of two stacks of one shape: (count,), into `out` if given.
+def _inner(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Re Σ conj(x)·y over each matrix of two stacks of one shape, into `out`: (count,).
 
     One dot per matrix, a batched product of its entries as a row by those
     of the other as a column, so a matrix sums alike in any stack; a
     complex array viewed as float pairs gives Re Σ conj(x)·y.
     """
     x, y = (a.reshape(len(a), 1, -1).view(np.float64) for a in (x, y))
-    return np.matmul(x, y.swapaxes(-1, -2), out=None if out is None else out.reshape(-1, 1, 1))
+    return np.matmul(x, y.swapaxes(-1, -2), out=out.reshape(-1, 1, 1))
 
 
 # The kernels below keep the trial (or window) axis last: a (d^L, d^L, …)
@@ -429,7 +429,7 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, bond_sums: np.ndarra
     heads[...] = inner.transpose(2, 0, 1)
     squares = np.matmul(heads, heads, out=stack[1])
     sums = np.empty((2, 3, count))
-    _inner(squares, squares, out=sums[0, 2])                # tr H⁴ = ⟨H², H²⟩
+    _inner(squares, squares, sums[0, 2])                    # tr H⁴ = ⟨H², H²⟩
     # trP(H³)[a,b] = Σ_iq conj H[i,(q,a)]·H²[i,(q,b)], H's columns grouped by
     # q; a complex H² is conjugated in place instead of H, and the product
     # conjugated back
