@@ -369,13 +369,13 @@ def _centre(mats: np.ndarray) -> None:
     diag -= _fold(diag) / len(diag)
 
 
-def _window_power_sums(stack: np.ndarray, last: np.ndarray, bond_sums: np.ndarray,
-                       site_dim: int, spare=None) -> np.ndarray:
+def _window_power_sums(stack: np.ndarray, inner: np.ndarray, last: np.ndarray,
+                       bond_sums: np.ndarray, site_dim: int, spare=None) -> np.ndarray:
     """Central Σ(λ − λ̄)²…⁴ of each head H and of its window H ⊗ I_d + I_P ⊗ h: (2, 3, count).
 
-    `stack` is (2, count, n, n) scratch whose layer 1, read as (n, n,
-    count), holds the Hermitian heads with the window axis last, which are
-    centred in place first.  `last` is (2, O·d, O·d, count): the centred
+    `stack` is (2, count or more, n, n) scratch, and `inner`, an (n, n,
+    count) view of its layer 1, holds the Hermitian heads with the window
+    axis last, which are centred in place first.  `last` is (2, O·d, O·d, count): the centred
     h, whose first O sites are the head's last ones, so n = P·O, and h²;
     `bond_sums` is (3, count), tr h², tr h³ and tr h⁴.  ``_bond_moments``
     forms all three for every bond.  The bond-sized temporaries are cut
@@ -399,7 +399,7 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, bond_sums: np.ndarra
     them, is elementwise on the window-last layout.  Every step is per
     window, so a head gets the same sums in any stack.
     """
-    count, n, d = stack.shape[1], stack.shape[2], site_dim
+    n, count, d = len(inner), inner.shape[-1], site_dim
     h, sq = last
     nloc = len(h)
     o = nloc // d
@@ -421,13 +421,12 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, bond_sums: np.ndarra
     gram_b = _fold(prod.reshape(d * d, -1, count), np.empty((o ** 4, count), h.dtype),
                    overwrite=True)
     # the head's side: trP(H)[a,b] = Σ_q H[(q,a),(q,b)], then the batched products
-    inner = stack[1].reshape(n, n, count)
     _centre(inner)
     _fold(np.diagonal(inner.reshape(p, o, p, o, count), 0, 0, 2).transpose(3, 0, 1, 2),
           parts[0, 0])
-    heads = stack[0]
+    heads = stack[0, :count]
     heads[...] = inner.transpose(2, 0, 1)
-    squares = np.matmul(heads, heads, out=stack[1])
+    squares = np.matmul(heads, heads, out=stack[1, :count])
     sums = np.empty((2, 3, count))
     _inner(squares, squares, sums[0, 2])                    # tr H⁴ = ⟨H², H²⟩
     # trP(H³)[a,b] = Σ_iq conj H[i,(q,a)]·H²[i,(q,b)], H's columns grouped by
@@ -441,10 +440,10 @@ def _window_power_sums(stack: np.ndarray, last: np.ndarray, bond_sums: np.ndarra
     # GH[(a,b),(c,e)] = Σ_pq H[(p,a),(q,b)]·conj H[(p,c),(q,e)], from H's
     # blocks laid out as rows; the conjugate is a copy even when real, as
     # numpy's X·Xᵀ (syrk) is slower than a gemm at these sizes
-    x = stack[1].reshape(count, o, o, p, p)
+    x = stack[1, :count].reshape(count, o, o, p, p)
     x[...] = heads.reshape(count, p, o, p, o).transpose(0, 2, 4, 1, 3)
     x = x.reshape(count, o * o, p * p)
-    gram = np.matmul(x, np.conjugate(x, out=stack[0].reshape(x.shape)).swapaxes(-1, -2))
+    gram = np.matmul(x, np.conjugate(x, out=heads.reshape(x.shape)).swapaxes(-1, -2))
     # trP(H²)[a,c] = Σ_b GH[(a,b),(c,b)]
     _fold(np.diagonal(gram.reshape(count, o, o, o, o), 0, 2, 4).transpose(3, 1, 2, 0),
           parts[0, 1])
@@ -558,22 +557,25 @@ def _trial_sums(terms: np.ndarray, spec: ChainSpec) -> np.ndarray:
     # this thread's scratch: layer 0 holds the centred terms and their
     # squares, then the bond's and the heads' temporaries; layer 1 the bond
     # moments' temporaries, then the heads, window-last; so a sub-block maps
-    # no fresh pages where they fit
-    stack = _scratch("heads", (2, windows * count, win.side, win.side), terms.dtype)
+    # no fresh pages where they fit.  The layers hold an odd number of
+    # windows, so the window-last rows do not alias in the cache, which
+    # slows the heads' transposed copy about threefold
+    wc = windows * count
+    stack = _scratch("heads", (2, wc | 1, win.side, win.side), terms.dtype)
     cs, spare = _pieces(stack[0].reshape(-1), terms.dtype, (2, nloc, nloc, nb * count))
     cs[0] = terms.reshape(nloc, nloc, -1)
     bonds = _bond_moments(cs, stack[1].reshape(-1))
-    heads = stack[1].reshape(win.side, win.side, -1).transpose(2, 0, 1)
+    inner = stack[1].reshape(win.side, win.side, -1)[..., :wc]
     if width > 1:
         # head j's bond i is bond j + i, at entries (j + i)·count on
         row, col, entry = cs[0].strides
-        dense = np.ndarray((windows * count, width - 1, nloc, nloc), cs.dtype, cs[0], 0,
+        dense = np.ndarray((wc, width - 1, nloc, nloc), cs.dtype, cs[0], 0,
                            (entry, count * entry, row, col))
-        chain_mod.embed_sum_batch(dense, win.head, heads)
+        chain_mod.embed_sum_batch(dense, win.head, inner.transpose(2, 0, 1))
     else:
-        heads[...] = 0
+        inner[...] = 0
     start = (width - 1) * count
-    sums = _window_power_sums(stack, cs[..., start:], nloc * bonds[1:, start:], d, spare)
+    sums = _window_power_sums(stack, inner, cs[..., start:], nloc * bonds[1:, start:], d, spare)
     return _pool_sums(bonds.reshape(4, nb, count), sums.reshape(2, 3, windows, count), spec)
 
 
@@ -793,9 +795,12 @@ def _accumulate(pools: TrialPool, sums: np.ndarray, lo: int):
     """Fold the (3, count, 4) Σλ¹…Σλ⁴ of the trials from `lo` on, which it overwrites,
     into the stacked pools."""
     c, n_blocks = sums.shape[1], pools.block_sums.shape[1]
-    ids = (np.arange(lo, lo + c) * n_blocks) // pools.trials
     # a left fold in trial order, so the sums do not depend on the items
-    np.add.at(pools.block_sums, (slice(None), ids), sums)
+    if n_blocks == pools.trials:                # a block per trial
+        pools.block_sums[:, lo:lo + c] += sums
+    else:
+        ids = (np.arange(lo, lo + c) * n_blocks) // pools.trials
+        np.add.at(pools.block_sums, (slice(None), ids), sums)
     sums[:, 0] += pools.moment_sums
     pools.moment_sums[:] = np.cumsum(sums, axis=1)[:, -1]
 

@@ -744,7 +744,7 @@ def test_window_power_sums_match_eigenvalues(site_dim, coupling_range, beta, fir
     bonds[0] = last.transpose(1, 2, 0)
     bond_sums = o * d * _bond_moments(bonds)[1:]
     head_sums, window_sums = (sums.T for sums in spectra._window_power_sums(
-        stack, bonds, bond_sums, d))
+        stack, stack[1].reshape(p * o, p * o, windows), bonds, bond_sums, d))
     for got, mats in ((head_sums, heads),
                       (window_sums, np.kron(heads, np.eye(d)) + np.kron(np.eye(p), last))):
         side = mats.shape[-1]
