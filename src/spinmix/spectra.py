@@ -375,13 +375,13 @@ def _window_power_sums(stack: np.ndarray, inner: np.ndarray, last: np.ndarray,
 
     `stack` is (2, count or more, n, n) scratch, and `inner`, an (n, n,
     count) view of its layer 1, holds the Hermitian heads with the window
-    axis last, which are centred in place first.  `last` is (2, O·d, O·d, count): the centred
-    h, whose first O sites are the head's last ones, so n = P·O, and h²;
-    `bond_sums` is (3, count), tr h², tr h³ and tr h⁴.  ``_bond_moments``
-    forms all three for every bond.  The bond-sized temporaries are cut
-    from the flat `spare` (``_pieces``); `last` and `spare` may lie in
-    layer 0, which the bond's steps are done with before the heads'
-    overwrite it.
+    axis last, which are centred in place first.  `last` is (2, O·d, O·d,
+    count): the centred h, whose first O sites are the head's last ones,
+    so n = P·O, and h²; `bond_sums` is (3, count), tr h², tr h³ and tr h⁴.
+    ``_bond_moments`` forms all three for every bond.  The bond-sized
+    temporaries are cut from the flat `spare` (``_pieces``); `last` and
+    `spare` may lie in layer 0, which the bond's steps are done with before
+    the heads' overwrite it.
 
     With A = H ⊗ I_d and B = I_P ⊗ h, tr Mᵏ is a sum of words in A and B:
     tr Aᵏ = d·tr Hᵏ, tr Bᵏ = P·tr hᵏ, and every mixed word but one is

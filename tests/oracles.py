@@ -2,7 +2,8 @@
 
 They are slow or exhaustive by design: Kronecker products for the batched
 embedding, the quantum window sums from two separately embedded window
-widths, an exact cross convolution for the classical pool, weighted
+widths, the pools' cumulant algebra one step at a time, an exact cross
+convolution for the classical pool, weighted
 moments for the summaries, the parity diagonal's chain-level moments and
 the appendix's collision count for the isotropic gap, and an
 enumeration-backed count of bond 4-tuples.  A weighted
