@@ -145,7 +145,8 @@ class _Pool:
             finally:
                 # no item may outlive the stream: the caller reads (or frees)
                 # the output next, and the thread count is restored
-                wait([future for _, _, future in pending])
+                if pending:
+                    wait([future for _, _, future in pending])
                 for (_, put), k in zip(self._blas, saved):
                     put(k)
                 _thread.in_stream = False

@@ -16,7 +16,9 @@ run.
 A run is one stream (``_workers.stream``) of work items of
 ``_item_trials`` trials: the fewest whole sub-blocks whose draws hold
 ``_ITEM_DRAWS`` elements, each sub-block at most ``_workers._SUB_BLOCK``
-array elements.  The calling thread draws each item in trial order, a
+array elements of the stacks its trials hold (``_block_size``): two m×m
+matrices a trial on the kept route, two layers of window heads on the
+moments route.  The calling thread draws each item in trial order, a
 worker runs ``_chunk_pass`` on it as soon as it is drawn, and the calling
 thread folds the finished items into the pools in trial order.  So a run
 holds the draws of at most 2 × workers items, and only of as many as fit
@@ -126,19 +128,24 @@ __all__ = [
 _ITEM_DRAWS = 1 << 16            # draw elements a work item holds, at least
 _FLIGHT_DRAWS = 1 << 23          # draw elements the items in flight hold, at most
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
+_MAX_VALUES = (1 << 63) - 1      # the value counts are int64
 _N_BLOCKS = 50                   # jackknife blocks (fewer when trials < 50)
 _MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
 
 
 def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
-    """Elements a trial holds in a sub-block: m², or 2 per element of its window heads.
+    """Elements a trial holds in a sub-block: 2·m², or 2 per element of its window heads.
 
-    The moments pass holds two n×n layers for each of the n_bonds − s + 1
-    windows, n = d^(s+L−2) (``_trial_sums``): the heads window-last and
-    then as a stack, their squares, and their blocks laid out as rows.
+    The kept pass holds two m×m stacks a trial (``_chunk_pass``): the
+    embedded chains, which become the isotropic matrices, and the Haar
+    matrices.  The moments pass holds two n×n layers for each of the
+    n_bonds − s + 1 windows, n = d^(s+L−2) (``_trial_sums``): the heads
+    window-last and then as a stack, their squares, and their blocks laid
+    out as rows.  A transient of a step, as the rotation's Q†·diag(b), is
+    not counted.
     """
     if keep_samples:
-        return spec.m * spec.m          # no fewer than the heads' elements
+        return 2 * spec.m * spec.m      # no fewer than the heads' elements
     width = _window_width(spec)
     return 2 * (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 2))
 
@@ -658,8 +665,10 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
     n_bonds, d^L, d^L) view: it builds the summands s₀ … s_k from the
     bonds' eigenvalues, permutes each s_i by the argsort of its keys, and
     diagonalises the embedded chains and diag(s₀) + Σ Q_i† diag(s_i) Q_i
-    (s₀ alone when nothing is rotated, N = L).  Its bond terms and m×m
-    arrays are the item's, freed when it returns.
+    (s₀ alone when nothing is rotated, N = L), in two m×m stacks of a
+    sub-block, the chains and the Haar matrices.  Its bond terms, m×m
+    stacks and m-long diagonal index are the item's, freed when it
+    returns; the moments route makes no array of size m.
     """
     count, nb, nloc, m = factors.shape[0], spec.n_bonds, spec.local_dim, spec.m
     size = _block_size(spec, rows is not None)
@@ -669,7 +678,7 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
     if rows is not None:
         classical, iso, quantum = rows
         chains, haar = np.empty((2, blocks[0][1], m, m), dtype=factors.dtype)
-    diag = np.arange(m)
+        diag = np.arange(m)
     for s, e in blocks:
         local = None if evals is None else evals[s:e]
         out = terms[:nloc * nloc * nb * (e - s)].reshape(nloc, nloc, nb, e - s)
@@ -824,18 +833,22 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     approximation, used in place of a mixture.
 
     The moment sums (see the module docstring) need no m×m matrix and so no
-    dense cap.  `keep_samples` (``spinmix run``) also keeps every trial's
+    dense cap; a call refuses only trials × m past 2⁶³ − 1 values, which
+    the pools' int64 value counts cannot hold.  `keep_samples` (``spinmix run``) also keeps every trial's
     eigenvalues as a row of each pool's ``samples``.  The calling thread
     draws each work item's bonds and, on the kept route, Π_i's keys on
     stream ``(STREAM_CLASSICAL, i − 1)`` and Q_i's Gaussians on stream
     ``(STREAM_ISO, i − 1)``; a worker's ``_chunk_pass`` does the rest.  The
     calling thread holds the draws of the items in flight but no m×m stack.
     """
+    m = spec.m
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if trials * m > _MAX_VALUES:
+        raise ValueError(f"{trials} trials of {m} eigenvalues are {trials * m} values, past "
+                         f"the 2**63 - 1 that the pools' int64 value counts hold")
     if keep_samples:
         spec.check_dense_cap()
-    m = spec.m
     stacked, pools = _new_pools(m, trials, keep_samples)
     # the local streams are opened once and drawn trial-major, so the draws
     # do not depend on where the item boundaries fall; the eigenvector

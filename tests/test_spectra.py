@@ -273,11 +273,12 @@ def test_alternating_shapes_on_one_thread_keep_every_bit(monkeypatch):
 
 def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
     # a kept run holds the reflector Gaussians of the items in flight, at most
-    # 2 × workers items of 16 trials here (512·128·129/2 floats for the whole
-    # run), and each worker the m×m stacks of one sub-block: the chains, the
-    # Haar matrices and eigvalsh's copy.  A stack of 512 matrices of 128×128
-    # is 64 MiB.  Two workers, so that the bound does not depend on the
-    # machine
+    # 2 × workers items of 8 trials here (256·128·129/2 floats for the whole
+    # run), and each worker the m×m stacks of one 8-trial sub-block, two
+    # m×m matrices a trial (``_block_size``): the chains, the Haar matrices
+    # and eigvalsh's copy.  A stack of 512 matrices of 128×128 is 64 MiB, and
+    # sub-blocks of 16 trials hold some 8 MiB more than this bound.  Two
+    # workers, so that the bound does not depend on the machine
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
     pool = _workers._Pool(2, _workers._openblas_controls())
     monkeypatch.setattr(_workers, "_default", pool)
@@ -292,20 +293,21 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
             tracemalloc.stop()
     finally:
         pool.shutdown()
-    item = spectra._item_trials(spec, True, 512)
-    assert item == 16
-    gaussians = 2 * pool.workers * item * spec.m * (spec.m + 1) // 2 * 8
-    stacks = pool.workers * 3 * item * spec.m ** 2 * 8
+    block = 8
+    gaussians = 2 * pool.workers * block * spec.m * (spec.m + 1) // 2 * 8
+    stacks = pool.workers * 3 * block * spec.m ** 2 * 8
     assert peak < gaussians + stacks + 6 * 2 ** 20, peak / 2 ** 20
+    assert spectra._item_trials(spec, True, 512) == block
 
 
 def test_item_sizes():
     # the fewest whole sub-blocks whose draws hold 2¹⁶ elements: one
-    # sub-block of 16 kept pm1 trials at N=7; two of 512 Wishart trials at
-    # N=5 (two head layers of 16² elements a trial); and at N=9 six of
-    # 102 (five windows, 2 × 5 × 16²), so the whole of a 32-trial run
+    # sub-block of 8 kept pm1 trials at N=7 (two m×m stacks of 128² elements
+    # a trial); two of 512 Wishart trials at N=5 (two head layers of 16²
+    # elements a trial); and at N=9 six of 102 (five windows, 2 × 5 × 16²),
+    # so the whole of a 32-trial run
     wishart = sm.LocalEnsemble.wishart(4)
-    assert spectra._item_trials(sm.ChainSpec(7, 2, sm.LocalEnsemble.pm1()), True, 512) == 16
+    assert spectra._item_trials(sm.ChainSpec(7, 2, sm.LocalEnsemble.pm1()), True, 512) == 8
     assert spectra._item_trials(sm.ChainSpec(5, 2, wishart), False, 8192) == 1024
     assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 32) == 32
     assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 10 ** 6) == 612
@@ -376,7 +378,7 @@ def test_items_in_flight():
     # draws of at most 2²³ elements in flight: many items at N=7, three
     # one-trial kept items at N=11 (m = 2048), one at N=12 (m = 4096)
     pm1 = sm.LocalEnsemble.pm1()
-    for n_sites, trials, step, in_flight in ((7, 512, 16, 61), (11, 6, 1, 3), (12, 2, 1, 1)):
+    for n_sites, trials, step, in_flight in ((7, 512, 8, 123), (11, 6, 1, 3), (12, 2, 1, 1)):
         spec = sm.ChainSpec(n_sites, 2, pm1)
         assert spectra._item_trials(spec, True, trials) == step
         assert spectra._items_in_flight(spec, True, step) == in_flight
@@ -452,6 +454,38 @@ def test_moments_only_pools_need_no_dense_cap():
     classical, iso = pools["classical"].summary(), pools["iso"].summary()
     for stat in ("kappa1", "kappa2", "kappa3"):
         assert iso.stat(stat) == pytest.approx(classical.stat(stat), rel=1e-12), stat
+
+
+def test_moments_only_pools_hold_nothing_of_the_chains_size():
+    # nor an m-long array: at N=40, m = 2⁴⁰, and an m-long index alone would
+    # be 8 TiB.  Fewer than 50 trials are a block each, so the first three
+    # blocks of a longer run are the three trials
+    spec = sm.ChainSpec(n_sites=40, site_dim=2, ensemble=sm.LocalEnsemble.goe())
+    tracemalloc.start()
+    try:
+        pools = sm.ensemble_pools(spec, 3, sm.Rng(73))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak / 2 ** 20
+    longer = sm.ensemble_pools(spec, 6, sm.Rng(73))
+    for kind, pool in pools.items():
+        first = longer[kind].block_sums[:3]
+        assert np.array_equal(pool.block_sums, first), kind
+        assert np.array_equal(pool.moment_sums, np.cumsum(first, axis=0)[-1]), kind
+        assert np.all(np.isfinite(pool.moment_sums)), kind
+
+
+def test_pools_refuse_more_values_than_the_counts_hold():
+    # each pool counts its trials × m values in int64; at m = 2⁶⁰, 8 trials
+    # are 2⁶³ values, one past the limit
+    spec = sm.ChainSpec(n_sites=60, site_dim=2, ensemble=sm.LocalEnsemble.goe())
+    with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+        sm.ensemble_pools(spec, 8, sm.Rng(74))
+    pools = sm.ensemble_pools(spec, 7, sm.Rng(74))
+    for kind, pool in pools.items():
+        assert pool.count == 7 * 2 ** 60 and pool.summary().sigma2 > 0, kind
+        assert len(pool.leave_one_out()) == 7, kind
 
 
 def test_kept_samples_still_check_the_dense_cap():

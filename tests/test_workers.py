@@ -188,6 +188,21 @@ def test_lone_slice_runs_on_the_calling_thread_at_one_blas_thread(blas):
             pool.shutdown()
 
 
+def test_inline_runs_wait_on_no_future(monkeypatch):
+    # an inline run submits nothing, so it has nothing to wait for when it
+    # ends, whether or not an item raised
+    waited = []
+    monkeypatch.setattr(_workers, "wait", waited.append)
+    pool = _workers._Pool(3, [])
+    try:
+        pool.stream(5, 2, _draw, lambda lo, hi, d: None, _ignore)
+        with pytest.raises(ZeroDivisionError):
+            pool.stream(5, 2, _draw, lambda lo, hi, d: 1 / 0, _ignore)
+    finally:
+        pool.shutdown()
+    assert waited == []
+
+
 def _nested(pool, step, where="work"):
     def nested(*args):
         pool.stream(2, 1, _draw, lambda lo, hi, d: None, _ignore)
