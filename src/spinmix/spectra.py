@@ -834,12 +834,13 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
 
     The moment sums (see the module docstring) need no m×m matrix and so no
     dense cap; a call refuses only trials × m past 2⁶³ − 1 values, which
-    the pools' int64 value counts cannot hold.  `keep_samples` (``spinmix run``) also keeps every trial's
-    eigenvalues as a row of each pool's ``samples``.  The calling thread
-    draws each work item's bonds and, on the kept route, Π_i's keys on
-    stream ``(STREAM_CLASSICAL, i − 1)`` and Q_i's Gaussians on stream
-    ``(STREAM_ISO, i − 1)``; a worker's ``_chunk_pass`` does the rest.  The
-    calling thread holds the draws of the items in flight but no m×m stack.
+    the pools' int64 value counts cannot hold.  `keep_samples` (``spinmix
+    run``) also keeps every trial's eigenvalues as a row of each pool's
+    ``samples``.  The calling thread draws each work item's bonds and, on
+    the kept route, Π_i's keys on stream ``(STREAM_CLASSICAL, i − 1)`` and
+    Q_i's Gaussians on stream ``(STREAM_ISO, i − 1)``; a worker's
+    ``_chunk_pass`` does the rest.  The calling thread holds the draws of
+    the items in flight but no m×m stack.
     """
     m = spec.m
     if trials < 1:

@@ -274,11 +274,11 @@ def test_alternating_shapes_on_one_thread_keep_every_bit(monkeypatch):
 def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
     # a kept run holds the reflector Gaussians of the items in flight, at most
     # 2 × workers items of 8 trials here (256·128·129/2 floats for the whole
-    # run), and each worker the m×m stacks of one 8-trial sub-block, two
-    # m×m matrices a trial (``_block_size``): the chains, the Haar matrices
-    # and eigvalsh's copy.  A stack of 512 matrices of 128×128 is 64 MiB, and
-    # sub-blocks of 16 trials hold some 8 MiB more than this bound.  Two
-    # workers, so that the bound does not depend on the machine
+    # run), and each worker the m×m stacks of one 8-trial sub-block: the
+    # chains and the Haar matrices, the two a trial that ``_block_size``
+    # counts, and eigvalsh's copy.  A stack of 512 matrices of 128×128 is
+    # 64 MiB, and sub-blocks of 16 trials hold some 4 MiB more than this
+    # bound.  Two workers, so that the bound does not depend on the machine
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
     pool = _workers._Pool(2, _workers._openblas_controls())
     monkeypatch.setattr(_workers, "_default", pool)
