@@ -15,9 +15,8 @@ flight, and every run on a pool of one worker run their items on the
 calling thread.  An item must not itself start a stream; such a call
 raises ``RuntimeError`` instead of waiting for the stream it runs in.  The
 first error, in item order, is re-raised once every item in flight has
-finished.  Kernels walk an item in sub-blocks of at most ``_SUB_BLOCK``
-array elements (``_sub_blocks``), where a trial holds `size` elements,
-which bounds the temporaries each worker holds.
+finished.  How many trials an item holds, and so the temporaries each
+worker holds, is the caller's choice.
 
 The workers are threads, one per CPU in the process's affinity mask; the
 LAPACK, BLAS and ufunc loops they run release the interpreter lock.  At
@@ -32,7 +31,7 @@ ships no OpenBLAS whose thread count can be set, every item runs on the
 calling thread.
 
 ``_scratch(key, shape, dtype)`` hands a kernel a per-thread array that is
-reused across sub-blocks and calls, so a sub-block maps no fresh pages.  It
+reused across items and calls, so an item maps no fresh pages.  It
 lives as long as its thread (a worker lives as long as the pool) and grows
 only to the largest request that thread has made; nothing a kernel returns
 may alias it.  So the bond terms and kept m×m arrays of
@@ -55,8 +54,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["stream", "describe"]
-
-_SUB_BLOCK = 1 << 18             # array elements per worker-side temporary
 
 _thread = threading.local()      # .in_stream while a stream or an item runs; .scratch arrays
 
@@ -185,18 +182,6 @@ def stream(count: int, step: int, draw, work, fold, in_flight=None):
     with at most `in_flight` items (if given) drawn and not yet folded.
     """
     _pool().stream(count, step, draw, work, fold, in_flight)
-
-
-def _block_trials(size: int) -> int:
-    """Trials in a sub-block of at most _SUB_BLOCK elements, at `size` a trial."""
-    return max(1, _SUB_BLOCK // size)
-
-
-def _sub_blocks(lo: int, hi: int, size: int):
-    """(s, e) ranges covering lo..hi, of ``_block_trials(size)`` trials each."""
-    step = _block_trials(size)
-    for s in range(lo, hi, step):
-        yield s, min(hi, s + step)
 
 
 def _scratch(key: str, shape, dtype) -> np.ndarray:

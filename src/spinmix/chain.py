@@ -45,7 +45,7 @@ STREAM_ISO = 2
 STREAM_LOCAL_VECS = 3
 
 # the spectral ensembles: a law of eigenvalues with Haar eigenvectors
-_SPECTRAL_KINDS = ("pm1", "pm1_balanced", "fixed")
+_SPECTRAL_KINDS = ("pm1", "fixed")
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,12 @@ class LocalEnsemble:
         return cls("goe")
 
     @classmethod
-    def pm1(cls, balanced: bool = False) -> "LocalEnsemble":
-        """Haar eigenvectors with ±1 eigenvalues, iid signs by default.
+    def pm1(cls) -> "LocalEnsemble":
+        """Haar eigenvectors with ±1 eigenvalues of iid signs.
 
-        `balanced=True` pins the spectrum to exactly half +1 / half −1,
-        which is a fixed-spectrum ensemble in disguise.
+        A spectrum of exactly half −1 and half +1 is ``fixed_spectrum``.
         """
-        return cls("pm1_balanced" if balanced else "pm1")
+        return cls("pm1")
 
     @classmethod
     def fixed_spectrum(cls, values) -> "LocalEnsemble":
@@ -111,8 +110,6 @@ class ChainSpec:
             raise ValueError("wishart rank must satisfy 1 <= r <= d^L")
         if self.ensemble.kind == "fixed" and len(self.ensemble.values) != self.local_dim:
             raise ValueError(f"fixed spectrum must have d^L = {self.local_dim} values")
-        if self.ensemble.kind == "pm1_balanced" and self.local_dim % 2:
-            raise ValueError("balanced ±1 spectrum needs even local dimension")
 
     # -- derived sizes ------------------------------------------------------
     @property
@@ -156,7 +153,7 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
 
     Returns (evals, dense), dense of shape (count, n_bonds, d^L, d^L): a view
     of ``_bond_terms``'s array, whose trial axis is last.  The
-    spectral ensembles (pm1, balanced pm1, fixed) draw evals, (count,
+    spectral ensembles (pm1, fixed) draw evals, (count,
     n_bonds, d^L) sorted ascending per bond, from `gen` and Haar
     eigenvectors from `vec_gen`, which only they need, so the eigenvalue
     stream does not depend on the eigenvectors.  Wishart and GOE terms are
@@ -188,11 +185,7 @@ def _draw_bonds(spec: ChainSpec, count: int, gen, vec_gen=None):
             evals = np.where(gen.random((count, nb, nloc)) < 0.5, -1.0, 1.0)
             evals.sort(axis=-1)
         else:
-            if ens.kind == "pm1_balanced":
-                half = nloc // 2
-                base = np.concatenate([-np.ones(half), np.ones(half)])
-            else:
-                base = np.sort(np.asarray(ens.values, dtype=float))
+            base = np.sort(np.asarray(ens.values, dtype=float))
             evals = np.broadcast_to(base, (count, nb, nloc)).copy()
         if vec_gen is None:
             raise ValueError("need a vec_gen to draw Haar eigenvectors")

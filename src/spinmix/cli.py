@@ -19,6 +19,7 @@ Exit codes: 0 ok, 1 tolerance failure (reproduce), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -89,7 +90,7 @@ def _ensemble_from_args(args) -> LocalEnsemble:
     if args.ensemble == "goe":
         return LocalEnsemble.goe()
     if args.ensemble == "pm1":
-        return LocalEnsemble.pm1(balanced=args.balanced)
+        return LocalEnsemble.pm1()
     if args.ensemble == "fixed":
         if args.spectrum_file is None:
             raise ValueError("fixed ensemble needs --spectrum-file")
@@ -198,10 +199,16 @@ def _library_versions() -> dict:
 def cmd_run(args) -> int:
     t_start = time.time()
     try:
-        ensemble = _ensemble_from_args(args)
-        spec = ChainSpec(n_sites=args.n_sites, site_dim=args.d, ensemble=ensemble,
+        spec = ChainSpec(n_sites=args.n_sites, site_dim=args.d, ensemble=_ensemble_from_args(args),
                          beta=args.beta, coupling_range=args.coupling_range)
         spec.check_dense_cap()
+        if args.balanced:       # half −1 and half +1: a fixed spectrum
+            if spec.local_dim % 2:
+                raise ValueError(f"--balanced needs an even d^L, not {spec.site_dim}^"
+                                 f"{spec.coupling_range} = {spec.local_dim}")
+            half = spec.local_dim // 2
+            spec = dataclasses.replace(
+                spec, ensemble=LocalEnsemble.fixed_spectrum([-1.0] * half + [1.0] * half))
         edges = _check_run_args(args, spec.m)
         p_analytic = slider_mod.slider_p(spec.n_sites, spec.site_dim, spec.beta).p \
             if spec.coupling_range == 2 else None
@@ -250,7 +257,7 @@ def cmd_run(args) -> int:
                for k, p in pools.items()}
     summary = {
         "config": {
-            "ensemble": ensemble.describe(), "n_sites": spec.n_sites,
+            "ensemble": spec.ensemble.describe(), "n_sites": spec.n_sites,
             "d": spec.site_dim, "coupling_range": spec.coupling_range,
             "beta": spec.beta, "trials": args.trials, "seed": args.seed,
         },
@@ -277,9 +284,9 @@ def cmd_run(args) -> int:
     except (ZeroDivisionError, ValueError):
         pass
     summary["wall_time_s"] = time.time() - t_start
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    # serialised before the file is opened, so a non-finite number leaves no file
+    text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+    (out_dir / "summary.json").write_text(text, encoding="utf-8")
     if any(outside.values()):
         print("warning: mass outside the edges, clipped into the end bins: "
               + ", ".join(f"{k} {v:.4g}" for k, v in outside.items())
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--spectrum-file", default=None)
     p.add_argument("--balanced", action="store_true",
-                   help="pm1 only: pin the spectrum to half +1 / half -1")
+                   help="pm1 only: the fixed spectrum of half -1 / half +1")
     p.add_argument("--n-sites", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--range", dest="coupling_range", type=int, default=2)

@@ -69,7 +69,7 @@ def haar_batch(dim: int, beta: int, gen, count: int) -> np.ndarray:
     eigenvectors (``chain._draw_bonds``), inside a stream's draw, which
     must not start a stream of its own.  The kept route of
     ``spectra.ensemble_pools`` draws the same Gaussians for its m×m
-    matrices, and ``spectra._chunk_pass`` runs the kernel in the sub-block
+    matrices, and ``spectra._chunk_pass`` runs the kernel in the work item
     that rotates by Q and diagonalises.
     """
     g = gaussian_batch((count, dim * (dim + 1) // 2), beta, gen)

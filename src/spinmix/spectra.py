@@ -14,25 +14,24 @@ trial count alone, and the first t trials of a longer run equal a t-trial
 run.
 
 A run is one stream (``_workers.stream``) of work items of
-``_item_trials`` trials: the fewest whole sub-blocks whose draws hold
-``_ITEM_DRAWS`` elements, each sub-block at most ``_workers._SUB_BLOCK``
-array elements of the stacks its trials hold (``_block_size``): two m×m
-matrices a trial on the kept route, two layers of window heads on the
-moments route.  The calling thread draws each item in trial order, a
-worker runs ``_chunk_pass`` on it as soon as it is drawn, and the calling
-thread folds the finished items into the pools in trial order.  So a run
-holds the draws of at most 2 × workers items, and only of as many as fit
-in ``_FLIGHT_DRAWS`` elements (``_items_in_flight``; one at least).  The
-pooled and block sums are the same left fold, bit for bit, whatever the
-items and sub-blocks.
-Each sub-block of an item forms its trials' bond terms once from the
-draws, as a (d^L, d^L, n_bonds, count) array with the trial axis last
+``_item_trials`` trials: as many as hold at most ``_ITEM_ELEMENTS`` array
+elements of the stacks their trials hold (``_block_size``; one trial at
+least), two m×m matrices a trial on the kept route, two layers of window
+heads on the moments route.  The calling thread draws each item in trial
+order, a worker runs ``_chunk_pass`` on it as soon as it is drawn, and
+the calling thread folds the finished items into the pools in trial
+order.  So a run holds the draws of at most 2 × workers items, and only
+of as many as fit in ``_FLIGHT_DRAWS`` elements (``_items_in_flight``;
+one at least).  The pooled and block sums are the same left fold, bit for
+bit, whatever the items.
+Each item forms its trials' bond terms once from the draws, as a (d^L,
+d^L, n_bonds, count) array with the trial axis last
 (``chain._bond_terms``), and reduces them to every pool's Σλ¹…Σλ⁴
 (``_trial_sums``) while they are in cache, in three steps:
 
 1. ``_bond_moments`` centres every bond's term and squares it, into a
    layer of per-thread scratch (``_workers._scratch``) that is reused
-   across sub-blocks and calls, and takes each bond's τ(h) and τ(c²),
+   across items and calls, and takes each bond's τ(h) and τ(c²),
    τ(c³), τ(c⁴).
 2. The window heads are embedded window-last into the scratch's other
    layer, from strided views of the centred terms.
@@ -49,13 +48,13 @@ Every bond-sized step runs on that layout as one elementwise op over
 n_bonds·count or windows·count entries, and its temporaries are cut from
 the scratch's free space.  A sum over a small axis is an explicit fold
 whose order depends on the axis length alone (``_fold``), never numpy's
-reduction, so a trial's sums do not depend on its sub-block.  What a pass
+reduction, so a trial's sums do not depend on its item.  What a pass
 reads from the chain alone, its windows, summands and constants, is worked
 out once per chain (``_windows``).  The kept route reads the same terms
 through a (count, n_bonds, d^L, d^L) view for its local ``eigvalsh`` and
 m×m embed, and goes on to the samples.  Each trial is computed by the
-same single-threaded kernel in any item or sub-block, so the output does
-not depend on the worker count either.
+same single-threaded kernel in any item, so the output does not depend
+on the worker count either.
 
 Each trial's spectrum is a sum of the diagonal summands s₀ … s_k of
 ``ChainSpec.summand_bonds``: the two parity classes at range L = 2, each
@@ -85,11 +84,11 @@ its local draw.
 Only kept samples (``keep_samples=True``, as ``spinmix run`` makes) are
 Monte Carlo: summand i is permuted by the argsort of keys drawn on the
 child stream ``(STREAM_CLASSICAL, i − 1)`` and rotated by a Haar matrix
-built from Gaussians drawn on ``(STREAM_ISO, i − 1)``.  Each sub-block of
-an item's pass then diagonalises its Wishart or GOE bond terms, builds
-the summands, and forms and diagonalises its m×m isotropic and quantum
-matrices in arrays of its item.  The moment sums never read the samples,
-so both routes give the same moment and block sums.
+built from Gaussians drawn on ``(STREAM_ISO, i − 1)``.  An item's pass
+then diagonalises its Wishart or GOE bond terms, builds the summands, and
+forms and diagonalises its m×m isotropic and quantum matrices in arrays
+of its own.  The moment sums never read the samples, so both routes give
+the same moment and block sums.
 
 Densities are read from the kept sample arrays as they are: ``bin_edges``
 picks equal-width edges (``--bins`` or Freedman–Diaconis), ``histogram``
@@ -108,7 +107,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import matgen
-from ._workers import _block_trials, _scratch, _sub_blocks, stream
+from ._workers import _scratch, stream
 from .chain import STREAM_CLASSICAL, STREAM_ISO, STREAM_LOCAL_EIGS, ChainSpec
 from .rng import Rng
 
@@ -125,7 +124,7 @@ __all__ = [
     "histogram",
 ]
 
-_ITEM_DRAWS = 1 << 16            # draw elements a work item holds, at least
+_ITEM_ELEMENTS = 1 << 18         # elements of a work item's stacks, at most (one trial at least)
 _FLIGHT_DRAWS = 1 << 23          # draw elements the items in flight hold, at most
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
 _MAX_VALUES = (1 << 63) - 1      # the value counts are int64
@@ -134,7 +133,7 @@ _MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
 
 
 def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
-    """Elements a trial holds in a sub-block: 2·m², or 2 per element of its window heads.
+    """Elements a trial holds in its work item: 2·m², or 2 per element of its window heads.
 
     The kept pass holds two m×m stacks a trial (``_chunk_pass``): the
     embedded chains, which become the isotropic matrices, and the Haar
@@ -158,18 +157,17 @@ def _trial_draws(spec: ChainSpec, keep_samples: bool) -> int:
 
 
 def _item_trials(spec: ChainSpec, keep_samples: bool, trials: int) -> int:
-    """Trials per work item: the fewest whole sub-blocks that draw ``_ITEM_DRAWS`` elements."""
-    block = _block_trials(_block_size(spec, keep_samples))
-    return min(trials, block * -(-_ITEM_DRAWS // (block * _trial_draws(spec, keep_samples))))
+    """Trials per work item: as many as hold ``_ITEM_ELEMENTS`` elements, one at least."""
+    return min(trials, max(1, _ITEM_ELEMENTS // _block_size(spec, keep_samples)))
 
 
 def _items_in_flight(spec: ChainSpec, keep_samples: bool, step: int) -> int:
     """Items of `step` trials whose draws fit in ``_FLIGHT_DRAWS`` elements, at least one.
 
-    The workers run only items in flight, each with its sub-block's m×m
-    stacks, so at large m this also bounds how many of those stacks the
-    kept route holds: three one-trial items at m = 2048, and one at
-    m = 4096, which then runs on the calling thread.
+    The workers run only items in flight, each with its m×m stacks, so at
+    large m this also bounds how many of those stacks the kept route holds:
+    three one-trial items at m = 2048, and one at m = 4096, which then runs
+    on the calling thread.
     """
     return max(1, _FLIGHT_DRAWS // (step * _trial_draws(spec, keep_samples)))
 
@@ -193,7 +191,8 @@ def _raw_moments(k1, k2, k3, k4):
 class MomentSummary:
     """Raw moments, cumulants and the derived (mean, variance, skew, kurtosis).
 
-    gamma1/gamma2 are None when the variance vanishes (point mass) instead of
+    gamma1/gamma2 are None when the variance vanishes against the second
+    moment, κ₂ ≤ 1e-14·|m₂| (a point mass at any scale), instead of
     propagating NaNs.
     """
 
@@ -217,7 +216,7 @@ class MomentSummary:
         k3 = m3 - 3 * m2 * m1 + 2 * m1 ** 3
         k4 = m4 - 4 * m3 * m1 - 3 * m2 ** 2 + 12 * m2 * m1 ** 2 - 6 * m1 ** 4
         sigma2 = max(k2, 0.0)
-        if k2 <= _UNDEFINED_TOL * max(1.0, abs(m2)):
+        if k2 <= _UNDEFINED_TOL * abs(m2):
             g1 = g2 = None
         else:
             g1 = k3 / sigma2 ** 1.5
@@ -287,7 +286,7 @@ def _inner(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
 # array holds one matrix entry per leading index pair and a long vector of
 # trials behind it, so each step is one elementwise op over the trials.
 # Their bond-sized temporaries are cut from a `spare` flat array when one
-# is given and they fit (``_pieces``), so a sub-block maps no fresh pages.
+# is given and they fit (``_pieces``), so an item maps no fresh pages.
 
 
 def _pieces(spare, dtype, *shapes):
@@ -563,8 +562,8 @@ def _trial_sums(terms: np.ndarray, spec: ChainSpec) -> np.ndarray:
     windows = nb - width + 1
     # this thread's scratch: layer 0 holds the centred terms and their
     # squares, then the bond's and the heads' temporaries; layer 1 the bond
-    # moments' temporaries, then the heads, window-last; so a sub-block maps
-    # no fresh pages where they fit.  The layers hold an odd number of
+    # moments' temporaries, then the heads, window-last; so an item maps no
+    # fresh pages where they fit.  The layers hold an odd number of
     # windows, so the window-last rows do not alias in the cache, which
     # slows the heads' transposed copy about threefold
     wc = windows * count
@@ -658,55 +657,45 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
     the pass fills, and `keys` and `gaussians` the (count, m) permutation
     keys and (count, m(m+1)/2) reflector Gaussians of each rotated summand.
 
-    The pass walks the trials in sub-blocks of ``_block_size`` elements a
-    trial.  Each forms its bond terms once, trial axis last
+    The pass forms the item's bond terms once, trial axis last
     (``chain._bond_terms``), and reduces them (``_trial_sums``) while they
     are in cache.  On the kept route it reads the same terms as a (count,
     n_bonds, d^L, d^L) view: it builds the summands s₀ … s_k from the
     bonds' eigenvalues, permutes each s_i by the argsort of its keys, and
     diagonalises the embedded chains and diag(s₀) + Σ Q_i† diag(s_i) Q_i
-    (s₀ alone when nothing is rotated, N = L), in two m×m stacks of a
-    sub-block, the chains and the Haar matrices.  Its bond terms, m×m
-    stacks and m-long diagonal index are the item's, freed when it
-    returns; the moments route makes no array of size m.
+    (s₀ alone when nothing is rotated, N = L), in two m×m stacks, the
+    chains and the Haar matrices.  Its bond terms, m×m stacks and m-long
+    diagonal index are the item's, freed when it returns; the moments
+    route makes no array of size m.
     """
-    count, nb, nloc, m = factors.shape[0], spec.n_bonds, spec.local_dim, spec.m
-    size = _block_size(spec, rows is not None)
-    blocks = list(_sub_blocks(0, count, size))
-    sums = np.empty((3, 4, count))
-    terms = np.empty(nloc * nloc * nb * blocks[0][1], dtype=factors.dtype)
-    if rows is not None:
-        classical, iso, quantum = rows
-        chains, haar = np.empty((2, blocks[0][1], m, m), dtype=factors.dtype)
-        diag = np.arange(m)
-    for s, e in blocks:
-        local = None if evals is None else evals[s:e]
-        out = terms[:nloc * nloc * nb * (e - s)].reshape(nloc, nloc, nb, e - s)
-        sums[..., s:e] = _trial_sums(chain_mod._bond_terms(spec, local, factors[s:e], out), spec)
-        if rows is None:
-            continue
-        h = out.transpose(3, 2, 0, 1)
-        summands = chain_mod.diagonals_from_eigs(
-            np.linalg.eigvalsh(h) if local is None else local, spec)     # Wishart, GOE
-        vals = summands[0]
-        for b, k in zip(summands[1:], keys):
-            vals = vals + np.take_along_axis(b, np.argsort(k[s:e], axis=1), axis=1)
-        classical[s:e] = vals
-        mats = chain_mod.embed_sum_batch(h, spec, chains[:e - s])
-        quantum[s:e] = np.linalg.eigvalsh(mats)
-        if not gaussians:                                   # N = L: nothing is rotated
-            iso[s:e] = summands[0]
-            continue
-        for i, (g, b) in enumerate(zip(gaussians, summands[1:])):
-            q = matgen.haar_from_gaussians(g[s:e], haar[:e - s])
-            # the first rotation overwrites the chains, which are diagonalised
-            rotated = _rotate_diag(q, b, None if i else mats)
-            if i:
-                mats += rotated
-        mats[:, diag, diag] += summands[0]
-        iso[s:e] = np.linalg.eigvalsh(mats)
-    return sums.transpose(0, 2, 1)
-
+    terms = chain_mod._bond_terms(spec, evals, factors)
+    sums = _trial_sums(terms, spec).transpose(0, 2, 1)
+    if rows is None:
+        return sums
+    classical, iso, quantum = rows
+    h = terms.transpose(3, 2, 0, 1)
+    summands = chain_mod.diagonals_from_eigs(
+        np.linalg.eigvalsh(h) if evals is None else evals, spec)        # Wishart, GOE
+    vals = summands[0]
+    for b, k in zip(summands[1:], keys):
+        vals = vals + np.take_along_axis(b, np.argsort(k, axis=1), axis=1)
+    classical[...] = vals
+    chains, haar = np.empty((2, len(factors), spec.m, spec.m), dtype=factors.dtype)
+    mats = chain_mod.embed_sum_batch(h, spec, chains)
+    quantum[...] = np.linalg.eigvalsh(mats)
+    if not gaussians:                                   # N = L: nothing is rotated
+        iso[...] = summands[0]
+        return sums
+    for i, (g, b) in enumerate(zip(gaussians, summands[1:])):
+        q = matgen.haar_from_gaussians(g, haar)
+        # the first rotation overwrites the chains, which are diagonalised
+        rotated = _rotate_diag(q, b, None if i else mats)
+        if i:
+            mats += rotated
+    diag = np.arange(spec.m)
+    mats[:, diag, diag] += summands[0]
+    iso[...] = np.linalg.eigvalsh(mats)
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,71 @@ def test_run_beyond_nearest_neighbor(tmp_path):
     assert rows["ie"] == rows["iso"]
 
 
+def _fixed_run(tmp_path, name, values, *extra):
+    """`spinmix run` of a fixed spectrum at N=4, d=2: (exit code, output directory)."""
+    spectrum = tmp_path / f"{name}.txt"
+    spectrum.write_text("".join(f"{v!r}\n" for v in values))
+    out = tmp_path / name
+    return main(["run", "--ensemble", "fixed", "--spectrum-file", str(spectrum),
+                 "--n-sites", "4", "--d", "2", "--trials", "20", "--seed", "1",
+                 "--out", str(out), *extra]), out
+
+
+def test_run_balanced_is_the_fixed_spectrum_of_half_minus_half_plus(tmp_path, capsys):
+    common = ["--n-sites", "5", "--d", "2", "--trials", "60", "--seed", "3"]
+    balanced, fixed = tmp_path / "balanced", tmp_path / "fixed"
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text("-1\n-1\n1\n1\n")
+    assert main(["run", "--ensemble", "pm1", "--balanced", *common, "--out", str(balanced)]) == 0
+    assert main(["run", "--ensemble", "fixed", "--spectrum-file", str(spectrum), *common,
+                 "--out", str(fixed)]) == 0
+    for name in ("densities.csv", "moments.csv"):
+        assert (balanced / name).read_bytes() == (fixed / name).read_bytes(), name
+    assert read_summary(balanced)["config"]["ensemble"] == "fixed_spectrum(len=4)"
+    # d^L = 9 values cannot split in half
+    out = tmp_path / "odd"
+    assert main(["run", "--ensemble", "pm1", "--balanced", "--n-sites", "3", "--d", "3",
+                 "--trials", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --balanced needs an even d^L, not 3^2 = 9\n", err
+    assert not out.exists()
+
+
+def test_run_at_small_scale_matches_unit_scale(tmp_path):
+    # the zero-variance test is relative to the second moment, so a spectrum
+    # of scale 1e-8 has a variance, and its γ's and p are those at scale 1
+    base = [-1.5, -0.5, 0.5, 1.5]
+    runs = {}
+    for scale in (1.0, 1e-8):
+        code, out = _fixed_run(tmp_path, f"scale{scale}", [v * scale for v in base])
+        assert code == 0, scale
+        rows = {row["source"]: row
+                for row in csv.DictReader((out / "moments.csv").read_text().splitlines())}
+        runs[scale] = read_summary(out), rows
+    (unit, unit_rows), (small, small_rows) = runs[1.0], runs[1e-8]
+    assert small["p_empirical"] == pytest.approx(unit["p_empirical"], rel=1e-9)
+    for source, row in unit_rows.items():
+        for stat in ("gamma1", "gamma2", "gamma2_se"):
+            got, want = small_rows[source][stat], row[stat]
+            if want == "":          # no s.e. on the ie and gram_charlier rows
+                assert got == "", (source, stat)
+            else:
+                assert float(got) == pytest.approx(float(want), rel=1e-9, abs=1e-12), \
+                    (source, stat)
+
+
+def test_run_writes_no_partial_summary(tmp_path, capsys):
+    # at scale 1e80 Σλ⁴ overflows and the γ's are NaN: summary.json is
+    # refused before it is opened, so none is left
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)         # the overflow
+        code, out = _fixed_run(tmp_path, "huge", [v * 1e80 for v in (-1.5, -0.5, 0.5, 1.5)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Out of range float values") and err.count("\n") == 1, err
+    assert not (out / "summary.json").exists()
+
+
 def test_reproduce_theory_only():
     code, out, _ = run_cli("reproduce", "N5", "--trials", "0")
     assert code == 0

@@ -52,6 +52,17 @@ def test_summary_internal_consistency():
     assert s.kappa2 >= 0
 
 
+def test_summary_variance_test_is_relative():
+    # κ₂ is zero against m₂, not against 1: a law of scale 1e-8 or 1e-30
+    # has its γ's, and a point mass at that scale has none
+    for scale in (1.0, 1e-8, 1e-30):
+        s = sm.MomentSummary.from_cumulants(scale, 2 * scale ** 2, 0.0, -scale ** 4)
+        assert s.gamma2 == pytest.approx(-0.25, rel=1e-12), scale
+        assert s.gamma1 == 0.0, scale
+        point = sm.MomentSummary.from_cumulants(scale, 0.0, 0.0, 0.0)
+        assert point.gamma1 is None and point.gamma2 is None, scale
+
+
 def test_summary_weighted_equals_repeated():
     v = np.array([1.0, 2.0, 4.0])
     w = np.array([0.25, 0.5, 0.25])
@@ -163,36 +174,38 @@ def test_power_sums_match_eigenvalues(m, beta, shift):
 
 
 @pytest.mark.parametrize("beta", [1, 2])
-def test_kernels_do_not_depend_on_sub_blocks(monkeypatch, beta):
+def test_kernels_do_not_depend_on_sub_blocks(beta):
     # at N=7 the bond terms and the sums of a trial come from three windows
-    # and two overlaps, formed and reduced in whichever sub-block holds it
+    # and two overlaps, formed and reduced in whichever work item holds it
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4), beta=beta)
 
-    def kernels():
+    def kernels(step):
         gen = sm.Rng(54, beta).substream()
         g = gaussian_batch((40, 16 * 17 // 2), beta, gen)
         b = gen.standard_normal((40, 16))
-        # the Haar kernel and the rotation on each sub-block, as the kept pass runs them
-        blocks = list(_workers._sub_blocks(0, 40, 16 * 16))
-        q = np.concatenate([haar_from_gaussians(g[s:e], np.empty((e - s, 16, 16), g.dtype))
-                            for s, e in blocks])
-        rotated = np.concatenate([_rotate_diag(q[s:e], b[s:e]) for s, e in blocks])
+        items = [slice(s, s + step) for s in range(0, 40, step)]
+        # the Haar kernel and the rotation on each item, as the kept pass runs them
+        q = np.concatenate([haar_from_gaussians(g[i], np.empty((len(g[i]), 16, 16), g.dtype))
+                            for i in items])
+        rotated = np.concatenate([_rotate_diag(q[i], b[i]) for i in items])
         # the chunk pass on the kept route: its sums and its three sample rows
+        evals, factors = _draw_bonds(spec, 40, gen)         # Wishart: no evals
+        keys = gen.random((40, spec.m))
+        reflectors = gaussian_batch((40, spec.m * (spec.m + 1) // 2), beta, gen)
         rows = np.empty((3, 40, spec.m))
-        sums = _chunk_pass(spec, *_draw_bonds(spec, 40, gen), rows, [gen.random((40, spec.m))],
-                           [gaussian_batch((40, spec.m * (spec.m + 1) // 2), beta, gen)])
+        sums = np.concatenate([_chunk_pass(spec, evals, factors[i], rows[:, i], [keys[i]],
+                                           [reflectors[i]]) for i in items], axis=1)
         return q, rotated, power_sums(rotated), sums, rows
 
-    ref = kernels()
-    # haar_batch draws the same Gaussians and runs the same kernel on its sub-blocks
+    ref = kernels(40)
+    # haar_batch draws the same Gaussians and runs the same kernel on the whole batch
     assert np.array_equal(haar_batch(16, beta, sm.Rng(54, beta).substream(), 40), ref[0])
-    monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)      # one trial per sub-block
-    for r, g in zip(ref, kernels()):
+    for r, g in zip(ref, kernels(1)):                   # one trial per item
         assert np.array_equal(r, g)
 
 
 _SUB_BLOCK_CASES = [
-    # a sub-block of one trial reduces its quantum window, a row of more than
+    # an item of one trial reduces its quantum window, a row of more than
     # 8,192 floats, alone: it must sum as it does within a longer stack
     pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
                               coupling_range=3), 200, False, id="goe-L3-beta1"),
@@ -200,7 +213,7 @@ _SUB_BLOCK_CASES = [
                               coupling_range=3), 100, False, id="goe-L3-beta2"),
     pytest.param(sm.ChainSpec(n_sites=5, site_dim=3, ensemble=sm.LocalEnsemble.pm1()), 200,
                  False, id="pm1-d3-N5"),
-    # the kept pass: sub-blocks of 16 trials at m = 128 against one trial each
+    # the kept pass: items of 8 trials at m = 128 against one trial each
     pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1()), 50,
                  True, id="kept-pm1-N7-beta1"),
     pytest.param(sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1(), beta=2),
@@ -210,9 +223,9 @@ _SUB_BLOCK_CASES = [
                               coupling_range=3), 60, True, id="kept-goe-L3-N5"),
     pytest.param(sm.ChainSpec(n_sites=3, site_dim=2, ensemble=sm.LocalEnsemble.goe(),
                               coupling_range=3), 60, True, id="kept-goe-N3-L3"),
-    # moments-only Wishart: the wishart_n5 shape, sub-blocks of 512 trials
+    # moments-only Wishart: the wishart_n5 shape, items of 512 trials
     # against one trial each, and one bond (N = L = 2), whose one-trial
-    # sub-block leaves a bond-and-trial axis of length 1
+    # item leaves a bond-and-trial axis of length 1
     pytest.param(sm.ChainSpec(n_sites=5, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 1100,
                  False, id="wishart-N5"),
     pytest.param(sm.ChainSpec(n_sites=2, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 60,
@@ -223,7 +236,7 @@ _SUB_BLOCK_CASES = [
 @pytest.mark.parametrize("spec, trials, keep_samples", _SUB_BLOCK_CASES)
 def test_pools_do_not_depend_on_sub_blocks(monkeypatch, spec, trials, keep_samples):
     ref = sm.ensemble_pools(spec, trials, sm.Rng(11), keep_samples)
-    monkeypatch.setattr(_workers, "_SUB_BLOCK", 1)
+    monkeypatch.setattr(spectra, "_ITEM_ELEMENTS", 1)        # one trial per item
     pools = sm.ensemble_pools(spec, trials, sm.Rng(11), keep_samples)
     for kind, pool in ref.items():
         for field in ("moment_sums", "block_sums", "block_counts", "samples"):
@@ -274,10 +287,10 @@ def test_alternating_shapes_on_one_thread_keep_every_bit(monkeypatch):
 def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
     # a kept run holds the reflector Gaussians of the items in flight, at most
     # 2 × workers items of 8 trials here (256·128·129/2 floats for the whole
-    # run), and each worker the m×m stacks of one 8-trial sub-block: the
+    # run), and each worker the m×m stacks of one 8-trial item: the
     # chains and the Haar matrices, the two a trial that ``_block_size``
     # counts, and eigvalsh's copy.  A stack of 512 matrices of 128×128 is
-    # 64 MiB, and sub-blocks of 16 trials hold some 4 MiB more than this
+    # 64 MiB, and items of 16 trials hold some 4 MiB more than this
     # bound.  Two workers, so that the bound does not depend on the machine
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
     pool = _workers._Pool(2, _workers._openblas_controls())
@@ -301,16 +314,17 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
 
 
 def test_item_sizes():
-    # the fewest whole sub-blocks whose draws hold 2¹⁶ elements: one
-    # sub-block of 8 kept pm1 trials at N=7 (two m×m stacks of 128² elements
-    # a trial); two of 512 Wishart trials at N=5 (two head layers of 16²
-    # elements a trial); and at N=9 six of 102 (five windows, 2 × 5 × 16²),
-    # so the whole of a 32-trial run
+    # as many trials as hold 2¹⁸ elements: 8 kept pm1 trials at N=7 (two
+    # m×m stacks of 128² elements a trial); 512 Wishart trials at N=5 (two
+    # head layers of 16² elements a trial); and at N=9 102 (five windows,
+    # 2 × 5 × 16²), so a 32-trial run is one item; and 2 kept GOE trials at
+    # d=3, N=5 (m = 243)
     wishart = sm.LocalEnsemble.wishart(4)
     assert spectra._item_trials(sm.ChainSpec(7, 2, sm.LocalEnsemble.pm1()), True, 512) == 8
-    assert spectra._item_trials(sm.ChainSpec(5, 2, wishart), False, 8192) == 1024
+    assert spectra._item_trials(sm.ChainSpec(5, 3, sm.LocalEnsemble.goe()), True, 100) == 2
+    assert spectra._item_trials(sm.ChainSpec(5, 2, wishart), False, 8192) == 512
     assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 32) == 32
-    assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 10 ** 6) == 612
+    assert spectra._item_trials(sm.ChainSpec(9, 2, wishart), False, 10 ** 6) == 102
 
 
 def test_kept_pools_finish_an_item_before_the_last_is_drawn(monkeypatch):
@@ -383,7 +397,7 @@ def test_items_in_flight():
         assert spectra._item_trials(spec, True, trials) == step
         assert spectra._items_in_flight(spec, True, step) == in_flight
     wishart_n5 = sm.ChainSpec(5, 2, sm.LocalEnsemble.wishart(4))
-    assert spectra._items_in_flight(wishart_n5, False, 1024) == 128
+    assert spectra._items_in_flight(wishart_n5, False, 512) == 256
 
 
 def _quantum_oracle_cases():
@@ -575,7 +589,6 @@ def test_only_spectral_ensembles_open_the_eigenvector_stream(monkeypatch):
     for ensemble, draws_vectors in ((sm.LocalEnsemble.wishart(4), False),
                                     (sm.LocalEnsemble.goe(), False),
                                     (sm.LocalEnsemble.pm1(), True),
-                                    (sm.LocalEnsemble.pm1(balanced=True), True),
                                     (sm.LocalEnsemble.fixed_spectrum([0, 1, 2, 3]), True)):
         spec = sm.ChainSpec(n_sites=4, site_dim=2, ensemble=ensemble)
         for keep_samples in (False, True):
@@ -794,7 +807,7 @@ def test_window_power_sums_match_eigenvalues(site_dim, coupling_range, beta, fir
 def test_pool_sums_match_the_stepwise_algebra(kind, values, n_sites, coupling_range, beta,
                                               offset, trials, seed):
     # the fused cumulant algebra against the step-by-step one it replaced,
-    # on the bond moments and window sums a sub-block hands it, with the
+    # on the bond moments and window sums an item hands it, with the
     # bond spectrum shifted so that κ₁ reaches 10³: within 1e-13 of
     # m·(Σλ²/m)^(k/2) per trial and pool
     coupling_range = min(coupling_range, n_sites)

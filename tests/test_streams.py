@@ -12,25 +12,21 @@ from hypothesis import strategies as st
 import spinmix as sm
 from spinmix import _workers, spectra
 
-# sub-blocks of one trial and of more; items of one sub-block and of more;
-# the last of each is the default
-SUB_BLOCKS = (1, 1 << 10, _workers._SUB_BLOCK)
-ITEM_DRAWS = (1, 1 << 8, 1 << 12, spectra._ITEM_DRAWS)
+# items of one trial and of more; the last is the default
+ITEM_ELEMENTS = (1, 1 << 10, spectra._ITEM_ELEMENTS)
 ENSEMBLES = {"wishart": sm.LocalEnsemble.wishart(4), "goe": sm.LocalEnsemble.goe(),
              "pm1": sm.LocalEnsemble.pm1()}
 
-layouts = st.tuples(st.sampled_from(SUB_BLOCKS), st.sampled_from(ITEM_DRAWS),
-                    st.sampled_from([1, 2, 3]))
+layouts = st.tuples(st.sampled_from(ITEM_ELEMENTS), st.sampled_from([1, 2, 3]))
 layout_pairs = st.lists(layouts, min_size=2, max_size=2, unique=True)
 seeds = st.integers(0, 2**32 - 1)
 
 
 @contextlib.contextmanager
-def _layout(sub_block, item_draws, pool):
-    """Sub-blocks of `sub_block` elements, items of `item_draws` draws, on `pool`."""
+def _layout(item_elements, pool):
+    """Items of at most `item_elements` elements (one trial at least), on `pool`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_workers, "_SUB_BLOCK", sub_block)
-        mp.setattr(spectra, "_ITEM_DRAWS", item_draws)
+        mp.setattr(spectra, "_ITEM_ELEMENTS", item_elements)
         mp.setattr(_workers, "_default", pool)
         yield
 
@@ -67,8 +63,8 @@ def test_pools_do_not_depend_on_chunking(worker_pools, keep_samples, n_sites, co
                         beta=beta, coupling_range=coupling_range)
 
     def pools(layout, t, keep=keep_samples):
-        sub_block, item_draws, workers = layout
-        with _layout(sub_block, item_draws, worker_pools.get(workers, worker_pools["serial"])):
+        item_elements, workers = layout
+        with _layout(item_elements, worker_pools.get(workers, worker_pools["serial"])):
             return sm.ensemble_pools(spec, t, sm.Rng(seed), keep_samples=keep)
 
     ref, other, longer = pools(layouts[0], trials), pools(layouts[1], trials), \
@@ -94,7 +90,7 @@ def _with_pool(pool, split, fn, *args, **kwargs):
 
     A stream then runs one item per trial on the workers, where the small
     runs of these tests would be one item on the calling thread at the
-    default ``_ITEM_DRAWS``.  With `split`, a pool of several workers must
+    default ``_ITEM_ELEMENTS``.  With `split`, a pool of several workers must
     have run items on its workers.
     """
     starts = []
@@ -104,7 +100,7 @@ def _with_pool(pool, split, fn, *args, **kwargs):
         starts.append(lo)
         return run_item(work, lo, hi, drawn)
 
-    with _layout(1, 1, pool), pytest.MonkeyPatch.context() as mp:
+    with _layout(1, pool), pytest.MonkeyPatch.context() as mp:
         mp.setattr(_workers, "_run_item", recording)
         out = fn(*args, **kwargs)
     if split and pool.workers > 1:
@@ -163,14 +159,14 @@ def test_windowed_pools_do_not_depend_on_workers_or_chunking(thread_pools):
         mp.setattr(spectra, "_N_BLOCKS", 6)
         runs = {name: _with_pool(pool, True, sm.ensemble_pools, spec, 20, sm.Rng(6))
                 for name, pool in thread_pools.items() if name != "serial"}
-        # items of seven trials, a sub-block each: without samples a
-        # sub-block is sized by the 32×32 windows, not by the chain's m×m
-        # matrices; and the default layout, one item on the calling thread
-        for layout, item in (((7 * spectra._block_size(spec, False), 1), 7),
-                             ((_workers._SUB_BLOCK, spectra._ITEM_DRAWS), 20)):
-            with _layout(*layout, thread_pools[2]):
+        # items of seven trials: without samples an item is sized by the
+        # 32×32 windows, not by the chain's m×m matrices; and the default
+        # layout, one item on the calling thread
+        for elements, item in ((7 * spectra._block_size(spec, False), 7),
+                               (spectra._ITEM_ELEMENTS, 20)):
+            with _layout(elements, thread_pools[2]):
                 assert spectra._item_trials(spec, False, 20) == item
-                runs[layout] = sm.ensemble_pools(spec, 20, sm.Rng(6))
+                runs[elements] = sm.ensemble_pools(spec, 20, sm.Rng(6))
     for pools in runs.values():
         _assert_pools_equal(runs[1], pools)
 
@@ -189,7 +185,7 @@ def test_pools_do_not_depend_on_items_in_flight(thread_pools):
 
     for flight in (draws, 3 * draws, spectra._FLIGHT_DRAWS):
         ran_on[flight] = set()
-        with _layout(1, 1, thread_pools[2]), pytest.MonkeyPatch.context() as mp:
+        with _layout(1, thread_pools[2]), pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectra, "_FLIGHT_DRAWS", flight)
             mp.setattr(spectra, "_chunk_pass", recording)
             runs[flight] = sm.ensemble_pools(spec, 12, sm.Rng(8), keep_samples=True)
