@@ -152,12 +152,12 @@ def draw_local_batch(spec: ChainSpec, count: int, gen, vec_gen=None):
     """Batched bond draws for Monte Carlo loops.
 
     Returns (evals, dense), dense of shape (count, n_bonds, d^L, d^L): a view
-    of ``_bond_terms``'s array, whose trial axis is last.  The
-    spectral ensembles (pm1, fixed) draw evals, (count,
-    n_bonds, d^L) sorted ascending per bond, from `gen` and Haar
-    eigenvectors from `vec_gen`, which only they need, so the eigenvalue
-    stream does not depend on the eigenvectors.  Wishart and GOE terms are
-    drawn whole from `gen` and returned undiagonalised, with evals None.
+    of ``_bond_terms``'s array, whose trial axis is last.  The spectral
+    ensembles (pm1, fixed) draw evals, (count, n_bonds, d^L) sorted
+    ascending per bond, from `gen` and Haar eigenvectors from `vec_gen`,
+    which only they need, so the eigenvalue stream does not depend on the
+    eigenvectors.  Wishart and GOE terms are drawn whole from `gen` and
+    returned undiagonalised, with evals None.
     """
     evals, factors = _draw_bonds(spec, count, gen, vec_gen)
     return evals, _bond_terms(spec, evals, factors).transpose(3, 2, 0, 1)

@@ -13,7 +13,7 @@ import spinmix as sm
 from spinmix import _workers, spectra
 
 # items of one trial and of more; the last is the default
-ITEM_ELEMENTS = (1, 1 << 10, spectra._ITEM_ELEMENTS)
+ITEM_ELEMENTS = (1, 1 << 10, 1 << 14, spectra._ITEM_ELEMENTS)
 ENSEMBLES = {"wishart": sm.LocalEnsemble.wishart(4), "goe": sm.LocalEnsemble.goe(),
              "pm1": sm.LocalEnsemble.pm1()}
 
