@@ -298,24 +298,22 @@ def test_run_beyond_nearest_neighbor(tmp_path):
     assert rows["ie"] == rows["iso"]
 
 
-def _fixed_run(tmp_path, name, values, *extra):
+def _fixed_run(tmp_path, name, values):
     """`spinmix run` of a fixed spectrum at N=4, d=2: (exit code, output directory)."""
     spectrum = tmp_path / f"{name}.txt"
     spectrum.write_text("".join(f"{v!r}\n" for v in values))
     out = tmp_path / name
     return main(["run", "--ensemble", "fixed", "--spectrum-file", str(spectrum),
                  "--n-sites", "4", "--d", "2", "--trials", "20", "--seed", "1",
-                 "--out", str(out), *extra]), out
+                 "--out", str(out)]), out
 
 
 def test_run_balanced_is_the_fixed_spectrum_of_half_minus_half_plus(tmp_path, capsys):
-    common = ["--n-sites", "5", "--d", "2", "--trials", "60", "--seed", "3"]
-    balanced, fixed = tmp_path / "balanced", tmp_path / "fixed"
-    spectrum = tmp_path / "spectrum.txt"
-    spectrum.write_text("-1\n-1\n1\n1\n")
-    assert main(["run", "--ensemble", "pm1", "--balanced", *common, "--out", str(balanced)]) == 0
-    assert main(["run", "--ensemble", "fixed", "--spectrum-file", str(spectrum), *common,
-                 "--out", str(fixed)]) == 0
+    balanced = tmp_path / "balanced"
+    assert main(["run", "--ensemble", "pm1", "--balanced", "--n-sites", "4", "--d", "2",
+                 "--trials", "20", "--seed", "1", "--out", str(balanced)]) == 0
+    code, fixed = _fixed_run(tmp_path, "fixed", [-1, -1, 1, 1])
+    assert code == 0
     for name in ("densities.csv", "moments.csv"):
         assert (balanced / name).read_bytes() == (fixed / name).read_bytes(), name
     assert read_summary(balanced)["config"]["ensemble"] == "fixed_spectrum(len=4)"
