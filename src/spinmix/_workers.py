@@ -6,15 +6,19 @@ item, ``draw(lo, hi)``, in trial order; a worker takes it as soon as it is
 drawn and runs ``work(lo, hi, drawn)``; and the calling thread folds the
 results, ``fold(lo, hi, result)``, in item order, as soon as the finished
 prefix grows.  At most 2 × workers items are in flight, drawn but not yet
-folded, and no more than the caller's `in_flight`, so a run holds only
-their draws however long it is.  Every trial is computed by the same
-single-threaded kernel whichever worker runs its item, and random draws
-happen only in ``draw``, on the calling thread, so results do not depend
-on the worker count.  A run of one item, a run that allows one item in
-flight, and every run on a pool of one worker run their items on the
-calling thread.  An item must not itself start a stream; such a call
-raises ``RuntimeError`` instead of waiting for the stream it runs in.  The
-first error, in item order, is re-raised once every item in flight has
+folded, and only as many as fit in ``_FLIGHT_DRAWS`` elements of draws,
+one at least, so a run holds only their draws however long it is.  The
+stream counts the elements each item's draws hold (``_elements``), and
+before it draws the next item it folds the oldest while either bound
+would be passed.  Every item of a run is drawn alike and only the last
+one is smaller, so the last item's count stands for the next one's.  Every
+trial is computed by the same single-threaded kernel whichever worker
+runs its item, and random draws happen only in ``draw``, on the calling
+thread, so results do not depend on the worker count.  A run of one item,
+and every run on a pool of one worker, run their items on the calling
+thread.  An item must not itself start a stream; such a call raises
+``RuntimeError`` instead of waiting for the stream it runs in.  The first
+error, in item order, is re-raised once every item in flight has
 finished.  How many trials an item holds, and so the temporaries each
 worker holds, is the caller's choice.
 
@@ -56,6 +60,7 @@ import numpy as np
 __all__ = ["stream", "describe"]
 
 _thread = threading.local()      # .in_stream while a stream or an item runs; .scratch arrays
+_FLIGHT_DRAWS = 1 << 23          # elements the draws of the items in flight hold, at most
 
 
 def _cpu_count() -> int:
@@ -89,6 +94,15 @@ def _openblas_controls() -> list:
             if (fns := _thread_count_functions(lib)) is not None]
 
 
+def _elements(drawn) -> int:
+    """Elements of the arrays in `drawn`: an array, None, or tuples and lists of them."""
+    if drawn is None:
+        return 0
+    if isinstance(drawn, (tuple, list)):
+        return sum(map(_elements, drawn))
+    return np.size(drawn)
+
+
 def _run_item(work, lo, hi, drawn):
     _thread.in_stream = True
     try:
@@ -108,14 +122,17 @@ class _Pool:
         # ThreadPoolExecutor starts its threads on the first submit
         self._executor = ThreadPoolExecutor(self.workers, "spinmix-worker")
 
-    def stream(self, count: int, step: int, draw, work, fold, in_flight=None):
+    def stream(self, count: int, step: int, draw, work, fold):
         if getattr(_thread, "in_stream", False):
             raise RuntimeError("stream called from inside a stream: an item must not "
                                "itself start a stream")
-        pending = collections.deque()          # (lo, hi, future) in item order
+        pending = collections.deque()      # (lo, hi, elements drawn, future) in item order
+        held = last = 0                    # elements drawn by the pending and the last item
 
         def fold_head():
-            lo, hi, future = pending.popleft()
+            nonlocal held
+            lo, hi, elements, future = pending.popleft()
+            held -= elements
             fold(lo, hi, future.result())
 
         with self._lock:
@@ -124,18 +141,21 @@ class _Pool:
             try:
                 for _, put in self._blas:
                     put(1)
-                bound = min(2 * self.workers, in_flight or math.inf)
-                inline = self.workers == 1 or count <= step or bound == 1
+                inline = self.workers == 1 or count <= step
                 for lo in range(0, count, step):
                     hi = min(count, lo + step)
                     if inline:
                         fold(lo, hi, work(lo, hi, draw(lo, hi)))
                         continue
-                    if len(pending) == bound:
+                    while pending and (len(pending) == 2 * self.workers
+                                       or held + last > _FLIGHT_DRAWS):
                         fold_head()
-                    pending.append((lo, hi, self._executor.submit(
-                        _run_item, work, lo, hi, draw(lo, hi))))
-                    while pending and pending[0][2].done():
+                    drawn = draw(lo, hi)
+                    last = _elements(drawn)
+                    held += last
+                    pending.append((lo, hi, last, self._executor.submit(
+                        _run_item, work, lo, hi, drawn)))
+                    while pending and pending[0][3].done():
                         fold_head()
                 while pending:
                     fold_head()
@@ -143,7 +163,7 @@ class _Pool:
                 # no item may outlive the stream: the caller reads (or frees)
                 # the output next, and the thread count is restored
                 if pending:
-                    wait([future for _, _, future in pending])
+                    wait([future for *_, future in pending])
                 for (_, put), k in zip(self._blas, saved):
                     put(k)
                 _thread.in_stream = False
@@ -174,14 +194,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def stream(count: int, step: int, draw, work, fold, in_flight=None):
+def stream(count: int, step: int, draw, work, fold):
     """Draw, work on and fold range(count) in items of `step` trials; re-raise errors.
 
     See the module docstring: draw(lo, hi) and fold(lo, hi, result) run on
-    the calling thread in item order, work(lo, hi, drawn) on the workers,
-    with at most `in_flight` items (if given) drawn and not yet folded.
+    the calling thread in item order, work(lo, hi, drawn) on the workers.
     """
-    _pool().stream(count, step, draw, work, fold, in_flight)
+    _pool().stream(count, step, draw, work, fold)
 
 
 def _scratch(key: str, shape, dtype) -> np.ndarray:

@@ -194,14 +194,6 @@ def _draw_bonds(spec: ChainSpec, count: int, gen, vec_gen=None):
     raise ValueError(f"unknown ensemble kind {ens.kind!r}")
 
 
-def _draw_elements(spec: ChainSpec) -> int:
-    """Elements of `_draw_bonds`'s arrays per trial."""
-    ens, nloc = spec.ensemble, spec.local_dim
-    # the spectral ensembles draw eigenvalues and Haar eigenvectors
-    per_bond = {"wishart": ens.rank * nloc, "goe": nloc * nloc}.get(ens.kind, nloc * (nloc + 1))
-    return spec.n_bonds * per_bond
-
-
 def _bond_terms(spec: ChainSpec, evals, factors, out=None):
     """The Hermitian bond terms of `_draw_bonds`'s (evals, factors), trial axis last.
 

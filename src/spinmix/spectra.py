@@ -21,9 +21,11 @@ heads on the moments route.  The calling thread draws each item in trial
 order, a worker runs ``_chunk_pass`` on it as soon as it is drawn, and
 the calling thread folds the finished items into the pools in trial
 order.  So a run holds the draws of at most 2 × workers items, and only
-of as many as fit in ``_FLIGHT_DRAWS`` elements (``_items_in_flight``;
-one at least).  The pooled and block sums are the same left fold, bit for
-bit, whatever the items.
+of as many as fit in ``_workers._FLIGHT_DRAWS`` elements, one at least,
+which the stream counts from the arrays ``draw`` returns: this module
+sizes an item, and the stream alone bounds the items in flight.  The
+pooled and block sums are the same left fold, bit for bit, whatever the
+items.
 Each item forms its trials' bond terms once from the draws, as a (d^L,
 d^L, n_bonds, count) array with the trial axis last
 (``chain._bond_terms``), and reduces them to every pool's Σλ¹…Σλ⁴
@@ -125,7 +127,6 @@ __all__ = [
 ]
 
 _ITEM_ELEMENTS = 1 << 18         # elements of a work item's stacks, at most (one trial at least)
-_FLIGHT_DRAWS = 1 << 23          # draw elements the items in flight hold, at most
 _MAX_KEPT_VALUES = 1 << 27       # refuse sample retention beyond ~1 GiB
 _MAX_VALUES = (1 << 63) - 1      # the value counts are int64
 _N_BLOCKS = 50                   # jackknife blocks (fewer when trials < 50)
@@ -149,27 +150,9 @@ def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
     return 2 * (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 2))
 
 
-def _trial_draws(spec: ChainSpec, keep_samples: bool) -> int:
-    """Elements a trial draws: its bonds and, on the kept route, each rotated
-    summand's m keys and m(m+1)/2 reflector Gaussians."""
-    m, rotated = spec.m, len(spec.summand_bonds) - 1 if keep_samples else 0
-    return chain_mod._draw_elements(spec) + rotated * (m + m * (m + 1) // 2)
-
-
 def _item_trials(spec: ChainSpec, keep_samples: bool, trials: int) -> int:
     """Trials per work item: as many as hold ``_ITEM_ELEMENTS`` elements, one at least."""
     return min(trials, max(1, _ITEM_ELEMENTS // _block_size(spec, keep_samples)))
-
-
-def _items_in_flight(spec: ChainSpec, keep_samples: bool, step: int) -> int:
-    """Items of `step` trials whose draws fit in ``_FLIGHT_DRAWS`` elements, at least one.
-
-    The workers run only items in flight, each with its m×m stacks, so at
-    large m this also bounds how many of those stacks the kept route holds:
-    three one-trial items at m = 2048, and one at m = 4096, which then runs
-    on the calling thread.
-    """
-    return max(1, _FLIGHT_DRAWS // (step * _trial_draws(spec, keep_samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +812,8 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
     the kept route, Π_i's keys on stream ``(STREAM_CLASSICAL, i − 1)`` and
     Q_i's Gaussians on stream ``(STREAM_ISO, i − 1)``; a worker's
     ``_chunk_pass`` does the rest.  The calling thread holds the draws of
-    the items in flight but no m×m stack.
+    the items in flight, as many as ``_workers.stream`` admits, but no m×m
+    stack.
     """
     m = spec.m
     if trials < 1:
@@ -866,8 +850,7 @@ def ensemble_pools(spec: ChainSpec, trials: int, rng: Rng, keep_samples: bool = 
         _accumulate(stacked, sums, lo)
 
     # the only trial loop
-    step = _item_trials(spec, keep_samples, trials)
-    stream(trials, step, draw, work, fold, _items_in_flight(spec, keep_samples, step))
+    stream(trials, _item_trials(spec, keep_samples, trials), draw, work, fold)
     return pools
 
 

@@ -388,16 +388,34 @@ def test_kept_eigensolves_run_in_a_fan_out(monkeypatch):
     assert seen and all(s == (True, [1] * len(blas)) for s in seen), seen
 
 
+def _first_item(spec, trials, keep_samples):
+    """(trials, elements drawn) of the first work item that ensemble_pools draws."""
+    seen = []
+
+    def first_only(count, step, draw, work, fold):
+        seen.append((step, _workers._elements(draw(0, step))))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "stream", first_only)
+        sm.ensemble_pools(spec, trials, sm.Rng(0), keep_samples=keep_samples)
+    return seen[0]
+
+
 def test_items_in_flight():
-    # draws of at most 2²³ elements in flight: many items at N=7, three
-    # one-trial kept items at N=11 (m = 2048), one at N=12 (m = 4096)
+    # draws of at most 2²³ elements in flight, counted from a drawn item:
+    # many items at N=7, three one-trial kept items at N=11 (m = 2048), one
+    # at N=12 (m = 4096, 67 MB of reflector Gaussians)
     pm1 = sm.LocalEnsemble.pm1()
     for n_sites, trials, step, in_flight in ((7, 512, 8, 123), (11, 6, 1, 3), (12, 2, 1, 1)):
         spec = sm.ChainSpec(n_sites, 2, pm1)
         assert spectra._item_trials(spec, True, trials) == step
-        assert spectra._items_in_flight(spec, True, step) == in_flight
+        drawn_step, elements = _first_item(spec, trials, True)
+        assert drawn_step == step
+        # one item at least, even when its draws alone pass the budget (N=12)
+        assert max(1, _workers._FLIGHT_DRAWS // elements) == in_flight
     wishart_n5 = sm.ChainSpec(5, 2, sm.LocalEnsemble.wishart(4))
-    assert spectra._items_in_flight(wishart_n5, False, 512) == 256
+    step, elements = _first_item(wishart_n5, 5000, False)
+    assert step == 512 and _workers._FLIGHT_DRAWS // elements == 256
 
 
 def _quantum_oracle_cases():

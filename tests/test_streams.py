@@ -172,10 +172,13 @@ def test_windowed_pools_do_not_depend_on_workers_or_chunking(thread_pools):
 
 
 def test_pools_do_not_depend_on_items_in_flight(thread_pools):
-    # one-trial kept items on two workers, with one, three or the default
-    # number in flight; with one, every item runs on the calling thread
+    # one-trial kept items on two workers, with a draws budget of one trial,
+    # of three or the default; the workers run every item
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=ENSEMBLES["pm1"])
-    draws = spectra._trial_draws(spec, True)
+    # six bonds of 4 eigenvalues and 4×4 eigenvectors, and the odd summand's
+    # 128 permutation keys and 128·129/2 reflector Gaussians
+    draws = 6 * (4 + 16) + 128 + 128 * 129 // 2
+    assert draws == 8504
     item_pass = spectra._chunk_pass
     runs, ran_on = {}, {}
 
@@ -183,14 +186,13 @@ def test_pools_do_not_depend_on_items_in_flight(thread_pools):
         ran_on[flight].add(threading.get_ident())
         return item_pass(*args, **kwargs)
 
-    for flight in (draws, 3 * draws, spectra._FLIGHT_DRAWS):
+    for flight in (draws, 3 * draws, _workers._FLIGHT_DRAWS):
         ran_on[flight] = set()
         with _layout(1, thread_pools[2]), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "_FLIGHT_DRAWS", flight)
+            mp.setattr(_workers, "_FLIGHT_DRAWS", flight)
             mp.setattr(spectra, "_chunk_pass", recording)
             runs[flight] = sm.ensemble_pools(spec, 12, sm.Rng(8), keep_samples=True)
-    assert ran_on[draws] == {threading.get_ident()}
-    assert threading.get_ident() not in ran_on[3 * draws]
+        assert ran_on[flight] and threading.get_ident() not in ran_on[flight]
     for pools in runs.values():
         _assert_pools_equal(runs[draws], pools)
 

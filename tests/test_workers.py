@@ -103,10 +103,14 @@ def test_workers_run_openblas_at_one_thread_and_the_caller_keeps_its_count(blas)
         pool.shutdown()
 
 
-def _reach_the_bound(pool, bound, in_flight=None):
+ITEM_ELEMENTS = 1000      # elements of each item's draws in _reach_the_bound
+
+
+def _reach_the_bound(pool, bound):
     """Run a 30-item stream whose item 0 waits until `bound` items are drawn.
 
-    Returns the items in flight at each draw and the threads that ran work.
+    Each item draws arrays of ``ITEM_ELEMENTS`` elements.  Returns the
+    items in flight at each draw and the threads that ran work.
     """
     release = threading.Event()
     state = {"drawn": 0, "folded": 0, "in_flight": []}
@@ -117,7 +121,7 @@ def _reach_the_bound(pool, bound, in_flight=None):
         state["in_flight"].append(state["drawn"] - state["folded"])
         if state["drawn"] == bound:
             release.set()
-        return lo
+        return np.zeros(ITEM_ELEMENTS // 2), [np.zeros(ITEM_ELEMENTS // 2), None]
 
     def work(lo, hi, drawn):
         ran_on.add(threading.get_ident())
@@ -129,7 +133,7 @@ def _reach_the_bound(pool, bound, in_flight=None):
         state["folded"] += 1
 
     try:
-        pool.stream(30, 1, draw, work, fold, in_flight)
+        pool.stream(30, 1, draw, work, fold)
     finally:
         pool.shutdown()
     assert state["folded"] == 30
@@ -148,12 +152,22 @@ def test_items_in_flight_stay_within_the_bound(blas, workers):
 
 
 @pytest.mark.parametrize("limit", [1, 2, 5])
-def test_items_in_flight_stay_within_the_callers_limit(blas, limit):
-    # a caller's limit below 2 × workers binds; a limit of one runs every
-    # item on the calling thread
-    in_flight, ran_on = _reach_the_bound(_workers._Pool(3, blas), limit, limit)
+def test_items_in_flight_stay_within_the_draws_budget(blas, monkeypatch, limit):
+    # a budget of `limit` items' draws binds below 2 × workers; with room
+    # for one item, the workers still run every item, one at a time
+    monkeypatch.setattr(_workers, "_FLIGHT_DRAWS", limit * ITEM_ELEMENTS)
+    in_flight, ran_on = _reach_the_bound(_workers._Pool(3, blas), limit)
     assert max(in_flight) == limit, in_flight
-    assert (threading.get_ident() in ran_on) is (limit == 1)
+    assert ran_on and threading.get_ident() not in ran_on
+
+
+def test_draws_are_counted_in_elements():
+    # arrays inside nested tuples and lists count, None does not, and a
+    # complex element counts once
+    drawn = (np.ones((2, 3), complex), [None, (np.ones(4), [np.ones((5, 1), np.float32)])],
+             None, [])
+    assert _workers._elements(drawn) == 6 + 4 + 5
+    assert _workers._elements(None) == 0
 
 
 def test_lone_slice_runs_on_the_calling_thread_at_one_blas_thread(blas):
