@@ -158,11 +158,8 @@ def _finite_or_none(x):
     return x if x is not None and math.isfinite(x) else None
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _csv_text(header, rows) -> str:
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _stat_row(source, summary, loo):
@@ -238,8 +235,7 @@ def cmd_run(args) -> int:
         dens = densities[source]
         for left, right, mass in zip(dens.bin_edges[:-1], dens.bin_edges[1:], dens.masses):
             rows.append([source, _fmt(left), _fmt(right), _fmt(mass)])
-    _write_csv(out_dir / "densities.csv",
-               ["source", "bin_left", "bin_right", "mass"], rows)
+    texts = {"densities.csv": _csv_text(["source", "bin_left", "bin_right", "mass"], rows)}
 
     # one jackknife pass per pool serves every s.e. of moments.csv and p_empirical
     loo = {k: p.leave_one_out() for k, p in pools.items()}
@@ -248,9 +244,8 @@ def cmd_run(args) -> int:
                + (1 - weight) * getattr(summaries["iso"], f"m{j}") for j in (1, 2, 3, 4)]
     mrows.append(_stat_row("ie", spectra.MomentSummary.from_raw_moments(*mix_raw), None))
     mrows.append(_stat_row("gram_charlier", summaries["quantum"], None))
-    _write_csv(out_dir / "moments.csv",
-               ["source", "mu", "sigma2", "gamma1", "gamma2",
-                "mu_se", "sigma2_se", "gamma1_se", "gamma2_se"], mrows)
+    texts["moments.csv"] = _csv_text(["source", "mu", "sigma2", "gamma1", "gamma2",
+                                      "mu_se", "sigma2_se", "gamma1_se", "gamma2_se"], mrows)
 
     # histogram() clips values outside the edges into the end bins
     outside = {k: float(np.mean((p.samples < edges[0]) | (p.samples > edges[-1])))
@@ -284,9 +279,11 @@ def cmd_run(args) -> int:
     except (ZeroDivisionError, ValueError):
         pass
     summary["wall_time_s"] = time.time() - t_start
-    # serialised before the file is opened, so a non-finite number leaves no file
-    text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
-    (out_dir / "summary.json").write_text(text, encoding="utf-8")
+    # every file's text is made before any file is opened, so a non-finite
+    # number in the summary leaves no file
+    texts["summary.json"] = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
     if any(outside.values()):
         print("warning: mass outside the edges, clipped into the end bins: "
               + ", ".join(f"{k} {v:.4g}" for k, v in outside.items())
