@@ -155,6 +155,7 @@ class _Pool:
                     held += last
                     pending.append((lo, hi, last, self._executor.submit(
                         _run_item, work, lo, hi, drawn)))
+                    del drawn       # else it is held while the next item is drawn
                     while pending and pending[0][3].done():
                         fold_head()
                 while pending:
