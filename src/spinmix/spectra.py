@@ -24,8 +24,10 @@ order.  So a run holds the draws of at most 2 × workers items, and only
 of as many as fit in ``_workers._FLIGHT_DRAWS`` elements, one at least,
 which the stream counts from the arrays ``draw`` returns: this module
 sizes an item, and the stream alone bounds the items in flight.  The
-pooled and block sums are the same left fold, bit for bit, whatever the
-items.
+workers run only items in flight, each with its m×m stacks, so at large m
+this also bounds how many of those stacks the kept route holds: three
+one-trial items at m = 2048, and one at m = 4096.  The pooled and block
+sums are the same left fold, bit for bit, whatever the items.
 Each item forms its trials' bond terms once from the draws, as a (d^L,
 d^L, n_bonds, count) array with the trial axis last
 (``chain._bond_terms``), and reduces them to every pool's Σλ¹…Σλ⁴
