@@ -127,12 +127,10 @@ class _Pool:
             raise RuntimeError("stream called from inside a stream: an item must not "
                                "itself start a stream")
         pending = collections.deque()      # (lo, hi, elements drawn, future) in item order
-        held = last = 0                    # elements drawn by the pending and the last item
+        last = 0                           # elements the last item drew
 
         def fold_head():
-            nonlocal held
-            lo, hi, elements, future = pending.popleft()
-            held -= elements
+            lo, hi, _, future = pending.popleft()
             fold(lo, hi, future.result())
 
         with self._lock:
@@ -148,11 +146,10 @@ class _Pool:
                         fold(lo, hi, work(lo, hi, draw(lo, hi)))
                         continue
                     while pending and (len(pending) == 2 * self.workers
-                                       or held + last > _FLIGHT_DRAWS):
+                                       or sum(p[2] for p in pending) + last > _FLIGHT_DRAWS):
                         fold_head()
                     drawn = draw(lo, hi)
                     last = _elements(drawn)
-                    held += last
                     pending.append((lo, hi, last, self._executor.submit(
                         _run_item, work, lo, hi, drawn)))
                     del drawn       # else it is held while the next item is drawn
