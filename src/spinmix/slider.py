@@ -3,9 +3,13 @@
 The chain spectrum is approximated by p·classical + (1−p)·isotropic where p
 matches the excess kurtosis.  Everything needed to evaluate p analytically
 lives here: Haar fourth moments, the chain-level moment gap of the commuting
-diagonals, the two fourth-moment gap terms, the universal closed form, the
-empirical p from three kurtoses, the binwise mixture of two densities, and
-the Wishart worked example (bond moments and chain statistics).
+diagonals, the two fourth-moment gap terms, the weight p, the empirical p
+from three kurtoses, the binwise mixture of two densities, and the Wishart
+worked example (bond moments and chain statistics).
+
+For every N, 1 − p is the ratio of the quantum to the isotropic gap, in
+which the bond moments cancel (Slider Theorem).  The paper's closed form of
+that ratio for odd N is kept as the tests' oracle, ``tests/oracles.py``.
 
 Moment conventions: for one bond term, m_j = E(λ^j) for a uniformly chosen
 eigenvalue and m11 = E(λ_i λ_j) for distinct eigenvalues of the *same* term.
@@ -33,7 +37,6 @@ __all__ = [
     "quantum_gap",
     "frob_uv_classical",
     "frob_uv_quantum",
-    "p_universal",
     "slider_p",
     "p_from_kurtoses",
     "ensemble_slider",
@@ -67,17 +70,19 @@ class SliderDims:
 
     @classmethod
     def odd_side(cls, n_sites: int, d: int, beta: float = 1.0) -> "SliderDims":
-        if n_sites < 3:
-            raise ValueError("need at least 3 sites")
-        k = (n_sites - 1) // 2 if n_sites % 2 else n_sites // 2
-        n, m = d * d, d ** n_sites
-        return cls(n_sites, d, beta, k, n, m, m // n ** k)
+        return cls._side(n_sites, d, beta, n_sites // 2)
 
     @classmethod
     def even_side(cls, n_sites: int, d: int, beta: float = 1.0) -> "SliderDims":
+        return cls._side(n_sites, d, beta, (n_sites - 1) // 2)
+
+    @classmethod
+    def _side(cls, n_sites, d, beta, k) -> "SliderDims":
+        # an odd chain has (N−1)/2 bonds of each parity, an even one N/2 odd and N/2 − 1 even
         if n_sites < 3:
             raise ValueError("need at least 3 sites")
-        k = (n_sites - 1) // 2 if n_sites % 2 else (n_sites - 2) // 2
+        if d < 2:       # before n^k, which is 0 at d = 0
+            raise ValueError("need d >= 2")
         n, m = d * d, d ** n_sites
         return cls(n_sites, d, beta, k, n, m, m // n ** k)
 
@@ -195,40 +200,6 @@ def quantum_gap(local_odd: LocalMoments, local_even: LocalMoments,
 # the universal weight
 
 
-def p_universal(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
-    """Closed-form mixture weight for an odd-length chain.
-
-    Independent of the bond ensemble; only (N, d, β) enter.  For even N use
-    :func:`slider_p`, which takes the gap-ratio route with the even-chain
-    pair counts.
-    """
-    if n_sites % 2 == 0:
-        raise ValueError("closed form is stated for odd N; "
-                         "use slider_p for the even-N gap route")
-    if n_sites < 3 or d < 2 or not 1 <= beta < math.inf:
-        raise ValueError("need odd N >= 3, d >= 2 and a finite beta >= 1")
-    k = (n_sites - 1) // 2
-    one_minus_p = (
-        (1.0 - float(d) ** (-2 * k - 1))
-        * (1.0 - ((k - 1) / k) ** 2)
-        * (1.0 - (1.0 - float(d) ** (-2 * k + 1)) / (1.0 + beta * d * d / 2.0))
-        * (d / (d + 1.0)) ** 2
-        * (beta * (d ** 3 + d ** 2 - 2 * d + 1) + 4 * d - 2)
-        / ((d - 1.0) * (beta * d * d + 2.0))
-    )
-    result = _clamped_result(one_minus_p)
-    # one domain for both parities: where the gap ratio leaves the floats
-    # (OverflowError: a huge β, or d^N beyond a float) the closed form refuses too
-    _unit_gap_ratio(n_sites, d, beta)
-    return result
-
-
-def _unit_gap_ratio(n_sites, d, beta) -> float:
-    """quantum_gap / iso_gap at unit local moments, m2 − m11 = 1, which cancel from it."""
-    dims = SliderDims.odd_side(n_sites, d, beta)
-    return quantum_gap(_UNIT, _UNIT, dims) / iso_gap(_UNIT, _UNIT, dims)
-
-
 def _clamped_result(one_minus_p) -> SliderResult:
     # the interval is guaranteed analytically; only float noise is clamped
     if one_minus_p < 0.0:
@@ -243,15 +214,17 @@ def _clamped_result(one_minus_p) -> SliderResult:
 
 
 def slider_p(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
-    """Mixture weight for any N >= 3: closed form (odd) or gap ratio (even).
+    """Mixture weight for any N >= 3: 1 − p = quantum_gap / iso_gap (Slider Theorem).
 
-    For even N the local-moment factors cancel between numerator and
-    denominator exactly as in the odd case, so the result is still a
-    function of (N, d, β) alone.
+    The local-moment factors (m2 − m11) cancel between numerator and
+    denominator, so the ratio is a function of (N, d, β) alone and is taken
+    at unit bond moments.  For odd N it equals the paper's closed form,
+    which the tests keep as their oracle.  A ValueError refuses N < 3,
+    d < 2 and β outside [1, ∞); an OverflowError, a β or d^N whose ratio
+    leaves the floats.
     """
-    if n_sites % 2:
-        return p_universal(n_sites, d, beta)
-    return _clamped_result(_unit_gap_ratio(n_sites, d, beta))
+    dims = SliderDims.odd_side(n_sites, d, beta)
+    return _clamped_result(quantum_gap(_UNIT, _UNIT, dims) / iso_gap(_UNIT, _UNIT, dims))
 
 
 def p_from_kurtoses(g2q: float, g2c: float, g2iso: float) -> float:

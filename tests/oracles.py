@@ -4,14 +4,16 @@ They are slow or exhaustive by design: Kronecker products for the batched
 embedding, the quantum window sums from two separately embedded window
 widths, the pools' cumulant algebra one step at a time, an exact cross
 convolution for the classical pool, weighted
-moments for the summaries, the parity diagonal's chain-level moments and
-the appendix's collision count for the isotropic gap, and an
-enumeration-backed count of bond 4-tuples.  A weighted
+moments for the summaries, the parity diagonal's chain-level moments, the
+appendix's collision count for the isotropic gap, the paper's closed form
+of the mixture weight for odd N, and an enumeration-backed count of bond
+4-tuples.  A weighted
 measure is a pair (values, weights) of arrays, sorted by value, with
 weights summing to 1.
 """
 
 import dataclasses
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -237,6 +239,28 @@ def appendix_iso_expectation(chain_a, chain_b, m, beta):
     return ((beta + 2.0) / (m * beta + 2.0) * m2a * m2b
             + w * (m2b * m11a + m2a * m11b)
             - w * m11a * m11b)
+
+
+def p_universal(n_sites, d, beta=1.0):
+    """The paper's closed form of the mixture weight, stated for odd N.
+
+    It depends on (N, d, β) alone.  ``slider_p`` takes the same weight as
+    the ratio of the quantum to the isotropic gap for every N.
+    """
+    if n_sites % 2 == 0:
+        raise ValueError("the closed form is stated for odd N")
+    if n_sites < 3 or d < 2 or not 1 <= beta < math.inf:
+        raise ValueError("need odd N >= 3, d >= 2 and a finite beta >= 1")
+    k = (n_sites - 1) // 2
+    one_minus_p = (
+        (1.0 - float(d) ** (-2 * k - 1))
+        * (1.0 - ((k - 1) / k) ** 2)
+        * (1.0 - (1.0 - float(d) ** (-2 * k + 1)) / (1.0 + beta * d * d / 2.0))
+        * (d / (d + 1.0)) ** 2
+        * (beta * (d ** 3 + d ** 2 - 2 * d + 1) + 4 * d - 2)
+        / ((d - 1.0) * (beta * d * d + 2.0))
+    )
+    return sm.SliderResult(p=1.0 - one_minus_p, one_minus_p=one_minus_p)
 
 
 TermCounts = namedtuple("TermCounts", ["four", "three", "two_not_entangled", "two_entangled"])

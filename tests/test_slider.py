@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinmix as sm
 from spinmix.chain import diagonals_from_eigs, draw_local_batch
@@ -12,7 +13,7 @@ from spinmix.cli import _p_empirical
 from spinmix.slider import SliderDims, _entangled_pairs
 
 from conftest import wishart_chain
-from oracles import appendix_iso_expectation, chain_m11, chain_m2, term_counts
+from oracles import appendix_iso_expectation, chain_m11, chain_m2, p_universal, term_counts
 
 
 W44 = sm.wishart_moments(4, 4, 1.0)
@@ -138,8 +139,7 @@ def test_gap_ratio_matches_universal_p(beta, d, k):
     dims = SliderDims.odd_side(n_sites, d, beta)
     local = sm.wishart_moments(2, d * d, beta)
     ratio = sm.quantum_gap(local, local, dims) / sm.iso_gap(local, local, dims)
-    assert ratio == pytest.approx(sm.p_universal(n_sites, d, beta).one_minus_p,
-                                  rel=1e-12)
+    assert ratio == pytest.approx(p_universal(n_sites, d, beta).one_minus_p, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -147,50 +147,61 @@ def test_gap_ratio_matches_universal_p(beta, d, k):
 
 
 def test_p_universal_published_values():
-    assert sm.p_universal(5, 2, 1).one_minus_p == pytest.approx(2635 / 4608, abs=1e-12)
-    assert sm.p_universal(5, 2, 2).one_minus_p == pytest.approx(0.639375, abs=1e-12)
-    assert sm.p_universal(3, 2, 1).one_minus_p == pytest.approx(175 / 216, abs=1e-12)
+    assert p_universal(5, 2, 1).one_minus_p == pytest.approx(2635 / 4608, abs=1e-12)
+    assert p_universal(5, 2, 2).one_minus_p == pytest.approx(0.639375, abs=1e-12)
+    assert p_universal(3, 2, 1).one_minus_p == pytest.approx(175 / 216, abs=1e-12)
 
 
 def test_p_universal_rejects_bad_input():
+    # the closed form is stated for odd N; the gap route takes every N >= 3
     with pytest.raises(ValueError):
-        sm.p_universal(4, 2, 1)
-    with pytest.raises(ValueError):
-        sm.p_universal(1, 2, 1)
-    with pytest.raises(ValueError):
-        sm.p_universal(5, 2, 0.5)
+        p_universal(4, 2, 1)
+    for args in ((1, 2, 1), (5, 2, 0.5), (5, 1, 1), (5, 0, 1), (4, 0, 1)):
+        for p_of in (p_universal, sm.slider_p):
+            with pytest.raises(ValueError):
+                p_of(*args)
 
 
 def test_p_universal_free_limit_k1():
-    assert 0.999 <= sm.p_universal(3, 10_000, 1).one_minus_p <= 1.0
+    for p_of in (p_universal, sm.slider_p):
+        assert 0.999 <= p_of(3, 10_000, 1).one_minus_p <= 1.0
 
 
 def test_p_universal_beta_cancellation():
-    a = sm.p_universal(5, 2, 1e6).p
-    b = sm.p_universal(5, 2, 1e7).p
-    assert abs(a - b) <= 1e-6
+    for p_of in (p_universal, sm.slider_p):
+        assert abs(p_of(5, 2, 1e6).p - p_of(5, 2, 1e7).p) <= 1e-6
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
 def test_p_universal_bounds_sweep(beta):
     for k in range(1, 11):
         for d in range(2, 7):
-            res = sm.p_universal(2 * k + 1, d, beta)
-            assert 0.0 <= res.p <= 1.0
-            assert 0.0 <= res.one_minus_p <= 1.0
-            assert res.p + res.one_minus_p == pytest.approx(1.0, abs=1e-14)
+            for res in (p_universal(2 * k + 1, d, beta), sm.slider_p(2 * k + 1, d, beta),
+                        sm.slider_p(2 * k + 2, d, beta)):
+                assert 0.0 <= res.p <= 1.0
+                assert 0.0 <= res.one_minus_p <= 1.0
+                assert res.p + res.one_minus_p == pytest.approx(1.0, abs=1e-14)
 
 
 def test_one_minus_p_decays_like_inverse_n():
     # N(1-p) increases slowly toward its limit, so the constant fitted at
     # N=101 carries a 5% headroom before being checked at N=1001
-    c = 1.05 * 101 * sm.p_universal(101, 2, 1).one_minus_p
-    assert sm.p_universal(1001, 2, 1).one_minus_p <= c / 1001
+    for p_of in (p_universal, sm.slider_p):
+        c = 1.05 * 101 * p_of(101, 2, 1).one_minus_p
+        assert p_of(1001, 2, 1).one_minus_p <= c / 1001
+
+
+@settings(max_examples=300)
+@given(k=st.integers(1, 29), d=st.integers(2, 8), beta=st.floats(1.0, 4.0))
+def test_slider_p_is_the_closed_form_at_odd_sites(k, d, beta):
+    # one route for every N: at odd N the gap ratio is the paper's closed form
+    got, want = sm.slider_p(2 * k + 1, d, beta), p_universal(2 * k + 1, d, beta)
+    assert got.one_minus_p == pytest.approx(want.one_minus_p, rel=1e-12, abs=0)
+    assert got.p == pytest.approx(want.p, rel=1e-12, abs=0)
 
 
 def test_slider_p_even_sites():
     assert sm.slider_p(4, 2, 1).one_minus_p == pytest.approx(25 / 32, rel=1e-12)
-    assert sm.slider_p(5, 2, 1).p == sm.p_universal(5, 2, 1).p
 
 
 def _p_empirical_z(spec, trials, rng):
