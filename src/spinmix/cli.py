@@ -11,7 +11,10 @@ moments.csv and ``p_empirical`` in summary.json come from each trial's
 Σλ¹…Σλ⁴ given its local draw: averaged exactly over the permutations and
 Haar rotations for the classical and isotropic spectra, exact for the
 quantum one (``spectra.ensemble_pools``).  ``reproduce`` reads the same sums
-and samples no eigenvalues.
+and samples no eigenvalues.  Both commands print one moments report: each
+pool's μ, σ², γ₁ and γ₂ with their jackknife s.e., from one leave-one-out
+pass per pool.  ``reproduce`` adds the closed forms, a 3-s.e. verdict per
+row and exit code 1.
 
 Exit codes: 0 ok, 1 tolerance failure (reproduce), 2 usage error.
 """
@@ -37,6 +40,7 @@ from .chain import ChainSpec, LocalEnsemble
 from .rng import Rng
 
 _SOURCES = ("classical", "iso", "quantum", "ie", "gram_charlier")
+_STATS = ("mu", "sigma2", "gamma1", "gamma2")
 
 
 def _fmt(x) -> str:
@@ -162,19 +166,36 @@ def _csv_text(header, rows) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
-def _stat_row(source, summary, loo):
-    cells = [source]
-    for stat in ("mu", "sigma2", "gamma1", "gamma2"):
-        v = summary.stat(stat)
-        cells.append("" if v is None else _fmt(v))
-    for stat in ("mu", "sigma2", "gamma1", "gamma2"):
-        try:
-            se = None if loo is None else spectra.jackknife_se(s.stat(stat) for s in loo)
-        except ValueError:  # the statistic is undefined with a block left out
-            se = None
-        se = _finite_or_none(se)  # NaN below two trials
-        cells.append("" if se is None else _fmt(se))
-    return cells
+def _jackknife_se(values):
+    """Jackknife s.e. from a statistic's ``leave_one_out`` values; None where undefined.
+
+    It is undefined where a left-out block leaves the statistic undefined (a
+    None value, or coinciding kurtoses in ``p_from_kurtoses``) and below two
+    blocks (NaN).
+    """
+    try:
+        return _finite_or_none(spectra.jackknife_se(values))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _moments_report(pools):
+    """Each pool's summary, the s.e. of its μ, σ², γ₁ and γ₂, and its leave-one-out summaries.
+
+    One leave-one-out pass per pool serves every s.e. that ``run`` and
+    ``reproduce`` print.
+    """
+    summaries = {k: p.summary() for k, p in pools.items()}
+    loo = {k: p.leave_one_out() for k, p in pools.items()}
+    se = {k: {stat: _jackknife_se(s.stat(stat) for s in loo[k]) for stat in _STATS}
+          for k in pools}
+    return summaries, se, loo
+
+
+def _moments_row(source, summary, se=None):
+    """A moments.csv row: μ, σ², γ₁, γ₂ and their s.e., blank where undefined or absent."""
+    cells = [summary.stat(stat) for stat in _STATS] + [(se or {}).get(stat) for stat in _STATS]
+    return [source] + ["" if v is None else _fmt(v) for v in cells]
 
 
 def _p_empirical(summaries):
@@ -209,23 +230,41 @@ def cmd_run(args) -> int:
         edges = _check_run_args(args, spec.m)
         p_analytic = slider_mod.slider_p(spec.n_sites, spec.site_dim, spec.beta).p \
             if spec.coupling_range == 2 else None
-        weight = p_analytic or 0.0      # all-isotropic beyond nearest neighbors
     except ValueError as exc:
         return _fail_usage(str(exc))
-    rng = Rng(args.seed)
     out_dir = Path(args.out)
     try:
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]     # deepest first
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:      # a file in the way: FileExistsError, NotADirectoryError
         return _fail_usage(f"--out {args.out}: cannot make the directory: {exc.strerror}")
+    try:
+        texts, outside = _run_texts(args, spec, edges, p_analytic, t_start)
+    except ValueError:
+        # no file is written before every text is made, so the directories
+        # the run made are empty; a directory that was there stays
+        for d in made:
+            d.rmdir()
+        raise
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    if any(outside.values()):
+        print("warning: mass outside the edges, clipped into the end bins: "
+              + ", ".join(f"{k} {v:.4g}" for k, v in outside.items())
+              + "; the ks block compares the clipped densities", file=sys.stderr)
+    return 0
 
-    pools = spectra.ensemble_pools(spec, args.trials, rng, keep_samples=True)
+
+def _run_texts(args, spec, edges, p_analytic, t_start):
+    """The text of each file ``run`` writes, and each pool's mass outside the edges."""
+    weight = p_analytic or 0.0      # all-isotropic beyond nearest neighbors
+    pools = spectra.ensemble_pools(spec, args.trials, Rng(args.seed), keep_samples=True)
 
     if edges is None:       # one set of edges for every pool, from all their samples
         edges = spectra.bin_edges(np.concatenate([p.samples.ravel() for p in pools.values()]),
                                   args.bins)
     hists = {k: spectra.histogram(p.samples, edges) for k, p in pools.items()}
-    summaries = {k: p.summary() for k, p in pools.items()}
+    summaries, se, loo = _moments_report(pools)
     ie = slider_mod.ie_mixture(weight, hists["classical"], hists["iso"])
     gc = spectra.gram_charlier_density(summaries["quantum"], edges)
     densities = dict(hists, ie=ie, gram_charlier=gc)
@@ -237,15 +276,12 @@ def cmd_run(args) -> int:
             rows.append([source, _fmt(left), _fmt(right), _fmt(mass)])
     texts = {"densities.csv": _csv_text(["source", "bin_left", "bin_right", "mass"], rows)}
 
-    # one jackknife pass per pool serves every s.e. of moments.csv and p_empirical
-    loo = {k: p.leave_one_out() for k, p in pools.items()}
-    mrows = [_stat_row(k, summaries[k], loo[k]) for k in ("classical", "iso", "quantum")]
+    mrows = [_moments_row(k, summaries[k], se[k]) for k in ("classical", "iso", "quantum")]
     mix_raw = [weight * getattr(summaries["classical"], f"m{j}")
                + (1 - weight) * getattr(summaries["iso"], f"m{j}") for j in (1, 2, 3, 4)]
-    mrows.append(_stat_row("ie", spectra.MomentSummary.from_raw_moments(*mix_raw), None))
-    mrows.append(_stat_row("gram_charlier", summaries["quantum"], None))
-    texts["moments.csv"] = _csv_text(["source", "mu", "sigma2", "gamma1", "gamma2",
-                                      "mu_se", "sigma2_se", "gamma1_se", "gamma2_se"], mrows)
+    mrows.append(_moments_row("ie", spectra.MomentSummary.from_raw_moments(*mix_raw)))
+    mrows.append(_moments_row("gram_charlier", summaries["quantum"]))
+    texts["moments.csv"] = _csv_text(["source", *_STATS, *(f"{s}_se" for s in _STATS)], mrows)
 
     # histogram() clips values outside the edges into the end bins
     outside = {k: float(np.mean((p.samples < edges[0]) | (p.samples > edges[-1])))
@@ -273,22 +309,16 @@ def cmd_run(args) -> int:
     kinds = ("quantum", "classical", "iso")
     try:
         summary["p_empirical"] = _p_empirical([summaries[k] for k in kinds])
-        if summary["p_empirical"] is not None:
-            summary["p_empirical_se"] = _finite_or_none(spectra.jackknife_se(
-                _p_empirical(s) for s in zip(*(loo[k] for k in kinds))))
-    except (ZeroDivisionError, ValueError):
+    except ZeroDivisionError:
         pass
+    if summary["p_empirical"] is not None:
+        summary["p_empirical_se"] = _jackknife_se(_p_empirical(s)
+                                                  for s in zip(*(loo[k] for k in kinds)))
     summary["wall_time_s"] = time.time() - t_start
     # every file's text is made before any file is opened, so a non-finite
     # number in the summary leaves no file
     texts["summary.json"] = json.dumps(summary, indent=2, allow_nan=False) + "\n"
-    for name, text in texts.items():
-        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
-    if any(outside.values()):
-        print("warning: mass outside the edges, clipped into the end bins: "
-              + ", ".join(f"{k} {v:.4g}" for k, v in outside.items())
-              + "; the ks block compares the clipped densities", file=sys.stderr)
-    return 0
+    return texts, outside
 
 
 # ---------------------------------------------------------------------------
@@ -318,37 +348,28 @@ def cmd_reproduce(args) -> int:
     theory = slider_mod.wishart_chain_stats(n_sites, d, r)
     dims = slider_mod.SliderDims.odd_side(n_sites, d, beta)
     slid = slider_mod.ensemble_slider(slider_mod.wishart_moments(r, d * d, beta), dims)
-    th = {
-        "mu": {"iso": theory.mu, "quantum": theory.mu, "classical": theory.mu},
-        "sigma2": {k: theory.sigma2 for k in ("iso", "quantum", "classical")},
-        "gamma1": {k: theory.gamma1 for k in ("iso", "quantum", "classical")},
-        "gamma2": {"iso": slid.gamma2_iso, "quantum": slid.gamma2_quantum,
-                   "classical": slid.gamma2_classical},
-    }
     print(f"table {args.table}: wishart chain, d={d}, r={r}, beta={beta}, trials={trials}")
-    summaries = loo = None
     if trials:
-        pools = spectra.ensemble_pools(spec, trials, Rng(args.seed), keep_samples=False)
-        summaries = {k: p.summary() for k, p in pools.items()}
-        # one jackknife pass per pool serves all twelve s.e.
-        loo = {k: p.leave_one_out() for k, p in pools.items()}
+        summaries, se, _ = _moments_report(
+            spectra.ensemble_pools(spec, trials, Rng(args.seed), keep_samples=False))
     # the "3 d.p." column is the theory at the precision of the paper's tables
     print(f"{'statistic':<10} {'ensemble':<10} {'theory':>12} {'3 d.p.':>8} "
           f"{'empirical':>12} {'3 s.e.':>10}")
     ok = True
-    for stat in ("mu", "sigma2", "gamma1", "gamma2"):
+    for stat in _STATS:
         for kind in ("iso", "quantum", "classical"):
-            t = th[stat][kind]
+            # μ, σ² and γ₁ are shared by the three spectra; γ₂ is each one's own
+            t = getattr(slid, f"gamma2_{kind}") if stat == "gamma2" else theory.stat(stat)
             row = f"{stat:<10} {kind:<10} {t:>12.6f} {t:>8.3f}"
-            if summaries is None:
+            if not trials:
                 print(f"{row} {'-':>12} {'-':>10}")
                 continue
             emp = summaries[kind].stat(stat)
-            tol = 3.0 * spectra.jackknife_se(s.stat(stat) for s in loo[kind]) + 1e-9
-            good = abs(emp - t) <= tol
+            tol = None if se[kind][stat] is None else 3.0 * se[kind][stat] + 1e-9
+            good = tol is not None and abs(emp - t) <= tol
             ok = ok and good
             flag = "" if good else "  <-- out of tolerance"
-            print(f"{row} {emp:>12.6f} {tol:>10.4f}{flag}")
+            print(f"{row} {emp:>12.6f} {'-' if tol is None else f'{tol:.4f}':>10}{flag}")
     return 0 if ok else 1
 
 

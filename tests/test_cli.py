@@ -358,7 +358,23 @@ def test_run_writes_no_partial_summary(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Out of range float values") and err.count("\n") == 1, err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_run_that_exits_2_leaves_no_directory_it_made(tmp_path, capsys):
+    # edges far from every sample: the Gram-Charlier density vanishes on them
+    args = ["run", "--ensemble", "pm1", "--n-sites", "4", "--d", "2", "--trials", "20",
+            "--edges", "100,200", "--out"]
+    for out in (tmp_path / "made", tmp_path / "above" / "below"):
+        assert main([*args, str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err == "error: expansion vanished on this grid; widen the grid\n", err
+        assert not out.exists() and not (tmp_path / "above").exists(), out
+    # a directory that was there stays, with what it held
+    there = tmp_path / "there"
+    (there / "inner").mkdir(parents=True)
+    assert main([*args, str(there)]) == 2
+    assert [p.name for p in there.iterdir()] == ["inner"]
 
 
 def test_reproduce_theory_only():
