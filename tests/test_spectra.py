@@ -667,6 +667,21 @@ def test_pool_block_statistics(spec_n3):
         assert p.block_counts.sum() == p.count, kind
 
 
+@pytest.mark.parametrize("trials", [75, 149])
+def test_blocks_hold_the_trials_they_count(trials):
+    # every trial of a fixed spectrum's classical pool adds the same sums, so
+    # each block's mean is the pool's whichever trials it holds, if the
+    # trial-to-block map fills each block with as many trials as its count
+    # says; the trial counts are not multiples of the 50 blocks
+    spec = sm.ChainSpec(n_sites=4, site_dim=2,
+                        ensemble=sm.LocalEnsemble.fixed_spectrum([0.5, 1.0, 2.0, 4.0]))
+    pool = sm.ensemble_pools(spec, trials, sm.Rng(3))["classical"]
+    assert pool.block_counts.size == 50 and len(set(pool.block_counts)) == 2
+    means = pool.block_sums / pool.block_counts[:, None]
+    np.testing.assert_allclose(means, np.broadcast_to(pool.moment_sums / pool.count, means.shape),
+                               rtol=1e-12, atol=0)
+
+
 def test_jackknife_mu_equals_block_mean_se(spec_n3):
     # μ is linear in the sums, so with equal blocks the delete-one-block
     # jackknife reduces to the s.e. of the block means
@@ -915,6 +930,18 @@ def test_gram_charlier_standard_normal():
     ref /= ref.sum()
     assert np.abs(dens.masses - ref).max() < 1e-12
     assert abs(dens.masses.sum() - 1.0) < 1e-12
+
+
+def test_gram_charlier_has_the_summary_moments():
+    # on a fine grid wide enough for the tails, the density's own first four
+    # moments are the summary's, to the grid's discretisation error
+    stats = sm.MomentSummary.from_cumulants(1.0, 4.0, 0.3 * 4.0 ** 1.5, 0.8 * 4.0 ** 2)
+    edges = np.linspace(1.0 - 14 * 2.0, 1.0 + 14 * 2.0, 40_001)
+    dens = sm.gram_charlier_density(stats, edges)
+    mids = (edges[:-1] + edges[1:]) / 2
+    own = sm.MomentSummary.from_raw_moments(*(dens.masses @ mids ** j for j in (1, 2, 3, 4)))
+    for stat, want in (("mu", 1.0), ("sigma2", 4.0), ("gamma1", 0.3), ("gamma2", 0.8)):
+        assert own.stat(stat) == pytest.approx(want, rel=1e-12), stat
 
 
 def test_gram_charlier_symmetry_without_skew():
