@@ -22,6 +22,7 @@ Exit codes: 0 ok, 1 tolerance failure (reproduce), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -244,7 +245,8 @@ def cmd_run(args) -> int:
         # no file is written before every text is made, so the directories
         # the run made are empty; a directory that was there stays
         for d in made:
-            d.rmdir()
+            with contextlib.suppress(OSError):      # "a/.." is a's parent, not made
+                d.rmdir()
         raise
     for name, text in texts.items():
         (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
