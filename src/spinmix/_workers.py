@@ -38,9 +38,10 @@ calling thread.
 reused across items and calls, so an item maps no fresh pages.  It
 lives as long as its thread (a worker lives as long as the pool) and grows
 only to the largest request that thread has made; nothing a kernel returns
-may alias it.  So the bond terms and kept m×m arrays of
-``spectra._chunk_pass`` are arrays of their item instead, which are freed
-when the item is done.
+may alias it.  So the bond terms and the kept route's m×m stack of
+``spectra._chunk_pass`` (the chains, then the Haar and isotropic matrices,
+one matrix a trial; a second stack of Haar matrices at L > 2) are arrays
+of their item instead, which are freed when the item is done.
 
 The pool is created on first use, so importing the package starts no thread.
 """

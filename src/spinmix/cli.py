@@ -263,8 +263,7 @@ def _run_texts(args, spec, edges, p_analytic, t_start):
     pools = spectra.ensemble_pools(spec, args.trials, Rng(args.seed), keep_samples=True)
 
     if edges is None:       # one set of edges for every pool, from all their samples
-        edges = spectra.bin_edges(np.concatenate([p.samples.ravel() for p in pools.values()]),
-                                  args.bins)
+        edges = spectra.bin_edges([p.samples for p in pools.values()], args.bins)
     hists = {k: spectra.histogram(p.samples, edges) for k, p in pools.items()}
     summaries, se, loo = _moments_report(pools)
     ie = slider_mod.ie_mixture(weight, hists["classical"], hists["iso"])
@@ -285,7 +284,7 @@ def _run_texts(args, spec, edges, p_analytic, t_start):
     mrows.append(_moments_row("gram_charlier", summaries["quantum"]))
     texts["moments.csv"] = _csv_text(["source", *_STATS, *(f"{s}_se" for s in _STATS)], mrows)
 
-    # histogram() clips values outside the edges into the end bins
+    # histogram() counts values outside the edges into the end bins
     outside = {k: float(np.mean((p.samples < edges[0]) | (p.samples > edges[-1])))
                for k, p in pools.items()}
     summary = {

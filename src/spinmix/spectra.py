@@ -14,20 +14,21 @@ trial count alone, and the first t trials of a longer run equal a t-trial
 run.
 
 A run is one stream (``_workers.stream``) of work items of
-``_item_trials`` trials: as many as hold at most ``_ITEM_ELEMENTS`` array
-elements of the stacks their trials hold (``_block_size``; one trial at
-least), two m×m matrices a trial on the kept route, two layers of window
-heads on the moments route.  The calling thread draws each item in trial
-order, a worker runs ``_chunk_pass`` on it as soon as it is drawn, and
-the calling thread folds the finished items into the pools in trial
-order.  So a run holds the draws of at most 2 × workers items, and only
-of as many as fit in ``_workers._FLIGHT_DRAWS`` elements, one at least,
-which the stream counts from the arrays ``draw`` returns: this module
-sizes an item, and the stream alone bounds the items in flight.  The
-workers run only items in flight, each with its m×m stacks, so at large m
-this also bounds how many of those stacks the kept route holds: three
-one-trial items at m = 2048, and one at m = 4096.  The pooled and block
-sums are the same left fold, bit for bit, whatever the items.
+``_item_trials`` trials: as many as hold at most ``_ITEM_ELEMENTS``
+array elements of the stacks their trials hold (``_block_size``; one
+trial at least), counted as two m×m matrices a trial on the kept route,
+which holds one (two at L > 2), and two layers of window heads on the
+moments route.  The calling thread draws each item in trial order, a
+worker runs ``_chunk_pass`` on it as soon as it is drawn, and the
+calling thread folds the finished items into the pools in trial order.
+So a run holds the draws of at most 2 × workers items, and only of as
+many as fit in ``_workers._FLIGHT_DRAWS`` elements, one at least, which
+the stream counts from the arrays ``draw`` returns: this module sizes an
+item, and the stream alone bounds the items in flight.  The workers run
+only items in flight, each with its m×m stacks, so at large m this also
+bounds how many of those stacks the kept route holds: three one-trial
+items at m = 2048, and one at m = 4096.  The pooled and block sums are
+the same left fold, bit for bit, whatever the items.
 Each item forms its trials' bond terms once from the draws, as a (d^L,
 d^L, n_bonds, count) array with the trial axis last
 (``chain._bond_terms``), and reduces them to every pool's Σλ¹…Σλ⁴
@@ -90,9 +91,10 @@ Monte Carlo: summand i is permuted by the argsort of keys drawn on the
 child stream ``(STREAM_CLASSICAL, i − 1)`` and rotated by a Haar matrix
 built from Gaussians drawn on ``(STREAM_ISO, i − 1)``.  An item's pass
 then diagonalises its Wishart or GOE bond terms, builds the summands, and
-forms and diagonalises its m×m isotropic and quantum matrices in arrays
-of its own.  The moment sums never read the samples, so both routes give
-the same moment and block sums.
+forms and diagonalises its m×m quantum and isotropic matrices, one after
+the other, in one stack of its own (``_chunk_pass``).  The moment sums
+never read the samples, so both routes give the same moment and block
+sums.
 
 Densities are read from the kept sample arrays as they are: ``bin_edges``
 picks equal-width edges (``--bins`` or Freedman–Diaconis), ``histogram``
@@ -136,14 +138,17 @@ _MAX_BINS = 512                  # cap on the Freedman–Diaconis bin count
 
 
 def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
-    """Elements a trial holds in its work item: 2·m², or 2 per element of its window heads.
+    """Elements a trial counts for in its work item: 2·m², or 2 per element of its window heads.
 
-    The kept pass holds two m×m stacks a trial (``_chunk_pass``): the
-    embedded chains, which become the isotropic matrices, and the Haar
-    matrices.  The moments pass holds two n×n layers for each of the
+    The kept pass holds one m×m matrix a trial (``_chunk_pass``), in which
+    the embedded chain, then the first rotated summand's Haar matrix, then
+    the isotropic matrix are made; at L > 2 a second holds the later
+    summands' Haar matrices.  It is counted as 2·m², as when the Haar
+    matrices had a stack of their own at every L, so the items keep their
+    trials.  The moments pass holds two n×n layers for each of the
     n_bonds − s + 1 windows, n = d^(s+L−2) (``_trial_sums``): the heads
     window-last and then as a stack, their squares, and their blocks laid
-    out as rows.  A transient of a step, as the rotation's Q†·diag(b), is
+    out as rows.  A transient of one matrix, as a rotation's Q†·diag(b), is
     not counted.
     """
     if keep_samples:
@@ -249,11 +254,21 @@ class DensityEstimate:
 # kernels
 
 
-def _rotate_diag(q: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """Batched Q† diag(b) Q, into `out` when it is given: a single-threaded kernel."""
-    qh = np.conjugate(q.swapaxes(-1, -2))          # laid out as Q, so gemm reads it transposed
-    qh *= b[:, None, :]
-    return np.matmul(qh, q, out=out)
+def _rotate_diag(q: np.ndarray, b: np.ndarray, out: np.ndarray, add: bool = False) -> np.ndarray:
+    """Q_t† diag(b_t) Q_t of each trial t into out[t], or added to it: `out`.
+
+    `out` may be `q` itself, whose matrices the products then overwrite:
+    each trial's is formed over temporaries of one matrix, never of the
+    stack.  A single-threaded kernel.
+    """
+    for qt, bt, ot in zip(q, b, out):
+        qh = np.conjugate(qt.T)         # laid out as Q_t, so gemm reads it transposed
+        qh *= bt
+        if add:
+            ot += qh @ qt
+        else:
+            np.matmul(qh, qt, out=ot)   # numpy copies Q_t first when it is out[t]
+    return out
 
 
 def _inner(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -648,10 +663,14 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
     n_bonds, d^L, d^L) view: it builds the summands s₀ … s_k from the
     bonds' eigenvalues, permutes each s_i by the argsort of its keys, and
     diagonalises the embedded chains and diag(s₀) + Σ Q_i† diag(s_i) Q_i
-    (s₀ alone when nothing is rotated, N = L), in two m×m stacks, the
-    chains and the Haar matrices.  Its bond terms, m×m stacks and m-long
-    diagonal index are the item's, freed when it returns; the moments
-    route makes no array of size m.
+    (s₀ alone when nothing is rotated, N = L), in one m×m stack.  It holds
+    the chains; once they are diagonalised, Q₁ of each trial, built in
+    place (``matgen.haar_from_gaussians``); then that trial's
+    Q₁† diag(s₁) Q₁, written over its Q₁ through temporaries of one
+    matrix (``_rotate_diag``), to which the later summands are added.
+    Only their Q_i, at L > 2, take a second stack.  Its bond terms, m×m
+    stacks and m-long diagonal index are the item's, freed when it
+    returns; the moments route makes no array of size m.
     """
     terms = chain_mod._bond_terms(spec, evals, factors)
     sums = _trial_sums(terms, spec).transpose(0, 2, 1)
@@ -665,18 +684,20 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
     for b, k in zip(summands[1:], keys):
         vals = vals + np.take_along_axis(b, np.argsort(k, axis=1), axis=1)
     classical[...] = vals
-    chains, haar = np.empty((2, len(factors), spec.m, spec.m), dtype=factors.dtype)
-    mats = chain_mod.embed_sum_batch(h, spec, chains)
+    mats = chain_mod.embed_sum_batch(h, spec, np.empty((len(factors), spec.m, spec.m),
+                                                       factors.dtype))
     quantum[...] = np.linalg.eigvalsh(mats)
     if not gaussians:                                   # N = L: nothing is rotated
         iso[...] = summands[0]
         return sums
-    for i, (g, b) in enumerate(zip(gaussians, summands[1:])):
-        q = matgen.haar_from_gaussians(g, haar)
-        # the first rotation overwrites the chains, which are diagonalised
-        rotated = _rotate_diag(q, b, None if i else mats)
-        if i:
-            mats += rotated
+    # the chains are diagonalised, so the first rotated summand's Haar
+    # matrices are built in their stack and each trial is rotated in place;
+    # only the later summands' (L > 2) need a second stack
+    (g, b), *rest = zip(gaussians, summands[1:])
+    _rotate_diag(matgen.haar_from_gaussians(g, mats), b, mats)
+    haar = np.empty_like(mats) if rest else None
+    for g, b in rest:
+        _rotate_diag(matgen.haar_from_gaussians(g, haar), b, mats, add=True)
     diag = np.arange(spec.m)
     mats[:, diag, diag] += summands[0]
     iso[...] = np.linalg.eigvalsh(mats)
@@ -889,25 +910,33 @@ def ks_distance(x: DensityEstimate, y: DensityEstimate) -> float:
 
 
 def bin_edges(values, bins: Optional[int] = None) -> np.ndarray:
-    """Equal-width bin edges over the range of a sample array.
+    """Equal-width bin edges over the range of a sample array, or of a list of them as one.
 
     `bins` bins, or by default the Freedman–Diaconis count, ceil(range ·
     n^(1/3) / (2·IQR)) capped at ``_MAX_BINS``, with the quartiles the
     inverted-CDF order statistics (⌈q·n⌉-th smallest value).  With IQR 0
     the count is √n, within the same cap.  A constant sample gets the unit
-    interval around its value, as one bin by default.
+    interval around its value, as one bin by default.  The quartiles come
+    from one private copy of the values, partitioned in place, so the
+    caller's arrays keep their order; with `bins` given nothing is copied.
     """
-    v = np.ravel(values)
-    lo, hi = float(v.min()), float(v.max())
+    parts = [np.ravel(a) for a in values] if isinstance(values, (list, tuple)) \
+        else [np.ravel(values)]
+    lo = float(np.min([a.min() for a in parts]))
+    hi = float(np.max([a.max() for a in parts]))
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
         bins = 1 if bins is None else bins
     if bins is None:
-        q1, q3 = np.quantile(v, [0.25, 0.75], method="inverted_cdf")
+        v = np.concatenate(parts)
+        n = v.size
+        k1, k3 = -(-n // 4) - 1, -(-3 * n // 4) - 1        # ⌈q·n⌉ − 1
+        v.partition((k1, k3))
+        q1, q3 = v[k1], v[k3]
         if q3 <= q1:
-            bins = min(_MAX_BINS, round(math.sqrt(v.size)))
+            bins = min(_MAX_BINS, round(math.sqrt(n)))
         else:
-            width = 2.0 * (q3 - q1) / v.size ** (1.0 / 3.0)
+            width = 2.0 * (q3 - q1) / n ** (1.0 / 3.0)
             bins = int(np.clip(math.ceil((hi - lo) / width), 1, _MAX_BINS))
     return np.linspace(lo, hi, bins + 1)
 
@@ -915,8 +944,11 @@ def bin_edges(values, bins: Optional[int] = None) -> np.ndarray:
 def histogram(values, edges) -> DensityEstimate:
     """Mass-preserving binning of a sample array on ascending `edges`.
 
-    Values outside the edges are clipped into the end bins, so the total
+    Values outside the edges are counted into the end bins, so the total
     mass is always preserved.
     """
-    counts, _ = np.histogram(np.clip(np.ravel(values), edges[0], edges[-1]), bins=edges)
+    v = np.ravel(values)
+    counts, _ = np.histogram(v, bins=edges)
+    counts[0] += np.count_nonzero(v < edges[0])
+    counts[-1] += np.count_nonzero(v > edges[-1])
     return DensityEstimate(edges, counts)

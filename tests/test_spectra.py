@@ -149,10 +149,17 @@ def test_rotation_kernels_match_explicit_products(m, beta):
     gen = sm.Rng(50, m).substream()
     q = haar_batch(m, beta, gen, 3)
     b = gen.standard_normal((3, m))
-    got_diag = _rotate_diag(q, b)
+    got_diag = _rotate_diag(q, b, np.empty_like(q))
     for t in range(3):
         qh = q[t].conj().T
         assert np.abs(got_diag[t] - qh @ np.diag(b[t]) @ q[t]).max() < 1e-12
+    # written over the Haar matrices, as the kept pass does, and added to a
+    # stack, the products are the same bits
+    in_place = q.copy()
+    assert _rotate_diag(in_place, b, in_place) is in_place
+    assert np.array_equal(in_place, got_diag)
+    added = q[::-1].copy()
+    assert np.array_equal(_rotate_diag(q, b, added, add=True), q[::-1] + got_diag)
 
 
 def _assert_power_sums_match(got, lam, first=1):
@@ -187,7 +194,8 @@ def test_kernels_do_not_depend_on_sub_blocks(beta):
         # the Haar kernel and the rotation on each item, as the kept pass runs them
         q = np.concatenate([haar_from_gaussians(g[i], np.empty((len(g[i]), 16, 16), g.dtype))
                             for i in items])
-        rotated = np.concatenate([_rotate_diag(q[i], b[i]) for i in items])
+        rotated = np.concatenate([_rotate_diag(q[i], b[i], np.empty_like(q[i]))
+                                  for i in items])
         # the chunk pass on the kept route: its sums and its three sample rows
         evals, factors = _draw_bonds(spec, 40, gen)         # Wishart: no evals
         keys = gen.random((40, spec.m))
@@ -287,11 +295,14 @@ def test_alternating_shapes_on_one_thread_keep_every_bit(monkeypatch):
 def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
     # a kept run holds the reflector Gaussians of the items in flight, at most
     # 2 × workers items of 8 trials here (256·128·129/2 floats for the whole
-    # run), and each worker the m×m stacks of one 8-trial item: the
-    # chains and the Haar matrices, the two a trial that ``_block_size``
-    # counts, and eigvalsh's copy.  A stack of 512 matrices of 128×128 is
-    # 64 MiB, and items of 16 trials hold some 4 MiB more than this
-    # bound.  Two workers, so that the bound does not depend on the machine
+    # run), its sample rows, and each worker one m×m stack of an 8-trial
+    # item, in which the chains, the Haar matrices and the isotropic
+    # matrices are made one after the other, and a few matrices of one
+    # trial: the rotation's Q†·diag(b) and numpy's copy of the Q it
+    # overwrites, the Haar kernel's transposing temporary.  A batched
+    # step's temporaries, a second 8-trial stack (1 MiB a worker, against
+    # 0.5 MiB of slack), go past this bound, as would items of 16 trials.
+    # Two workers, so that the bound does not depend on the machine
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
     pool = _workers._Pool(2, _workers._openblas_controls())
     monkeypatch.setattr(_workers, "_default", pool)
@@ -306,10 +317,11 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
             tracemalloc.stop()
     finally:
         pool.shutdown()
-    block = 8
+    block, matrix = 8, spec.m ** 2 * 8
     gaussians = 2 * pool.workers * block * spec.m * (spec.m + 1) // 2 * 8
-    stacks = pool.workers * 3 * block * spec.m ** 2 * 8
-    assert peak < gaussians + stacks + 6 * 2 ** 20, peak / 2 ** 20
+    samples = 3 * 512 * spec.m * 8
+    stacks = pool.workers * (block + 4) * matrix           # one stack and four matrices a worker
+    assert peak < gaussians + samples + stacks + 2 ** 18, peak / 2 ** 20
     assert spectra._item_trials(spec, True, 512) == block
 
 
@@ -1013,6 +1025,77 @@ def test_fd_quartiles_are_inverted_cdf_order_statistics():
     width = 2 * (14 ** 3 - 4 ** 3) / 20 ** (1 / 3)
     assert math.ceil(19 ** 3 / width) == 4
     assert np.array_equal(sm.bin_edges(x[::-1]), np.linspace(0.0, 19.0 ** 3, 5))
+
+
+def _quantile_bin_edges(values, bins=None):
+    """``bin_edges`` as it was written before it partitioned a copy: np.quantile's quartiles."""
+    v = np.ravel(values)
+    lo, hi = float(v.min()), float(v.max())
+    if hi <= lo:
+        lo, hi = lo - 0.5, hi + 0.5
+        bins = 1 if bins is None else bins
+    if bins is None:
+        q1, q3 = np.quantile(v, [0.25, 0.75], method="inverted_cdf")
+        if q3 <= q1:
+            bins = min(spectra._MAX_BINS, round(math.sqrt(v.size)))
+        else:
+            width = 2.0 * (q3 - q1) / v.size ** (1.0 / 3.0)
+            bins = int(np.clip(math.ceil((hi - lo) / width), 1, spectra._MAX_BINS))
+    return np.linspace(lo, hi, bins + 1)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 99, 400, 4001])
+def test_bin_edges_partition_gives_the_inverted_cdf_quartiles(n):
+    # the ⌈n/4⌉-th and ⌈3n/4⌉-th smallest values, from a partitioned copy,
+    # are np.quantile's inverted-CDF quartiles at every n, with ties and not
+    gen = sm.Rng(61, n).substream()
+    for x in (gen.standard_normal(n), gen.integers(0, 3, n).astype(float)):
+        for bins in (None, 5):
+            assert np.array_equal(sm.bin_edges(x, bins), _quantile_bin_edges(x, bins))
+
+
+def test_bin_edges_of_a_list_is_bin_edges_of_its_concatenation():
+    # ``spinmix run`` passes the three pools' sample arrays as they are
+    gen = sm.Rng(62).substream()
+    parts = [gen.standard_normal((7, 16)), 3 + gen.standard_normal((5, 16)),
+             gen.standard_normal((2, 16)) ** 3]
+    flat = np.concatenate([p.ravel() for p in parts])
+    for bins in (None, 1, 9):
+        assert np.array_equal(sm.bin_edges(parts, bins), sm.bin_edges(flat, bins))
+        assert np.array_equal(sm.bin_edges(tuple(parts), bins), sm.bin_edges(flat, bins))
+    constant = [np.full((2, 3), 4.0), np.full(5, 4.0)]
+    assert np.array_equal(sm.bin_edges(constant), [3.5, 4.5])
+    ties = [np.zeros(190), np.ones(10)]                    # IQR 0: √200 bins
+    assert np.array_equal(sm.bin_edges(ties), sm.bin_edges(np.concatenate(ties)))
+
+
+def test_bin_edges_leaves_the_callers_arrays_in_order():
+    # np.ravel of a C-contiguous array is a view, so partitioning it in place
+    # would reorder the pools' sample rows
+    gen = sm.Rng(63).substream()
+    rows = gen.standard_normal((40, 32))
+    assert rows.flags.c_contiguous
+    kept = rows.copy()
+    sm.bin_edges(rows)
+    assert np.array_equal(rows, kept)
+    samples = gen.standard_normal((3, 20, 32))
+    kept = samples.copy()
+    sm.bin_edges(list(samples))
+    assert np.array_equal(samples, kept)
+
+
+def test_histogram_counts_values_outside_the_edges_into_the_end_bins():
+    # points below, above and on the outer edges, as np.histogram bins the
+    # clipped values; the last bin holds its right edge
+    edges = np.linspace(-1.0, 1.0, 5)
+    x = np.array([-5.0, -1.0, -1.0 - 1e-15, -0.7, -0.5, 0.0, 0.2, 0.5, 0.99, 1.0, 1.0 + 1e-15,
+                  3.0, np.nextafter(-1.0, 0), np.nextafter(1.0, 0), np.nextafter(1.0, 2)])
+    gen = sm.Rng(64).substream()
+    for values in (x, x.reshape(3, 5), gen.standard_normal(1000) * 1.5):
+        expected, _ = np.histogram(np.clip(np.ravel(values), edges[0], edges[-1]), bins=edges)
+        dens = sm.histogram(values, edges)
+        assert np.array_equal(dens.masses, expected / expected.sum())
+    assert np.array_equal(sm.histogram(x, edges).masses, np.array([5, 1, 2, 7]) / len(x))
 
 
 def test_fd_bin_count_is_capped():
