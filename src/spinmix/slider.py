@@ -223,6 +223,8 @@ def slider_p(n_sites: int, d: int, beta: float = 1.0) -> SliderResult:
     d < 2 and β outside [1, ∞); an OverflowError, a β or d^N whose ratio
     leaves the floats.
     """
+    if not 1 <= beta < math.inf:    # before the gaps, whose checks name d as well
+        raise ValueError(f"need a finite beta >= 1, not {beta}")
     dims = SliderDims.odd_side(n_sites, d, beta)
     return _clamped_result(quantum_gap(_UNIT, _UNIT, dims) / iso_gap(_UNIT, _UNIT, dims))
 

@@ -60,6 +60,14 @@ def test_slider_rejects_non_finite_beta(n_sites, beta, capsys):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("n_sites", ["4", "5"])
+def test_slider_blames_only_beta_below_one(n_sites, capsys):
+    # d = 2 is valid, so the message names beta alone, at odd and even N
+    assert main(["slider", "--n-sites", n_sites, "--d", "2", "--beta", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: need a finite beta >= 1, not 0.5\n", err
+
+
 @pytest.mark.parametrize("n_sites,d,beta,flag", [
     ("3", "2", "1e154", "--beta"), ("4", "2", "1e154", "--beta"),
     ("3", "9" * 300, "1", "--d"), ("1100", "2", "1", "--d")])
