@@ -258,16 +258,19 @@ def _rotate_diag(q: np.ndarray, b: np.ndarray, out: np.ndarray, add: bool = Fals
     """Q_t† diag(b_t) Q_t of each trial t into out[t], or added to it: `out`.
 
     `out` may be `q` itself, whose matrices the products then overwrite:
-    each trial's is formed over temporaries of one matrix, never of the
-    stack.  A single-threaded kernel.
+    each trial's is formed in two temporaries of one matrix, made once
+    for the stack.  A single-threaded kernel.
     """
+    qh = np.empty_like(q[0]).T          # laid out as Q_t, so gemm reads it transposed
+    prod = np.empty_like(q[0])
     for qt, bt, ot in zip(q, b, out):
-        qh = np.conjugate(qt.T)         # laid out as Q_t, so gemm reads it transposed
+        np.conjugate(qt.T, out=qh)
         qh *= bt
+        np.matmul(qh, qt, out=prod)
         if add:
-            ot += qh @ qt
+            ot += prod
         else:
-            np.matmul(qh, qt, out=ot)   # numpy copies Q_t first when it is out[t]
+            ot[...] = prod
     return out
 
 

@@ -298,8 +298,8 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
     # run), its sample rows, and each worker one m×m stack of an 8-trial
     # item, in which the chains, the Haar matrices and the isotropic
     # matrices are made one after the other, and a few matrices of one
-    # trial: the rotation's Q†·diag(b) and numpy's copy of the Q it
-    # overwrites, the Haar kernel's transposing temporary.  A batched
+    # trial: the rotation's two temporaries, Q†·diag(b) and the product
+    # that overwrites Q, and the Haar kernel's transposing one.  A batched
     # step's temporaries, a second 8-trial stack (1 MiB a worker, against
     # 0.5 MiB of slack), go past this bound, as would items of 16 trials.
     # Two workers, so that the bound does not depend on the machine
