@@ -254,24 +254,20 @@ class DensityEstimate:
 # kernels
 
 
-def _rotate_diag(q: np.ndarray, b: np.ndarray, out: np.ndarray, add: bool = False) -> np.ndarray:
-    """Q_t† diag(b_t) Q_t of each trial t into out[t], or added to it: `out`.
+def _rotate_diag(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Overwrite each Haar matrix Q_t of the stack `q` with Q_t† diag(b_t) Q_t: `q`.
 
-    `out` may be `q` itself, whose matrices the products then overwrite:
-    each trial's is formed in two temporaries of one matrix, made once
-    for the stack.  A single-threaded kernel.
+    Each trial's product is formed in two temporaries of one matrix, made
+    once for the stack.  A single-threaded kernel.
     """
     qh = np.empty_like(q[0]).T          # laid out as Q_t, so gemm reads it transposed
     prod = np.empty_like(q[0])
-    for qt, bt, ot in zip(q, b, out):
+    for qt, bt in zip(q, b):
         np.conjugate(qt.T, out=qh)
         qh *= bt
         np.matmul(qh, qt, out=prod)
-        if add:
-            ot += prod
-        else:
-            ot[...] = prod
-    return out
+        qt[...] = prod
+    return q
 
 
 def _inner(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -670,8 +666,8 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
     the chains; once they are diagonalised, Q₁ of each trial, built in
     place (``matgen.haar_from_gaussians``); then that trial's
     Q₁† diag(s₁) Q₁, written over its Q₁ through temporaries of one
-    matrix (``_rotate_diag``), to which the later summands are added.
-    Only their Q_i, at L > 2, take a second stack.  Its bond terms, m×m
+    matrix (``_rotate_diag``).  The later summands, at L > 2, are rotated
+    the same way in a second stack and added.  Its bond terms, m×m
     stacks and m-long diagonal index are the item's, freed when it
     returns; the moments route makes no array of size m.
     """
@@ -697,10 +693,10 @@ def _chunk_pass(spec: ChainSpec, evals, factors, rows=None, keys=(), gaussians=(
     # matrices are built in their stack and each trial is rotated in place;
     # only the later summands' (L > 2) need a second stack
     (g, b), *rest = zip(gaussians, summands[1:])
-    _rotate_diag(matgen.haar_from_gaussians(g, mats), b, mats)
+    _rotate_diag(matgen.haar_from_gaussians(g, mats), b)
     haar = np.empty_like(mats) if rest else None
     for g, b in rest:
-        _rotate_diag(matgen.haar_from_gaussians(g, haar), b, mats, add=True)
+        mats += _rotate_diag(matgen.haar_from_gaussians(g, haar), b)
     diag = np.arange(spec.m)
     mats[:, diag, diag] += summands[0]
     iso[...] = np.linalg.eigvalsh(mats)
