@@ -292,9 +292,10 @@ def test_kept_pools_hold_no_chunk_sized_matrix_stack(monkeypatch):
     # item, in which the chains, the Haar matrices and the isotropic
     # matrices are made one after the other, and a few matrices of one
     # trial: the rotation's two temporaries, Q†·diag(b) and the product
-    # that overwrites Q, and the Haar kernel's transposing one.  A batched
-    # step's temporaries, a second 8-trial stack (1 MiB a worker, against
-    # 0.5 MiB of slack), go past this bound, as would items of 16 trials.
+    # that overwrites Q, and the Haar kernel's transposing one.  The pass
+    # peaks some 0.5 MiB under this bound, so a batched step's temporaries,
+    # a second 8-trial stack (1 MiB a worker), go past it, as would items
+    # of 16 trials.
     # Two workers, so that the bound does not depend on the machine
     spec = sm.ChainSpec(n_sites=7, site_dim=2, ensemble=sm.LocalEnsemble.pm1())
     pool = _workers._Pool(2, _workers._openblas_controls())
