@@ -171,12 +171,11 @@ def _jackknife_se(values):
     """Jackknife s.e. from a statistic's ``leave_one_out`` values; None where undefined.
 
     It is undefined where a left-out block leaves the statistic undefined (a
-    None value, or coinciding kurtoses in ``p_from_kurtoses``) and below two
-    blocks (NaN).
+    None value) and below two blocks (NaN).
     """
     try:
         return _finite_or_none(spectra.jackknife_se(values))
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return None
 
 
@@ -200,9 +199,13 @@ def _moments_row(source, summary, se=None):
 
 
 def _p_empirical(summaries):
-    """Slider weight from the (quantum, classical, iso) kurtoses, if defined."""
+    """Slider weight from the (quantum, classical, iso) kurtoses; None where one is
+    undefined or the classical and isotropic ones coincide."""
     g2 = [s.gamma2 for s in summaries]
-    return None if None in g2 else slider_mod.p_from_kurtoses(*g2)
+    try:
+        return None if None in g2 else slider_mod.p_from_kurtoses(*g2)
+    except ZeroDivisionError:
+        return None
 
 
 def _library_versions() -> dict:
@@ -308,10 +311,7 @@ def _run_texts(args, spec, edges, p_analytic, t_start):
         },
     }
     kinds = ("quantum", "classical", "iso")
-    try:
-        summary["p_empirical"] = _p_empirical([summaries[k] for k in kinds])
-    except ZeroDivisionError:
-        pass
+    summary["p_empirical"] = _p_empirical([summaries[k] for k in kinds])
     if summary["p_empirical"] is not None:
         summary["p_empirical_se"] = _jackknife_se(_p_empirical(s)
                                                   for s in zip(*(loo[k] for k in kinds)))

@@ -4,8 +4,8 @@ The chain spectrum is approximated by p·classical + (1−p)·isotropic where p
 matches the excess kurtosis.  Everything needed to evaluate p analytically
 lives here: Haar fourth moments, the chain-level moment gap of the commuting
 diagonals, the two fourth-moment gap terms, the weight p, the empirical p
-from three kurtoses, the binwise mixture of two densities, and the Wishart
-worked example (bond moments and chain statistics).
+from three kurtoses, the binwise mixture of two densities, the chain's
+cumulants from one bond's, and the Wishart bond moments and chain statistics.
 
 For every N, 1 − p is the ratio of the quantum to the isotropic gap, in
 which the bond moments cancel (Slider Theorem).  The paper's closed form of
@@ -237,17 +237,24 @@ def p_from_kurtoses(g2q: float, g2c: float, g2iso: float) -> float:
     return (g2q - g2iso) / denom
 
 
+def _chain_cumulants(local: LocalMoments, n_sites: int):
+    """The chain's classical κ₁…κ₄: (N − 1) times one bond's, as its N − 1 bonds are iid.
+
+    Its κ₁, κ₂ and κ₃ are the isotropic and quantum ones as well (Matching
+    Three Moments).
+    """
+    return tuple((n_sites - 1) * k for k in local.cumulants())
+
+
 def ensemble_slider(local: LocalMoments, dims: SliderDims) -> SliderResult:
     """Slider with all three closed-form kurtoses for iid bond terms.
 
-    Requires m3/m4 of the local law.  The chain's classical cumulants are
-    (N−1) times the local ones; the isotropic and quantum kurtoses follow by
-    subtracting twice the respective gap over σ⁴.
+    Requires m3/m4 of the local law.  The classical kurtosis is that of the
+    chain's cumulants (``_chain_cumulants``); the isotropic and quantum ones
+    follow by subtracting twice the respective gap over σ⁴.
     """
-    n_sites = dims.n_sites
-    _, k2, _, k4 = local.cumulants()
-    sigma2 = (n_sites - 1) * k2
-    g2c = (n_sites - 1) * k4 / sigma2 ** 2
+    _, sigma2, _, k4 = _chain_cumulants(local, dims.n_sites)
+    g2c = k4 / sigma2 ** 2
     g2iso = g2c - 2.0 * iso_gap(local, local, dims) / sigma2 ** 2
     g2q = g2c - 2.0 * quantum_gap(local, local, dims) / sigma2 ** 2
     p = p_from_kurtoses(g2q, g2c, g2iso)
@@ -270,7 +277,7 @@ def ie_mixture(p: float, classical: DensityEstimate,
 
 
 # ---------------------------------------------------------------------------
-# the Wishart worked example
+# the Wishart bond law
 
 
 def wishart_moments(r: int, n: int, beta: float = 1.0) -> LocalMoments:
@@ -294,27 +301,11 @@ def wishart_moments(r: int, n: int, beta: float = 1.0) -> LocalMoments:
 
 
 def wishart_chain_stats(n_sites: int, d: int, r: int) -> MomentSummary:
-    """β=1 Wishart chain closed forms for (μ, σ², γ₁, γ₂ classical).
+    """The β=1 Wishart chain's (μ, σ², γ₁, γ₂ classical), from ``_chain_cumulants``.
 
-    Each of the N−1 bonds is W = XXᵀ with X real n×r, n = d². With the
-    normalised trace the chain's moments are
-
-        μ  = r(N−1)
-        σ² = r(N−1)(n+1)
-        γ₁ = (n² + 3n + 4) / ((n+1)^{3/2} √(r(N−1)))
-        γ₂ = (n²(n+6) − rn(n+1) + 21n + 2r + 20) / (r(N−1)(n+1)²)
-
-    μ, σ² and γ₁ are shared by the classical, isotropic and quantum spectra
-    (Matching Three Moments); γ₂ is the classical one. The forms hold for
-    β=1 only. At d=2, r=4, N=3: γ₁ = 32/√1000 = 1.0119289, which the
+    Each of the N−1 bonds is W = XXᵀ with X real n×r, n = d².  μ, σ² and γ₁
+    are shared by the classical, isotropic and quantum spectra; γ₂ is the
+    classical one.  At d=2, r=4, N=3: γ₁ = 32/√1000 = 1.0119289, which the
     paper's table prints truncated as 1.01192.
     """
-    n = d * d
-    mu = (n_sites - 1) * r
-    sigma2 = r * (n_sites - 1) * (n + 1)
-    gamma1 = (n * n + 3 * n + 4) / ((n + 1) ** 1.5 * math.sqrt(r * (n_sites - 1)))
-    gamma2 = (n * n * (n + 6) - r * n * (n + 1) + 21 * n + 2 * r + 20) \
-        / (r * (n_sites - 1) * (n + 1) ** 2)
-    return MomentSummary.from_cumulants(mu, sigma2,
-                                        gamma1 * sigma2 ** 1.5,
-                                        gamma2 * sigma2 ** 2)
+    return MomentSummary.from_cumulants(*_chain_cumulants(wishart_moments(r, d * d), n_sites))

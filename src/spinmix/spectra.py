@@ -153,8 +153,8 @@ def _block_size(spec: ChainSpec, keep_samples: bool) -> int:
     """
     if keep_samples:
         return 2 * spec.m * spec.m      # no fewer than the heads' elements
-    width = _window_width(spec)
-    return 2 * (spec.n_bonds - width + 1) * spec.site_dim ** (2 * (width + spec.coupling_range - 2))
+    win = _windows(spec)
+    return 2 * (spec.n_bonds - win.width + 1) * win.side ** 2
 
 
 def _item_trials(spec: ChainSpec, keep_samples: bool, trials: int) -> int:
@@ -630,10 +630,9 @@ def _pool_sums(bonds: np.ndarray, sums: np.ndarray, spec: ChainSpec) -> np.ndarr
     rows[:, 3] -= square
     kappa = _fold(rows, overwrite=True)
     mu[2:, :2] = kappa[1:4, None]
-    # Σ_{i<j} S_i S_j, from the running sums of the S_i: S₀S₁ for the two
-    # parity classes at L = 2
+    # Σ_{i<j} S_i S_j, from the running sums of the S_i
     s = kappa[4:]
-    pairs = s[0] * s[1] if summands == 2 else _fold(s[1:] * np.cumsum(s, axis=0)[:-1])
+    pairs = _fold(s[1:] * np.cumsum(s, axis=0)[:-1])
     mu[4, 1] -= win.iso * pairs
     square = np.square(mu[2])
     square *= 3
@@ -762,15 +761,15 @@ def jackknife_se(values) -> float:
     return float(math.sqrt((g - 1) / g * ((loo - loo.mean()) ** 2).sum()))
 
 
-@functools.lru_cache(maxsize=16)
 def _block_counts(m, trials):
-    """Each pool's value count in each jackknife block, (3, n_blocks), read-only."""
+    """Each pool's value count in each jackknife block, (3, n_blocks): the trials each holds.
+
+    Block b starts at trial ⌈b·trials/n_blocks⌉, so trial i falls in block
+    i·n_blocks // trials; ``_accumulate`` reads the blocks' ends from these.
+    """
     n_blocks = min(_N_BLOCKS, trials)
-    # trial i falls in block i·n_blocks // trials: block b starts at ⌈b·trials/n_blocks⌉
     starts = (np.arange(n_blocks + 1) * trials + n_blocks - 1) // n_blocks
-    counts = np.tile((starts[1:] - starts[:-1]) * m, (3, 1))
-    counts.flags.writeable = False
-    return counts
+    return np.tile((starts[1:] - starts[:-1]) * m, (3, 1))
 
 
 def _new_pools(m, trials, keep_samples):
@@ -785,7 +784,7 @@ def _new_pools(m, trials, keep_samples):
             raise ValueError("sample retention would exceed the memory guard; "
                              "use keep_samples=False")
         samples = np.empty((3, trials, m))
-    counts = _block_counts(m, trials).copy()
+    counts = _block_counts(m, trials)
     stacked = TrialPool(m, trials, np.zeros((3, 4)), np.zeros((3, len(counts[0]), 4)), counts,
                         samples)
     rows = (stacked.moment_sums, stacked.block_sums, stacked.block_counts,
@@ -796,14 +795,11 @@ def _new_pools(m, trials, keep_samples):
 
 def _accumulate(pools: TrialPool, sums: np.ndarray, lo: int):
     """Fold the (3, count, 4) Σλ¹…Σλ⁴ of the trials from `lo` on, which it overwrites,
-    into the stacked pools."""
-    c, n_blocks = sums.shape[1], pools.block_sums.shape[1]
+    into the stacked pools, each trial's into the first block to end past it."""
+    ends = np.cumsum(pools.block_counts[0] // pools.matrix_dim)
+    ids = np.searchsorted(ends, np.arange(lo, lo + sums.shape[1]), side="right")
     # a left fold in trial order, so the sums do not depend on the items
-    if n_blocks == pools.trials:                # a block per trial
-        pools.block_sums[:, lo:lo + c] += sums
-    else:
-        ids = (np.arange(lo, lo + c) * n_blocks) // pools.trials
-        np.add.at(pools.block_sums, (slice(None), ids), sums)
+    np.add.at(pools.block_sums, (slice(None), ids), sums)
     sums[:, 0] += pools.moment_sums
     pools.moment_sums[:] = np.cumsum(sums, axis=1)[:, -1]
 

@@ -6,7 +6,8 @@ widths, the pools' cumulant algebra one step at a time, an exact cross
 convolution for the classical pool, weighted
 moments for the summaries, the parity diagonal's chain-level moments, the
 appendix's collision count for the isotropic gap, the paper's closed form
-of the mixture weight for odd N, and an enumeration-backed count of bond
+of the mixture weight for odd N, the hand-expanded β=1 Wishart chain
+statistics, and an enumeration-backed count of bond
 4-tuples.  A weighted
 measure is a pair (values, weights) of arrays, sorted by value, with
 weights summing to 1.
@@ -261,6 +262,30 @@ def p_universal(n_sites, d, beta=1.0):
         / ((d - 1.0) * (beta * d * d + 2.0))
     )
     return sm.SliderResult(p=1.0 - one_minus_p, one_minus_p=one_minus_p)
+
+
+def wishart_chain_closed_form(n_sites, d, r):
+    """The β=1 Wishart chain's (μ, σ², γ₁, γ₂ classical), expanded by hand.
+
+    Each of the N−1 bonds is W = XXᵀ with X real n×r, n = d².  With the
+    normalised trace the chain's moments are
+
+        μ  = r(N−1)
+        σ² = r(N−1)(n+1)
+        γ₁ = (n² + 3n + 4) / ((n+1)^{3/2} √(r(N−1)))
+        γ₂ = (n²(n+6) − rn(n+1) + 21n + 2r + 20) / (r(N−1)(n+1)²)
+
+    ``slider.wishart_chain_stats`` takes the same numbers from the bond
+    cumulants.
+    """
+    n = d * d
+    mu = (n_sites - 1) * r
+    sigma2 = r * (n_sites - 1) * (n + 1)
+    gamma1 = (n * n + 3 * n + 4) / ((n + 1) ** 1.5 * math.sqrt(r * (n_sites - 1)))
+    gamma2 = (n * n * (n + 6) - r * n * (n + 1) + 21 * n + 2 * r + 20) \
+        / (r * (n_sites - 1) * (n + 1) ** 2)
+    return sm.MomentSummary.from_cumulants(mu, sigma2, gamma1 * sigma2 ** 1.5,
+                                           gamma2 * sigma2 ** 2)
 
 
 TermCounts = namedtuple("TermCounts", ["four", "three", "two_not_entangled", "two_entangled"])

@@ -11,7 +11,7 @@ import pytest
 
 import spinmix as sm
 from spinmix import _workers, spectra
-from spinmix.cli import main
+from spinmix.cli import _p_empirical, main
 
 
 def _reject_constant(name):
@@ -178,6 +178,17 @@ def test_run_single_trial_writes_strict_json(tmp_path):
         cells = dict(zip(header, row.split(",")))
         assert "nan" not in row
         assert all(cells[f"{stat}_se"] == "" for stat in ("mu", "sigma2", "gamma1", "gamma2"))
+
+
+def test_run_with_one_bond_leaves_p_empirical_undefined(tmp_path):
+    # one bond (N = L = 3) is neither permuted nor rotated, so the three
+    # pools coincide and the classical and isotropic kurtoses are equal
+    out = tmp_path / "one-bond"
+    assert main(["run", "--ensemble", "goe", "--n-sites", "3", "--d", "2", "--range", "3",
+                 "--trials", "20", "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert summary["p_empirical"] is None and summary["p_empirical_se"] is None
+    assert _p_empirical([sm.MomentSummary.from_raw_moments(0.0, 1.0, 0.5, 4.0)] * 3) is None
 
 
 def test_run_matches_slider_exactly(tmp_path):

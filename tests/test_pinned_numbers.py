@@ -74,10 +74,7 @@ def _numbers(case):
     pools = sm.ensemble_pools(spec, trials, sm.Rng(seed), keep_samples=keep)
     summaries = {k: pools[k].summary() for k in KINDS}
     numbers = {k: {s: summaries[k].stat(s) for s in STATS} for k in KINDS}
-    try:
-        numbers["p"] = _p_empirical([summaries[k] for k in ("quantum", "classical", "iso")])
-    except ZeroDivisionError:
-        numbers["p"] = None
+    numbers["p"] = _p_empirical([summaries[k] for k in ("quantum", "classical", "iso")])
     return numbers
 
 

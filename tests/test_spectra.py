@@ -231,6 +231,9 @@ _SUB_BLOCK_CASES = [
                  False, id="wishart-N5"),
     pytest.param(sm.ChainSpec(n_sites=2, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 60,
                  False, id="wishart-N2"),
+    # the wishart_n9 call: 32 trials, so a block per trial
+    pytest.param(sm.ChainSpec(n_sites=9, site_dim=2, ensemble=sm.LocalEnsemble.wishart(4)), 32,
+                 False, id="wishart-N9"),
 ]
 
 
@@ -673,16 +676,18 @@ def test_pool_block_statistics(spec_n3):
         assert p.block_counts.sum() == p.count, kind
 
 
-@pytest.mark.parametrize("trials", [75, 149])
+@pytest.mark.parametrize("trials", [32, 75, 149, 7919])
 def test_blocks_hold_the_trials_they_count(trials):
     # every trial of a fixed spectrum's classical pool adds the same sums, so
     # each block's mean is the pool's whichever trials it holds, if the
     # trial-to-block map fills each block with as many trials as its count
-    # says; the trial counts are not multiples of the 50 blocks
+    # says; the trial counts are not multiples of the 50 blocks, or are
+    # fewer, a block per trial
     spec = sm.ChainSpec(n_sites=4, site_dim=2,
                         ensemble=sm.LocalEnsemble.fixed_spectrum([0.5, 1.0, 2.0, 4.0]))
     pool = sm.ensemble_pools(spec, trials, sm.Rng(3))["classical"]
-    assert pool.block_counts.size == 50 and len(set(pool.block_counts)) == 2
+    assert pool.block_counts.size == min(50, trials)
+    assert len(set(pool.block_counts)) == (1 if trials < 50 else 2)
     means = pool.block_sums / pool.block_counts[:, None]
     np.testing.assert_allclose(means, np.broadcast_to(pool.moment_sums / pool.count, means.shape),
                                rtol=1e-12, atol=0)
